@@ -40,6 +40,7 @@ from .lgi import (
     ThreeTimeSpec,
     TwoTimeLGReport,
     k3,
+    k_from_moments,
     mz_lg_closed_form,
     mz_two_time_lg,
     precession_k3,

@@ -45,8 +45,8 @@ SWEEP_COLUMNS = (
 UNDEFINED = "undefined"
 
 
-class CliError(Exception):
-    """Usage/validation error; maps to exit code 2."""
+class CliError(ValueError):
+    """Usage/validation error; maps to exit code 2 like the library's ValueErrors."""
 
 
 def _fmt(x: float) -> str:
@@ -64,18 +64,9 @@ def _default_seed() -> int:
 
 
 def _mz_config(merged: dict) -> MZConfig:
-    beta = merged["beta"]
-    if beta is None:
+    if merged["beta"] is None:
         raise CliError("--beta is required")
-    if abs(beta) > 1.0:
-        raise CliError(f"--beta must lie in [-1, 1], got {beta}")
-    alpha = merged.get("alpha")
-    if alpha is not None and abs(alpha**2 + beta**2 - 1.0) > 1e-9:
-        raise CliError("--alpha and --beta must satisfy alpha^2 + beta^2 = 1")
-    try:
-        return MZConfig(beta=beta, alpha=alpha, phi=merged.get("phi") or 0.0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return MZConfig(beta=merged["beta"], alpha=merged.get("alpha"), phi=merged.get("phi") or 0.0)
 
 
 def cmd_probabilities(merged: dict) -> dict:
@@ -179,8 +170,6 @@ def cmd_mr_check(merged: dict) -> dict:
     for key in ("e2", "e3", "e23"):
         if merged[key] is None:
             raise CliError(f"--{key} is required")
-        if abs(merged[key]) > 1.0:
-            raise CliError(f"--{key} must lie in [-1, 1], got {merged[key]}")
     verdict = macrorealist_feasible(
         CorrelationTriple(e2=merged["e2"], e3=merged["e3"], e23=merged["e23"])
     )
@@ -197,10 +186,8 @@ def cmd_simulate(merged: dict) -> dict:
     cfg = _mz_config(merged)
     kind = merged["kind"]
     shots = merged["shots"]
-    if kind not in ("interference", "path", "sequential"):
-        raise CliError(f"--kind must be interference, path or sequential, got {kind!r}")
-    if shots is None or shots < 1:
-        raise CliError("--shots must be a positive integer")
+    if shots is None:
+        raise CliError("--shots is required")
     est = run(RunSpec(cfg=cfg, shots=shots, seed=merged["seed"], kind=kind))
     rec = {"beta": _num(cfg.beta), "alpha": _num(cfg.alpha), "kind": kind,
            "shots": est.total, "seed": int(merged["seed"])}
@@ -216,8 +203,8 @@ def cmd_simulate(merged: dict) -> dict:
 def cmd_nsit(merged: dict) -> dict:
     cfg = _mz_config(merged)
     shots = merged["shots"]
-    if shots is None or shots < 1:
-        raise CliError("--shots must be a positive integer")
+    if shots is None:
+        raise CliError("--shots is required")
     gap, se = empirical_nsit(cfg, shots, merged["seed"])
     return {
         "beta": _num(cfg.beta),
@@ -288,6 +275,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every option of every command, so that one config file can serve them all
+_OPTION_TYPES = {opt: typ for _, options in COMMANDS.values() for opt, (typ, _) in options.items()}
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
+
+
+def _config_value(key: str, raw):
+    """Convert one config-file value, naming the key if it is unknown or mistyped.
+
+    str options take a JSON string, float options a JSON number and int options
+    an integral JSON number; a boolean is never a number.
+    """
+    typ = _OPTION_TYPES.get(key)
+    if typ is None:
+        raise CliError(f"unknown config key {key!r}")
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if typ is str:
+        ok = isinstance(raw, str)
+    else:
+        ok = number and (typ is float or isinstance(raw, int) or raw.is_integer())
+    if not ok:
+        raise CliError(f"config key {key!r} must be {_TYPE_NAMES[typ]}, got {raw!r}")
+    return typ(raw)
+
+
 def _merge(args: argparse.Namespace) -> dict:
     _, options = COMMANDS[args.command]
     config = {}
@@ -299,15 +310,11 @@ def _merge(args: argparse.Namespace) -> dict:
             raise CliError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(config, dict):
             raise CliError("config file must contain a flat JSON object")
+    config = {key: _config_value(key, raw) for key, raw in config.items()}
     merged = {}
-    for opt, (typ, default) in options.items():
+    for opt, (_, default) in options.items():
         flag = getattr(args, opt)
-        if flag is not None:
-            merged[opt] = flag
-        elif opt in config:
-            merged[opt] = typ(config[opt])
-        else:
-            merged[opt] = default
+        merged[opt] = flag if flag is not None else config.get(opt, default)
     if "seed" in merged and merged["seed"] is None:
         merged["seed"] = _default_seed()
     return merged
@@ -338,9 +345,6 @@ def main(argv=None) -> int:
     try:
         merged = _merge(args)
         record = handler(merged)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

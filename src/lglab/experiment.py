@@ -28,7 +28,7 @@ from .interferometer import (
     output_observable,
     path_observable,
 )
-from .lgi import TwoTimeLGReport, sequential_joint
+from .lgi import TwoTimeLGReport, k_from_moments, sequential_joint
 
 KINDS = ("interference", "path", "sequential")
 
@@ -165,12 +165,7 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
         + _moment_stderr(m3, shots) ** 2
         + _moment_stderr(corr, shots) ** 2
     )
-    ks = {
-        31: 1.0 - m2 - corr + m3,
-        32: 1.0 + m2 + corr + m3,
-        33: 1.0 - m2 + corr - m3,
-        34: 1.0 + m2 - corr - m3,
-    }
+    ks = k_from_moments(m2, m3, corr)
     # sampling noise can make more than one estimate dip negative; report the
     # minimum directly rather than asserting the exact-theory exclusivity
     negative = [i for i, v in ks.items() if v < 0.0]

@@ -48,12 +48,10 @@ class MZConfig:
     mode: str = "closed_form"
 
     def __post_init__(self):
-        if not np.isfinite(self.beta):
-            raise ValueError("beta must be finite")
+        if not np.isfinite(self.beta) or abs(self.beta) > 1.0:
+            raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
         if self.alpha is None:
-            if abs(self.beta) > 1.0 + INPUT_TOL:
-                raise ValueError("|beta| must be <= 1 when alpha is derived")
-            object.__setattr__(self, "alpha", float(np.sqrt(max(0.0, 1.0 - self.beta**2))))
+            object.__setattr__(self, "alpha", float(np.sqrt(1.0 - self.beta**2)))
         if not np.isfinite(self.alpha) or not np.isfinite(self.phi):
             raise ValueError("alpha and phi must be finite")
         if abs(self.alpha**2 + self.beta**2 - 1.0) > INPUT_TOL:
@@ -64,7 +62,7 @@ class MZConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MZBasis:
     """Input-path basis (psi1, psi2) and output-port basis (psi3, psi4)."""
 
@@ -74,15 +72,20 @@ class MZBasis:
     psi4: StateVector
 
 
+# the basis and the two measured observables are fixed; they are built and
+# validated once, at import, and shared (every type involved is immutable)
+_BASIS = MZBasis(
+    StateVector([1.0, 0.0]),
+    StateVector([0.0, 1.0]),
+    StateVector(np.array([1.0, 1.0]) / _SQRT2),
+    StateVector(np.array([1.0, -1.0]) / _SQRT2),
+)
+_PATH = DichotomicObservable(projector_onto(_BASIS.psi1), projector_onto(_BASIS.psi2))
+_OUTPUT = DichotomicObservable(projector_onto(_BASIS.psi4), projector_onto(_BASIS.psi3))
+
+
 def mz_basis() -> MZBasis:
-    psi1 = StateVector([1.0, 0.0])
-    psi2 = StateVector([0.0, 1.0])
-    psi3 = StateVector((psi1.amps + psi2.amps) / _SQRT2)
-    psi4 = StateVector((psi1.amps - psi2.amps) / _SQRT2)
-    return MZBasis(psi1, psi2, psi3, psi4)
-
-
-_BASIS = mz_basis()
+    return _BASIS
 
 
 def input_state(cfg: MZConfig) -> StateVector:
@@ -141,9 +144,9 @@ def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:
 
 def path_observable() -> DichotomicObservable:
     """M2 = |psi1><psi1| - |psi2><psi2| (which-path observable)."""
-    return DichotomicObservable(projector_onto(_BASIS.psi1), projector_onto(_BASIS.psi2))
+    return _PATH
 
 
 def output_observable() -> DichotomicObservable:
     """M3 = |psi4><psi4| - |psi3><psi3| (+1 outcome is the psi4 port)."""
-    return DichotomicObservable(projector_onto(_BASIS.psi4), projector_onto(_BASIS.psi3))
+    return _OUTPUT

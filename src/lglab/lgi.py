@@ -1,15 +1,14 @@
 """Leggett-Garg expressions: the three-time K3 and the four two-time forms.
 
 Two-time quantities for a system prepared in the +1 eigenstate of the first
-observable:
+observable, one for each sign pair (s2, s3):
 
-    K31 = 1 - <M2> - <M2 M3> + <M3> >= 0
-    K32 = 1 + <M2> + <M2 M3> + <M3> >= 0
-    K33 = 1 - <M2> + <M2 M3> - <M3> >= 0
-    K34 = 1 + <M2> - <M2 M3> - <M3> >= 0
+    K(s2, s3) = 1 + s2 <M2> + s2 s3 <M2 M3> + s3 <M3> = 4 q(s2, s3) >= 0
 
-where <M2 M3> is the sequential (two-step projective) correlator. A
-macrorealist model keeps all four nonnegative; quantum mechanically at most
+where <M2 M3> is the sequential (two-step projective) correlator and q the
+two-time quasiprobability. :func:`k_from_moments` is the single home of this
+K/q formula; every K or q table is read through it.
+A macrorealist model keeps all four nonnegative; quantum mechanically at most
 one can go negative, and each K also equals 2 p(f) [1 -+ (M2)_w^f] for
 post-selection f on the corresponding M3 eigenstate, tying violations to
 anomalous weak values. For the Mach-Zehnder configuration the four values
@@ -41,6 +40,7 @@ from .qcore import (
     Operator,
     StateVector,
     dichotomic_from_hermitian,
+    expectation,
 )
 from .weakval import mz_weak_values
 
@@ -48,10 +48,20 @@ from .weakval import mz_weak_values
 # within tolerance) cases do not
 VIOLATION_TOL = 1e-12
 
-K_INDICES = (31, 32, 33, 34)
-
-# sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3
+# sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
+# Listed in K31..K34 order, which callers rely on when unpacking values.
 _K_SIGNS = {31: (-1, +1), 32: (+1, +1), 33: (-1, -1), 34: (+1, -1)}
+
+
+def k_from_moments(e2: float, e3: float, e23: float) -> dict[int, float]:
+    """K31..K34 from <M2>, <M3> and <M2 M3>: K(s2, s3) = 4 q(s2, s3).
+
+    The single home of the K/q formula; the summation order is fixed so that
+    every caller gets bit-identical values.
+    """
+    return {
+        idx: 1.0 + s2 * e2 + s2 * s3 * e23 + s3 * e3 for idx, (s2, s3) in _K_SIGNS.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -128,12 +138,6 @@ def k3(spec: ThreeTimeSpec) -> float:
     return s1 * s2 * c12 + s2 * s3 * c23 - s1 * s3 * c13 - 1.0
 
 
-def _expectation_value(M: DichotomicObservable, state: StateVector) -> float:
-    from .qcore import expectation
-
-    return expectation(M.operator(), state)
-
-
 def two_time_lg(
     pre_state: StateVector, M2: DichotomicObservable, M3: DichotomicObservable
 ) -> TwoTimeLGReport:
@@ -144,26 +148,24 @@ def two_time_lg(
     2 p(f) [1 -+ Re (M2)_w^f] evaluated through the always-finite products
     p(f) = <i|P_f|i> and <i|M2 P_f|i> so that zero-probability branches work.
     """
-    e2 = _expectation_value(M2, pre_state)
-    e3 = _expectation_value(M3, pre_state)
-    c23 = sequential_correlation(pre_state, M2, M3)
-
+    m2op = M2.operator()
+    ks = k_from_moments(
+        expectation(m2op, pre_state),
+        expectation(M3.operator(), pre_state),
+        sequential_correlation(pre_state, M2, M3),
+    )
     amps = pre_state.amps
-    m2op = M2.operator().entries
-    ks = {}
     for idx, (s2, s3) in _K_SIGNS.items():
-        direct = 1.0 + s2 * e2 + s2 * s3 * c23 + s3 * e3
         # weak-value route: post-select on the M3 outcome carrying sign s3
         proj = M3.projector(+1 if s3 > 0 else -1).entries
         p_f = float(np.vdot(amps, proj @ amps).real)
-        t_f = complex(np.vdot(amps, m2op @ proj @ amps))
+        t_f = complex(np.vdot(amps, m2op.entries @ proj @ amps))
         weak_form = 2.0 * (p_f + s2 * t_f.real)
-        if abs(direct - weak_form) >= STRUCT_TOL:
+        if abs(ks[idx] - weak_form) >= STRUCT_TOL:
             raise AssertionError(
-                f"K{idx} routes disagree: direct {direct} vs weak-value {weak_form}"
+                f"K{idx} routes disagree: direct {ks[idx]} vs weak-value {weak_form}"
             )
-        ks[idx] = direct
-    return TwoTimeLGReport.from_values(ks[31], ks[32], ks[33], ks[34])
+    return TwoTimeLGReport.from_values(*ks.values())
 
 
 def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:
@@ -201,8 +203,6 @@ def sweep_beta(grid) -> list[SweepRow]:
     rows = []
     for beta in grid:
         b = float(beta)
-        if abs(b) > 1.0:
-            raise ValueError(f"grid values must lie in [-1, 1], got {b}")
         cfg = MZConfig(beta=b)
         report = mz_lg_closed_form(cfg)
         p3, p4 = detection_probabilities(cfg)

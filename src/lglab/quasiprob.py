@@ -24,10 +24,16 @@ from .interferometer import (
     MZConfig,
     detection_probabilities,
     input_state,
-    mz_basis,
+    output_observable,
     path_observable,
 )
-from .lgi import TwoTimeLGReport, sequential_correlation
+from .lgi import (
+    _K_SIGNS,
+    TwoTimeLGReport,
+    k_from_moments,
+    sequential_correlation,
+    sequential_joint,
+)
 from .qcore import (
     INPUT_TOL,
     STRUCT_TOL,
@@ -139,7 +145,7 @@ def correlation_equivalence(
 
 
 def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
-    """Moment-expansion table q = (1 + mi*<Mi> + mj*<Mj> + mi*mj*<Mi Mj>)/4.
+    """Moment-expansion table q(mi, mj) = K/4, with K from :func:`k_from_moments`.
 
     This is the macrorealist reading of the quasiprobabilities; it is exact
     for dichotomic pairs and reproduces the inputs as its moments.
@@ -147,11 +153,8 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
     for name, v in (("e_i", e_i), ("e_j", e_j), ("e_ij", e_ij)):
         if not np.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:
             raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-    q = {
-        (mi, mj): (1.0 + mi * e_i + mj * e_j + mi * mj * e_ij) / 4.0
-        for mi in OUTCOMES
-        for mj in OUTCOMES
-    }
+    ks = k_from_moments(e_i, e_j, e_ij)
+    q = {signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()}
     return QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=0.0)
 
 
@@ -163,10 +166,7 @@ def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:
     K33 = 4q(-1,-1), K34 = 4q(+1,-1).
     """
     return TwoTimeLGReport.from_values(
-        4.0 * table.entry(-1, +1),
-        4.0 * table.entry(+1, +1),
-        4.0 * table.entry(-1, -1),
-        4.0 * table.entry(+1, -1),
+        *(4.0 * table.entry(s2, s3) for s2, s3 in _K_SIGNS.values())
     )
 
 
@@ -176,15 +176,9 @@ def signaling_gap_projective(cfg: MZConfig) -> float:
     phi = 0; always 1/2 on the sequential side since a collapsed path state
     hits either port with equal probability.
     """
-    basis = mz_basis()
-    m2 = path_observable()
-    psi_i = input_state(cfg)
-    proj3 = basis.psi3.density()
-    p_seq = 0.0
-    for m in OUTCOMES:
-        first = m2.projector(m).entries @ psi_i.amps
-        second = proj3 @ first
-        p_seq += float(np.vdot(second, second).real)
+    joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
+    # psi3 is the m3 = -1 outcome
+    p_seq = sum(joint[(m, -1)] for m in OUTCOMES)
     p3, _ = detection_probabilities(cfg)
     return abs(p_seq - p3)
 

@@ -184,6 +184,30 @@ class TestNsit:
         assert abs(rec["gap"] - rec["true_gap"]) < 4 * rec["gap_stderr"]
 
 
+class TestLibraryChecks:
+    """The CLI holds no copy of the library's input checks; it maps their
+    ValueErrors to exit 2, and the message names the offending field."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("probabilities", "--beta", "1.5"), "beta"),
+            (("probabilities", "--beta", "1.0000000001"), "beta"),
+            (("probabilities", "--beta", "0.6", "--alpha", "0.6"), "alpha"),
+            (("mr-check", "--e2", "2", "--e3", "0", "--e23", "0"), "e2"),
+            (("simulate", "--beta", "0.5", "--shots", "10", "--kind", "magic"), "kind"),
+            (("simulate", "--beta", "0.5", "--shots", "0", "--seed", "1"), "shots"),
+            (("nsit", "--beta", "0.5", "--shots", "0", "--seed", "1"), "shots"),
+            (("simulate", "--beta", "0.5", "--seed", "1"), "shots"),
+        ],
+    )
+    def test_rejected_input_exits_2(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+
 class TestConfig:
     def test_flags_beat_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -199,3 +223,31 @@ class TestConfig:
         code, _, err = run_cli(capsys, "--config", str(cfg), "probabilities", "--beta", "0")
         assert code == 2
         assert "config" in err
+
+    @pytest.mark.parametrize(
+        "config, argv, key",
+        [
+            ({"beta": None}, ("probabilities",), "beta"),
+            ({"beta": "abc"}, ("probabilities",), "beta"),
+            ({"grid": 2.9}, ("lgi-sweep", "--output", "x.csv"), "grid"),
+            ({"shots": True}, ("simulate", "--beta", "0.5", "--seed", "1"), "shots"),
+            ({"bogus": 1}, ("probabilities", "--beta", "0"), "bogus"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, monkeypatch, config, argv, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_shared_config_keys_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 0.5, "shots": 1e3, "seed": 3, "grid": 5}))
+        rec = run_json(capsys, "--config", str(cfg), "probabilities")
+        assert rec["beta"] == 0.5
+        rec = run_json(capsys, "--config", str(cfg), "simulate")
+        assert rec["shots"] == 1000 and rec["seed"] == 3

@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             MZConfig(beta=1.5)
 
+    def test_rejects_beta_past_one_with_alpha(self):
+        # within the alpha^2 + beta^2 tolerance, but beta itself is out of range
+        with pytest.raises(ValueError, match="beta must lie in"):
+            MZConfig(beta=1 + 1e-10, alpha=0.0)
+
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
             MZConfig(beta=0.0, mode="magic")
