@@ -27,6 +27,7 @@ from .interferometer import (
     path_observable,
     phase_unitary,
     propagate,
+    propagate_unitary,
 )
 from .weakval import (
     OrthogonalPostSelection,

@@ -60,7 +60,12 @@ def _num(x: float) -> float:
 
 def _default_seed() -> int:
     env = os.environ.get("LGLAB_SEED")
-    return int(env) if env is not None else 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise CliError(f"LGLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _mz_config(merged: dict) -> MZConfig:

@@ -50,6 +50,8 @@ class RunSpec:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.shots > 2**63 - 1:
+            raise ValueError(f"shots must be <= 2**63 - 1, got {self.shots}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.kind not in KINDS:

@@ -12,8 +12,8 @@ as an effective preparation phase ``diag(1, i)`` on path psi2, an optional
 phase shifter ``diag(1, e^{i phi})`` on path psi2, the symmetric 50:50
 splitter ``U_BS = [[1, i], [i, 1]]/sqrt(2)``, and a fixed output relabeling
 sending the psi1 axis to port psi4 and the psi2 axis to port psi3. Only port
-probabilities are observable; the closed-form and unitary propagation modes
-agree on them to 1e-12 although their global/relative output phases differ.
+probabilities are observable; the closed form :func:`propagate` and its oracle
+:func:`propagate_unitary` agree on them to 1e-12; their output phases differ.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .qcore import (
     projector_onto,
 )
 
-MODES = ("closed_form", "unitary")
-
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -45,7 +43,6 @@ class MZConfig:
     beta: float
     alpha: float | None = None
     phi: float = 0.0
-    mode: str = "closed_form"
 
     def __post_init__(self):
         if not np.isfinite(self.beta) or abs(self.beta) > 1.0:
@@ -58,8 +55,6 @@ class MZConfig:
             raise ValueError(
                 f"alpha^2 + beta^2 = {self.alpha**2 + self.beta**2!r} must equal 1"
             )
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,11 +112,14 @@ def _output_relabel() -> Operator:
 
 def propagate(cfg: MZConfig) -> StateVector:
     """State emerging from the second splitter, expressed in the path basis."""
-    if cfg.mode == "closed_form":
-        eb = np.exp(1.0j * cfg.phi) * cfg.beta
-        c3 = (cfg.alpha + eb) / _SQRT2
-        c4 = 1.0j * (cfg.alpha - eb) / _SQRT2
-        return StateVector(c3 * _BASIS.psi3.amps + c4 * _BASIS.psi4.amps)
+    eb = np.exp(1.0j * cfg.phi) * cfg.beta
+    c3 = (cfg.alpha + eb) / _SQRT2
+    c4 = 1.0j * (cfg.alpha - eb) / _SQRT2
+    return StateVector(c3 * _BASIS.psi3.amps + c4 * _BASIS.psi4.amps)
+
+
+def propagate_unitary(cfg: MZConfig) -> StateVector:
+    """Oracle for :func:`propagate`: the product of the four element unitaries."""
     u = (
         _output_relabel().entries
         @ bs_unitary().entries

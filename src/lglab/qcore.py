@@ -91,7 +91,7 @@ class Operator:
             raise ValueError("operator entries must be finite")
         if kind not in self.KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
-        if kind == "hermitian" and not np.allclose(m, m.conj().T, atol=STRUCT_TOL, rtol=0):
+        if kind == "hermitian" and not Operator._self_adjoint(m):
             raise ValueError("operator declared hermitian but M != M^dagger")
         if kind == "unitary":
             eye = np.eye(m.shape[0])
@@ -111,19 +111,19 @@ class Operator:
     def dagger(self) -> "Operator":
         return Operator(self.entries.conj().T, kind=self.kind)
 
+    @staticmethod
+    def _self_adjoint(m: np.ndarray) -> bool:
+        return bool(np.allclose(m, m.conj().T, atol=STRUCT_TOL, rtol=0))
+
+    def is_hermitian(self) -> bool:
+        """M = M^dagger to STRUCT_TOL; a ``hermitian`` tag was verified at
+        construction and the entries are read-only, so it is not re-tested.
+        """
+        return self.kind == "hermitian" or Operator._self_adjoint(self.entries)
+
     def is_projector(self) -> bool:
         m = self.entries
-        return bool(
-            np.allclose(m, m.conj().T, atol=STRUCT_TOL, rtol=0)
-            and np.allclose(m @ m, m, atol=STRUCT_TOL, rtol=0)
-        )
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            if self.dim != other.dim:
-                raise DimensionMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
-            return Operator(self.entries @ other.entries)
-        return NotImplemented
+        return self.is_hermitian() and bool(np.allclose(m @ m, m, atol=STRUCT_TOL, rtol=0))
 
     def __repr__(self):
         return f"Operator({self.entries.tolist()!r}, kind={self.kind!r})"
@@ -149,9 +149,7 @@ def apply(U: Operator, s: StateVector) -> StateVector:
 
 def expectation(M: Operator, s: StateVector) -> float:
     """<s|M|s> for Hermitian M; the (vanishing) imaginary part is asserted away."""
-    if M.kind != "hermitian" and not np.allclose(
-        M.entries, M.entries.conj().T, atol=STRUCT_TOL, rtol=0
-    ):
+    if not M.is_hermitian():
         raise ValueError("expectation requires a Hermitian operator")
     _check_dims(M, s)
     val = complex(np.vdot(s.amps, M.entries @ s.amps))
@@ -164,8 +162,7 @@ def born_probability(P: Operator, s: StateVector) -> float:
     """<s|P|s> for a projector P, clipped to [0, 1] within STRUCT_TOL."""
     if not P.is_projector():
         raise ValueError("born_probability requires a projector")
-    _check_dims(P, s)
-    p = expectation(Operator(P.entries, kind="hermitian"), s)
+    p = expectation(P, s)
     if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
         raise AssertionError(f"Born probability {p} outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))
@@ -184,7 +181,7 @@ class DichotomicObservable:
     to the identity; all checks at ``STRUCT_TOL``.
     """
 
-    __slots__ = ("plus_proj", "minus_proj")
+    __slots__ = ("plus_proj", "minus_proj", "_operator")
 
     def __init__(self, plus_proj: Operator, minus_proj: Operator):
         if plus_proj.dim != minus_proj.dim:
@@ -203,6 +200,7 @@ class DichotomicObservable:
             raise ValueError("reconstructed observable does not satisfy M^2 = I")
         object.__setattr__(self, "plus_proj", plus_proj)
         object.__setattr__(self, "minus_proj", minus_proj)
+        object.__setattr__(self, "_operator", Operator(m, kind="hermitian"))
 
     def __setattr__(self, name, value):
         raise AttributeError("DichotomicObservable is immutable")
@@ -210,10 +208,6 @@ class DichotomicObservable:
     @property
     def dim(self) -> int:
         return self.plus_proj.dim
-
-    @property
-    def labels(self):
-        return (+1, -1)
 
     def projector(self, outcome: int) -> Operator:
         if outcome == +1:
@@ -223,15 +217,15 @@ class DichotomicObservable:
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
 
     def operator(self) -> Operator:
-        """M = P_plus - P_minus."""
-        return Operator(self.plus_proj.entries - self.minus_proj.entries, kind="hermitian")
+        """M = P_plus - P_minus, built once at construction."""
+        return self._operator
 
 
 def dichotomic_from_hermitian(M: Operator) -> DichotomicObservable:
     """Build a DichotomicObservable from Hermitian M with M^2 = I via P_pm = (I pm M)/2."""
-    m = M.entries
-    if not np.allclose(m, m.conj().T, atol=STRUCT_TOL, rtol=0):
+    if not M.is_hermitian():
         raise ValueError("observable must be Hermitian")
+    m = M.entries
     eye = np.eye(M.dim)
     if not np.allclose(m @ m, eye, atol=STRUCT_TOL, rtol=0):
         raise ValueError("observable must satisfy M^2 = I (eigenvalues +-1)")

@@ -92,10 +92,8 @@ def _as_density(state) -> np.ndarray:
     return rho
 
 
-def quasi(
-    rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable
-) -> QuasiprobTable:
-    """Symmetrized quasiprobability table for Mi followed by Mj."""
+def _quasi_pass(rho_state, Mi, Mj) -> tuple[dict, tuple[float, float]]:
+    """The q table and its marginal-vs-Born residuals (residual_i, residual_j)."""
     rho = _as_density(rho_state)
     if rho.shape[0] != Mi.dim or Mi.dim != Mj.dim:
         raise ValueError("state and observables must share a dimension")
@@ -109,11 +107,6 @@ def quasi(
     total = sum(q.values())
     if abs(total - 1.0) >= STRUCT_TOL:
         raise AssertionError(f"quasiprobabilities sum to {total}, not 1")
-    residual = max(_marginal_residuals(q, rho, Mi, Mj))
-    return QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=residual)
-
-
-def _marginal_residuals(q, rho, Mi, Mj) -> tuple[float, float]:
     res_i = max(
         abs(sum(q[(mi, mj)] for mj in OUTCOMES) - np.trace(Mi.projector(mi).entries @ rho).real)
         for mi in OUTCOMES
@@ -122,16 +115,22 @@ def _marginal_residuals(q, rho, Mi, Mj) -> tuple[float, float]:
         abs(sum(q[(mi, mj)] for mi in OUTCOMES) - np.trace(Mj.projector(mj).entries @ rho).real)
         for mj in OUTCOMES
     )
-    return float(res_i), float(res_j)
+    return q, (float(res_i), float(res_j))
+
+
+def quasi(
+    rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable
+) -> QuasiprobTable:
+    """Symmetrized quasiprobability table for Mi followed by Mj."""
+    q, residuals = _quasi_pass(rho_state, Mi, Mj)
+    return QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=max(residuals))
 
 
 def nsit_check(
     rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable
 ) -> tuple[float, float]:
     """Marginal-vs-Born residuals (residual_i, residual_j); both vanish structurally."""
-    rho = _as_density(rho_state)
-    table = quasi(rho_state, Mi, Mj)
-    return _marginal_residuals(table.q, rho, Mi, Mj)
+    return _quasi_pass(rho_state, Mi, Mj)[1]
 
 
 def correlation_equivalence(

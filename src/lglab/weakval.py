@@ -61,7 +61,7 @@ def _classify(value: complex, postselect_prob: float) -> WeakValueResult:
 
 def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
     """(A)_w = <pre|A|post> / <pre|post> with anomaly classification."""
-    if not np.allclose(A.entries, A.entries.conj().T, atol=STRUCT_TOL, rtol=0):
+    if not A.is_hermitian():
         raise ValueError("weak value requires a Hermitian observable")
     overlap = inner_product(pre, post)
     prob = abs(overlap) ** 2
@@ -83,7 +83,7 @@ def expectation_decomposition(
     stays finite even when a post-selection probability vanishes. The total
     is asserted real and equal to expectation(A, pre) to 1e-12.
     """
-    if not np.allclose(A.entries, A.entries.conj().T, atol=STRUCT_TOL, rtol=0):
+    if not A.is_hermitian():
         raise ValueError("decomposition requires a Hermitian observable")
     for outcome in (+1, -1):
         p = basis.projector(outcome).entries

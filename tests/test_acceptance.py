@@ -27,7 +27,7 @@ from lglab import (
     path_observable,
     precession_k3,
     projector_onto,
-    propagate,
+    propagate_unitary,
     quasi,
     sequential_correlation,
     signaling_gap_projective,
@@ -62,7 +62,7 @@ def test_criterion_1_closed_form_probabilities():
         p3, p4 = detection_probabilities(cfg)
         assert abs(p3 - (cfg.alpha + cfg.beta) ** 2 / 2) <= 1e-12
         assert abs(p4 - (cfg.alpha - cfg.beta) ** 2 / 2) <= 1e-12
-        out = propagate(MZConfig(beta=float(beta), mode="unitary"))
+        out = propagate_unitary(MZConfig(beta=float(beta)))
         assert abs(p3 - born_probability(p3_proj, out)) <= 1e-12
         assert abs(p4 - born_probability(p4_proj, out)) <= 1e-12
     elapsed = time.perf_counter() - start

@@ -176,6 +176,13 @@ class TestSimulate:
         rec = run_json(capsys, "simulate", "--beta", "0.5", "--shots", "100")
         assert rec["seed"] == 777
 
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("LGLAB_SEED", "abc")
+        code, out, err = run_cli(capsys, "simulate", "--beta", "0.5", "--shots", "10")
+        assert code == 2
+        assert out == ""
+        assert "LGLAB_SEED" in err
+
 
 class TestNsit:
     def test_gap_record(self, capsys):
@@ -199,6 +206,8 @@ class TestLibraryChecks:
             (("simulate", "--beta", "0.5", "--shots", "0", "--seed", "1"), "shots"),
             (("nsit", "--beta", "0.5", "--shots", "0", "--seed", "1"), "shots"),
             (("simulate", "--beta", "0.5", "--seed", "1"), "shots"),
+            (("simulate", "--beta", "0.5", "--shots", "99999999999999999999", "--seed", "1"), "shots"),
+            (("nsit", "--beta", "0.5", "--shots", "99999999999999999999", "--seed", "1"), "shots"),
         ],
     )
     def test_rejected_input_exits_2(self, capsys, argv, field):

@@ -16,6 +16,7 @@ from lglab import (
     phase_unitary,
     projector_onto,
     propagate,
+    propagate_unitary,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -39,10 +40,6 @@ class TestConfig:
         # within the alpha^2 + beta^2 tolerance, but beta itself is out of range
         with pytest.raises(ValueError, match="beta must lie in"):
             MZConfig(beta=1 + 1e-10, alpha=0.0)
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            MZConfig(beta=0.0, mode="magic")
 
 
 class TestBasis:
@@ -107,8 +104,8 @@ class TestPropagate:
         b = mz_basis()
         p3_proj, p4_proj = projector_onto(b.psi3), projector_onto(b.psi4)
         probs = {}
-        for mode in ("closed_form", "unitary"):
-            out = propagate(MZConfig(beta=float(beta), mode=mode))
+        for mode, route in (("closed_form", propagate), ("unitary", propagate_unitary)):
+            out = route(MZConfig(beta=float(beta)))
             probs[mode] = (born_probability(p3_proj, out), born_probability(p4_proj, out))
         assert probs["closed_form"][0] == pytest.approx(probs["unitary"][0], abs=1e-12)
         assert probs["closed_form"][1] == pytest.approx(probs["unitary"][1], abs=1e-12)
@@ -129,10 +126,10 @@ class TestDetectionProbabilities:
     @pytest.mark.parametrize("beta", np.linspace(-1.0, 1.0, 41))
     def test_agrees_with_born_rule_both_modes(self, beta):
         b = mz_basis()
-        for mode in ("closed_form", "unitary"):
-            cfg = MZConfig(beta=float(beta), mode=mode)
-            p3, p4 = detection_probabilities(cfg)
-            out = propagate(cfg)
+        cfg = MZConfig(beta=float(beta))
+        p3, p4 = detection_probabilities(cfg)
+        for route in (propagate, propagate_unitary):
+            out = route(cfg)
             assert p3 == pytest.approx(born_probability(projector_onto(b.psi3), out), abs=1e-12)
             assert p4 == pytest.approx(born_probability(projector_onto(b.psi4), out), abs=1e-12)
             assert p3 + p4 == pytest.approx(1.0, abs=1e-12)
@@ -145,14 +142,14 @@ class TestDetectionProbabilities:
             assert p3 == pytest.approx(p4, abs=1e-12)
 
     def test_full_visibility_fringe(self):
-        # oracle: unitary-mode propagation over a 100-point phase grid
+        # oracle: unitary propagation over a 100-point phase grid
         b = mz_basis()
         p4_proj = projector_onto(b.psi4)
         for phi in np.linspace(0.0, 2 * np.pi, 100):
-            cfg = MZConfig(beta=1 / SQ2, phi=float(phi), mode="unitary")
+            cfg = MZConfig(beta=1 / SQ2, phi=float(phi))
             _, p4 = detection_probabilities(cfg)
             assert p4 == pytest.approx((1 - np.cos(phi)) / 2, abs=1e-12)
-            assert p4 == pytest.approx(born_probability(p4_proj, propagate(cfg)), abs=1e-12)
+            assert p4 == pytest.approx(born_probability(p4_proj, propagate_unitary(cfg)), abs=1e-12)
 
 
 class TestObservables:

@@ -1,4 +1,5 @@
-"""Property tests for the one K/q primitive and the fixed interferometer objects.
+"""Property tests for the one K/q primitive, the fixed interferometer objects,
+the two propagation routes and the once-validated observables.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -14,6 +15,7 @@ from lglab import (
     DichotomicObservable,
     MZConfig,
     StateVector,
+    detection_probabilities,
     empirical_lg,
     feasibility_oracle,
     k_from_moments,
@@ -21,9 +23,12 @@ from lglab import (
     macrorealist_feasible,
     mr_reading,
     mz_basis,
+    nsit_check,
     output_observable,
     path_observable,
     projector_onto,
+    propagate,
+    propagate_unitary,
     quasi,
     two_time_lg,
 )
@@ -34,6 +39,11 @@ PROPS = settings(derandomize=True, max_examples=300, deadline=None, database=Non
 # 4 * (K / 4) == K unless K is subnormal, so subnormal moments are left out
 moment = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
 angle = st.floats(min_value=0.0, max_value=2 * np.pi)
+# the whole beta range, with the dark ports and both single-path ends always in play
+beta_st = st.one_of(
+    st.sampled_from([-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
 
 
 def qubit_state(theta: float, phase: float) -> StateVector:
@@ -96,3 +106,31 @@ def test_fixed_objects_built_once_and_immutable():
     for arr in (mz_basis().psi3.amps, path_observable().plus_proj.entries):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@PROPS
+@given(beta_st, st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+def test_both_propagation_routes_give_detection_probabilities(beta, phi, negative_alpha):
+    alpha = float(np.sqrt(1.0 - beta**2)) * (-1.0 if negative_alpha else 1.0)
+    cfg = MZConfig(beta=beta, alpha=alpha, phi=phi)
+    b = mz_basis()
+    p3, p4 = detection_probabilities(cfg)
+    for route in (propagate, propagate_unitary):
+        out = route(cfg)
+        assert abs(np.vdot(b.psi3.amps, out.amps)) ** 2 == pytest.approx(p3, abs=1e-12)
+        assert abs(np.vdot(b.psi4.amps, out.amps)) ** 2 == pytest.approx(p4, abs=1e-12)
+
+
+@PROPS
+@given(angle, angle)
+def test_observable_carries_one_operator(theta, phase):
+    obs = dichotomic(theta, phase)
+    assert obs.operator() is obs.operator()
+    assert np.array_equal(obs.operator().entries, obs.plus_proj.entries - obs.minus_proj.entries)
+
+
+@PROPS
+@given(*(angle,) * 6)
+def test_nsit_check_matches_quasi_residual(t0, p0, ti, pi, tj, pj):
+    state, mi, mj = qubit_state(t0, p0), dichotomic(ti, pi), dichotomic(tj, pj)
+    assert max(nsit_check(state, mi, mj)) == quasi(state, mi, mj).nsit_residual

@@ -12,9 +12,12 @@ from lglab import (
     born_probability,
     dichotomic_from_hermitian,
     expectation,
+    expectation_decomposition,
     identity,
     inner_product,
+    path_observable,
     projector_onto,
+    weak_value,
 )
 from lglab.interferometer import mz_basis
 
@@ -204,3 +207,32 @@ class TestDichotomicObservable:
         assert obs.projector(-1) is obs.minus_proj
         with pytest.raises(ValueError):
             obs.projector(0)
+
+
+def _projector_pair(A):
+    obs = dichotomic_from_hermitian(A)
+    return obs.plus_proj.entries, obs.minus_proj.entries
+
+
+_PRE = StateVector([SQ3 / 2, 0.5])
+
+# each function that checks its argument with Operator.is_hermitian, reduced to comparable values
+HERMITIAN_ROUTES = {
+    "expectation": lambda A: expectation(A, _PRE),
+    "weak_value": lambda A: weak_value(A, _PRE, mz_basis().psi3).value,
+    "expectation_decomposition": lambda A: expectation_decomposition(A, _PRE, path_observable()),
+    "dichotomic_from_hermitian": _projector_pair,
+}
+
+
+class TestHermitianCheck:
+    """The ``hermitian`` tag skips the M = M^dagger test only because
+    construction already ran it; an untagged operator is still tested."""
+
+    @pytest.mark.parametrize("route", list(HERMITIAN_ROUTES))
+    def test_untagged_operator_is_checked(self, rng, route):
+        fn = HERMITIAN_ROUTES[route]
+        with pytest.raises(ValueError, match="Hermitian"):
+            fn(Operator([[1.0, 1.0], [0.0, -1.0]]))  # M^2 = I, M != M^dagger
+        m = random_dichotomic(rng).operator().entries
+        np.testing.assert_array_equal(fn(Operator(m)), fn(Operator(m, kind="hermitian")))
