@@ -28,21 +28,10 @@ from .mrcheck import CorrelationTriple, macrorealist_feasible
 from .quasiprob import nsit_check, quasi
 from .weakval import mz_weak_values
 
-SWEEP_COLUMNS = (
-    "beta",
-    "alpha",
-    "K31",
-    "K32",
-    "K33",
-    "K34",
-    "w3",
-    "w4",
-    "p3",
-    "p4",
-    "violated",
-)
-
 UNDEFINED = "undefined"
+
+# default of an option the user must supply, by flag or config file
+REQUIRED = object()
 
 
 class CliError(ValueError):
@@ -53,9 +42,9 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _num(x: float) -> float:
-    """Round to 15 significant digits for serialization."""
-    return float(_fmt(x))
+def _rounded(record: dict) -> dict:
+    """The record with every float rounded to 15 significant digits for serialization."""
+    return {k: float(_fmt(v)) if isinstance(v, float) else v for k, v in record.items()}
 
 
 def _default_seed() -> int:
@@ -69,29 +58,26 @@ def _default_seed() -> int:
 
 
 def _mz_config(merged: dict) -> MZConfig:
-    if merged["beta"] is None:
-        raise CliError("--beta is required")
     return MZConfig(beta=merged["beta"], alpha=merged.get("alpha"), phi=merged.get("phi") or 0.0)
 
 
 def cmd_probabilities(merged: dict) -> dict:
     cfg = _mz_config(merged)
     p3, p4 = detection_probabilities(cfg)
-    return {"beta": _num(cfg.beta), "alpha": _num(cfg.alpha), "phi": _num(cfg.phi),
-            "p3": _num(p3), "p4": _num(p4)}
+    return {"beta": cfg.beta, "alpha": cfg.alpha, "phi": cfg.phi, "p3": p3, "p4": p4}
 
 
 def cmd_weak_values(merged: dict) -> dict:
     cfg = _mz_config(merged)
     p3, p4 = detection_probabilities(cfg)
     w3, w4 = mz_weak_values(cfg, allow_undefined=True)
-    rec = {"beta": _num(cfg.beta), "alpha": _num(cfg.alpha), "p3": _num(p3), "p4": _num(p4)}
+    rec = {"beta": cfg.beta, "alpha": cfg.alpha, "p3": p3, "p4": p4}
     for name, w in (("w3", w3), ("w4", w4)):
         if w is None:
             rec[name] = UNDEFINED
             rec[f"{name}_anomalous"] = UNDEFINED
         else:
-            rec[name] = _num(w.value.real)
+            rec[name] = w.value.real
             rec[f"{name}_anomalous"] = w.anomalous_real
     return rec
 
@@ -110,16 +96,16 @@ def _sweep_rows(merged: dict):
 
 def _row_record(row) -> dict:
     return {
-        "beta": _num(row.beta),
-        "alpha": _num(row.alpha),
-        "K31": _num(row.k31),
-        "K32": _num(row.k32),
-        "K33": _num(row.k33),
-        "K34": _num(row.k34),
-        "w3": UNDEFINED if row.w3 is None else _num(row.w3),
-        "w4": UNDEFINED if row.w4 is None else _num(row.w4),
-        "p3": _num(row.p3),
-        "p4": _num(row.p4),
+        "beta": row.beta,
+        "alpha": row.alpha,
+        "K31": row.k31,
+        "K32": row.k32,
+        "K33": row.k33,
+        "K34": row.k34,
+        "w3": UNDEFINED if row.w3 is None else row.w3,
+        "w4": UNDEFINED if row.w4 is None else row.w4,
+        "p3": row.p3,
+        "p4": row.p4,
         "violated": "none" if row.violated_index is None else str(row.violated_index),
     }
 
@@ -127,17 +113,16 @@ def _row_record(row) -> dict:
 def _write_sweep(path: str, fmt: str, rows) -> None:
     records = [_row_record(r) for r in rows]
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+        with open(path, "w", newline="") as fh:
+            if fmt == "csv":
+                writer = csv.DictWriter(fh, fieldnames=list(records[0]), lineterminator="\n")
                 writer.writeheader()
-                for rec in records:
-                    writer.writerow(
-                        {k: (_fmt(v) if isinstance(v, float) else v) for k, v in rec.items()}
-                    )
-        else:
-            with open(path, "w", newline="") as fh:
-                json.dump(records, fh, indent=1)
+                writer.writerows(
+                    {k: (_fmt(v) if isinstance(v, float) else v) for k, v in rec.items()}
+                    for rec in records
+                )
+            else:
+                json.dump([_rounded(rec) for rec in records], fh, indent=1)
                 fh.write("\n")
     except OSError as exc:
         raise CliError(f"cannot write output file {path!r}: {exc}") from exc
@@ -148,8 +133,6 @@ def cmd_lgi_sweep(merged: dict) -> dict:
     if fmt not in ("csv", "json"):
         raise CliError(f"--format must be csv or json, got {fmt!r}")
     output = merged["output"]
-    if not output:
-        raise CliError("--output is required")
     rows = _sweep_rows(merged)
     _write_sweep(output, fmt, rows)
     violated = sum(1 for r in rows if r.violated_index is not None)
@@ -162,28 +145,25 @@ def cmd_quasiprob(merged: dict) -> dict:
     m2, m3 = path_observable(), output_observable()
     table = quasi(state, m2, m3)
     res_i, res_j = nsit_check(state, m2, m3)
-    rec = {"beta": _num(cfg.beta), "alpha": _num(cfg.alpha)}
+    rec = {"beta": cfg.beta, "alpha": cfg.alpha}
     for (mi, mj), v in sorted(table.q.items(), reverse=True):
-        rec[f"q(m2={mi:+d},m3={mj:+d})"] = _num(v)
-    rec["negativity"] = _num(table.negativity)
-    rec["nsit_residual_m2"] = _num(res_i)
-    rec["nsit_residual_m3"] = _num(res_j)
+        rec[f"q(m2={mi:+d},m3={mj:+d})"] = v
+    rec["negativity"] = table.negativity
+    rec["nsit_residual_m2"] = res_i
+    rec["nsit_residual_m3"] = res_j
     return rec
 
 
 def cmd_mr_check(merged: dict) -> dict:
-    for key in ("e2", "e3", "e23"):
-        if merged[key] is None:
-            raise CliError(f"--{key} is required")
     verdict = macrorealist_feasible(
         CorrelationTriple(e2=merged["e2"], e3=merged["e3"], e23=merged["e23"])
     )
     return {
-        "e2": _num(merged["e2"]),
-        "e3": _num(merged["e3"]),
-        "e23": _num(merged["e23"]),
+        "e2": merged["e2"],
+        "e3": merged["e3"],
+        "e23": merged["e23"],
         "feasible": verdict.feasible,
-        "margin": _num(verdict.margin),
+        "margin": verdict.margin,
     }
 
 
@@ -191,15 +171,13 @@ def cmd_simulate(merged: dict) -> dict:
     cfg = _mz_config(merged)
     kind = merged["kind"]
     shots = merged["shots"]
-    if shots is None:
-        raise CliError("--shots is required")
     est = run(RunSpec(cfg=cfg, shots=shots, seed=merged["seed"], kind=kind))
-    rec = {"beta": _num(cfg.beta), "alpha": _num(cfg.alpha), "kind": kind,
-           "shots": est.total, "seed": int(merged["seed"])}
+    rec = {"beta": cfg.beta, "alpha": cfg.alpha, "kind": kind,
+           "shots": est.total, "seed": merged["seed"]}
     for label in est.counts:
         rec[f"count[{label}]"] = est.counts[label]
-        rec[f"estimate[{label}]"] = _num(est.estimates[label])
-        rec[f"stderr[{label}]"] = _num(est.stderr[label])
+        rec[f"estimate[{label}]"] = est.estimates[label]
+        rec[f"stderr[{label}]"] = est.stderr[label]
     if "zero_count_outcomes" in est.metadata:
         rec["zero_count_stderr_rule"] = est.metadata["zero_count_stderr_rule"]
     return rec
@@ -208,59 +186,48 @@ def cmd_simulate(merged: dict) -> dict:
 def cmd_nsit(merged: dict) -> dict:
     cfg = _mz_config(merged)
     shots = merged["shots"]
-    if shots is None:
-        raise CliError("--shots is required")
     gap, se = empirical_nsit(cfg, shots, merged["seed"])
     return {
-        "beta": _num(cfg.beta),
-        "alpha": _num(cfg.alpha),
+        "beta": cfg.beta,
+        "alpha": cfg.alpha,
         "shots": shots,
-        "seed": int(merged["seed"]),
-        "gap": _num(gap),
-        "gap_stderr": _num(se),
-        "true_gap": _num(cfg.alpha * cfg.beta),
+        "seed": merged["seed"],
+        "gap": gap,
+        "gap_stderr": se,
+        "true_gap": cfg.alpha * cfg.beta,
     }
 
 
+# options shared by both sweep commands; reproduce-fig2 only changes two defaults
+_SWEEP_OPTIONS = {
+    "grid": (int, None),
+    "min": (float, -1.0),
+    "max": (float, 1.0),
+    "output": (str, REQUIRED),
+    "format": (str, "csv"),
+}
+
 # (handler, {option: (type, default)})
 COMMANDS = {
-    "probabilities": (cmd_probabilities, {"beta": (float, None), "alpha": (float, None), "phi": (float, 0.0)}),
-    "weak-values": (cmd_weak_values, {"beta": (float, None), "alpha": (float, None)}),
-    "lgi-sweep": (
-        cmd_lgi_sweep,
-        {
-            "grid": (int, None),
-            "min": (float, -1.0),
-            "max": (float, 1.0),
-            "output": (str, None),
-            "format": (str, "csv"),
-        },
-    ),
-    "reproduce-fig2": (
-        cmd_lgi_sweep,
-        {
-            "grid": (int, 1001),
-            "min": (float, -1.0),
-            "max": (float, 1.0),
-            "output": (str, "fig2.csv"),
-            "format": (str, "csv"),
-        },
-    ),
-    "quasiprob": (cmd_quasiprob, {"beta": (float, None), "alpha": (float, None)}),
-    "mr-check": (cmd_mr_check, {"e2": (float, None), "e3": (float, None), "e23": (float, None)}),
+    "probabilities": (cmd_probabilities, {"beta": (float, REQUIRED), "alpha": (float, None), "phi": (float, 0.0)}),
+    "weak-values": (cmd_weak_values, {"beta": (float, REQUIRED), "alpha": (float, None)}),
+    "lgi-sweep": (cmd_lgi_sweep, _SWEEP_OPTIONS),
+    "reproduce-fig2": (cmd_lgi_sweep, {**_SWEEP_OPTIONS, "grid": (int, 1001), "output": (str, "fig2.csv")}),
+    "quasiprob": (cmd_quasiprob, {"beta": (float, REQUIRED), "alpha": (float, None)}),
+    "mr-check": (cmd_mr_check, {"e2": (float, REQUIRED), "e3": (float, REQUIRED), "e23": (float, REQUIRED)}),
     "simulate": (
         cmd_simulate,
         {
-            "beta": (float, None),
+            "beta": (float, REQUIRED),
             "alpha": (float, None),
-            "shots": (int, None),
+            "shots": (int, REQUIRED),
             "seed": (int, None),
             "kind": (str, "interference"),
         },
     ),
     "nsit": (
         cmd_nsit,
-        {"beta": (float, None), "alpha": (float, None), "shots": (int, None), "seed": (int, None)},
+        {"beta": (float, REQUIRED), "alpha": (float, None), "shots": (int, REQUIRED), "seed": (int, None)},
     ),
 }
 
@@ -322,6 +289,9 @@ def _merge(args: argparse.Namespace) -> dict:
         merged[opt] = flag if flag is not None else config.get(opt, default)
     if "seed" in merged and merged["seed"] is None:
         merged["seed"] = _default_seed()
+    for opt, value in merged.items():
+        if value is REQUIRED:
+            raise CliError(f"--{opt} is required")
     return merged
 
 
@@ -349,7 +319,7 @@ def main(argv=None) -> int:
     handler, _ = COMMANDS[args.command]
     try:
         merged = _merge(args)
-        record = handler(merged)
+        record = _rounded(handler(merged))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

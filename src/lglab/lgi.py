@@ -243,9 +243,12 @@ def precession_observables(theta: float):
 
 
 def precession_k3(theta: float) -> float:
-    """K3 for the precession demo, prepared in the +1 eigenstate of M1."""
-    m1, m2, m3 = precession_observables(theta)
-    return k3(ThreeTimeSpec(state=StateVector([1.0, 0.0]), m1=m1, m2=m2, m3=m3))
+    """K3 for the precession demo, prepared in the +1 eigenstate of M1.
+
+    Closed form 2 cos(theta) - cos(2 theta) - 1, maximal (1/2) at theta = pi/3;
+    :func:`k3` on :func:`precession_observables` is the matrix-route oracle.
+    """
+    return float(2.0 * np.cos(theta) - np.cos(2.0 * theta) - 1.0)
 
 
 def mz_two_time_lg(cfg: MZConfig) -> TwoTimeLGReport:

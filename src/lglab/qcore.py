@@ -20,6 +20,11 @@ STRUCT_TOL = 1e-12
 INPUT_TOL = 1e-9
 
 
+def _close(a, b, tol: float = STRUCT_TOL) -> bool:
+    """Every entry of a - b within ``tol`` in modulus: ``allclose`` with ``rtol=0``."""
+    return bool(np.all(np.abs(a - b) <= tol))
+
+
 class DimensionMismatch(ValueError):
     """Raised when two objects live on Hilbert spaces of different dimension."""
 
@@ -95,7 +100,7 @@ class Operator:
             raise ValueError("operator declared hermitian but M != M^dagger")
         if kind == "unitary":
             eye = np.eye(m.shape[0])
-            if not np.allclose(m.conj().T @ m, eye, atol=STRUCT_TOL, rtol=0):
+            if not _close(m.conj().T @ m, eye):
                 raise ValueError("operator declared unitary but U^dagger U != I")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -113,7 +118,7 @@ class Operator:
 
     @staticmethod
     def _self_adjoint(m: np.ndarray) -> bool:
-        return bool(np.allclose(m, m.conj().T, atol=STRUCT_TOL, rtol=0))
+        return _close(m, m.conj().T)
 
     def is_hermitian(self) -> bool:
         """M = M^dagger to STRUCT_TOL; a ``hermitian`` tag was verified at
@@ -123,7 +128,7 @@ class Operator:
 
     def is_projector(self) -> bool:
         m = self.entries
-        return self.is_hermitian() and bool(np.allclose(m @ m, m, atol=STRUCT_TOL, rtol=0))
+        return self.is_hermitian() and _close(m @ m, m)
 
     def __repr__(self):
         return f"Operator({self.entries.tolist()!r}, kind={self.kind!r})"
@@ -160,9 +165,9 @@ def expectation(M: Operator, s: StateVector) -> float:
 
 def born_probability(P: Operator, s: StateVector) -> float:
     """<s|P|s> for a projector P, clipped to [0, 1] within STRUCT_TOL."""
-    if not P.is_projector():
+    p = expectation(P, s)  # tests M = M^dagger, so only P^2 = P is left
+    if not _close(P.entries @ P.entries, P.entries):
         raise ValueError("born_probability requires a projector")
-    p = expectation(P, s)
     if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
         raise AssertionError(f"Born probability {p} outside [0, 1]")
     return float(min(max(p, 0.0), 1.0))
@@ -190,13 +195,13 @@ class DichotomicObservable:
             if not p.is_projector():
                 raise ValueError(f"{name} projector fails P^2 = P = P^dagger")
         pp, pm = plus_proj.entries, minus_proj.entries
-        if not np.allclose(pp @ pm, 0.0, atol=STRUCT_TOL, rtol=0):
+        if not _close(pp @ pm, 0.0):
             raise ValueError("projectors are not mutually orthogonal")
         eye = np.eye(plus_proj.dim)
-        if not np.allclose(pp + pm, eye, atol=STRUCT_TOL, rtol=0):
+        if not _close(pp + pm, eye):
             raise ValueError("projectors do not sum to the identity")
         m = pp - pm
-        if not np.allclose(m @ m, eye, atol=STRUCT_TOL, rtol=0):
+        if not _close(m @ m, eye):
             raise ValueError("reconstructed observable does not satisfy M^2 = I")
         object.__setattr__(self, "plus_proj", plus_proj)
         object.__setattr__(self, "minus_proj", minus_proj)
@@ -227,7 +232,7 @@ def dichotomic_from_hermitian(M: Operator) -> DichotomicObservable:
         raise ValueError("observable must be Hermitian")
     m = M.entries
     eye = np.eye(M.dim)
-    if not np.allclose(m @ m, eye, atol=STRUCT_TOL, rtol=0):
+    if not _close(m @ m, eye):
         raise ValueError("observable must satisfy M^2 = I (eigenvalues +-1)")
     plus = Operator((eye + m) / 2.0, kind="hermitian")
     minus = Operator((eye - m) / 2.0, kind="hermitian")

@@ -39,6 +39,7 @@ from .qcore import (
     STRUCT_TOL,
     DichotomicObservable,
     StateVector,
+    _close,
 )
 
 OUTCOMES = (+1, -1)
@@ -79,16 +80,24 @@ def _negativity(q: dict) -> float:
 
 
 def _as_density(state) -> np.ndarray:
-    """Accept a StateVector (pure-state adapter) or a density matrix ndarray."""
+    """Accept a StateVector (pure-state adapter) or a density matrix ndarray.
+
+    A density matrix must be finite, Hermitian, of unit trace and positive
+    semidefinite, each to ``INPUT_TOL``.
+    """
     if isinstance(state, StateVector):
         return state.density()
     rho = np.asarray(state, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if not np.allclose(rho, rho.conj().T, atol=INPUT_TOL, rtol=0):
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix entries must be finite")
+    if not _close(rho, rho.conj().T, INPUT_TOL):
         raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > INPUT_TOL:
         raise ValueError("density matrix must have unit trace")
+    if np.linalg.eigvalsh(rho)[0] < -INPUT_TOL:
+        raise ValueError("density matrix must be positive semidefinite")
     return rho
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: records, exit codes, file outputs, config precedence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,10 @@ import pytest
 from lglab.cli import main, read_records
 
 SQ3 = np.sqrt(3.0)
+
+# sha256 of the two sweep files whose bytes the CLI must keep
+FIG2_SHA256 = "da5cbc815f630e5d6a0c9cd37cce481f1f416d834e3964ae041420d79b78625a"
+GRID101_JSON_SHA256 = "62c27543a9ff2b6a7d6223295ee1dae8d886d54423fb233cf9d5b48911376024"
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +130,17 @@ class TestSweep:
         assert rec["rows"] == 1001
         assert (tmp_path / "fig2.csv").exists()
 
+    def test_reproduce_fig2_bytes(self, capsys, tmp_path):
+        out = tmp_path / "fig2.csv"
+        rec = run_json(capsys, "reproduce-fig2", "--output", str(out))
+        assert rec["violated_rows"] == 998
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG2_SHA256
+
+    def test_json_sweep_bytes(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        run_json(capsys, "lgi-sweep", "--grid", "101", "--output", str(out), "--format", "json")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID101_JSON_SHA256
+
 
 class TestQuasiprob:
     def test_negative_entry(self, capsys):
@@ -191,6 +207,23 @@ class TestNsit:
         assert abs(rec["gap"] - rec["true_gap"]) < 4 * rec["gap_stderr"]
 
 
+class TestRounding:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("probabilities", "--beta", "0.3", "--phi", "0.7"),
+            ("weak-values", "--beta", "0.3"),
+            ("quasiprob", "--beta", "0.3"),
+            ("nsit", "--beta", "0.3", "--shots", "1000", "--seed", "5"),
+        ],
+    )
+    def test_record_floats_have_15_digits(self, capsys, argv):
+        rec = run_json(capsys, *argv)
+        floats = [v for v in rec.values() if isinstance(v, float)]
+        assert floats
+        assert all(v == float(f"{v:.15g}") for v in floats)
+
+
 class TestLibraryChecks:
     """The CLI holds no copy of the library's input checks; it maps their
     ValueErrors to exit 2, and the message names the offending field."""
@@ -208,6 +241,11 @@ class TestLibraryChecks:
             (("simulate", "--beta", "0.5", "--seed", "1"), "shots"),
             (("simulate", "--beta", "0.5", "--shots", "99999999999999999999", "--seed", "1"), "shots"),
             (("nsit", "--beta", "0.5", "--shots", "99999999999999999999", "--seed", "1"), "shots"),
+            (("probabilities",), "--beta is required"),
+            (("weak-values",), "--beta is required"),
+            (("quasiprob",), "--beta is required"),
+            (("nsit", "--beta", "0.5", "--seed", "1"), "--shots is required"),
+            (("lgi-sweep", "--grid", "5"), "--output is required"),
         ],
     )
     def test_rejected_input_exits_2(self, capsys, argv, field):
@@ -252,6 +290,23 @@ class TestConfig:
         assert out == ""
         assert repr(key) in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"e2": 0.5, "e3": -0.2, "e23": 0.1}, ("mr-check",)),
+            ({"output": "from_config.csv"}, ("lgi-sweep", "--grid", "5")),
+        ],
+    )
+    def test_config_supplies_required_option(self, capsys, tmp_path, monkeypatch, config, argv):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rec = run_json(capsys, "--config", str(cfg), *argv)
+        for key, value in config.items():
+            assert rec[key] == value
+        if "output" in config:
+            assert len(read_records(config["output"])) == 5
 
     def test_shared_config_keys_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

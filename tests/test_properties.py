@@ -1,5 +1,6 @@
 """Property tests for the one K/q primitive, the fixed interferometer objects,
-the two propagation routes and the once-validated observables.
+the two propagation routes, the once-validated observables, the one closeness
+test and the closed-form precession K3.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -15,9 +16,11 @@ from lglab import (
     DichotomicObservable,
     MZConfig,
     StateVector,
+    ThreeTimeSpec,
     detection_probabilities,
     empirical_lg,
     feasibility_oracle,
+    k3,
     k_from_moments,
     lg_from_quasi,
     macrorealist_feasible,
@@ -26,6 +29,8 @@ from lglab import (
     nsit_check,
     output_observable,
     path_observable,
+    precession_k3,
+    precession_observables,
     projector_onto,
     propagate,
     propagate_unitary,
@@ -33,6 +38,7 @@ from lglab import (
     two_time_lg,
 )
 from lglab.lgi import _K_SIGNS
+from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
 
 PROPS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -44,6 +50,15 @@ beta_st = st.one_of(
     st.sampled_from([-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0]),
     st.floats(min_value=-1.0, max_value=1.0),
 )
+
+
+# an entry of b - a: zero, exactly at either tolerance, just past one, anywhere
+# small, or NaN
+offset = st.one_of(
+    st.sampled_from([0.0, STRUCT_TOL, -STRUCT_TOL, 1j * INPUT_TOL, 2 * STRUCT_TOL, np.nan]),
+    st.floats(min_value=-1e-8, max_value=1e-8),
+)
+entry = st.floats(min_value=-2.0, max_value=2.0)
 
 
 def qubit_state(theta: float, phase: float) -> StateVector:
@@ -134,3 +149,26 @@ def test_observable_carries_one_operator(theta, phase):
 def test_nsit_check_matches_quasi_residual(t0, p0, ti, pi, tj, pj):
     state, mi, mj = qubit_state(t0, p0), dichotomic(ti, pi), dichotomic(tj, pj)
     assert max(nsit_check(state, mi, mj)) == quasi(state, mi, mj).nsit_residual
+
+
+@PROPS
+@given(
+    st.lists(entry, min_size=8, max_size=8),
+    st.lists(offset, min_size=4, max_size=4),
+    st.sampled_from([STRUCT_TOL, INPUT_TOL]),
+    st.booleans(),
+)
+def test_close_is_allclose_without_rtol(parts, offsets, tol, from_zero):
+    a = np.zeros((2, 2), complex)
+    if not from_zero:  # from zero, b - a is the offset exactly
+        a = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
+    b = a + np.array(offsets).reshape(2, 2)
+    assert _close(a, b, tol) == np.allclose(a, b, atol=tol, rtol=0)
+    assert _close(b, a, tol) == np.allclose(b, a, atol=tol, rtol=0)
+
+
+@PROPS
+@given(st.floats(min_value=-4 * np.pi, max_value=4 * np.pi))
+def test_precession_k3_closed_form_matches_matrix_route(theta):
+    spec = ThreeTimeSpec(StateVector([1.0, 0.0]), *precession_observables(theta))
+    assert precession_k3(theta) == pytest.approx(k3(spec), abs=1e-12)

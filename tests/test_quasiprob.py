@@ -80,6 +80,19 @@ class TestQuasi:
         with pytest.raises(ValueError):
             quasi(np.eye(2), path_observable(), output_observable())
 
+    @pytest.mark.parametrize("route", ["quasi", "nsit_check", "three_time_suite"])
+    def test_rejects_non_positive_density(self, route):
+        # Hermitian with unit trace, but eigenvalue -1: no state has it
+        rho = np.diag([2.0, -1.0])
+        obs = (path_observable(), output_observable())
+        call = {
+            "quasi": lambda: quasi(rho, *obs),
+            "nsit_check": lambda: nsit_check(rho, *obs),
+            "three_time_suite": lambda: three_time_suite(rho, *obs, path_observable()),
+        }[route]
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            call()
+
 
 class TestNSIT:
     def test_random_instances_structural(self, rng):
