@@ -25,7 +25,7 @@ from .experiment import RunSpec, empirical_nsit, run
 from .interferometer import MZConfig, detection_probabilities, input_state, output_observable, path_observable
 from .lgi import sweep_beta
 from .mrcheck import CorrelationTriple, macrorealist_feasible
-from .quasiprob import nsit_check, quasi
+from . import quasiprob
 from .weakval import mz_weak_values
 
 UNDEFINED = "undefined"
@@ -141,14 +141,11 @@ def cmd_lgi_sweep(merged: dict) -> dict:
 
 def cmd_quasiprob(merged: dict) -> dict:
     cfg = _mz_config(merged)
-    state = input_state(cfg)
-    m2, m3 = path_observable(), output_observable()
-    table = quasi(state, m2, m3)
-    res_i, res_j = nsit_check(state, m2, m3)
+    q, (res_i, res_j) = quasiprob._quasi_pass(input_state(cfg), path_observable(), output_observable())
     rec = {"beta": cfg.beta, "alpha": cfg.alpha}
-    for (mi, mj), v in sorted(table.q.items(), reverse=True):
+    for (mi, mj), v in sorted(q.items(), reverse=True):
         rec[f"q(m2={mi:+d},m3={mj:+d})"] = v
-    rec["negativity"] = table.negativity
+    rec["negativity"] = quasiprob._negativity(q)
     rec["nsit_residual_m2"] = res_i
     rec["nsit_residual_m3"] = res_j
     return rec

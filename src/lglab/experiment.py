@@ -197,7 +197,7 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
 def empirical_nsit(cfg: MZConfig, shots: int, seed: int) -> tuple[float, float]:
     """Estimated signaling gap p(psi3 | no path measurement) - p(psi3 | path measured).
 
-    The true value is alpha*beta (the sequential side is exactly 1/2); a
+    The true value is alpha*beta*cos(phi) (the sequential side is exactly 1/2); a
     nonzero gap is the operational-non-invasiveness failure of an actual
     projective intervention.
     """

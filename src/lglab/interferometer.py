@@ -49,8 +49,9 @@ class MZConfig:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", float(np.sqrt(1.0 - self.beta**2)))
-        if not np.isfinite(self.alpha) or not np.isfinite(self.phi):
-            raise ValueError("alpha and phi must be finite")
+        for name, v in (("alpha", self.alpha), ("phi", self.phi)):
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if abs(self.alpha**2 + self.beta**2 - 1.0) > INPUT_TOL:
             raise ValueError(
                 f"alpha^2 + beta^2 = {self.alpha**2 + self.beta**2!r} must equal 1"
@@ -84,8 +85,13 @@ def mz_basis() -> MZBasis:
 
 
 def input_state(cfg: MZConfig) -> StateVector:
-    """Pre-selected state alpha*psi1 + beta*psi2 (no internal phases applied)."""
-    return StateVector([cfg.alpha, cfg.beta])
+    """Pre-selected state alpha*psi1 + e^{i phi} beta*psi2: the phase shifter folded in.
+
+    U = diag(1, e^{i phi}) acts between M2 and M3 and commutes with M2, so every
+    two-time quantity of (M2, U^dagger M3 U) on (alpha, beta) equals that of
+    (M2, M3) on this state, exactly; at phi = 0 it is (alpha, beta) bit for bit.
+    """
+    return StateVector([cfg.alpha, np.exp(1.0j * cfg.phi) * cfg.beta])
 
 
 def bs_unitary() -> Operator:
@@ -119,14 +125,14 @@ def propagate(cfg: MZConfig) -> StateVector:
 
 
 def propagate_unitary(cfg: MZConfig) -> StateVector:
-    """Oracle for :func:`propagate`: the product of the four element unitaries."""
+    """Oracle for :func:`propagate` and the phase fold: the element unitaries on raw (alpha, beta)."""
     u = (
         _output_relabel().entries
         @ bs_unitary().entries
         @ phase_unitary(cfg.phi).entries
         @ _bs1_effective().entries
     )
-    return StateVector(u @ input_state(cfg).amps)
+    return StateVector(u @ np.array([cfg.alpha, cfg.beta]))
 
 
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:

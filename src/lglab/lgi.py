@@ -11,11 +11,11 @@ K/q formula; every K or q table is read through it.
 A macrorealist model keeps all four nonnegative; quantum mechanically at most
 one can go negative, and each K also equals 2 p(f) [1 -+ (M2)_w^f] for
 post-selection f on the corresponding M3 eigenstate, tying violations to
-anomalous weak values. For the Mach-Zehnder configuration the four values
-collapse to closed forms in the input amplitudes:
+anomalous weak values. For the Mach-Zehnder configuration at phase phi,
+<M2> = alpha^2 - beta^2, <M3> = -2 alpha beta cos(phi) and <M2 M3> = 0:
 
-    K31 = 2 beta (beta - alpha)    K32 = 2 alpha (alpha - beta)
-    K33 = 2 beta (alpha + beta)    K34 = 2 alpha (alpha + beta)
+    K31 = 2 beta (beta - alpha cos phi)    K32 = 2 alpha (alpha - beta cos phi)
+    K33 = 2 beta (beta + alpha cos phi)    K34 = 2 alpha (alpha + beta cos phi)
 
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
@@ -23,6 +23,7 @@ canonically labeled K31..K34 in listing order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +97,6 @@ class ThreeTimeSpec:
     m1: DichotomicObservable
     m2: DichotomicObservable
     m3: DichotomicObservable
-    signs: tuple[int, int, int] = (1, 1, 1)
-
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +-1")
 
 
 def sequential_joint(
@@ -131,11 +127,10 @@ def sequential_correlation(
 
 def k3(spec: ThreeTimeSpec) -> float:
     """Three-time LG expression; macrorealist bound K3 <= 0."""
-    s1, s2, s3 = spec.signs
     c12 = sequential_correlation(spec.state, spec.m1, spec.m2)
     c23 = sequential_correlation(spec.state, spec.m2, spec.m3)
     c13 = sequential_correlation(spec.state, spec.m1, spec.m3)
-    return s1 * s2 * c12 + s2 * s3 * c23 - s1 * s3 * c13 - 1.0
+    return c12 + c23 - c13 - 1.0
 
 
 def two_time_lg(
@@ -169,13 +164,13 @@ def two_time_lg(
 
 
 def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:
-    """Closed-form K values for the interferometer (psi4 as the +1 outcome of M3)."""
-    a, b = cfg.alpha, cfg.beta
+    """Closed-form K values, cross term times cos(phi) (psi4 as the +1 outcome of M3)."""
+    a, b, c = cfg.alpha, cfg.beta, math.cos(cfg.phi)
     return TwoTimeLGReport.from_values(
-        2.0 * b * (b - a),
-        2.0 * a * (a - b),
-        2.0 * b * (a + b),
-        2.0 * a * (a + b),
+        2.0 * b * (b - a * c),
+        2.0 * a * (a - b * c),
+        2.0 * b * (b + a * c),
+        2.0 * a * (a + b * c),
     )
 
 

@@ -81,7 +81,8 @@ def mz_verdict(cfg: MZConfig) -> FeasibilityVerdict:
     """Macrorealist verdict on the interferometer's quantum statistics.
 
     The triple is (<M2>, <M3>, <M2 M3>) = (alpha^2 - beta^2, p4 - p3, 0);
-    it is infeasible exactly when beta is away from {0, +-1/sqrt(2), +-1}.
+    it is infeasible exactly when |alpha beta cos phi| > min(alpha^2, beta^2):
+    at phi = 0 for every beta away from {0, +-1/sqrt(2), +-1}, at pi/2 never.
     """
     p3, p4 = detection_probabilities(cfg)
     triple = CorrelationTriple(

@@ -180,9 +180,9 @@ def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:
 
 def signaling_gap_projective(cfg: MZConfig) -> float:
     """|p_seq(psi3) - p(psi3)|: the statistics shift caused by an actual
-    intervening projective path measurement. Closed form |alpha*beta| at
-    phi = 0; always 1/2 on the sequential side since a collapsed path state
-    hits either port with equal probability.
+    intervening projective path measurement. Closed form
+    |alpha*beta*cos(phi)|; always 1/2 on the sequential side since a collapsed
+    path state hits either port with equal probability.
     """
     joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
     # psi3 is the m3 = -1 outcome

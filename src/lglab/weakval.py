@@ -105,9 +105,9 @@ def mz_weak_values(
 ) -> tuple[WeakValueResult | None, WeakValueResult | None]:
     """Path-observable weak values for post-selection on the two output ports.
 
-    Returns (w3, w4) for post-selected states psi3 and psi4; the closed forms
-    are (alpha-beta)/(alpha+beta) and (alpha+beta)/(alpha-beta). The pre-
-    selected state is alpha*psi1 + beta*psi2, with the phase shifter at zero.
+    Returns (w3, w4) for post-selected states psi3 and psi4 and pre-selected
+    :func:`input_state`; with b = beta e^{-i phi} they are (alpha-b)/(alpha+b)
+    and (alpha+b)/(alpha-b), complex unless phi is a multiple of pi.
     With ``allow_undefined`` a vanishing port yields None instead of raising.
     """
     basis = mz_basis()

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from lglab import quasiprob
 from lglab.cli import main, read_records
 
 SQ3 = np.sqrt(3.0)
@@ -224,6 +225,89 @@ class TestRounding:
         assert all(v == float(f"{v:.15g}") for v in floats)
 
 
+# stdout of records that read the pre-selected state, as printed before the
+# phase shifter was folded into it; at phi = 0 not one byte may move, signed
+# zeros included
+PINNED_RECORDS = [
+    (
+        ("weak-values", "--beta", "0.5"),
+        '{"beta": 0.5, "alpha": 0.866025403784439, "p3": 0.933012701892219, '
+        '"p4": 0.0669872981077807, "w3": 0.267949192431123, "w3_anomalous": false, '
+        '"w4": 3.73205080756888, "w4_anomalous": true}',
+    ),
+    (
+        ("weak-values", "--beta", "0.7071067811865476", "--alpha", "0.7071067811865476"),
+        '{"beta": 0.707106781186548, "alpha": 0.707106781186548, "p3": 1.0, "p4": 0.0, '
+        '"w3": 4.26642158858964e-17, "w3_anomalous": false, "w4": "undefined", '
+        '"w4_anomalous": "undefined"}',
+    ),
+    (
+        ("weak-values", "--beta", "0.7071067811865476"),
+        '{"beta": 0.707106781186548, "alpha": 0.707106781186547, "p3": 1.0, '
+        '"p4": 6.16297582203915e-33, "w3": -6.83580865766192e-17, "w3_anomalous": false, '
+        '"w4": "undefined", "w4_anomalous": "undefined"}',
+    ),
+    (
+        ("weak-values", "--beta", "0.7071067811865476", "--alpha", "-0.7071067811865476"),
+        '{"beta": 0.707106781186548, "alpha": -0.707106781186548, "p3": 0.0, "p4": 1.0, '
+        '"w3": "undefined", "w3_anomalous": "undefined", "w4": 4.26642158858964e-17, '
+        '"w4_anomalous": false}',
+    ),
+    (
+        ("quasiprob", "--beta", "0.5"),
+        '{"beta": 0.5, "alpha": 0.866025403784439, "q(m2=+1,m3=+1)": 0.15849364905389, '
+        '"q(m2=+1,m3=-1)": 0.59150635094611, "q(m2=-1,m3=+1)": -0.0915063509461097, '
+        '"q(m2=-1,m3=-1)": 0.34150635094611, "negativity": 0.0915063509461097, '
+        '"nsit_residual_m2": 1.11022302462516e-16, "nsit_residual_m3": 0.0}',
+    ),
+    (
+        ("quasiprob", "--beta", "-0.8", "--alpha", "-0.6"),
+        '{"beta": -0.8, "alpha": -0.6, "q(m2=+1,m3=+1)": -0.06, "q(m2=+1,m3=-1)": 0.42, '
+        '"q(m2=-1,m3=+1)": 0.0800000000000001, "q(m2=-1,m3=-1)": 0.56, "negativity": 0.06, '
+        '"nsit_residual_m2": 1.11022302462516e-16, "nsit_residual_m3": 1.38777878078145e-17}',
+    ),
+    (
+        ("simulate", "--beta", "0.5", "--shots", "1000000", "--seed", "42", "--kind", "sequential"),
+        '{"beta": 0.5, "alpha": 0.866025403784439, "kind": "sequential", "shots": 1000000, '
+        '"seed": 42, "count[m2=+1,m3=+1]": 374620, "estimate[m2=+1,m3=+1]": 0.37462, '
+        '"stderr[m2=+1,m3=+1]": 0.000484024643587493, "count[m2=+1,m3=-1]": 375134, '
+        '"estimate[m2=+1,m3=-1]": 0.375134, "stderr[m2=+1,m3=-1]": 0.000484157497147364, '
+        '"count[m2=-1,m3=+1]": 125152, "estimate[m2=-1,m3=+1]": 0.125152, '
+        '"stderr[m2=-1,m3=+1]": 0.000330891185884423, "count[m2=-1,m3=-1]": 125094, '
+        '"estimate[m2=-1,m3=-1]": 0.125094, "stderr[m2=-1,m3=-1]": 0.000330825469339953}',
+    ),
+    (
+        ("nsit", "--beta", "0.5", "--shots", "1000000", "--seed", "42"),
+        '{"beta": 0.5, "alpha": 0.866025403784439, "shots": 1000000, "seed": 42, '
+        '"gap": 0.432751, "gap_stderr": 0.000558913577093096, "true_gap": 0.433012701892219}',
+    ),
+]
+
+
+class TestPinnedRecords:
+    @pytest.mark.parametrize(
+        "argv, stdout", PINNED_RECORDS, ids=[" ".join(argv) for argv, _ in PINNED_RECORDS]
+    )
+    def test_record_bytes(self, capsys, argv, stdout):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out == stdout + "\n"
+
+
+class TestQuasiprobPass:
+    def test_one_pass_per_record(self, capsys, monkeypatch):
+        calls = []
+        one_pass = quasiprob._quasi_pass
+
+        def counted(*args):
+            calls.append(args)
+            return one_pass(*args)
+
+        monkeypatch.setattr(quasiprob, "_quasi_pass", counted)
+        run_json(capsys, "quasiprob", "--beta", "0.5")
+        assert len(calls) == 1
+
+
 class TestLibraryChecks:
     """The CLI holds no copy of the library's input checks; it maps their
     ValueErrors to exit 2, and the message names the offending field."""
@@ -246,6 +330,8 @@ class TestLibraryChecks:
             (("quasiprob",), "--beta is required"),
             (("nsit", "--beta", "0.5", "--seed", "1"), "--shots is required"),
             (("lgi-sweep", "--grid", "5"), "--output is required"),
+            (("probabilities", "--beta", "0.5", "--phi", "inf"), "phi must be finite, got inf"),
+            (("probabilities", "--beta", "0.5", "--alpha", "nan"), "alpha must be finite, got nan"),
         ],
     )
     def test_rejected_input_exits_2(self, capsys, argv, field):

@@ -8,6 +8,7 @@ from lglab import (
     RunSpec,
     empirical_lg,
     empirical_nsit,
+    mz_lg_closed_form,
     outcome_probabilities,
     run,
 )
@@ -115,6 +116,15 @@ class TestEmpiricalLG:
         truth = 2 * cfg.alpha * (cfg.alpha - 0.9)
         assert report.report.k32 < -4 * report.k_stderr[32]
         assert abs(report.report.k32 - truth) < 4 * report.k_stderr[32]
+
+    def test_phase_matches_closed_form(self):
+        # the path and sequential runs are blind to phi (a global phase on each
+        # collapsed path state); only <M3> carries it, as the closed form does
+        cfg = MZConfig(beta=0.5, phi=1.0)
+        report = empirical_lg(cfg, 1_000_000, 42)
+        truth = mz_lg_closed_form(cfg).values()
+        for idx, val in report.report.values().items():
+            assert abs(val - truth[idx]) < 4 * report.k_stderr[idx]
 
 
 class TestEmpiricalNSIT:

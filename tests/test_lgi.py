@@ -7,16 +7,20 @@ from lglab import (
     MZConfig,
     StateVector,
     ThreeTimeSpec,
+    detection_probabilities,
     input_state,
     k3,
     lg_from_quasi,
     mr_reading,
     mz_lg_closed_form,
     mz_two_time_lg,
+    mz_verdict,
+    mz_weak_values,
     output_observable,
     path_observable,
     precession_k3,
     precession_observables,
+    quasi,
     sequential_correlation,
     sequential_joint,
     sweep_beta,
@@ -105,11 +109,6 @@ class TestK3:
         # cos-law: K3 = 2 cos(pi/2) - cos(pi) - 1 = 0
         assert precession_k3(np.pi / 2) == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_bad_signs(self):
-        m = path_observable()
-        with pytest.raises(ValueError):
-            ThreeTimeSpec(state=StateVector([1.0, 0.0]), m1=m, m2=m, m3=m, signs=(1, 0, 1))
-
 
 class TestTwoTimeLG:
     def test_mz_violation_example(self):
@@ -168,6 +167,37 @@ class TestClosedForm:
             (full.k31, full.k32, full.k33, full.k34),
         ):
             assert c == pytest.approx(f, abs=1e-12)
+
+
+class TestPhase:
+    """The phase shifter turns the effect on and off for every route at once."""
+
+    @staticmethod
+    def reports(cfg):
+        m2, m3 = path_observable(), output_observable()
+        return (
+            mz_lg_closed_form(cfg),
+            mz_two_time_lg(cfg),
+            lg_from_quasi(quasi(input_state(cfg), m2, m3)),
+        )
+
+    def test_no_fringe_no_violation_on_grid(self):
+        for beta in np.linspace(-1.0, 1.0, 1001):
+            cfg = MZConfig(beta=float(beta), phi=np.pi / 2)
+            assert detection_probabilities(cfg) == pytest.approx((0.5, 0.5), abs=1e-12)
+            assert all(r.violated_index is None for r in self.reports(cfg))
+            assert mz_verdict(cfg).feasible
+            assert not any(w.anomalous_real for w in mz_weak_values(cfg))
+
+    def test_phi_one_example(self):
+        cfg = MZConfig(beta=0.5, phi=1.0)
+        for report in self.reports(cfg):
+            assert report.violated_index is None
+            assert report.k31 == pytest.approx(2 * 0.5 * (0.5 - cfg.alpha * np.cos(1.0)), abs=1e-12)
+        assert mz_verdict(cfg).feasible
+        w3, w4 = mz_weak_values(cfg)
+        assert w3.nonzero_imag and w4.nonzero_imag
+        assert not (w3.anomalous_real or w4.anomalous_real)
 
 
 EXCEPTIONAL = (-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0)

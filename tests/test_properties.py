@@ -1,6 +1,8 @@
 """Property tests for the one K/q primitive, the fixed interferometer objects,
 the two propagation routes, the once-validated observables, the one closeness
-test and the closed-form precession K3.
+test, the closed-form precession K3 and the one interferometer model (the
+phase shifter folded into the pre-selected state) over the whole (beta, phi)
+domain.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -20,12 +22,17 @@ from lglab import (
     detection_probabilities,
     empirical_lg,
     feasibility_oracle,
+    input_state,
     k3,
     k_from_moments,
     lg_from_quasi,
     macrorealist_feasible,
     mr_reading,
     mz_basis,
+    mz_lg_closed_form,
+    mz_two_time_lg,
+    mz_verdict,
+    mz_weak_values,
     nsit_check,
     output_observable,
     path_observable,
@@ -49,6 +56,11 @@ angle = st.floats(min_value=0.0, max_value=2 * np.pi)
 beta_st = st.one_of(
     st.sampled_from([-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0]),
     st.floats(min_value=-1.0, max_value=1.0),
+)
+# no fringe, full fringe either way, or any phase
+phi_st = st.one_of(
+    st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]),
+    st.floats(min_value=-1e6, max_value=1e6),
 )
 
 
@@ -172,3 +184,51 @@ def test_close_is_allclose_without_rtol(parts, offsets, tol, from_zero):
 def test_precession_k3_closed_form_matches_matrix_route(theta):
     spec = ThreeTimeSpec(StateVector([1.0, 0.0]), *precession_observables(theta))
     assert precession_k3(theta) == pytest.approx(k3(spec), abs=1e-12)
+
+
+def mz_config(beta, phi, negative_alpha) -> MZConfig:
+    alpha = float(np.sqrt(1.0 - beta**2)) * (-1.0 if negative_alpha else 1.0)
+    return MZConfig(beta=beta, alpha=alpha, phi=phi)
+
+
+def k_routes(cfg):
+    """The closed form, the two-time matrix route and the quasiprobability route."""
+    quasi_route = lg_from_quasi(quasi(input_state(cfg), path_observable(), output_observable()))
+    return mz_lg_closed_form(cfg), mz_two_time_lg(cfg), quasi_route
+
+
+@PROPS
+@given(beta_st, phi_st, st.booleans())
+def test_k_routes_agree_at_every_phase(beta, phi, negative_alpha):
+    closed, *others = k_routes(mz_config(beta, phi, negative_alpha))
+    for other in others:
+        for idx, value in other.values().items():
+            assert closed.values()[idx] == pytest.approx(value, abs=1e-12)
+
+
+@PROPS
+@given(beta_st, phi_st, st.booleans())
+def test_folded_state_gives_port_probabilities(beta, phi, negative_alpha):
+    cfg = mz_config(beta, phi, negative_alpha)
+    b, pre, out = mz_basis(), input_state(cfg).amps, propagate_unitary(cfg).amps
+    for port, p in zip((b.psi3, b.psi4), detection_probabilities(cfg)):
+        assert abs(np.vdot(port.amps, pre)) ** 2 == pytest.approx(p, abs=1e-12)
+        assert abs(np.vdot(port.amps, out)) ** 2 == pytest.approx(p, abs=1e-12)
+
+
+@PROPS
+@given(beta_st, phi_st, st.booleans())
+def test_violation_verdict_and_anomaly_agree_at_every_phase(beta, phi, negative_alpha):
+    cfg = mz_config(beta, phi, negative_alpha)
+    reports = k_routes(cfg)
+    # away from saturation, where VIOLATION_TOL (on K) and FEAS_TOL (on K/4)
+    # cannot disagree; a lit pair of ports keeps both weak values defined
+    if min(abs(v) for v in reports[0].values().values()) <= 1e-9:
+        return
+    ws = mz_weak_values(cfg, allow_undefined=True)
+    if None in ws:
+        return
+    violated = reports[0].violated_index
+    assert all(r.violated_index == violated for r in reports)
+    assert mz_verdict(cfg).feasible == (violated is None)
+    assert any(w.anomalous_real for w in ws) == (violated is not None)
