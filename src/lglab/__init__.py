@@ -8,26 +8,20 @@ from .qcore import (
     DimensionMismatch,
     Operator,
     StateVector,
-    apply,
     born_probability,
     dichotomic_from_hermitian,
     expectation,
-    identity,
     inner_product,
     projector_onto,
 )
 from .interferometer import (
     MZBasis,
     MZConfig,
-    bs_unitary,
     detection_probabilities,
     input_state,
     mz_basis,
     output_observable,
     path_observable,
-    phase_unitary,
-    propagate,
-    propagate_unitary,
 )
 from .weakval import (
     OrthogonalPostSelection,
@@ -38,14 +32,11 @@ from .weakval import (
 )
 from .lgi import (
     SweepRow,
-    ThreeTimeSpec,
     TwoTimeLGReport,
-    k3,
     k_from_moments,
     mz_lg_closed_form,
     mz_two_time_lg,
     precession_k3,
-    precession_observables,
     sequential_correlation,
     sequential_joint,
     sweep_beta,
@@ -54,7 +45,6 @@ from .lgi import (
 from .quasiprob import (
     QuasiprobTable,
     ThreeTimeQuasiReport,
-    correlation_equivalence,
     lg_from_quasi,
     mr_reading,
     nsit_check,

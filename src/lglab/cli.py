@@ -292,24 +292,6 @@ def _merge(args: argparse.Namespace) -> dict:
     return merged
 
 
-def read_records(path: str) -> list[dict]:
-    """Read back a CSV emitted by lgi-sweep, parsing numeric fields to float."""
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rec = {}
-            for key, raw in row.items():
-                try:
-                    rec[key] = int(raw)
-                except ValueError:
-                    try:
-                        rec[key] = float(raw)
-                    except ValueError:
-                        rec[key] = raw
-            records.append(rec)
-    return records
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -1,19 +1,14 @@
-"""Two-path Mach-Zehnder model: propagation, detection, path/output observables.
+"""Two-path Mach-Zehnder model: input state, detection, path/output observables.
 
 The setup is a balanced interferometer with input-path basis {psi1, psi2} and
 output-port basis psi3 = (psi1 + psi2)/sqrt(2), psi4 = (psi1 - psi2)/sqrt(2).
 An input alpha*psi1 + beta*psi2 (alpha, beta real, alpha^2 + beta^2 = 1)
-emerges, for phase phi = 0, as [(alpha+beta) psi3 + i (alpha-beta) psi4] / sqrt(2),
-so the port probabilities are (alpha+beta)^2/2 and (alpha-beta)^2/2 and the
-psi4 port goes dark at alpha = beta.
-
-Convention (fixed once, verified in tests): the physical elements are modeled
-as an effective preparation phase ``diag(1, i)`` on path psi2, an optional
-phase shifter ``diag(1, e^{i phi})`` on path psi2, the symmetric 50:50
-splitter ``U_BS = [[1, i], [i, 1]]/sqrt(2)``, and a fixed output relabeling
-sending the psi1 axis to port psi4 and the psi2 axis to port psi3. Only port
-probabilities are observable; the closed form :func:`propagate` and its oracle
-:func:`propagate_unitary` agree on them to 1e-12; their output phases differ.
+reaches the psi3 port with amplitude (alpha + e^{i phi} beta)/sqrt(2) and the
+psi4 port with amplitude (alpha - e^{i phi} beta)/sqrt(2) up to a phase, so for
+phi = 0 the port probabilities are (alpha+beta)^2/2 and (alpha-beta)^2/2 and
+the psi4 port goes dark at alpha = beta. :func:`detection_probabilities` is
+this closed form; ``tests/oracles.py`` keeps the element-by-element unitary
+product as its oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ import numpy as np
 from .qcore import (
     INPUT_TOL,
     DichotomicObservable,
-    Operator,
     StateVector,
     projector_onto,
 )
@@ -94,55 +88,16 @@ def input_state(cfg: MZConfig) -> StateVector:
     return StateVector([cfg.alpha, np.exp(1.0j * cfg.phi) * cfg.beta])
 
 
-def bs_unitary() -> Operator:
-    """Symmetric 50:50 beam splitter [[1, i], [i, 1]]/sqrt(2) in the path basis."""
-    return Operator(np.array([[1.0, 1.0j], [1.0j, 1.0]]) / _SQRT2, kind="unitary")
-
-
-def phase_unitary(phi: float) -> Operator:
-    """Phase e^{i phi} on path psi2 only."""
-    return Operator(np.diag([1.0, np.exp(1.0j * phi)]), kind="unitary")
-
-
-def _bs1_effective() -> Operator:
-    # preparation phase i on path psi2: turns the pre-selected state into the
-    # post-first-splitter amplitudes (alpha, i beta)
-    return Operator(np.diag([1.0, 1.0j]), kind="unitary")
-
-
-def _output_relabel() -> Operator:
-    # psi1 axis -> port psi4, psi2 axis -> port psi3
-    cols = np.column_stack([_BASIS.psi4.amps, _BASIS.psi3.amps])
-    return Operator(cols, kind="unitary")
-
-
-def propagate(cfg: MZConfig) -> StateVector:
-    """State emerging from the second splitter, expressed in the path basis."""
-    eb = np.exp(1.0j * cfg.phi) * cfg.beta
-    c3 = (cfg.alpha + eb) / _SQRT2
-    c4 = 1.0j * (cfg.alpha - eb) / _SQRT2
-    return StateVector(c3 * _BASIS.psi3.amps + c4 * _BASIS.psi4.amps)
-
-
-def propagate_unitary(cfg: MZConfig) -> StateVector:
-    """Oracle for :func:`propagate` and the phase fold: the element unitaries on raw (alpha, beta)."""
-    u = (
-        _output_relabel().entries
-        @ bs_unitary().entries
-        @ phase_unitary(cfg.phi).entries
-        @ _bs1_effective().entries
-    )
-    return StateVector(u @ np.array([cfg.alpha, cfg.beta]))
-
-
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:
     """(p3, p4): detection probabilities at the psi3 and psi4 ports.
 
-    For phi = 0 these are exactly (alpha+beta)^2/2 and (alpha-beta)^2/2.
+    For phi = 0 these are (alpha+beta)^2/2 and (alpha-beta)^2/2, clipped at 1
+    like :func:`~lglab.qcore.born_probability`: alpha^2 + beta^2 may exceed 1 by
+    rounding, and a dark port's partner would then read 1.0000000000000002.
     """
     eb = np.exp(1.0j * cfg.phi) * cfg.beta
-    p3 = float(abs(cfg.alpha + eb) ** 2 / 2.0)
-    p4 = float(abs(cfg.alpha - eb) ** 2 / 2.0)
+    p3 = min(float(abs(cfg.alpha + eb) ** 2 / 2.0), 1.0)
+    p4 = min(float(abs(cfg.alpha - eb) ** 2 / 2.0), 1.0)
     return p3, p4
 
 

@@ -38,9 +38,7 @@ from .interferometer import (
 from .qcore import (
     STRUCT_TOL,
     DichotomicObservable,
-    Operator,
     StateVector,
-    dichotomic_from_hermitian,
     expectation,
 )
 from .weakval import mz_weak_values
@@ -89,16 +87,6 @@ class TwoTimeLGReport:
         return cls(k31, k32, k33, k34, violated_index=None, margin=0.0)
 
 
-@dataclass(frozen=True)
-class ThreeTimeSpec:
-    """State plus Heisenberg-picture observables at the three times."""
-
-    state: StateVector
-    m1: DichotomicObservable
-    m2: DichotomicObservable
-    m3: DichotomicObservable
-
-
 def sequential_joint(
     state: StateVector, Mi: DichotomicObservable, Mj: DichotomicObservable
 ) -> dict[tuple[int, int], float]:
@@ -123,14 +111,6 @@ def sequential_correlation(
     """<Mi Mj> = sum over mi, mj of mi*mj*p(mi, mj) with the Lueders update."""
     joint = sequential_joint(state, Mi, Mj)
     return float(sum(mi * mj * p for (mi, mj), p in joint.items()))
-
-
-def k3(spec: ThreeTimeSpec) -> float:
-    """Three-time LG expression; macrorealist bound K3 <= 0."""
-    c12 = sequential_correlation(spec.state, spec.m1, spec.m2)
-    c23 = sequential_correlation(spec.state, spec.m2, spec.m3)
-    c13 = sequential_correlation(spec.state, spec.m1, spec.m3)
-    return c12 + c23 - c13 - 1.0
 
 
 def two_time_lg(
@@ -220,28 +200,12 @@ def sweep_beta(grid) -> list[SweepRow]:
     return rows
 
 
-def precession_observables(theta: float):
-    """Equal-angle qubit precession observables M_k at angles 0, theta, 2*theta.
-
-    M_k = cos(k*theta) sigma_z + sin(k*theta) sigma_x: rotation about an axis
-    orthogonal to the measured observable with equal angles between the three
-    measurement times.
-    """
-    obs = []
-    for k in range(3):
-        ang = k * theta
-        m = np.array(
-            [[np.cos(ang), np.sin(ang)], [np.sin(ang), -np.cos(ang)]], dtype=complex
-        )
-        obs.append(dichotomic_from_hermitian(Operator(m, kind="hermitian")))
-    return tuple(obs)
-
-
 def precession_k3(theta: float) -> float:
     """K3 for the precession demo, prepared in the +1 eigenstate of M1.
 
     Closed form 2 cos(theta) - cos(2 theta) - 1, maximal (1/2) at theta = pi/3;
-    :func:`k3` on :func:`precession_observables` is the matrix-route oracle.
+    ``k3`` on ``precession_observables`` in ``tests/oracles.py`` is its
+    matrix-route oracle.
     """
     return float(2.0 * np.cos(theta) - np.cos(2.0 * theta) - 1.0)
 

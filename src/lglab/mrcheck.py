@@ -85,7 +85,7 @@ def mz_verdict(cfg: MZConfig) -> FeasibilityVerdict:
     at phi = 0 for every beta away from {0, +-1/sqrt(2), +-1}, at pi/2 never.
     """
     p3, p4 = detection_probabilities(cfg)
-    triple = CorrelationTriple(
-        e2=cfg.alpha**2 - cfg.beta**2, e3=p4 - p3, e23=0.0
-    )
-    return macrorealist_feasible(triple)
+    # MZConfig accepts alpha^2 + beta^2 within INPUT_TOL of 1, so clip <M2>
+    # the way detection_probabilities clips p3 and p4
+    e2 = min(max(cfg.alpha**2 - cfg.beta**2, -1.0), 1.0)
+    return macrorealist_feasible(CorrelationTriple(e2=e2, e3=p4 - p3, e23=0.0))

@@ -113,9 +113,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, kind=self.kind)
-
     @staticmethod
     def _self_adjoint(m: np.ndarray) -> bool:
         return _close(m, m.conj().T)
@@ -134,22 +131,10 @@ class Operator:
         return f"Operator({self.entries.tolist()!r}, kind={self.kind!r})"
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim), kind="unitary")
-
-
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     _check_dims(a, b)
     return complex(np.vdot(a.amps, b.amps))
-
-
-def apply(U: Operator, s: StateVector) -> StateVector:
-    """Apply a unitary to a state; the output is exactly renormalized."""
-    if U.kind != "unitary":
-        raise ValueError("apply requires a unitary operator")
-    _check_dims(U, s)
-    return StateVector(U.entries @ s.amps, normalize=True)
 
 
 def expectation(M: Operator, s: StateVector) -> float:

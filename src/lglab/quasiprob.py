@@ -31,7 +31,6 @@ from .lgi import (
     _K_SIGNS,
     TwoTimeLGReport,
     k_from_moments,
-    sequential_correlation,
     sequential_joint,
 )
 from .qcore import (
@@ -140,16 +139,6 @@ def nsit_check(
 ) -> tuple[float, float]:
     """Marginal-vs-Born residuals (residual_i, residual_j); both vanish structurally."""
     return _quasi_pass(rho_state, Mi, Mj)[1]
-
-
-def correlation_equivalence(
-    state: StateVector, Mi: DichotomicObservable, Mj: DichotomicObservable
-) -> tuple[float, float]:
-    """(quasiprobability correlator, sequential correlator); equal to 1e-12."""
-    table = quasi(state, Mi, Mj)
-    corr_quasi = table.moments()[2]
-    corr_seq = sequential_correlation(state, Mi, Mj)
-    return corr_quasi, corr_seq
 
 
 def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:

@@ -27,7 +27,6 @@ from lglab import (
     path_observable,
     precession_k3,
     projector_onto,
-    propagate_unitary,
     quasi,
     sequential_correlation,
     signaling_gap_projective,
@@ -37,6 +36,7 @@ from lglab.experiment import RunSpec, run as mc_run
 from lglab.interferometer import mz_basis
 
 from conftest import random_dichotomic, random_state
+from oracles import propagate_unitary
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)

@@ -1,5 +1,6 @@
 """Command-line interface: records, exit codes, file outputs, config precedence."""
 
+import csv
 import hashlib
 import json
 
@@ -7,13 +8,31 @@ import numpy as np
 import pytest
 
 from lglab import quasiprob
-from lglab.cli import main, read_records
+from lglab.cli import main
 
 SQ3 = np.sqrt(3.0)
 
 # sha256 of the two sweep files whose bytes the CLI must keep
 FIG2_SHA256 = "da5cbc815f630e5d6a0c9cd37cce481f1f416d834e3964ae041420d79b78625a"
 GRID101_JSON_SHA256 = "62c27543a9ff2b6a7d6223295ee1dae8d886d54423fb233cf9d5b48911376024"
+
+
+def read_records(path: str) -> list[dict]:
+    """Read back a CSV emitted by lgi-sweep, parsing numeric fields to int or float."""
+    records = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            rec = {}
+            for key, raw in row.items():
+                try:
+                    rec[key] = int(raw)
+                except ValueError:
+                    try:
+                        rec[key] = float(raw)
+                    except ValueError:
+                        rec[key] = raw
+            records.append(rec)
+    return records
 
 
 def run_cli(capsys, *argv):

@@ -6,10 +6,8 @@ import pytest
 from lglab import (
     MZConfig,
     StateVector,
-    ThreeTimeSpec,
     detection_probabilities,
     input_state,
-    k3,
     lg_from_quasi,
     mr_reading,
     mz_lg_closed_form,
@@ -19,7 +17,6 @@ from lglab import (
     output_observable,
     path_observable,
     precession_k3,
-    precession_observables,
     quasi,
     sequential_correlation,
     sequential_joint,
@@ -28,6 +25,7 @@ from lglab import (
 )
 
 from conftest import random_dichotomic, random_state
+from oracles import k3, precession_observables
 
 SQ3 = np.sqrt(3.0)
 
@@ -90,8 +88,7 @@ class TestSequentialCorrelation:
 class TestK3:
     def test_identical_observables_saturate(self):
         m = path_observable()
-        spec = ThreeTimeSpec(state=StateVector([1.0, 0.0]), m1=m, m2=m, m3=m)
-        assert k3(spec) == pytest.approx(0.0, abs=1e-12)
+        assert k3(StateVector([1.0, 0.0]), m, m, m) == pytest.approx(0.0, abs=1e-12)
 
     def test_precession_maximum(self):
         # oracle: exhaustive joint-outcome enumeration via joint_oracle

@@ -1,16 +1,22 @@
 """Property tests for the one K/q primitive, the fixed interferometer objects,
-the two propagation routes, the once-validated observables, the one closeness
-test, the closed-form precession K3 and the one interferometer model (the
-phase shifter folded into the pre-selected state) over the whole (beta, phi)
-domain.
+the unitary propagation oracle, the once-validated observables, the one
+closeness test, the closed-form precession K3 and the one interferometer model
+(the phase shifter folded into the pre-selected state) over the whole
+(beta, phi) domain, including configurations within rounding of saturation.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
 """
 
+import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lglab import (
@@ -18,12 +24,10 @@ from lglab import (
     DichotomicObservable,
     MZConfig,
     StateVector,
-    ThreeTimeSpec,
     detection_probabilities,
     empirical_lg,
     feasibility_oracle,
     input_state,
-    k3,
     k_from_moments,
     lg_from_quasi,
     macrorealist_feasible,
@@ -37,15 +41,14 @@ from lglab import (
     output_observable,
     path_observable,
     precession_k3,
-    precession_observables,
     projector_onto,
-    propagate,
-    propagate_unitary,
     quasi,
     two_time_lg,
 )
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
+
+from oracles import k3, precession_observables, propagate_unitary
 
 PROPS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -142,10 +145,9 @@ def test_both_propagation_routes_give_detection_probabilities(beta, phi, negativ
     cfg = MZConfig(beta=beta, alpha=alpha, phi=phi)
     b = mz_basis()
     p3, p4 = detection_probabilities(cfg)
-    for route in (propagate, propagate_unitary):
-        out = route(cfg)
-        assert abs(np.vdot(b.psi3.amps, out.amps)) ** 2 == pytest.approx(p3, abs=1e-12)
-        assert abs(np.vdot(b.psi4.amps, out.amps)) ** 2 == pytest.approx(p4, abs=1e-12)
+    out = propagate_unitary(cfg)
+    assert abs(np.vdot(b.psi3.amps, out.amps)) ** 2 == pytest.approx(p3, abs=1e-12)
+    assert abs(np.vdot(b.psi4.amps, out.amps)) ** 2 == pytest.approx(p4, abs=1e-12)
 
 
 @PROPS
@@ -182,8 +184,8 @@ def test_close_is_allclose_without_rtol(parts, offsets, tol, from_zero):
 @PROPS
 @given(st.floats(min_value=-4 * np.pi, max_value=4 * np.pi))
 def test_precession_k3_closed_form_matches_matrix_route(theta):
-    spec = ThreeTimeSpec(StateVector([1.0, 0.0]), *precession_observables(theta))
-    assert precession_k3(theta) == pytest.approx(k3(spec), abs=1e-12)
+    oracle = k3(StateVector([1.0, 0.0]), *precession_observables(theta))
+    assert precession_k3(theta) == pytest.approx(oracle, abs=1e-12)
 
 
 def mz_config(beta, phi, negative_alpha) -> MZConfig:
@@ -232,3 +234,58 @@ def test_violation_verdict_and_anomaly_agree_at_every_phase(beta, phi, negative_
     assert all(r.violated_index == violated for r in reports)
     assert mz_verdict(cfg).feasible == (violated is None)
     assert any(w.anomalous_real for w in ws) == (violated is not None)
+
+
+def within_ulps(x: float, n: int = 300):
+    """Floats at most ``n`` ulp of ``x`` away from it."""
+    return st.integers(min_value=-n, max_value=n).map(lambda k: x + k * math.ulp(x))
+
+
+# the saturation points and a few hundred ulp either side of each, or anywhere
+beta_near_saturation = st.one_of(
+    *(within_ulps(x) for x in (0.0, 1 / np.sqrt(2), -1 / np.sqrt(2), 1.0, -1.0)),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@PROPS
+@given(
+    beta_near_saturation,
+    st.one_of(st.sampled_from([0.0, 1e-7]), st.floats(allow_nan=False, allow_infinity=False)),
+    st.booleans(),
+    # alpha on the unit circle, or off it by nearly the INPUT_TOL MZConfig allows
+    st.sampled_from([0.0, 4e-10, -4e-10]),
+)
+def test_mz_routes_never_raise_on_an_accepted_config(beta, phi, negative_alpha, stretch):
+    assume(abs(beta) <= 1.0)
+    alpha = float(np.sqrt(1.0 - beta**2)) * (-1.0 if negative_alpha else 1.0) * (1.0 + stretch)
+    cfg = MZConfig(beta=beta, alpha=alpha, phi=phi)
+    mz_verdict(cfg)
+    mz_weak_values(cfg, allow_undefined=True)
+    mz_lg_closed_form(cfg)
+
+
+def test_failing_property_reports_a_falsifying_example(tmp_path):
+    """Under the suite's warning filters a falsified property fails (exit 1)
+    with hypothesis's report, rather than crashing pytest (exit 3)."""
+    (tmp_path / "test_falsified.py").write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, settings
+            from hypothesis import strategies as st
+
+            @settings(derandomize=True, database=None)
+            @given(st.integers())
+            def test_falsified(n):
+                assert n < 10
+            """
+        )
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout

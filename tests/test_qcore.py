@@ -8,12 +8,10 @@ from lglab import (
     DimensionMismatch,
     Operator,
     StateVector,
-    apply,
     born_probability,
     dichotomic_from_hermitian,
     expectation,
     expectation_decomposition,
-    identity,
     inner_product,
     path_observable,
     projector_onto,
@@ -21,7 +19,7 @@ from lglab import (
 )
 from lglab.interferometer import mz_basis
 
-from conftest import random_dichotomic, random_state, random_unitary
+from conftest import random_dichotomic, random_state
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -141,29 +139,7 @@ class TestBornProbability:
             born_probability(Operator(np.diag([1.0, -1.0])), StateVector([1.0, 0.0]))
 
 
-class TestApply:
-    def test_identity_leaves_state(self, rng):
-        s = random_state(rng)
-        out = apply(identity(2), s)
-        np.testing.assert_allclose(out.amps, s.amps, atol=1e-12)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            apply(Operator(np.diag([1.0, 2.0])), StateVector([1.0, 0.0]))
-
-    def test_u_dagger_u_is_identity(self, rng):
-        s = random_state(rng)
-        u = random_unitary(rng)
-        out = apply(u.dagger(), apply(u, s))
-        np.testing.assert_allclose(out.amps, s.amps, atol=1e-12)
-
-
 class TestProperties:
-    def test_norm_preservation_random(self, rng):
-        for _ in range(200):
-            out = apply(random_unitary(rng), random_state(rng))
-            assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
-
     def test_projector_completeness_random(self, rng):
         for _ in range(200):
             obs = random_dichotomic(rng)

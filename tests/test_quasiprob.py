@@ -6,7 +6,6 @@ import pytest
 from lglab import (
     MZConfig,
     StateVector,
-    correlation_equivalence,
     detection_probabilities,
     input_state,
     lg_from_quasi,
@@ -15,7 +14,6 @@ from lglab import (
     nsit_check,
     output_observable,
     path_observable,
-    precession_observables,
     quasi,
     sequential_correlation,
     signaling_gap_projective,
@@ -23,6 +21,7 @@ from lglab import (
 )
 
 from conftest import random_dichotomic, random_state
+from oracles import precession_observables
 
 SQ3 = np.sqrt(3.0)
 
@@ -118,25 +117,24 @@ class TestNSIT:
 
 
 class TestCorrelationEquivalence:
+    """The quasiprobability correlator equals the sequential (Lueders) one."""
+
     def test_mz_both_vanish(self):
         for beta in (-0.7, 0.0, 0.3, 0.9):
             _, state, m2, m3 = mz_instance(beta)
-            cq, cs = correlation_equivalence(state, m2, m3)
-            assert cq == pytest.approx(0.0, abs=1e-12)
-            assert cs == pytest.approx(0.0, abs=1e-12)
+            assert quasi(state, m2, m3).moments()[2] == pytest.approx(0.0, abs=1e-12)
+            assert sequential_correlation(state, m2, m3) == pytest.approx(0.0, abs=1e-12)
 
     def test_eigenstate_repeated(self):
-        m2 = path_observable()
-        cq, cs = correlation_equivalence(StateVector([1.0, 0.0]), m2, m2)
-        assert cq == pytest.approx(1.0, abs=1e-12)
-        assert cs == pytest.approx(1.0, abs=1e-12)
+        state, m2 = StateVector([1.0, 0.0]), path_observable()
+        assert quasi(state, m2, m2).moments()[2] == pytest.approx(1.0, abs=1e-12)
+        assert sequential_correlation(state, m2, m2) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_random(self, rng):
         for _ in range(1000):
-            cq, cs = correlation_equivalence(
-                random_state(rng), random_dichotomic(rng), random_dichotomic(rng)
-            )
-            assert cq == pytest.approx(cs, abs=1e-12)
+            state, mi, mj = random_state(rng), random_dichotomic(rng), random_dichotomic(rng)
+            cq = quasi(state, mi, mj).moments()[2]
+            assert cq == pytest.approx(sequential_correlation(state, mi, mj), abs=1e-12)
 
 
 class TestMrReading:
