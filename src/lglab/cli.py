@@ -16,7 +16,6 @@ environment variable ``LGLAB_SEED`` overrides the default seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -115,10 +114,11 @@ def _write_sweep(path: str, fmt: str, rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
             if fmt == "csv":
-                writer = csv.DictWriter(fh, fieldnames=list(records[0]), lineterminator="\n")
-                writer.writeheader()
-                writer.writerows(
-                    {k: (_fmt(v) if isinstance(v, float) else v) for k, v in rec.items()}
+                # no field name or cell ever holds a comma, quote or newline,
+                # so plain joins give the bytes csv.DictWriter would
+                fh.write(",".join(records[0]) + "\n")
+                fh.writelines(
+                    ",".join([_fmt(v) if isinstance(v, float) else v for v in rec.values()]) + "\n"
                     for rec in records
                 )
             else:

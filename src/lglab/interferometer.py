@@ -13,6 +13,7 @@ product as its oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,14 @@ class MZConfig:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.beta) or abs(self.beta) > 1.0:
+        # math, not numpy: both square roots are correctly rounded, so alpha
+        # has the same bits either way
+        if not math.isfinite(self.beta) or abs(self.beta) > 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
         if self.alpha is None:
-            object.__setattr__(self, "alpha", float(np.sqrt(1.0 - self.beta**2)))
+            object.__setattr__(self, "alpha", math.sqrt(1.0 - self.beta**2))
         for name, v in (("alpha", self.alpha), ("phi", self.phi)):
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if abs(self.alpha**2 + self.beta**2 - 1.0) > INPUT_TOL:
             raise ValueError(

@@ -14,6 +14,9 @@ Two tolerance regimes are used throughout:
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 STRUCT_TOL = 1e-12
@@ -34,6 +37,28 @@ def _check_dims(a, b):
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _sq_norm(a: np.ndarray) -> float:
+    """sum |a_i|^2 as ``np.linalg.norm`` forms it for a complex vector, without its wrapper."""
+    return a.real.dot(a.real) + a.imag.dot(a.imag)
+
+
+def _rescaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``a`` and its squared norm, first divided by max |component| when that
+    squared norm overflows or leaves the normal range; a zero vector stays zero."""
+    with np.errstate(over="ignore"):
+        sq = _sq_norm(a)
+    # below the smallest normal double the squared norm has lost precision
+    if sys.float_info.min <= sq < math.inf:
+        return a, sq
+    peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+    if peak == 0.0:
+        return a, sq
+    # real and imaginary parts apart: complex division by a subnormal peak
+    # would form 1/peak, which overflows
+    a = a.real / peak + 1j * (a.imag / peak)
+    return a, _sq_norm(a)
+
+
 class StateVector:
     """Normalized pure state over a small Hilbert space.
 
@@ -41,6 +66,13 @@ class StateVector:
     are rejected; pass ``normalize=True`` to renormalize instead. Either way
     the stored amplitudes are divided by their exact norm, so
     ``sum(|amp|^2) == 1`` holds to ``STRUCT_TOL`` after construction.
+
+    The norm is ``sqrt(re.re + im.im)``, the expression ``np.linalg.norm``
+    evaluates for a complex vector, so it has the same bits. With
+    ``normalize=True``, finite nonzero amplitudes whose squared norm overflows
+    to inf or falls below the smallest normal double are first divided by
+    their largest real or imaginary component; every other input keeps this
+    arithmetic unchanged.
     """
 
     __slots__ = ("amps",)
@@ -49,9 +81,13 @@ class StateVector:
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.size == 0:
             raise ValueError("state must have at least one amplitude")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(a))
+        if normalize:
+            a, sq = _rescaled(a)
+        else:
+            sq = _sq_norm(a)
+        norm = math.sqrt(sq)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         if not normalize and abs(norm - 1.0) > INPUT_TOL:

@@ -8,6 +8,13 @@ vanishes the weak value is undefined and OrthogonalPostSelection is raised;
 near-zero overlaps deliberately produce huge finite values (no clamping), as
 the divergence at destructive interference is exactly the effect of interest.
 
+:func:`weak_value` is the generic route for any Hermitian observable and pair
+of states. :func:`mz_weak_values` post-selects on the two fixed output ports,
+so the port vectors psi3, psi4 and M2 psi3, M2 psi4 are built once, at import,
+and each call only forms the pre-selected state and four inner products. Both
+routes share one core, which holds the overlap threshold and the
+OrthogonalPostSelection error, and they agree bit for bit.
+
 The expectation value decomposes over any rank-1 post-selection basis {f, f'}:
 <A> = p(f) (A)_w^f + p(f') (A)_w^{f'}. Each term equals the always-finite
 product form <i|A P_f|i>, which is what we compute, so zero-probability
@@ -26,8 +33,8 @@ from .qcore import (
     DichotomicObservable,
     Operator,
     StateVector,
+    _check_dims,
     expectation,
-    inner_product,
 )
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
@@ -35,6 +42,17 @@ OVERLAP_TOL = 1e-15
 
 # anomaly thresholds for +-1-valued observables
 _ANOMALY_TOL = 1e-12
+
+
+def _port(post: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, M2 psi) for one output port, both read-only."""
+    m2_post = path_observable().operator().entries @ post.amps
+    m2_post.setflags(write=False)
+    return post.amps, m2_post
+
+
+# the psi3 and psi4 ports are fixed, so their vectors are built once
+_PORTS = (_port(mz_basis().psi3), _port(mz_basis().psi4))
 
 
 class OrthogonalPostSelection(ValueError):
@@ -59,18 +77,24 @@ def _classify(value: complex, postselect_prob: float) -> WeakValueResult:
     )
 
 
-def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
-    """(A)_w = <pre|A|post> / <pre|post> with anomaly classification."""
-    if not A.is_hermitian():
-        raise ValueError("weak value requires a Hermitian observable")
-    overlap = inner_product(pre, post)
+def _weak_value(pre: np.ndarray, post: np.ndarray, a_post: np.ndarray) -> WeakValueResult:
+    """<pre|A|post> / <pre|post> from the amplitudes of |pre>, |post> and A|post>."""
+    overlap = complex(np.vdot(pre, post))
     prob = abs(overlap) ** 2
     if prob <= OVERLAP_TOL:
         raise OrthogonalPostSelection(
             f"post-selection probability {prob} <= {OVERLAP_TOL}: weak value undefined"
         )
-    numer = complex(np.vdot(pre.amps, A.entries @ post.amps))
+    numer = complex(np.vdot(pre, a_post))
     return _classify(numer / overlap, float(prob))
+
+
+def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
+    """(A)_w = <pre|A|post> / <pre|post> with anomaly classification."""
+    if not A.is_hermitian():
+        raise ValueError("weak value requires a Hermitian observable")
+    _check_dims(pre, post)
+    return _weak_value(pre.amps, post.amps, A.entries @ post.amps)
 
 
 def expectation_decomposition(
@@ -110,13 +134,11 @@ def mz_weak_values(
     and (alpha+b)/(alpha-b), complex unless phi is a multiple of pi.
     With ``allow_undefined`` a vanishing port yields None instead of raising.
     """
-    basis = mz_basis()
-    pre = input_state(cfg)
-    m2 = path_observable().operator()
+    pre = input_state(cfg).amps
     results = []
-    for post in (basis.psi3, basis.psi4):
+    for post, m2_post in _PORTS:
         try:
-            results.append(weak_value(m2, pre, post))
+            results.append(_weak_value(pre, post, m2_post))
         except OrthogonalPostSelection:
             if not allow_undefined:
                 raise

@@ -2,12 +2,13 @@
 
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
-from lglab import quasiprob
+from lglab import quasiprob, sweep_beta
 from lglab.cli import main
 
 SQ3 = np.sqrt(3.0)
@@ -160,6 +161,32 @@ class TestSweep:
         out = tmp_path / "sweep.json"
         run_json(capsys, "lgi-sweep", "--grid", "101", "--output", str(out), "--format", "json")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID101_JSON_SHA256
+
+
+    def test_csv_bytes_match_dictwriter_on_cells_fig2_never_holds(self, capsys, tmp_path):
+        """The dark ports give undefined, -0 and none cells, which the pinned
+        fig2 hash never sees; the joined lines must still be csv's bytes."""
+        out = tmp_path / "dark.csv"
+        dark = 0.7071067811865476
+        run_json(capsys, "lgi-sweep", "--grid", "3", "--min", repr(-dark), "--max", repr(dark),
+                 "--output", str(out))
+
+        def cell(v):
+            return "undefined" if v is None else f"{v:.15g}"
+
+        ref = io.StringIO()
+        fields = ["beta", "alpha", "K31", "K32", "K33", "K34", "w3", "w4", "p3", "p4", "violated"]
+        writer = csv.DictWriter(ref, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        for r in sweep_beta([-dark, 0.0, dark]):
+            values = (r.beta, r.alpha, r.k31, r.k32, r.k33, r.k34, r.w3, r.w4, r.p3, r.p4)
+            writer.writerow(
+                {**dict(zip(fields, map(cell, values))),
+                 "violated": "none" if r.violated_index is None else str(r.violated_index)}
+            )
+        text = ref.getvalue()
+        assert "undefined" in text and ",-0," in text and ",none" in text
+        assert out.read_bytes() == text.encode()
 
 
 class TestQuasiprob:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lglab import (
+    DichotomicObservable,
     MZConfig,
+    Operator,
     StateVector,
     detection_probabilities,
     input_state,
@@ -246,6 +248,25 @@ class TestSweep:
             assert (row.violated_index == 32) == (row.w4 is not None and row.w4 < -1)
             assert (row.violated_index == 33) == (row.w3 is not None and row.w3 > 1)
             assert (row.violated_index == 34) == (row.w3 is not None and row.w3 < -1)
+
+    def test_builds_one_state_and_no_fixed_object_per_point(self, monkeypatch):
+        """Regression guard: the observables and port vectors are built once, at
+        import, so a sweep constructs only each point's pre-selected state."""
+        counts = {}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
+                init(self, *args, **kwargs)
+
+            return counted
+
+        for cls in (StateVector, Operator, DichotomicObservable):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        sweep_beta(np.linspace(-1.0, 1.0, 1001))
+        assert counts == {"StateVector": 1001}
 
 
 class TestMacrorealistBound:

@@ -1,8 +1,9 @@
 """Property tests for the one K/q primitive, the fixed interferometer objects,
 the unitary propagation oracle, the once-validated observables, the one
-closeness test, the closed-form precession K3 and the one interferometer model
-(the phase shifter folded into the pre-selected state) over the whole
-(beta, phi) domain, including configurations within rounding of saturation.
+closeness test, the closed-form precession K3, the one interferometer model
+(the phase shifter folded into the pre-selected state) and the precomputed
+port vectors of the interferometer weak values over the whole (beta, phi)
+domain, including configurations within rounding of saturation.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -23,6 +24,7 @@ from lglab import (
     CorrelationTriple,
     DichotomicObservable,
     MZConfig,
+    OrthogonalPostSelection,
     StateVector,
     detection_probabilities,
     empirical_lg,
@@ -44,6 +46,7 @@ from lglab import (
     projector_onto,
     quasi,
     two_time_lg,
+    weak_value,
 )
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
@@ -263,6 +266,34 @@ def test_mz_routes_never_raise_on_an_accepted_config(beta, phi, negative_alpha, 
     mz_verdict(cfg)
     mz_weak_values(cfg, allow_undefined=True)
     mz_lg_closed_form(cfg)
+
+
+@PROPS
+@given(
+    beta_near_saturation,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+def test_mz_weak_values_are_the_generic_weak_values_bit_for_bit(beta, phi, negative_alpha):
+    """The precomputed (psi, M2 psi) port vectors give the generic route's bits."""
+    assume(abs(beta) <= 1.0)
+    cfg = mz_config(beta, phi, negative_alpha)
+    m2, pre, basis = path_observable().operator(), input_state(cfg), mz_basis()
+    for fast, post in zip(mz_weak_values(cfg, allow_undefined=True), (basis.psi3, basis.psi4)):
+        try:
+            generic = weak_value(m2, pre, post)
+        except OrthogonalPostSelection:
+            generic = None
+        assert fast == generic  # same None pattern, same bits
+
+
+@PROPS
+@given(beta_near_saturation)
+def test_default_alpha_has_the_bits_of_numpy_sqrt(beta):
+    # beta**2, as MZConfig squares it: on a Python float it is libm pow, which
+    # differs from beta*beta in the last bit for about 0.1% of inputs
+    assume(abs(beta) <= 1.0)
+    assert MZConfig(beta=beta).alpha == float(np.sqrt(1.0 - beta**2))
 
 
 def test_failing_property_reports_a_falsifying_example(tmp_path):

@@ -1,5 +1,7 @@
 """Core linear-algebra layer: construction policies, Born rule, projector algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from lglab import (
     weak_value,
 )
 from lglab.interferometer import mz_basis
+from lglab.qcore import STRUCT_TOL
 
 from conftest import random_dichotomic, random_state
 
@@ -45,6 +48,30 @@ class TestStateVector:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             StateVector([0.0, 0.0], normalize=True)
+
+    @pytest.mark.parametrize(
+        "amps, direction",
+        [
+            ([1e200, 1e200], [1.0, 1.0]),  # squared norm overflows to inf
+            ([1.7e308 + 1.7e308j, -1e308], [1.7 + 1.7j, -1.0]),  # so does |a_0|
+            ([1e-170, 1e-170], [1.0, 1.0]),  # squared norm underflows to 0
+            ([3e-162, 1e-170j], [3e8, 1j]),  # squared norm is subnormal: precision lost
+            ([5e-324, 0.0], [1.0, 0.0]),  # the peak is subnormal, so 1/peak overflows
+        ],
+    )
+    def test_normalize_rescales_extreme_magnitudes(self, amps, direction):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = StateVector(amps, normalize=True)
+        assert abs(np.linalg.norm(s.amps) - 1.0) < STRUCT_TOL
+        d = np.asarray(direction)
+        np.testing.assert_allclose(s.amps, d / np.linalg.norm(d), rtol=0, atol=STRUCT_TOL)
+
+    def test_norm_has_the_bits_of_linalg_norm(self, rng):
+        for _ in range(200):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v *= 10.0 ** rng.uniform(-100, 100)
+            assert np.array_equal(StateVector(v, normalize=True).amps, v / np.linalg.norm(v))
 
     def test_immutable(self):
         s = StateVector([1.0, 0.0])
