@@ -93,36 +93,38 @@ def _sweep_rows(merged: dict):
     return sweep_beta(grid)
 
 
+# sweep file columns, in order
+_SWEEP_FIELDS = ("beta", "alpha", "K31", "K32", "K33", "K34", "w3", "w4", "p3", "p4", "violated")
+# one CSV line: %.15g is _fmt's format; w3, w4 and violated may be words, so
+# they arrive as text
+_CSV_LINE = "%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%s,%s,%.15g,%.15g,%s\n"
+
+
+def _row_cells(row, weak_cell) -> tuple:
+    """The row's cells in _SWEEP_FIELDS order, a defined weak value passed through ``weak_cell``."""
+    return (
+        row.beta, row.alpha, row.k31, row.k32, row.k33, row.k34,
+        UNDEFINED if row.w3 is None else weak_cell(row.w3),
+        UNDEFINED if row.w4 is None else weak_cell(row.w4),
+        row.p3, row.p4,
+        "none" if row.violated_index is None else str(row.violated_index),
+    )
+
+
 def _row_record(row) -> dict:
-    return {
-        "beta": row.beta,
-        "alpha": row.alpha,
-        "K31": row.k31,
-        "K32": row.k32,
-        "K33": row.k33,
-        "K34": row.k34,
-        "w3": UNDEFINED if row.w3 is None else row.w3,
-        "w4": UNDEFINED if row.w4 is None else row.w4,
-        "p3": row.p3,
-        "p4": row.p4,
-        "violated": "none" if row.violated_index is None else str(row.violated_index),
-    }
+    return dict(zip(_SWEEP_FIELDS, _row_cells(row, float)))
 
 
 def _write_sweep(path: str, fmt: str, rows) -> None:
-    records = [_row_record(r) for r in rows]
     try:
         with open(path, "w", newline="") as fh:
             if fmt == "csv":
                 # no field name or cell ever holds a comma, quote or newline,
-                # so plain joins give the bytes csv.DictWriter would
-                fh.write(",".join(records[0]) + "\n")
-                fh.writelines(
-                    ",".join([_fmt(v) if isinstance(v, float) else v for v in rec.values()]) + "\n"
-                    for rec in records
-                )
+                # so plain lines give the bytes csv.DictWriter would
+                fh.write(",".join(_SWEEP_FIELDS) + "\n")
+                fh.writelines(_CSV_LINE % _row_cells(r, _fmt) for r in rows)
             else:
-                json.dump([_rounded(rec) for rec in records], fh, indent=1)
+                json.dump([_rounded(_row_record(r)) for r in rows], fh, indent=1)
                 fh.write("\n")
     except OSError as exc:
         raise CliError(f"cannot write output file {path!r}: {exc}") from exc
@@ -292,9 +294,15 @@ def _merge(args: argparse.Namespace) -> dict:
     return merged
 
 
+# built on the first main() call and reused: parsing leaves it unchanged
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     handler, _ = COMMANDS[args.command]
     try:
         merged = _merge(args)

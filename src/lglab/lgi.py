@@ -19,6 +19,12 @@ anomalous weak values. For the Mach-Zehnder configuration at phase phi,
 
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
+
+:func:`sweep_beta` (Fig. 2) computes its grid as whole columns: the closed
+forms above at phi = 0 and, through ``weakval._mz_weak_value_columns``, the
+port weak values. Every row matches the per-point routes (:class:`MZConfig`,
+:func:`mz_lg_closed_form`, ``detection_probabilities`` and ``mz_weak_values``)
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import numpy as np
 
 from .interferometer import (
     MZConfig,
-    detection_probabilities,
     input_state,
     output_observable,
     path_observable,
@@ -41,7 +46,7 @@ from .qcore import (
     StateVector,
     expectation,
 )
-from .weakval import mz_weak_values
+from .weakval import _mz_weak_value_columns, _squares
 
 # a K value below -VIOLATION_TOL counts as a violation; saturated (zero
 # within tolerance) cases do not
@@ -172,32 +177,39 @@ class SweepRow:
 def sweep_beta(grid) -> list[SweepRow]:
     """Closed-form LG/weak-value/probability dataset over a grid of beta values.
 
+    Each field is computed for the whole grid at once, with the operations
+    that :class:`MZConfig`, :func:`mz_lg_closed_form`,
+    :func:`detection_probabilities` and ``mz_weak_values`` perform on one
+    point at phi = 0, so every row is bit for bit what those routes give.
     Undefined weak values (vanishing port overlap) are reported as None. Rows
-    are independent and emitted in grid order.
+    are emitted in grid order.
     """
-    rows = []
-    for beta in grid:
-        b = float(beta)
-        cfg = MZConfig(beta=b)
-        report = mz_lg_closed_form(cfg)
-        p3, p4 = detection_probabilities(cfg)
-        w3, w4 = mz_weak_values(cfg, allow_undefined=True)
-        rows.append(
-            SweepRow(
-                beta=b,
-                alpha=cfg.alpha,
-                k31=report.k31,
-                k32=report.k32,
-                k33=report.k33,
-                k34=report.k34,
-                w3=None if w3 is None else w3.value.real,
-                w4=None if w4 is None else w4.value.real,
-                p3=p3,
-                p4=p4,
-                violated_index=report.violated_index,
-            )
-        )
-    return rows
+    b = np.asarray(grid, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"beta grid must be one-dimensional, got shape {b.shape}")
+    bad = np.flatnonzero(~(np.abs(b) <= 1.0))
+    if bad.size:
+        raise ValueError(f"beta must lie in [-1, 1], got {b[bad[0]].item()}")
+    betas = b.tolist()
+    a = np.sqrt(1.0 - _squares(betas))
+    # cos(0) = 1 and a * 1.0 == a
+    ks = np.stack([2.0 * b * (b - a), 2.0 * a * (a - b), 2.0 * b * (b + a), 2.0 * a * (a + b)])
+    p3 = np.minimum(_squares(np.abs(a + b).tolist()) / 2.0, 1.0)
+    p4 = np.minimum(_squares(np.abs(a - b).tolist()) / 2.0, 1.0)
+    w3, w4 = _mz_weak_value_columns(a, b)
+    # TwoTimeLGReport.from_values's rule on every column: the first K below
+    # -VIOLATION_TOL, and never two
+    negative = ks < -VIOLATION_TOL
+    many = np.flatnonzero(negative.sum(axis=0) > 1)
+    if many.size:
+        values = dict(zip(_K_SIGNS, ks[:, many[0]].tolist()))
+        raise AssertionError(f"more than one negative LG value: {values}")
+    first = np.array(list(_K_SIGNS))[negative.argmax(axis=0)]
+    violated = np.where(negative.any(axis=0), first, None).tolist()
+    return [
+        SweepRow(*row)
+        for row in zip(betas, a.tolist(), *ks.tolist(), w3, w4, p3.tolist(), p4.tolist(), violated)
+    ]
 
 
 def precession_k3(theta: float) -> float:

@@ -7,7 +7,7 @@ whole module is safe for concurrent use without synchronization.
 Two tolerance regimes are used throughout:
 
 * ``STRUCT_TOL`` (1e-12) for structural identities we compute ourselves
-  (hermiticity, unitarity, projector algebra, norms after construction);
+  (hermiticity, projector algebra, norms after construction);
 * ``INPUT_TOL`` (1e-9) for validating user-supplied data, which may carry
   accumulated rounding from whatever produced it.
 """
@@ -38,25 +38,35 @@ def _check_dims(a, b):
 
 
 def _sq_norm(a: np.ndarray) -> float:
-    """sum |a_i|^2 as ``np.linalg.norm`` forms it for a complex vector, without its wrapper."""
-    return a.real.dot(a.real) + a.imag.dot(a.imag)
+    """sum |a_i|^2 as ``np.linalg.norm`` forms it for a complex vector, without its wrapper.
+
+    ``np.vdot`` is the BLAS dot that ``ndarray.dot`` calls, with the same bits,
+    but it raises no overflow warning: a sum that overflows reads inf.
+    """
+    return float(np.vdot(a.real, a.real)) + float(np.vdot(a.imag, a.imag))
 
 
-def _rescaled(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """``a`` and its squared norm, first divided by max |component| when that
-    squared norm overflows or leaves the normal range; a zero vector stays zero."""
-    with np.errstate(over="ignore"):
-        sq = _sq_norm(a)
-    # below the smallest normal double the squared norm has lost precision
+def _rescaled(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``a`` divided by a scale, its squared norm and that scale; non-finite
+    amplitudes are rejected.
+
+    The scale is 1 (``a`` itself) unless the squared norm overflows or leaves
+    the normal range; then it is max |component|, and a zero vector stays zero.
+    """
+    sq = _sq_norm(a)
+    # below the smallest normal double the squared norm has lost precision;
+    # a NaN or inf amplitude lands outside this range too
     if sys.float_info.min <= sq < math.inf:
-        return a, sq
-    peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        return a, sq, 1.0
+    if not np.isfinite(a).all():
+        raise ValueError("state amplitudes must be finite")
+    peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
     if peak == 0.0:
-        return a, sq
+        return a, sq, 1.0
     # real and imaginary parts apart: complex division by a subnormal peak
     # would form 1/peak, which overflows
     a = a.real / peak + 1j * (a.imag / peak)
-    return a, _sq_norm(a)
+    return a, _sq_norm(a), peak
 
 
 class StateVector:
@@ -68,10 +78,11 @@ class StateVector:
     ``sum(|amp|^2) == 1`` holds to ``STRUCT_TOL`` after construction.
 
     The norm is ``sqrt(re.re + im.im)``, the expression ``np.linalg.norm``
-    evaluates for a complex vector, so it has the same bits. With
-    ``normalize=True``, finite nonzero amplitudes whose squared norm overflows
-    to inf or falls below the smallest normal double are first divided by
-    their largest real or imaginary component; every other input keeps this
+    evaluates for a complex vector, so it has the same bits. Finite nonzero
+    amplitudes whose squared norm overflows to inf or falls below the smallest
+    normal double are first divided by their largest real or imaginary
+    component, so that ``normalize=True`` keeps their direction and the
+    rejection reports their true norm; every other input keeps this
     arithmetic unchanged.
     """
 
@@ -81,18 +92,14 @@ class StateVector:
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.size == 0:
             raise ValueError("state must have at least one amplitude")
-        if not np.isfinite(a).all():
-            raise ValueError("state amplitudes must be finite")
-        if normalize:
-            a, sq = _rescaled(a)
-        else:
-            sq = _sq_norm(a)
+        a, sq, scale = _rescaled(a)
         norm = math.sqrt(sq)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        if not normalize and abs(norm - 1.0) > INPUT_TOL:
+        # the norm of the input, inf if it overflows
+        if not normalize and abs(scale * norm - 1.0) > INPUT_TOL:
             raise ValueError(
-                f"state norm {norm!r} deviates from 1 by more than {INPUT_TOL}"
+                f"state norm {scale * norm!r} deviates from 1 by more than {INPUT_TOL}"
             )
         a = a / norm
         a.setflags(write=False)
@@ -116,13 +123,13 @@ class StateVector:
 class Operator:
     """Square complex matrix with a structural kind tag.
 
-    ``kind`` is one of ``"hermitian"``, ``"unitary"`` or ``"general"``; the
-    declared structure is verified at construction to ``STRUCT_TOL``.
+    ``kind`` is ``"hermitian"`` or ``"general"``; a hermitian tag is verified
+    at construction to ``STRUCT_TOL``.
     """
 
     __slots__ = ("entries", "kind")
 
-    KINDS = ("hermitian", "unitary", "general")
+    KINDS = ("hermitian", "general")
 
     def __init__(self, entries, kind: str = "general"):
         m = np.asarray(entries, dtype=complex)
@@ -134,10 +141,6 @@ class Operator:
             raise ValueError(f"unknown operator kind {kind!r}")
         if kind == "hermitian" and not Operator._self_adjoint(m):
             raise ValueError("operator declared hermitian but M != M^dagger")
-        if kind == "unitary":
-            eye = np.eye(m.shape[0])
-            if not _close(m.conj().T @ m, eye):
-                raise ValueError("operator declared unitary but U^dagger U != I")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "kind", kind)

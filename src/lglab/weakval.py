@@ -15,6 +15,13 @@ and each call only forms the pre-selected state and four inner products. Both
 routes share one core, which holds the overlap threshold and the
 OrthogonalPostSelection error, and they agree bit for bit.
 
+:func:`_mz_weak_value_columns` is the column form of :func:`mz_weak_values`
+at phi = 0, for a whole beta sweep at once (``lgi.sweep_beta``). It matches
+the per-point route bit for bit because it repeats that route's roundings:
+the squared norm as a per-row BLAS dot, the normalisation as numpy's complex
+division by the norm, and every inner product as a stacked ``np.matmul``,
+which rounds like ``np.vdot`` (``gemv`` and ``einsum`` do not).
+
 The expectation value decomposes over any rank-1 post-selection basis {f, f'}:
 <A> = p(f) (A)_w^f + p(f') (A)_w^{f'}. Each term equals the always-finite
 product form <i|A P_f|i>, which is what we compute, so zero-probability
@@ -53,6 +60,39 @@ def _port(post: StateVector) -> tuple[np.ndarray, np.ndarray]:
 
 # the psi3 and psi4 ports are fixed, so their vectors are built once
 _PORTS = (_port(mz_basis().psi3), _port(mz_basis().psi4))
+
+
+def _squares(xs: list[float]) -> np.ndarray:
+    """x ** 2 for each float, as the per-point routes square a scalar: that is
+    libm pow, which differs in the last bit from numpy's correctly rounded
+    array square on about 0.08% of inputs."""
+    return np.array([x**2 for x in xs])
+
+
+def _mz_weak_value_columns(alpha: np.ndarray, beta: np.ndarray) -> list[list[float | None]]:
+    """Re (M2)_w at the psi3 and psi4 ports for each phi = 0 row (alpha, beta).
+
+    Returns one list per port, None where the weak value is undefined. Bit
+    for bit what :func:`mz_weak_values` gives row by row, for rows whose norm
+    is 1 within ``INPUT_TOL``.
+    """
+    amps = np.empty((alpha.size, 2), dtype=complex)
+    amps[:, 0], amps[:, 1] = alpha, beta
+    # StateVector: the squared norm is a BLAS dot (the imaginary parts are 0),
+    # then a division by the complex norm, which numpy does as a reciprocal
+    # multiply
+    sq = np.matmul(amps.real[:, None, :], amps.real[:, :, None])[:, 0, 0]
+    pre = (amps / np.sqrt(sq)[:, None]).conj()[:, None, :]
+    columns = []
+    for post, m2_post in _PORTS:
+        overlap = np.matmul(pre, post[:, None])[:, 0, 0]
+        numer = np.matmul(pre, m2_post[:, None])[:, 0, 0]
+        defined = _squares(np.abs(overlap).tolist()) > OVERLAP_TOL
+        # every amplitude is real, so the complex quotient's real part is
+        # this one division
+        w = np.divide(numer.real, overlap.real, out=np.zeros(alpha.size), where=defined)
+        columns.append([v if d else None for v, d in zip(w.tolist(), defined.tolist())])
+    return columns
 
 
 class OrthogonalPostSelection(ValueError):

@@ -5,6 +5,8 @@ import pytest
 
 from lglab import DichotomicObservable, Operator, StateVector, projector_onto
 
+from oracles import unitary
+
 
 def random_state(rng, dim=2) -> StateVector:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -14,8 +16,7 @@ def random_state(rng, dim=2) -> StateVector:
 def random_unitary(rng, dim=2) -> Operator:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return Operator(q, kind="unitary")
+    return unitary(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 def random_hermitian(rng, dim=2) -> Operator:

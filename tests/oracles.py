@@ -23,30 +23,39 @@ from lglab import (
     mz_basis,
     sequential_correlation,
 )
+from lglab.qcore import _close
 
 _SQRT2 = np.sqrt(2.0)
 
 
+def unitary(entries) -> Operator:
+    """A plain operator from ``entries``, checked to satisfy U^dagger U = I to STRUCT_TOL."""
+    u = Operator(entries)
+    if not _close(u.entries.conj().T @ u.entries, np.eye(u.dim)):
+        raise ValueError("matrix is not unitary: U^dagger U != I")
+    return u
+
+
 def bs_unitary() -> Operator:
     """Symmetric 50:50 beam splitter [[1, i], [i, 1]]/sqrt(2) in the path basis."""
-    return Operator(np.array([[1.0, 1.0j], [1.0j, 1.0]]) / _SQRT2, kind="unitary")
+    return unitary(np.array([[1.0, 1.0j], [1.0j, 1.0]]) / _SQRT2)
 
 
 def phase_unitary(phi: float) -> Operator:
     """Phase e^{i phi} on path psi2 only."""
-    return Operator(np.diag([1.0, np.exp(1.0j * phi)]), kind="unitary")
+    return unitary(np.diag([1.0, np.exp(1.0j * phi)]))
 
 
 def _bs1_effective() -> Operator:
     # preparation phase i on path psi2: turns the pre-selected state into the
     # post-first-splitter amplitudes (alpha, i beta)
-    return Operator(np.diag([1.0, 1.0j]), kind="unitary")
+    return unitary(np.diag([1.0, 1.0j]))
 
 
 def _output_relabel() -> Operator:
     # psi1 axis -> port psi4, psi2 axis -> port psi3
     b = mz_basis()
-    return Operator(np.column_stack([b.psi4.amps, b.psi3.amps]), kind="unitary")
+    return unitary(np.column_stack([b.psi4.amps, b.psi3.amps]))
 
 
 def propagate_unitary(cfg: MZConfig) -> StateVector:

@@ -4,10 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lglab
 from lglab import quasiprob, sweep_beta
 from lglab.cli import main
 
@@ -187,6 +192,25 @@ class TestSweep:
         text = ref.getvalue()
         assert "undefined" in text and ",-0," in text and ",none" in text
         assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce-fig2"],
+            ["lgi-sweep", "--grid", "3", "--min", "-0.7071067811865476", "--max", "0.7071067811865476"],
+        ],
+    )
+    def test_sweep_process_is_warning_free(self, tmp_path, argv):
+        """Both sweep commands run warning-free under ``python -W error``, the
+        grid-3 sweep ending on both dark ports: the shipped CLI, not only the
+        library under the suite's warning filters."""
+        env = {**os.environ, "PYTHONPATH": str(Path(lglab.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lglab.cli", *argv, "--output", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestQuasiprob:

@@ -14,7 +14,7 @@ from lglab import (
     projector_onto,
 )
 
-from oracles import bs_unitary, phase_unitary, propagate_unitary
+from oracles import bs_unitary, phase_unitary, propagate_unitary, unitary
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -66,6 +66,10 @@ class TestInputState:
 
 
 class TestElementConventions:
+    def test_unitary_check(self):
+        with pytest.raises(ValueError, match="unitary"):
+            unitary([[1.0, 0.0], [0.0, 2.0]])
+
     def test_bs_on_psi1(self):
         out = bs_unitary().entries @ mz_basis().psi1.amps
         np.testing.assert_allclose(out, [1 / SQ2, 1j / SQ2], atol=1e-15)

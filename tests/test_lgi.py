@@ -251,7 +251,8 @@ class TestSweep:
 
     def test_builds_one_state_and_no_fixed_object_per_point(self, monkeypatch):
         """Regression guard: the observables and port vectors are built once, at
-        import, so a sweep constructs only each point's pre-selected state."""
+        import, and the sweep works on whole columns, so it constructs no state,
+        operator or observable at all."""
         counts = {}
 
         def counting(cls):
@@ -266,7 +267,7 @@ class TestSweep:
         for cls in (StateVector, Operator, DichotomicObservable):
             monkeypatch.setattr(cls, "__init__", counting(cls))
         sweep_beta(np.linspace(-1.0, 1.0, 1001))
-        assert counts == {"StateVector": 1001}
+        assert counts == {}
 
 
 class TestMacrorealistBound:

@@ -3,13 +3,16 @@ the unitary propagation oracle, the once-validated observables, the one
 closeness test, the closed-form precession K3, the one interferometer model
 (the phase shifter folded into the pre-selected state) and the precomputed
 port vectors of the interferometer weak values over the whole (beta, phi)
-domain, including configurations within rounding of saturation.
+domain, including configurations within rounding of saturation, and the
+column-wise beta sweep against the per-point routes, bit for bit.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
 """
 
+import dataclasses
 import math
+import struct
 import subprocess
 import sys
 import textwrap
@@ -26,6 +29,7 @@ from lglab import (
     MZConfig,
     OrthogonalPostSelection,
     StateVector,
+    SweepRow,
     detection_probabilities,
     empirical_lg,
     feasibility_oracle,
@@ -45,6 +49,7 @@ from lglab import (
     precession_k3,
     projector_onto,
     quasi,
+    sweep_beta,
     two_time_lg,
     weak_value,
 )
@@ -294,6 +299,66 @@ def test_default_alpha_has_the_bits_of_numpy_sqrt(beta):
     # differs from beta*beta in the last bit for about 0.1% of inputs
     assume(abs(beta) <= 1.0)
     assert MZConfig(beta=beta).alpha == float(np.sqrt(1.0 - beta**2))
+
+
+_ROW_FIELDS = [f.name for f in dataclasses.fields(SweepRow)]
+
+
+def per_point_row(beta: float) -> tuple:
+    """One sweep row, in SweepRow field order, from the per-point routes."""
+    beta = float(beta)
+    cfg = MZConfig(beta=beta)
+    report = mz_lg_closed_form(cfg)
+    p3, p4 = detection_probabilities(cfg)
+    w3, w4 = (None if w is None else w.value.real for w in mz_weak_values(cfg, allow_undefined=True))
+    return (beta, cfg.alpha, *report.values().values(), w3, w4, p3, p4, report.violated_index)
+
+
+def bits(values) -> tuple:
+    """Each float as its IEEE bytes, so 0.0 and -0.0 differ; None and ints as they are."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in values)
+
+
+def assert_sweep_is_per_point(betas: list[float]) -> int:
+    """Every field of every sweep row has the per-point routes' bits; returns
+    the number of undefined weak values."""
+    rows = sweep_beta(betas)
+    assert len(rows) == len(betas)
+    mismatched = [
+        beta for row, beta in zip(rows, betas)
+        if bits(getattr(row, name) for name in _ROW_FIELDS) != bits(per_point_row(beta))
+    ]
+    assert mismatched == []
+    return sum((row.w3 is None) + (row.w4 is None) for row in rows)
+
+
+# the whole beta range, both zeros, the five exceptional points, and a few
+# hundred ulp around each saturation point
+sweep_beta_st = st.one_of(st.sampled_from([0.0, -0.0]), beta_st, beta_near_saturation).filter(
+    lambda b: abs(b) <= 1.0
+)
+
+
+@PROPS
+@given(st.lists(sweep_beta_st, min_size=1, max_size=40))
+def test_sweep_columns_are_the_per_point_routes_bit_for_bit(betas):
+    assert_sweep_is_per_point(betas)
+
+
+def test_sweep_columns_match_on_a_uniform_sample():
+    """Squaring a float scalar is libm pow, which differs from numpy's array
+    square on about 0.08% of uniform betas; 50001 draws give alpha, K and p
+    dozens of chances to show such a difference."""
+    assert_sweep_is_per_point(np.random.default_rng(8).uniform(-1.0, 1.0, 50001).tolist())
+
+
+@pytest.mark.parametrize("dark", [1 / np.sqrt(2), -1 / np.sqrt(2)])
+def test_sweep_columns_match_across_the_overlap_threshold(dark):
+    """200001 points within 1e-7 of a dark port, where |<pre|post>|^2 crosses
+    OVERLAP_TOL: the defined/undefined pattern and every value match too."""
+    grid = np.linspace(dark - 1e-7, dark + 1e-7, 200001).tolist()
+    undefined = assert_sweep_is_per_point(grid)
+    assert 0 < undefined < len(grid)
 
 
 def test_failing_property_reports_a_falsifying_example(tmp_path):
