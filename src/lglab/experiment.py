@@ -29,6 +29,7 @@ from .interferometer import (
     path_observable,
 )
 from .lgi import TwoTimeLGReport, k_from_moments, sequential_joint
+from .qcore import VIOLATION_TOL
 
 KINDS = ("interference", "path", "sequential")
 
@@ -168,17 +169,12 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
         + _moment_stderr(corr, shots) ** 2
     )
     ks = k_from_moments(m2, m3, corr)
-    # sampling noise can make more than one estimate dip negative; report the
-    # minimum directly rather than asserting the exact-theory exclusivity
-    negative = [i for i, v in ks.items() if v < 0.0]
+    # sampling noise can make more than one estimate a violation; report the
+    # most negative rather than asserting the exact-theory exclusivity
+    negative = [i for i, v in ks.items() if v < -VIOLATION_TOL]
     idx = min(negative, key=lambda i: ks[i]) if negative else None
     report = TwoTimeLGReport(
-        k31=ks[31],
-        k32=ks[32],
-        k33=ks[33],
-        k34=ks[34],
-        violated_index=idx,
-        margin=abs(ks[idx]) if idx is not None else 0.0,
+        *ks.values(), violated_index=idx, margin=abs(ks[idx]) if negative else 0.0
     )
     return EmpiricalLGReport(
         report=report,

@@ -33,6 +33,8 @@ class MZConfig:
     """Interferometer configuration.
 
     ``alpha`` may be omitted, in which case it is fixed to +sqrt(1 - beta^2).
+    An explicit pair within ``INPUT_TOL`` of alpha^2 + beta^2 = 1 is divided
+    by sqrt(alpha^2 + beta^2), so every route sees one unit-norm state.
     """
 
     beta: float
@@ -44,15 +46,19 @@ class MZConfig:
         # has the same bits either way
         if not math.isfinite(self.beta) or abs(self.beta) > 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-        if self.alpha is None:
+        explicit = self.alpha is not None
+        if not explicit:
             object.__setattr__(self, "alpha", math.sqrt(1.0 - self.beta**2))
         for name, v in (("alpha", self.alpha), ("phi", self.phi)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > INPUT_TOL:
-            raise ValueError(
-                f"alpha^2 + beta^2 = {self.alpha**2 + self.beta**2!r} must equal 1"
-            )
+        sq = self.alpha**2 + self.beta**2
+        if abs(sq - 1.0) > INPUT_TOL:
+            raise ValueError(f"alpha^2 + beta^2 = {sq!r} must equal 1")
+        if explicit:
+            norm = math.sqrt(sq)
+            object.__setattr__(self, "alpha", self.alpha / norm)
+            object.__setattr__(self, "beta", self.beta / norm)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,6 +17,9 @@ anomalous weak values. For the Mach-Zehnder configuration at phase phi,
     K31 = 2 beta (beta - alpha cos phi)    K32 = 2 alpha (alpha - beta cos phi)
     K33 = 2 beta (beta + alpha cos phi)    K34 = 2 alpha (alpha + beta cos phi)
 
+One rule decides every verdict: a K below -``VIOLATION_TOL`` (``qcore``) is a
+violation, whether it is read as K, as 4q or from a weak value.
+
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
 
@@ -42,15 +45,12 @@ from .interferometer import (
 )
 from .qcore import (
     STRUCT_TOL,
+    VIOLATION_TOL,
     DichotomicObservable,
     StateVector,
     expectation,
 )
 from .weakval import _mz_weak_value_columns, _squares
-
-# a K value below -VIOLATION_TOL counts as a violation; saturated (zero
-# within tolerance) cases do not
-VIOLATION_TOL = 1e-12
 
 # sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
 # Listed in K31..K34 order, which callers rely on when unpacking values.
@@ -86,10 +86,8 @@ class TwoTimeLGReport:
         negative = [i for i, v in ks.items() if v < -VIOLATION_TOL]
         if len(negative) > 1:
             raise AssertionError(f"more than one negative LG value: {ks}")
-        if negative:
-            idx = negative[0]
-            return cls(k31, k32, k33, k34, violated_index=idx, margin=abs(ks[idx]))
-        return cls(k31, k32, k33, k34, violated_index=None, margin=0.0)
+        idx = negative[0] if negative else None
+        return cls(k31, k32, k33, k34, violated_index=idx, margin=abs(ks[idx]) if negative else 0.0)
 
 
 def sequential_joint(

@@ -6,7 +6,8 @@ four deterministic outcome assignments reproduces them. In the two-time
 scenario the moment-matching joint is unique, so feasibility reduces to
 sign-checking it; an independent linear-solve route over the deterministic
 vertices is kept as a cross-validation oracle. Feasibility is equivalent to
-all four two-time LG quantities being nonnegative.
+all four two-time LG quantities being nonnegative, under the one violation
+rule on K = 4q (:meth:`~lglab.quasiprob.QuasiprobTable.feasible`).
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import MZConfig, detection_probabilities
-from .quasiprob import OUTCOMES, QuasiprobTable, _negativity, mr_reading
+from .interferometer import MZConfig
+from .lgi import mz_lg_closed_form
+from .quasiprob import OUTCOMES, QuasiprobTable, _negativity, _table_from_k, mr_reading
 
-# boundary tolerance: saturated (measure-zero) cases count as feasible
-FEAS_TOL = 1e-12
+# the fixed vertices (m2, m3) and the columns of the system over them
+_VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
+_VERTEX_SYSTEM = np.array([[1.0, m2, m3, m2 * m3] for m2, m3 in _VERTICES]).T
+_VERTEX_SYSTEM.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -40,52 +44,38 @@ class CorrelationTriple:
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     feasible: bool
-    witness: QuasiprobTable | None
+    witness: QuasiprobTable
     margin: float
+
+
+def _verdict(table: QuasiprobTable) -> FeasibilityVerdict:
+    return FeasibilityVerdict(feasible=table.feasible(), witness=table, margin=table.min_entry())
 
 
 def macrorealist_feasible(t: CorrelationTriple) -> FeasibilityVerdict:
     """Feasibility via the unique moment-matching joint (moment expansion)."""
-    table = mr_reading(t.e2, t.e3, t.e23)
-    margin = table.min_entry()
-    return FeasibilityVerdict(feasible=margin >= -FEAS_TOL, witness=table, margin=margin)
+    return _verdict(mr_reading(t.e2, t.e3, t.e23))
 
 
 def feasibility_oracle(t: CorrelationTriple) -> FeasibilityVerdict:
     """Independent route: solve the vertex system for the candidate joint.
 
-    Builds the square linear system (normalization plus three moment
-    constraints) over the four deterministic assignments (m2, m3) in {+-1}^2
-    and sign-checks the unique solution. Kept separate from
-    :func:`macrorealist_feasible` as a cross-validation path; the vertex
+    Solves the square linear system (normalization plus three moment
+    constraints) over the four deterministic assignments (m2, m3) in {+-1}^2,
+    built once at import, and sign-checks the unique solution. Kept separate
+    from :func:`macrorealist_feasible` as a cross-validation path; the vertex
     construction generalizes to larger outcome sets.
     """
-    vertices = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
-    a = np.array(
-        [
-            [1.0] * len(vertices),
-            [v[0] for v in vertices],
-            [v[1] for v in vertices],
-            [v[0] * v[1] for v in vertices],
-        ]
-    )
-    b = np.array([1.0, t.e2, t.e3, t.e23])
-    x = np.linalg.solve(a, b)
-    q = {v: float(x[k]) for k, v in enumerate(vertices)}
-    table = QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=0.0)
-    margin = table.min_entry()
-    return FeasibilityVerdict(feasible=margin >= -FEAS_TOL, witness=table, margin=margin)
+    x = np.linalg.solve(_VERTEX_SYSTEM, np.array([1.0, t.e2, t.e3, t.e23]))
+    q = {v: float(x[k]) for k, v in enumerate(_VERTICES)}
+    return _verdict(QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=0.0))
 
 
 def mz_verdict(cfg: MZConfig) -> FeasibilityVerdict:
     """Macrorealist verdict on the interferometer's quantum statistics.
 
-    The triple is (<M2>, <M3>, <M2 M3>) = (alpha^2 - beta^2, p4 - p3, 0);
-    it is infeasible exactly when |alpha beta cos phi| > min(alpha^2, beta^2):
-    at phi = 0 for every beta away from {0, +-1/sqrt(2), +-1}, at pi/2 never.
+    The joint is q = K/4 of :func:`~lglab.lgi.mz_lg_closed_form`: infeasible
+    exactly when |alpha beta cos phi| > min(alpha^2, beta^2), at phi = 0 for
+    every beta away from {0, +-1/sqrt(2), +-1}, at pi/2 never.
     """
-    p3, p4 = detection_probabilities(cfg)
-    # MZConfig accepts alpha^2 + beta^2 within INPUT_TOL of 1, so clip <M2>
-    # the way detection_probabilities clips p3 and p4
-    e2 = min(max(cfg.alpha**2 - cfg.beta**2, -1.0), 1.0)
-    return macrorealist_feasible(CorrelationTriple(e2=e2, e3=p4 - p3, e23=0.0))
+    return _verdict(_table_from_k(mz_lg_closed_form(cfg).values()))

@@ -4,12 +4,14 @@ Everything here is double precision and pure. States and operators are
 immutable after construction and every operation returns a new value, so the
 whole module is safe for concurrent use without synchronization.
 
-Two tolerance regimes are used throughout:
+Three tolerances are used throughout:
 
 * ``STRUCT_TOL`` (1e-12) for structural identities we compute ourselves
   (hermiticity, projector algebra, norms after construction);
 * ``INPUT_TOL`` (1e-9) for validating user-supplied data, which may carry
-  accumulated rounding from whatever produced it.
+  accumulated rounding from whatever produced it;
+* ``VIOLATION_TOL`` (1e-12), the one violation rule: a Leggett-Garg K (read
+  as K, as 4q or as 2 p(f)(1 -+ Re w)) below -VIOLATION_TOL is a violation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 STRUCT_TOL = 1e-12
 INPUT_TOL = 1e-9
+VIOLATION_TOL = 1e-12
 
 
 def _close(a, b, tol: float = STRUCT_TOL) -> bool:

@@ -36,6 +36,7 @@ from .lgi import (
 from .qcore import (
     INPUT_TOL,
     STRUCT_TOL,
+    VIOLATION_TOL,
     DichotomicObservable,
     StateVector,
     _close,
@@ -72,6 +73,10 @@ class QuasiprobTable:
 
     def min_entry(self) -> float:
         return float(min(self.q.values()))
+
+    def feasible(self) -> bool:
+        """No K = 4q is a violation: 4 min q >= -VIOLATION_TOL."""
+        return 4.0 * self.min_entry() >= -VIOLATION_TOL
 
 
 def _negativity(q: dict) -> float:
@@ -150,7 +155,11 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
     for name, v in (("e_i", e_i), ("e_j", e_j), ("e_ij", e_ij)):
         if not np.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:
             raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-    ks = k_from_moments(e_i, e_j, e_ij)
+    return _table_from_k(k_from_moments(e_i, e_j, e_ij))
+
+
+def _table_from_k(ks: dict[int, float]) -> QuasiprobTable:
+    """The (m2, m3) table q = K/4 of K31..K34, keyed through ``_K_SIGNS``."""
     q = {signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()}
     return QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=0.0)
 
@@ -205,12 +214,10 @@ def three_time_suite(
 ) -> ThreeTimeQuasiReport:
     """Quasiprobability tables for all ordered pairs of three observables.
 
-    The verdict is nonnegativity of all twelve entries (to 1e-12); no finer
-    macrorealism taxonomy is attempted.
+    The verdict is that every table is :meth:`QuasiprobTable.feasible`; no
+    finer macrorealism taxonomy is attempted.
     """
     obs = {1: M1, 2: M2, 3: M3}
-    tables = {
-        (i, j): quasi(state, obs[i], obs[j]) for (i, j) in ((1, 2), (1, 3), (2, 3))
-    }
-    verdict = all(t.min_entry() >= -STRUCT_TOL for t in tables.values())
+    tables = {(i, j): quasi(state, obs[i], obs[j]) for (i, j) in ((1, 2), (1, 3), (2, 3))}
+    verdict = all(t.feasible() for t in tables.values())
     return ThreeTimeQuasiReport(tables=tables, weak_macrorealism=verdict)

@@ -2,8 +2,9 @@
 
 The weak value of A for pre-selected |i> and post-selected |f> is
 (A)_w = <i|A|f> / <i|f>. For a dichotomic (+-1) observable it is *anomalous*
-when its real part falls outside [-1, +1]; a nonzero imaginary part is flagged
-separately and does not count as anomalous. When the post-selection overlap
+when the K = 2 p(f) (1 -+ Re w) it implies is a violation, K < -VIOLATION_TOL,
+so a real part just past +-1 on a nearly dark port is not; a nonzero imaginary
+part is flagged separately and does not count. When the post-selection overlap
 vanishes the weak value is undefined and OrthogonalPostSelection is raised;
 near-zero overlaps deliberately produce huge finite values (no clamping), as
 the divergence at destructive interference is exactly the effect of interest.
@@ -37,6 +38,7 @@ import numpy as np
 from .interferometer import MZConfig, input_state, mz_basis, path_observable
 from .qcore import (
     STRUCT_TOL,
+    VIOLATION_TOL,
     DichotomicObservable,
     Operator,
     StateVector,
@@ -46,9 +48,6 @@ from .qcore import (
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
 OVERLAP_TOL = 1e-15
-
-# anomaly thresholds for +-1-valued observables
-_ANOMALY_TOL = 1e-12
 
 
 def _port(post: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +107,12 @@ class WeakValueResult:
 
 
 def _classify(value: complex, postselect_prob: float) -> WeakValueResult:
-    re = value.real
+    # anomalous exactly when K = 2 p(f) (1 -+ Re w) is below -VIOLATION_TOL
+    excess = 2.0 * postselect_prob * (abs(value.real) - 1.0)
     return WeakValueResult(
         value=value,
         postselect_prob=postselect_prob,
-        anomalous_real=bool(re > 1.0 + _ANOMALY_TOL or re < -1.0 - _ANOMALY_TOL),
+        anomalous_real=bool(excess > VIOLATION_TOL),
         nonzero_imag=bool(abs(value.imag) > STRUCT_TOL),
     )
 

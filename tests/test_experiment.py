@@ -117,6 +117,13 @@ class TestEmpiricalLG:
         assert report.report.k32 < -4 * report.k_stderr[32]
         assert abs(report.report.k32 - truth) < 4 * report.k_stderr[32]
 
+    def test_rounding_zero_is_no_violation(self):
+        # three shots make K31 = 0 in exact arithmetic; the float sum reads
+        # -5.6e-17, above -VIOLATION_TOL, so it is no violation
+        report = empirical_lg(MZConfig(beta=0.9), 3, 27).report
+        assert -1e-12 < report.k31 < 0.0
+        assert report.violated_index is None
+
     def test_phase_matches_closed_form(self):
         # the path and sequential runs are blind to phi (a global phase on each
         # collapsed path state); only <M3> carries it, as the closed form does

@@ -38,6 +38,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="beta must lie in"):
             MZConfig(beta=1 + 1e-10, alpha=0.0)
 
+    def test_explicit_pair_is_put_on_the_unit_circle(self):
+        # accepted within INPUT_TOL, then divided by sqrt(alpha^2 + beta^2)
+        cfg = MZConfig(beta=0.0, alpha=1 + 4e-10)
+        assert cfg.alpha == 1.0
+        assert sum(detection_probabilities(cfg)) == 1.0
+        cfg = MZConfig(beta=0.6 * (1 - 4e-10), alpha=-0.8 * (1 - 4e-10))
+        assert cfg.alpha**2 + cfg.beta**2 == pytest.approx(1.0, abs=1e-15)
+        assert cfg.beta / cfg.alpha == pytest.approx(-0.75, abs=1e-15)
+
 
 class TestBasis:
     def test_output_basis_construction(self):

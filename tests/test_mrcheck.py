@@ -9,7 +9,9 @@ from lglab import (
     feasibility_oracle,
     lg_from_quasi,
     macrorealist_feasible,
+    mz_lg_closed_form,
     mz_verdict,
+    mz_weak_values,
     sequential_joint,
 )
 
@@ -76,6 +78,16 @@ class TestFeasibilityOracle:
             assert a.feasible == b.feasible
             assert a.margin == pytest.approx(b.margin, abs=1e-12)
 
+    def test_vertex_system_is_built_once(self):
+        from lglab import mrcheck
+
+        assert not mrcheck._VERTEX_SYSTEM.flags.writeable
+        t = CorrelationTriple(0.3, -0.2, 0.1)
+        expected = np.linalg.solve(
+            [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], [1.0, 0.3, -0.2, 0.1]
+        )
+        assert list(feasibility_oracle(t).witness.q.values()) == expected.tolist()
+
 
 class TestRouteEquivalence:
     def test_three_routes_agree_random(self, rng):
@@ -139,3 +151,33 @@ class TestMZVerdict:
             v = mz_verdict(MZConfig(beta=float(beta)))
             near = any(abs(beta - e) < 1e-9 for e in exceptional)
             assert v.feasible == near
+
+
+class TestOneViolationRule:
+    """K below -VIOLATION_TOL (1e-12) is a violation, whether it is read as K,
+    as q = K/4 or as the K = 2 p(f) (1 -+ Re w) of a weak value."""
+
+    def test_k_at_twice_the_tolerance_is_infeasible(self):
+        cfg = MZConfig(beta=1e-12)
+        report = mz_lg_closed_form(cfg)
+        assert report.violated_index == 31
+        assert -4e-12 < report.k31 < -1e-12
+        assert not mz_verdict(cfg).feasible
+
+    def test_q_at_half_the_tolerance_is_infeasible_on_both_routes(self):
+        # 4 q(-1, -1) = 1 - e2 - e3 + e23 = -2e-12
+        t = CorrelationTriple(e2=0.5, e3=0.5, e23=-2e-12)
+        for route in (macrorealist_feasible, feasibility_oracle):
+            v = route(t)
+            assert v.margin == pytest.approx(-5e-13, abs=1e-15)
+            assert not v.feasible
+
+    def test_real_part_past_one_on_a_nearly_dark_port_is_not_anomalous(self):
+        # w3 = 1.09 - 2e7 i, but p3 = 2.5e-15 and K33 = 2 p3 (1 - Re w3) = -3e-16
+        cfg = MZConfig(beta=-0.7071067811865457, phi=1e-7)
+        report = mz_lg_closed_form(cfg)
+        assert report.violated_index is None
+        assert -1e-12 < report.k33 < 0.0
+        w3, _ = mz_weak_values(cfg)
+        assert w3.value.real > 1.0
+        assert not w3.anomalous_real

@@ -3,8 +3,9 @@ the unitary propagation oracle, the once-validated observables, the one
 closeness test, the closed-form precession K3, the one interferometer model
 (the phase shifter folded into the pre-selected state) and the precomputed
 port vectors of the interferometer weak values over the whole (beta, phi)
-domain, including configurations within rounding of saturation, and the
-column-wise beta sweep against the per-point routes, bit for bit.
+domain, including configurations within rounding of saturation, the one
+violation rule down to K at its tolerance, and the column-wise beta sweep
+against the per-point routes, bit for bit.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lglab import (
@@ -63,16 +64,24 @@ PROPS = settings(derandomize=True, max_examples=300, deadline=None, database=Non
 # 4 * (K / 4) == K unless K is subnormal, so subnormal moments are left out
 moment = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
 angle = st.floats(min_value=0.0, max_value=2 * np.pi)
+EXCEPTIONAL = (-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0)
 # the whole beta range, with the dark ports and both single-path ends always in play
-beta_st = st.one_of(
-    st.sampled_from([-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0]),
-    st.floats(min_value=-1.0, max_value=1.0),
-)
+beta_st = st.one_of(st.sampled_from(EXCEPTIONAL), st.floats(min_value=-1.0, max_value=1.0))
+# beta = x +- 10^u next to an exceptional point x, u in [-17, -6], where the
+# smallest K crosses the violation tolerance
+beta_off_exceptional = st.builds(
+    lambda x, sign, u: float(x + sign * 10.0**u),
+    st.sampled_from(EXCEPTIONAL),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=-17.0, max_value=-6.0),
+).filter(lambda b: abs(b) <= 1.0)
 # no fringe, full fringe either way, or any phase
 phi_st = st.one_of(
     st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]),
     st.floats(min_value=-1e6, max_value=1e6),
 )
+# alpha on the unit circle, or off it by nearly the INPUT_TOL MZConfig allows
+stretch_st = st.sampled_from([0.0, 4e-10, -4e-10])
 
 
 # an entry of b - a: zero, exactly at either tolerance, just past one, anywhere
@@ -196,8 +205,8 @@ def test_precession_k3_closed_form_matches_matrix_route(theta):
     assert precession_k3(theta) == pytest.approx(oracle, abs=1e-12)
 
 
-def mz_config(beta, phi, negative_alpha) -> MZConfig:
-    alpha = float(np.sqrt(1.0 - beta**2)) * (-1.0 if negative_alpha else 1.0)
+def mz_config(beta, phi, negative_alpha, stretch=0.0) -> MZConfig:
+    alpha = float(np.sqrt(1.0 - beta**2)) * (-1.0 if negative_alpha else 1.0) * (1.0 + stretch)
     return MZConfig(beta=beta, alpha=alpha, phi=phi)
 
 
@@ -208,18 +217,18 @@ def k_routes(cfg):
 
 
 @PROPS
-@given(beta_st, phi_st, st.booleans())
-def test_k_routes_agree_at_every_phase(beta, phi, negative_alpha):
-    closed, *others = k_routes(mz_config(beta, phi, negative_alpha))
+@given(beta_st, phi_st, st.booleans(), stretch_st)
+def test_k_routes_agree_at_every_phase(beta, phi, negative_alpha, stretch):
+    closed, *others = k_routes(mz_config(beta, phi, negative_alpha, stretch))
     for other in others:
         for idx, value in other.values().items():
             assert closed.values()[idx] == pytest.approx(value, abs=1e-12)
 
 
 @PROPS
-@given(beta_st, phi_st, st.booleans())
-def test_folded_state_gives_port_probabilities(beta, phi, negative_alpha):
-    cfg = mz_config(beta, phi, negative_alpha)
+@given(beta_st, phi_st, st.booleans(), stretch_st)
+def test_folded_state_gives_port_probabilities(beta, phi, negative_alpha, stretch):
+    cfg = mz_config(beta, phi, negative_alpha, stretch)
     b, pre, out = mz_basis(), input_state(cfg).amps, propagate_unitary(cfg).amps
     for port, p in zip((b.psi3, b.psi4), detection_probabilities(cfg)):
         assert abs(np.vdot(port.amps, pre)) ** 2 == pytest.approx(p, abs=1e-12)
@@ -227,14 +236,15 @@ def test_folded_state_gives_port_probabilities(beta, phi, negative_alpha):
 
 
 @PROPS
-@given(beta_st, phi_st, st.booleans())
+@example(1e-12, 0.0, False)
+@given(st.one_of(beta_st, beta_off_exceptional), st.one_of(phi_st, st.just(1e-7)), st.booleans())
 def test_violation_verdict_and_anomaly_agree_at_every_phase(beta, phi, negative_alpha):
+    """One violation rule, on K: the K routes, the feasibility verdict on
+    q = K/4 and the anomaly flag on 2 p(f) (|Re w| - 1) agree, down to K at
+    the tolerance."""
     cfg = mz_config(beta, phi, negative_alpha)
     reports = k_routes(cfg)
-    # away from saturation, where VIOLATION_TOL (on K) and FEAS_TOL (on K/4)
-    # cannot disagree; a lit pair of ports keeps both weak values defined
-    if min(abs(v) for v in reports[0].values().values()) <= 1e-9:
-        return
+    # a lit pair of ports keeps both weak values defined
     ws = mz_weak_values(cfg, allow_undefined=True)
     if None in ws:
         return
@@ -261,13 +271,11 @@ beta_near_saturation = st.one_of(
     beta_near_saturation,
     st.one_of(st.sampled_from([0.0, 1e-7]), st.floats(allow_nan=False, allow_infinity=False)),
     st.booleans(),
-    # alpha on the unit circle, or off it by nearly the INPUT_TOL MZConfig allows
-    st.sampled_from([0.0, 4e-10, -4e-10]),
+    stretch_st,
 )
 def test_mz_routes_never_raise_on_an_accepted_config(beta, phi, negative_alpha, stretch):
     assume(abs(beta) <= 1.0)
-    alpha = float(np.sqrt(1.0 - beta**2)) * (-1.0 if negative_alpha else 1.0) * (1.0 + stretch)
-    cfg = MZConfig(beta=beta, alpha=alpha, phi=phi)
+    cfg = mz_config(beta, phi, negative_alpha, stretch)
     mz_verdict(cfg)
     mz_weak_values(cfg, allow_undefined=True)
     mz_lg_closed_form(cfg)
