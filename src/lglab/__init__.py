@@ -1,72 +1,50 @@
 """Desk-scale toolkit linking interferometric destructive interference,
 anomalous path weak values and two-time Leggett-Garg violations, with the
 quasiprobability no-signaling-in-time machinery and a finite-shot Monte
-Carlo harness."""
+Carlo harness.
 
-from .qcore import (
-    DichotomicObservable,
-    DimensionMismatch,
-    Operator,
-    StateVector,
-    born_probability,
-    dichotomic_from_hermitian,
-    expectation,
-    inner_product,
-    projector_onto,
-)
-from .interferometer import (
-    MZBasis,
-    MZConfig,
-    detection_probabilities,
-    input_state,
-    mz_basis,
-    output_observable,
-    path_observable,
-)
-from .weakval import (
-    OrthogonalPostSelection,
-    WeakValueResult,
-    expectation_decomposition,
-    mz_weak_values,
-    weak_value,
-)
-from .lgi import (
-    SweepRow,
-    TwoTimeLGReport,
-    k_from_moments,
-    mz_lg_closed_form,
-    mz_two_time_lg,
-    precession_k3,
-    sequential_correlation,
-    sequential_joint,
-    sweep_beta,
-    two_time_lg,
-)
-from .quasiprob import (
-    QuasiprobTable,
-    ThreeTimeQuasiReport,
-    lg_from_quasi,
-    mr_reading,
-    nsit_check,
-    quasi,
-    signaling_gap_projective,
-    three_time_suite,
-)
-from .mrcheck import (
-    CorrelationTriple,
-    FeasibilityVerdict,
-    feasibility_oracle,
-    macrorealist_feasible,
-    mz_verdict,
-)
-from .experiment import (
-    EmpiricalLGReport,
-    RunSpec,
-    SampleEstimate,
-    empirical_lg,
-    empirical_nsit,
-    outcome_probabilities,
-    run,
-)
+``import lglab`` is cheap: it imports neither numpy nor any layer module.
+The first use of an exported name (or of a layer module such as
+``lglab.quasiprob``) imports all seven layers at once and binds every export
+into the package namespace (PEP 562), so later lookups are plain attribute
+reads. Other unknown names raise :class:`AttributeError`.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# every exported name, keyed by the layer module that defines it
+_EXPORTS = {
+    "qcore": ("DichotomicObservable", "DimensionMismatch", "Operator", "StateVector", "born_probability",
+              "dichotomic_from_hermitian", "expectation", "inner_product", "projector_onto"),
+    "interferometer": ("MZBasis", "MZConfig", "detection_probabilities", "input_state", "mz_basis",
+                       "output_observable", "path_observable"),
+    "weakval": ("OrthogonalPostSelection", "WeakValueResult", "expectation_decomposition",
+                "mz_weak_values", "weak_value"),
+    "lgi": ("SweepRow", "TwoTimeLGReport", "k_from_moments", "mz_lg_closed_form", "mz_two_time_lg",
+            "precession_k3", "sequential_correlation", "sequential_joint", "sweep_beta", "two_time_lg"),
+    "quasiprob": ("QuasiprobTable", "ThreeTimeQuasiReport", "lg_from_quasi", "mr_reading", "nsit_check",
+                  "quasi", "signaling_gap_projective", "three_time_suite"),
+    "mrcheck": ("CorrelationTriple", "FeasibilityVerdict", "feasibility_oracle", "macrorealist_feasible",
+                "mz_verdict"),
+    "experiment": ("EmpiricalLGReport", "RunSpec", "SampleEstimate", "empirical_lg", "empirical_nsit",
+                   "outcome_probabilities", "run"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name: str):
+    """Load every layer on the first use of an export or a layer module name."""
+    if name not in __all__ and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    namespace = globals()
+    for layer, names in _EXPORTS.items():
+        module = importlib.import_module(f".{layer}", __name__)
+        namespace.update((n, getattr(module, n)) for n in names)
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

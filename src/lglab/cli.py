@@ -11,6 +11,9 @@ failure.
 An optional JSON config file (flat map mirroring the long option names) can
 supply defaults; precedence is flags > config > built-in defaults. The
 environment variable ``LGLAB_SEED`` overrides the default seed.
+
+Handlers look library names up through the package on use (``lglab.sweep_beta``),
+so import, ``--help`` and every usage error load no numpy and no layer module.
 """
 
 from __future__ import annotations
@@ -20,17 +23,18 @@ import json
 import os
 import sys
 
-from .experiment import RunSpec, empirical_nsit, run
-from .interferometer import MZConfig, detection_probabilities, input_state, output_observable, path_observable
-from .lgi import sweep_beta
-from .mrcheck import CorrelationTriple, macrorealist_feasible
-from . import quasiprob
-from .weakval import mz_weak_values
+import lglab
 
 UNDEFINED = "undefined"
 
 # default of an option the user must supply, by flag or config file
 REQUIRED = object()
+
+
+def __getattr__(name: str):  # lglab.cli.sweep_beta names the library's sweep, looked up on use
+    if name != "sweep_beta":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return lglab.sweep_beta
 
 
 class CliError(ValueError):
@@ -56,20 +60,20 @@ def _default_seed() -> int:
         raise CliError(f"LGLAB_SEED must be an integer, got {env!r}") from None
 
 
-def _mz_config(merged: dict) -> MZConfig:
-    return MZConfig(beta=merged["beta"], alpha=merged.get("alpha"), phi=merged.get("phi") or 0.0)
+def _mz_config(merged: dict) -> lglab.MZConfig:
+    return lglab.MZConfig(beta=merged["beta"], alpha=merged.get("alpha"), phi=merged.get("phi") or 0.0)
 
 
 def cmd_probabilities(merged: dict) -> dict:
     cfg = _mz_config(merged)
-    p3, p4 = detection_probabilities(cfg)
+    p3, p4 = lglab.detection_probabilities(cfg)
     return {"beta": cfg.beta, "alpha": cfg.alpha, "phi": cfg.phi, "p3": p3, "p4": p4}
 
 
 def cmd_weak_values(merged: dict) -> dict:
     cfg = _mz_config(merged)
-    p3, p4 = detection_probabilities(cfg)
-    w3, w4 = mz_weak_values(cfg, allow_undefined=True)
+    p3, p4 = lglab.detection_probabilities(cfg)
+    w3, w4 = lglab.mz_weak_values(cfg, allow_undefined=True)
     rec = {"beta": cfg.beta, "alpha": cfg.alpha, "p3": p3, "p4": p4}
     for name, w in (("w3", w3), ("w4", w4)):
         if w is None:
@@ -90,7 +94,7 @@ def _sweep_rows(merged: dict):
         raise CliError(f"sweep range must satisfy -1 <= min < max <= 1, got [{lo}, {hi}]")
     step = (hi - lo) / (n - 1)
     grid = [lo + k * step for k in range(n - 1)] + [hi]
-    return sweep_beta(grid)
+    return lglab.sweep_beta(grid)
 
 
 # sweep file columns, in order
@@ -143,19 +147,21 @@ def cmd_lgi_sweep(merged: dict) -> dict:
 
 def cmd_quasiprob(merged: dict) -> dict:
     cfg = _mz_config(merged)
-    q, (res_i, res_j) = quasiprob._quasi_pass(input_state(cfg), path_observable(), output_observable())
+    q, (res_i, res_j) = lglab.quasiprob._quasi_pass(
+        lglab.input_state(cfg), lglab.path_observable(), lglab.output_observable()
+    )
     rec = {"beta": cfg.beta, "alpha": cfg.alpha}
     for (mi, mj), v in sorted(q.items(), reverse=True):
         rec[f"q(m2={mi:+d},m3={mj:+d})"] = v
-    rec["negativity"] = quasiprob._negativity(q)
+    rec["negativity"] = lglab.quasiprob._negativity(q)
     rec["nsit_residual_m2"] = res_i
     rec["nsit_residual_m3"] = res_j
     return rec
 
 
 def cmd_mr_check(merged: dict) -> dict:
-    verdict = macrorealist_feasible(
-        CorrelationTriple(e2=merged["e2"], e3=merged["e3"], e23=merged["e23"])
+    verdict = lglab.macrorealist_feasible(
+        lglab.CorrelationTriple(e2=merged["e2"], e3=merged["e3"], e23=merged["e23"])
     )
     return {
         "e2": merged["e2"],
@@ -170,7 +176,7 @@ def cmd_simulate(merged: dict) -> dict:
     cfg = _mz_config(merged)
     kind = merged["kind"]
     shots = merged["shots"]
-    est = run(RunSpec(cfg=cfg, shots=shots, seed=merged["seed"], kind=kind))
+    est = lglab.run(lglab.RunSpec(cfg=cfg, shots=shots, seed=merged["seed"], kind=kind))
     rec = {"beta": cfg.beta, "alpha": cfg.alpha, "kind": kind,
            "shots": est.total, "seed": merged["seed"]}
     for label in est.counts:
@@ -185,7 +191,7 @@ def cmd_simulate(merged: dict) -> dict:
 def cmd_nsit(merged: dict) -> dict:
     cfg = _mz_config(merged)
     shots = merged["shots"]
-    gap, se = empirical_nsit(cfg, shots, merged["seed"])
+    gap, se = lglab.empirical_nsit(cfg, shots, merged["seed"])
     return {
         "beta": cfg.beta,
         "alpha": cfg.alpha,

@@ -12,6 +12,7 @@ rule on K = 4q (:meth:`~lglab.quasiprob.QuasiprobTable.feasible`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class CorrelationTriple:
     def __post_init__(self):
         for name in ("e2", "e3", "e23"):
             v = getattr(self, name)
-            if not np.isfinite(v) or abs(v) > 1.0:
+            if not math.isfinite(v) or abs(v) > 1.0:
                 raise ValueError(f"{name} must lie in [-1, 1], got {v}")
 
 

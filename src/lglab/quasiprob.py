@@ -16,6 +16,7 @@ exposed by :func:`signaling_gap_projective`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,12 +151,13 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
     """Moment-expansion table q(mi, mj) = K/4, with K from :func:`k_from_moments`.
 
     This is the macrorealist reading of the quasiprobabilities; it is exact
-    for dichotomic pairs and reproduces the inputs as its moments.
+    for dichotomic pairs and reproduces the inputs as its moments. Moments are
+    clipped into [-1, 1] (as in ``born_probability``), so at most one K is negative.
     """
     for name, v in (("e_i", e_i), ("e_j", e_j), ("e_ij", e_ij)):
-        if not np.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:
+        if not math.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:
             raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-    return _table_from_k(k_from_moments(e_i, e_j, e_ij))
+    return _table_from_k(k_from_moments(*(min(max(v, -1.0), 1.0) for v in (e_i, e_j, e_ij))))
 
 
 def _table_from_k(ks: dict[int, float]) -> QuasiprobTable:

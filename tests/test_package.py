@@ -1,0 +1,137 @@
+"""Package surface and start-up: the lazy exports of ``lglab`` and a numpy-free CLI
+until a command is dispatched."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lglab
+import lglab.cli
+
+LAYERS = ("qcore", "interferometer", "weakval", "lgi", "quasiprob", "mrcheck", "experiment")
+
+# the package's public names; a change here is an API change
+EXPORTS = {
+    "CorrelationTriple", "DichotomicObservable", "DimensionMismatch", "EmpiricalLGReport",
+    "FeasibilityVerdict", "MZBasis", "MZConfig", "Operator", "OrthogonalPostSelection",
+    "QuasiprobTable", "RunSpec", "SampleEstimate", "StateVector", "SweepRow",
+    "ThreeTimeQuasiReport", "TwoTimeLGReport", "WeakValueResult", "born_probability",
+    "detection_probabilities", "dichotomic_from_hermitian", "empirical_lg", "empirical_nsit",
+    "expectation", "expectation_decomposition", "feasibility_oracle", "inner_product",
+    "input_state", "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mr_reading",
+    "mz_basis", "mz_lg_closed_form", "mz_two_time_lg", "mz_verdict", "mz_weak_values",
+    "nsit_check", "outcome_probabilities", "output_observable", "path_observable",
+    "precession_k3", "projector_onto", "quasi", "run", "sequential_correlation",
+    "sequential_joint", "signaling_gap_projective", "sweep_beta", "three_time_suite",
+    "two_time_lg", "weak_value",
+}
+
+# reports, as JSON on the last stdout line, the exit code of ``python -m lglab.cli
+# ARGS`` run in this interpreter and the numpy and lglab modules it left loaded
+RUN_CLI = """
+import json, runpy, sys
+sys.argv[0] = "lglab"
+try:
+    runpy.run_module("lglab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(
+    m for m in sys.modules if m in ("numpy", "lglab") or m.startswith("lglab."))}))
+"""
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh ``python -W error ARGS`` on this checkout's ``lglab``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lglab.__file__).resolve().parents[1])}
+    env.pop("LGLAB_SEED", None)
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+def last_json(proc: subprocess.CompletedProcess):
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestSurface:
+    def test_all_is_the_export_set(self):
+        assert len(lglab.__all__) == len(EXPORTS) == 51
+        assert set(lglab.__all__) == EXPORTS
+
+    def test_dir_lists_every_export(self):
+        assert EXPORTS <= set(dir(lglab))
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from lglab import *", namespace)
+        assert {k for k in namespace if k != "__builtins__"} == EXPORTS
+        assert all(namespace[name] is getattr(lglab, name) for name in EXPORTS)
+
+    @pytest.mark.parametrize("module", ["lglab", "lglab.cli"])
+    def test_unknown_name_raises_attribute_error(self, module):
+        mod = sys.modules[module]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mod.no_such_name
+        assert not hasattr(mod, "no_such_name")
+
+    def test_cli_sweep_beta_is_the_library_sweep(self):
+        assert lglab.cli.sweep_beta is lglab.lgi.sweep_beta
+        assert "sweep_beta" not in vars(lglab.cli)
+
+
+class TestStartup:
+    def test_any_export_loads_all_seven_layers(self):
+        """Each export, touched first in a freshly imported package, loads every layer."""
+        script = f"""
+import importlib, sys
+layers = {LAYERS!r}
+for name in {sorted(EXPORTS)!r}:
+    for m in [m for m in sys.modules if m == "lglab" or m.startswith("lglab.")]:
+        del sys.modules[m]
+    lglab = importlib.import_module("lglab")
+    assert not any("lglab." + l in sys.modules for l in layers), name
+    getattr(lglab, name)
+    missing = [l for l in layers if "lglab." + l not in sys.modules]
+    assert not missing, (name, missing)
+    assert all(n in vars(lglab) for n in lglab.__all__), name
+print("ok")
+"""
+        proc = python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+    def test_import_loads_no_numpy(self):
+        proc = python("-c", "import json, sys, lglab.cli; print(json.dumps(sorted(sys.modules)))")
+        loaded = set(last_json(proc))
+        assert "numpy" not in loaded
+        assert not any(f"lglab.{layer}" in loaded for layer in LAYERS)
+
+    def test_help_loads_no_numpy(self):
+        proc = python("-c", RUN_CLI, "--help")
+        rec = last_json(proc)
+        assert rec["code"] == 0
+        assert "usage: lglab" in proc.stdout
+        assert rec["modules"] == ["lglab"]
+
+    def test_usage_error_loads_no_numpy(self):
+        proc = python("-c", RUN_CLI, "probabilities")
+        rec = last_json(proc)
+        assert rec["code"] == 2
+        assert "--beta is required" in proc.stderr
+        assert rec["modules"] == ["lglab"]
+
+    def test_dispatch_loads_every_layer(self, tmp_path):
+        """An in-process ``reproduce-fig2`` leaves all seven layers loaded, as a
+        tracer that wraps every layer after one such call needs."""
+        script = (
+            "import json, sys, lglab.cli\n"
+            f"assert lglab.cli.main(['reproduce-fig2', '--output', {str(tmp_path / 'fig2.csv')!r}]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        loaded = set(last_json(python("-c", script)))
+        assert "numpy" in loaded
+        assert {f"lglab.{layer}" for layer in LAYERS} <= loaded

@@ -8,6 +8,7 @@ from lglab import (
     StateVector,
     detection_probabilities,
     input_state,
+    k_from_moments,
     lg_from_quasi,
     mr_reading,
     mz_lg_closed_form,
@@ -19,6 +20,7 @@ from lglab import (
     signaling_gap_projective,
     three_time_suite,
 )
+from lglab.lgi import _K_SIGNS
 
 from conftest import random_dichotomic, random_state
 from oracles import precession_observables
@@ -160,6 +162,26 @@ class TestMrReading:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             mr_reading(1.5, 0.0, 0.0)
+
+    def test_moment_within_input_tol_is_clipped(self):
+        """<M2> = 1 + 5e-10 passes the INPUT_TOL check and reads as 1, so K31 and
+        K33 are both 0 instead of both -5e-10 (two violations at once)."""
+        report = lg_from_quasi(mr_reading(1 + 5e-10, 0.0, 0.0))
+        assert (report.k31, report.k32, report.k33, report.k34) == (0.0, 2.0, 0.0, 2.0)
+        assert report.violated_index is None
+        assert mr_reading(-1 - 5e-10, 0.3, -0.3).q == mr_reading(-1.0, 0.3, -0.3).q
+        with pytest.raises(ValueError, match="e_ij"):
+            mr_reading(0.0, 0.0, 1 + 2e-9)
+
+    def test_in_range_moments_keep_their_bits(self, rng):
+        """Moments already in [-1, 1] pass the clip untouched: every entry is
+        K/4 of k_from_moments on the raw inputs, bit for bit (signed zeros too)."""
+        triples = [tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(300)]
+        triples += [(1.0, -1.0, -0.0), (-1.0, 1.0, 1.0), (-0.0, 0.0, -1.0), (0.5, -0.5, 0.25)]
+        for e in triples:
+            table, ks = mr_reading(*e), k_from_moments(*e)
+            for idx, signs in _K_SIGNS.items():
+                assert table.q[signs].hex() == (ks[idx] / 4.0).hex(), (e, idx)
 
     def test_moment_expansion_exact_random(self, rng):
         for _ in range(300):
