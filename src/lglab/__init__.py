@@ -16,14 +16,13 @@ __version__ = "0.1.0"
 
 # every exported name, keyed by the layer module that defines it
 _EXPORTS = {
-    "qcore": ("DichotomicObservable", "DimensionMismatch", "Operator", "StateVector", "born_probability",
-              "dichotomic_from_hermitian", "expectation", "inner_product", "projector_onto"),
+    "qcore": ("DichotomicObservable", "DimensionMismatch", "Operator", "StateVector", "expectation",
+              "projector_onto"),
     "interferometer": ("MZBasis", "MZConfig", "detection_probabilities", "input_state", "mz_basis",
                        "output_observable", "path_observable"),
-    "weakval": ("OrthogonalPostSelection", "WeakValueResult", "expectation_decomposition",
-                "mz_weak_values", "weak_value"),
-    "lgi": ("SweepRow", "TwoTimeLGReport", "k_from_moments", "mz_lg_closed_form", "mz_two_time_lg",
-            "precession_k3", "sequential_correlation", "sequential_joint", "sweep_beta", "two_time_lg"),
+    "weakval": ("OrthogonalPostSelection", "WeakValueResult", "mz_weak_values", "weak_value"),
+    "lgi": ("SweepRow", "TwoTimeLGReport", "k_from_moments", "mz_lg_closed_form", "precession_k3",
+            "sequential_correlation", "sequential_joint", "sweep_beta"),
     "quasiprob": ("QuasiprobTable", "ThreeTimeQuasiReport", "lg_from_quasi", "mr_reading", "nsit_check",
                   "quasi", "signaling_gap_projective", "three_time_suite"),
     "mrcheck": ("CorrelationTriple", "FeasibilityVerdict", "feasibility_oracle", "macrorealist_feasible",

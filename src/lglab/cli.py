@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -61,7 +62,7 @@ def _default_seed() -> int:
 
 
 def _mz_config(merged: dict) -> lglab.MZConfig:
-    return lglab.MZConfig(beta=merged["beta"], alpha=merged.get("alpha"), phi=merged.get("phi") or 0.0)
+    return lglab.MZConfig(beta=merged["beta"], alpha=merged["alpha"], phi=merged["phi"])
 
 
 def cmd_probabilities(merged: dict) -> dict:
@@ -199,7 +200,7 @@ def cmd_nsit(merged: dict) -> dict:
         "seed": merged["seed"],
         "gap": gap,
         "gap_stderr": se,
-        "true_gap": cfg.alpha * cfg.beta,
+        "true_gap": cfg.alpha * cfg.beta * math.cos(cfg.phi),
     }
 
 
@@ -212,28 +213,22 @@ _SWEEP_OPTIONS = {
     "format": (str, "csv"),
 }
 
+# the interferometer of every MZ command, read by _mz_config
+_MZ_OPTIONS = {"beta": (float, REQUIRED), "alpha": (float, None), "phi": (float, 0.0)}
+
 # (handler, {option: (type, default)})
 COMMANDS = {
-    "probabilities": (cmd_probabilities, {"beta": (float, REQUIRED), "alpha": (float, None), "phi": (float, 0.0)}),
-    "weak-values": (cmd_weak_values, {"beta": (float, REQUIRED), "alpha": (float, None)}),
+    "probabilities": (cmd_probabilities, _MZ_OPTIONS),
+    "weak-values": (cmd_weak_values, _MZ_OPTIONS),
     "lgi-sweep": (cmd_lgi_sweep, _SWEEP_OPTIONS),
     "reproduce-fig2": (cmd_lgi_sweep, {**_SWEEP_OPTIONS, "grid": (int, 1001), "output": (str, "fig2.csv")}),
-    "quasiprob": (cmd_quasiprob, {"beta": (float, REQUIRED), "alpha": (float, None)}),
+    "quasiprob": (cmd_quasiprob, _MZ_OPTIONS),
     "mr-check": (cmd_mr_check, {"e2": (float, REQUIRED), "e3": (float, REQUIRED), "e23": (float, REQUIRED)}),
     "simulate": (
         cmd_simulate,
-        {
-            "beta": (float, REQUIRED),
-            "alpha": (float, None),
-            "shots": (int, REQUIRED),
-            "seed": (int, None),
-            "kind": (str, "interference"),
-        },
+        {**_MZ_OPTIONS, "shots": (int, REQUIRED), "seed": (int, None), "kind": (str, "interference")},
     ),
-    "nsit": (
-        cmd_nsit,
-        {"beta": (float, REQUIRED), "alpha": (float, None), "shots": (int, REQUIRED), "seed": (int, None)},
-    ),
+    "nsit": (cmd_nsit, {**_MZ_OPTIONS, "shots": (int, REQUIRED), "seed": (int, None)}),
 }
 
 

@@ -100,9 +100,9 @@ def input_state(cfg: MZConfig) -> StateVector:
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:
     """(p3, p4): detection probabilities at the psi3 and psi4 ports.
 
-    For phi = 0 these are (alpha+beta)^2/2 and (alpha-beta)^2/2, clipped at 1
-    like :func:`~lglab.qcore.born_probability`: alpha^2 + beta^2 may exceed 1 by
-    rounding, and a dark port's partner would then read 1.0000000000000002.
+    For phi = 0 these are (alpha+beta)^2/2 and (alpha-beta)^2/2, clipped at 1,
+    as a probability must be: alpha^2 + beta^2 may exceed 1 by rounding, and a
+    dark port's partner would then read 1.0000000000000002.
     """
     eb = np.exp(1.0j * cfg.phi) * cfg.beta
     p3 = min(float(abs(cfg.alpha + eb) ** 2 / 2.0), 1.0)

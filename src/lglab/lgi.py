@@ -11,7 +11,9 @@ K/q formula; every K or q table is read through it.
 A macrorealist model keeps all four nonnegative; quantum mechanically at most
 one can go negative, and each K also equals 2 p(f) [1 -+ (M2)_w^f] for
 post-selection f on the corresponding M3 eigenstate, tying violations to
-anomalous weak values. For the Mach-Zehnder configuration at phase phi,
+anomalous weak values. The matrix route, which evaluates both forms and
+asserts they agree, is the test oracle ``two_time_lg`` in ``tests/oracles.py``.
+For the Mach-Zehnder configuration at phase phi,
 <M2> = alpha^2 - beta^2, <M3> = -2 alpha beta cos(phi) and <M2 M3> = 0:
 
     K31 = 2 beta (beta - alpha cos phi)    K32 = 2 alpha (alpha - beta cos phi)
@@ -37,19 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (
-    MZConfig,
-    input_state,
-    output_observable,
-    path_observable,
-)
-from .qcore import (
-    STRUCT_TOL,
-    VIOLATION_TOL,
-    DichotomicObservable,
-    StateVector,
-    expectation,
-)
+from .interferometer import MZConfig
+from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector
 from .weakval import _mz_weak_value_columns, _squares
 
 # sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
@@ -114,36 +105,6 @@ def sequential_correlation(
     """<Mi Mj> = sum over mi, mj of mi*mj*p(mi, mj) with the Lueders update."""
     joint = sequential_joint(state, Mi, Mj)
     return float(sum(mi * mj * p for (mi, mj), p in joint.items()))
-
-
-def two_time_lg(
-    pre_state: StateVector, M2: DichotomicObservable, M3: DichotomicObservable
-) -> TwoTimeLGReport:
-    """Evaluate K31..K34 for a system prepared in ``pre_state``.
-
-    Each K is computed along two routes and cross-asserted to 1e-12: the
-    direct expectation/correlator form, and the weak-value form
-    2 p(f) [1 -+ Re (M2)_w^f] evaluated through the always-finite products
-    p(f) = <i|P_f|i> and <i|M2 P_f|i> so that zero-probability branches work.
-    """
-    m2op = M2.operator()
-    ks = k_from_moments(
-        expectation(m2op, pre_state),
-        expectation(M3.operator(), pre_state),
-        sequential_correlation(pre_state, M2, M3),
-    )
-    amps = pre_state.amps
-    for idx, (s2, s3) in _K_SIGNS.items():
-        # weak-value route: post-select on the M3 outcome carrying sign s3
-        proj = M3.projector(+1 if s3 > 0 else -1).entries
-        p_f = float(np.vdot(amps, proj @ amps).real)
-        t_f = complex(np.vdot(amps, m2op.entries @ proj @ amps))
-        weak_form = 2.0 * (p_f + s2 * t_f.real)
-        if abs(ks[idx] - weak_form) >= STRUCT_TOL:
-            raise AssertionError(
-                f"K{idx} routes disagree: direct {ks[idx]} vs weak-value {weak_form}"
-            )
-    return TwoTimeLGReport.from_values(*ks.values())
 
 
 def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:
@@ -219,7 +180,3 @@ def precession_k3(theta: float) -> float:
     """
     return float(2.0 * np.cos(theta) - np.cos(2.0 * theta) - 1.0)
 
-
-def mz_two_time_lg(cfg: MZConfig) -> TwoTimeLGReport:
-    """Full (non-closed-form) two-time evaluation for the interferometer."""
-    return two_time_lg(input_state(cfg), path_observable(), output_observable())

@@ -173,12 +173,6 @@ class Operator:
         return f"Operator({self.entries.tolist()!r}, kind={self.kind!r})"
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    _check_dims(a, b)
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def expectation(M: Operator, s: StateVector) -> float:
     """<s|M|s> for Hermitian M; the (vanishing) imaginary part is asserted away."""
     if not M.is_hermitian():
@@ -188,16 +182,6 @@ def expectation(M: Operator, s: StateVector) -> float:
     if abs(val.imag) >= STRUCT_TOL:
         raise AssertionError(f"Hermitian expectation has imaginary part {val.imag}")
     return val.real
-
-
-def born_probability(P: Operator, s: StateVector) -> float:
-    """<s|P|s> for a projector P, clipped to [0, 1] within STRUCT_TOL."""
-    p = expectation(P, s)  # tests M = M^dagger, so only P^2 = P is left
-    if not _close(P.entries @ P.entries, P.entries):
-        raise ValueError("born_probability requires a projector")
-    if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
-        raise AssertionError(f"Born probability {p} outside [0, 1]")
-    return float(min(max(p, 0.0), 1.0))
 
 
 def projector_onto(s: StateVector) -> Operator:
@@ -252,15 +236,3 @@ class DichotomicObservable:
         """M = P_plus - P_minus, built once at construction."""
         return self._operator
 
-
-def dichotomic_from_hermitian(M: Operator) -> DichotomicObservable:
-    """Build a DichotomicObservable from Hermitian M with M^2 = I via P_pm = (I pm M)/2."""
-    if not M.is_hermitian():
-        raise ValueError("observable must be Hermitian")
-    m = M.entries
-    eye = np.eye(M.dim)
-    if not _close(m @ m, eye):
-        raise ValueError("observable must satisfy M^2 = I (eigenvalues +-1)")
-    plus = Operator((eye + m) / 2.0, kind="hermitian")
-    minus = Operator((eye - m) / 2.0, kind="hermitian")
-    return DichotomicObservable(plus, minus)

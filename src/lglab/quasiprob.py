@@ -152,7 +152,7 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
 
     This is the macrorealist reading of the quasiprobabilities; it is exact
     for dichotomic pairs and reproduces the inputs as its moments. Moments are
-    clipped into [-1, 1] (as in ``born_probability``), so at most one K is negative.
+    clipped into [-1, 1], the range of a +-1 moment, so at most one K is negative.
     """
     for name, v in (("e_i", e_i), ("e_j", e_j), ("e_ij", e_ij)):
         if not math.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:

@@ -1,4 +1,4 @@
-"""Weak values with post-selection and the expectation-value decomposition.
+"""Weak values with post-selection.
 
 The weak value of A for pre-selected |i> and post-selected |f> is
 (A)_w = <i|A|f> / <i|f>. For a dichotomic (+-1) observable it is *anomalous*
@@ -22,11 +22,6 @@ the per-point route bit for bit because it repeats that route's roundings:
 the squared norm as a per-row BLAS dot, the normalisation as numpy's complex
 division by the norm, and every inner product as a stacked ``np.matmul``,
 which rounds like ``np.vdot`` (``gemv`` and ``einsum`` do not).
-
-The expectation value decomposes over any rank-1 post-selection basis {f, f'}:
-<A> = p(f) (A)_w^f + p(f') (A)_w^{f'}. Each term equals the always-finite
-product form <i|A P_f|i>, which is what we compute, so zero-probability
-branches need no special casing.
 """
 
 from __future__ import annotations
@@ -36,15 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import MZConfig, input_state, mz_basis, path_observable
-from .qcore import (
-    STRUCT_TOL,
-    VIOLATION_TOL,
-    DichotomicObservable,
-    Operator,
-    StateVector,
-    _check_dims,
-    expectation,
-)
+from .qcore import STRUCT_TOL, VIOLATION_TOL, Operator, StateVector, _check_dims
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
 OVERLAP_TOL = 1e-15
@@ -135,33 +122,6 @@ def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueRes
         raise ValueError("weak value requires a Hermitian observable")
     _check_dims(pre, post)
     return _weak_value(pre.amps, post.amps, A.entries @ post.amps)
-
-
-def expectation_decomposition(
-    A: Operator, pre: StateVector, basis: DichotomicObservable
-) -> tuple[complex, complex, float]:
-    """Split <A> into post-selected terms p(f)(A)_w^f + p(f')(A)_w^{f'}.
-
-    Returns (term_f, term_fperp, total) where f is the +1 outcome of
-    ``basis``. Terms are computed in the product form <pre|A P|pre>, which
-    stays finite even when a post-selection probability vanishes. The total
-    is asserted real and equal to expectation(A, pre) to 1e-12.
-    """
-    direct = expectation(A, pre)  # also the M = M^dagger test
-    for outcome in (+1, -1):
-        p = basis.projector(outcome).entries
-        if abs(np.trace(p).real - 1.0) > STRUCT_TOL:
-            raise ValueError("decomposition basis projectors must be rank 1")
-    term_f = complex(np.vdot(pre.amps, A.entries @ basis.plus_proj.entries @ pre.amps))
-    term_fperp = complex(np.vdot(pre.amps, A.entries @ basis.minus_proj.entries @ pre.amps))
-    total = term_f + term_fperp
-    if abs(total.imag) >= STRUCT_TOL:
-        raise AssertionError(f"decomposition total has imaginary part {total.imag}")
-    if abs(total.real - direct) >= STRUCT_TOL:
-        raise AssertionError(
-            f"decomposition total {total.real} != expectation {direct}"
-        )
-    return term_f, term_fperp, total.real
 
 
 def mz_weak_values(

@@ -1,7 +1,10 @@
 """Independent reference routes that the tests compare the runtime closed forms against.
 
 None of these is called by ``lglab`` itself; each is a slower, element-by-element
-computation of a quantity the package gets from a closed form.
+computation of a quantity the package gets from a closed form or a faster route:
+the unitary propagation, the Born rule on a projector, the projector pair of a
+Hermitian M with M^2 = I, the precession observables with their K3, and the
+matrix K route (:func:`two_time_lg`, :func:`mz_two_time_lg`).
 
 Interferometer convention (fixed once, verified in tests): the physical
 elements are modeled as an effective preparation phase ``diag(1, i)`` on path
@@ -19,11 +22,17 @@ from lglab import (
     MZConfig,
     Operator,
     StateVector,
-    dichotomic_from_hermitian,
+    TwoTimeLGReport,
+    expectation,
+    input_state,
+    k_from_moments,
     mz_basis,
+    output_observable,
+    path_observable,
     sequential_correlation,
 )
-from lglab.qcore import _close
+from lglab.lgi import _K_SIGNS
+from lglab.qcore import STRUCT_TOL, _close
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -34,6 +43,32 @@ def unitary(entries) -> Operator:
     if not _close(u.entries.conj().T @ u.entries, np.eye(u.dim)):
         raise ValueError("matrix is not unitary: U^dagger U != I")
     return u
+
+
+def born_probability(P: Operator, s: StateVector) -> float:
+    """<s|P|s> for a projector P, clipped to [0, 1] within STRUCT_TOL.
+
+    Oracle of ``detection_probabilities`` and of the quasiprobability marginals.
+    """
+    p = expectation(P, s)  # tests M = M^dagger, so only P^2 = P is left
+    if not _close(P.entries @ P.entries, P.entries):
+        raise ValueError("born_probability requires a projector")
+    if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
+        raise AssertionError(f"Born probability {p} outside [0, 1]")
+    return float(min(max(p, 0.0), 1.0))
+
+
+def dichotomic_from_hermitian(M: Operator) -> DichotomicObservable:
+    """Build a DichotomicObservable from Hermitian M with M^2 = I via P_pm = (I pm M)/2."""
+    if not M.is_hermitian():
+        raise ValueError("observable must be Hermitian")
+    m = M.entries
+    eye = np.eye(M.dim)
+    if not _close(m @ m, eye):
+        raise ValueError("observable must satisfy M^2 = I (eigenvalues +-1)")
+    plus = Operator((eye + m) / 2.0, kind="hermitian")
+    minus = Operator((eye - m) / 2.0, kind="hermitian")
+    return DichotomicObservable(plus, minus)
 
 
 def bs_unitary() -> Operator:
@@ -100,3 +135,39 @@ def k3(
     c23 = sequential_correlation(state, m2, m3)
     c13 = sequential_correlation(state, m1, m3)
     return c12 + c23 - c13 - 1.0
+
+
+def two_time_lg(
+    pre_state: StateVector, M2: DichotomicObservable, M3: DichotomicObservable
+) -> TwoTimeLGReport:
+    """The matrix K route: K31..K34 for a system prepared in ``pre_state``.
+
+    Each K is computed along two routes and cross-asserted to 1e-12: the
+    direct expectation/correlator form, and the weak-value form
+    2 p(f) [1 -+ Re (M2)_w^f] evaluated through the always-finite products
+    p(f) = <i|P_f|i> and <i|M2 P_f|i> so that zero-probability branches work.
+    Oracle of ``mz_lg_closed_form`` and of ``lg_from_quasi``.
+    """
+    m2op = M2.operator()
+    ks = k_from_moments(
+        expectation(m2op, pre_state),
+        expectation(M3.operator(), pre_state),
+        sequential_correlation(pre_state, M2, M3),
+    )
+    amps = pre_state.amps
+    for idx, (s2, s3) in _K_SIGNS.items():
+        # weak-value route: post-select on the M3 outcome carrying sign s3
+        proj = M3.projector(+1 if s3 > 0 else -1).entries
+        p_f = float(np.vdot(amps, proj @ amps).real)
+        t_f = complex(np.vdot(amps, m2op.entries @ proj @ amps))
+        weak_form = 2.0 * (p_f + s2 * t_f.real)
+        if abs(ks[idx] - weak_form) >= STRUCT_TOL:
+            raise AssertionError(
+                f"K{idx} routes disagree: direct {ks[idx]} vs weak-value {weak_form}"
+            )
+    return TwoTimeLGReport.from_values(*ks.values())
+
+
+def mz_two_time_lg(cfg: MZConfig) -> TwoTimeLGReport:
+    """:func:`two_time_lg` on the interferometer: oracle of ``mz_lg_closed_form`` at any phase."""
+    return two_time_lg(input_state(cfg), path_observable(), output_observable())

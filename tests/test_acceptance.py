@@ -11,7 +11,6 @@ import numpy as np
 from lglab import (
     CorrelationTriple,
     MZConfig,
-    born_probability,
     detection_probabilities,
     empirical_lg,
     empirical_nsit,
@@ -36,7 +35,7 @@ from lglab.experiment import RunSpec, run as mc_run
 from lglab.interferometer import mz_basis
 
 from conftest import random_dichotomic, random_state
-from oracles import propagate_unitary
+from oracles import born_probability, propagate_unitary
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)

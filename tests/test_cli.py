@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,67 @@ class TestNsit:
         rec = run_json(capsys, "nsit", "--beta", "0.5", "--shots", "1000000", "--seed", "42")
         assert rec["true_gap"] == pytest.approx(SQ3 / 4, rel=1e-14)
         assert abs(rec["gap"] - rec["true_gap"]) < 4 * rec["gap_stderr"]
+
+
+def r15(x: float) -> float:
+    """``x`` as a record holds it: rounded to 15 significant digits."""
+    return float(f"{x:.15g}")
+
+
+class TestPhase:
+    """Every interferometer command reads phi, from a flag or a config file, and
+    reports the library's values at that phase. At phi = 1 and beta = 0.5 no K
+    is violated, so no weak value is anomalous and no q is negative."""
+
+    PHI = 1.0
+    CFG = {"beta": 0.5, "phi": PHI}
+
+    @pytest.fixture(params=["flag", "config"])
+    def run_at_phi(self, request, capsys, tmp_path):
+        def run(command, *argv):
+            if request.param == "flag":
+                return run_json(capsys, command, "--beta", "0.5", "--phi", str(self.PHI), *argv)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"phi": self.PHI}))
+            return run_json(capsys, "--config", str(cfg), command, "--beta", "0.5", *argv)
+
+        return run
+
+    def test_probabilities(self, run_at_phi):
+        rec = run_at_phi("probabilities")
+        assert rec["phi"] == self.PHI
+        p3, p4 = lglab.detection_probabilities(lglab.MZConfig(**self.CFG))
+        assert (rec["p3"], rec["p4"]) == (r15(p3), r15(p4))
+
+    def test_weak_values(self, run_at_phi):
+        rec = run_at_phi("weak-values")
+        cfg = lglab.MZConfig(**self.CFG)
+        assert (rec["p3"], rec["p4"]) == tuple(map(r15, lglab.detection_probabilities(cfg)))
+        assert rec["p3"] == run_at_phi("probabilities")["p3"]
+        for name, w in zip(("w3", "w4"), lglab.mz_weak_values(cfg)):
+            assert rec[name] == r15(w.value.real)
+            assert rec[f"{name}_anomalous"] is w.anomalous_real is False
+
+    def test_quasiprob(self, run_at_phi):
+        rec = run_at_phi("quasiprob")
+        cfg = lglab.MZConfig(**self.CFG)
+        table = lglab.quasi(lglab.input_state(cfg), lglab.path_observable(), lglab.output_observable())
+        for (mi, mj), v in table.q.items():
+            assert rec[f"q(m2={mi:+d},m3={mj:+d})"] == r15(v)
+        assert rec["negativity"] == table.negativity == 0.0
+
+    @pytest.mark.parametrize("kind", ["interference", "sequential"])
+    def test_simulate(self, run_at_phi, kind):
+        rec = run_at_phi("simulate", "--shots", "10000", "--seed", "7", "--kind", kind)
+        spec = lglab.RunSpec(cfg=lglab.MZConfig(**self.CFG), shots=10000, seed=7, kind=kind)
+        for label, count in lglab.run(spec).counts.items():
+            assert rec[f"count[{label}]"] == count
+
+    def test_nsit(self, run_at_phi):
+        rec = run_at_phi("nsit", "--shots", "10000", "--seed", "7")
+        cfg = lglab.MZConfig(**self.CFG)
+        assert rec["true_gap"] == r15(cfg.alpha * cfg.beta * math.cos(self.PHI))
+        assert rec["gap"] == r15(lglab.empirical_nsit(cfg, 10000, 7)[0])
 
 
 class TestRounding:

@@ -5,7 +5,6 @@ import pytest
 
 from lglab import (
     MZConfig,
-    born_probability,
     detection_probabilities,
     input_state,
     mz_basis,
@@ -14,7 +13,7 @@ from lglab import (
     projector_onto,
 )
 
-from oracles import bs_unitary, phase_unitary, propagate_unitary, unitary
+from oracles import born_probability, bs_unitary, phase_unitary, propagate_unitary, unitary
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)

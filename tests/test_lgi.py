@@ -13,7 +13,6 @@ from lglab import (
     lg_from_quasi,
     mr_reading,
     mz_lg_closed_form,
-    mz_two_time_lg,
     mz_verdict,
     mz_weak_values,
     output_observable,
@@ -23,11 +22,10 @@ from lglab import (
     sequential_correlation,
     sequential_joint,
     sweep_beta,
-    two_time_lg,
 )
 
 from conftest import random_dichotomic, random_state
-from oracles import k3, precession_observables
+from oracles import k3, mz_two_time_lg, precession_observables, two_time_lg
 
 SQ3 = np.sqrt(3.0)
 

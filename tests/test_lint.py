@@ -1,0 +1,59 @@
+"""Static checks on the package source, with the standard library only.
+
+No linter is a dependency of this project, so an import that a change leaves
+behind would go unnoticed; this module catches it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import lglab
+
+SOURCES = sorted(Path(lglab.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line; ``from __future__`` is skipped."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, counting annotations, quoted ones included."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    reads |= read_names(ast.parse(sub.value, mode="eval"))
+    return reads
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {name: line for name, line in imported_names(tree).items() if name not in read_names(tree)}
+    assert not unused, f"{path.name}: imported and never read: {unused}"
+
+
+def test_the_guard_finds_an_unused_import():
+    tree = ast.parse("import os\nfrom math import pi, tau\nx: 'Path' = tau\nfrom pathlib import Path\n")
+    assert imported_names(tree).keys() - read_names(tree) == {"os", "pi"}

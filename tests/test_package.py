@@ -1,6 +1,7 @@
 """Package surface and start-up: the lazy exports of ``lglab`` and a numpy-free CLI
 until a command is dispatched."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import lglab
 import lglab.cli
+import oracles
 
 LAYERS = ("qcore", "interferometer", "weakval", "lgi", "quasiprob", "mrcheck", "experiment")
 
@@ -19,16 +21,19 @@ EXPORTS = {
     "CorrelationTriple", "DichotomicObservable", "DimensionMismatch", "EmpiricalLGReport",
     "FeasibilityVerdict", "MZBasis", "MZConfig", "Operator", "OrthogonalPostSelection",
     "QuasiprobTable", "RunSpec", "SampleEstimate", "StateVector", "SweepRow",
-    "ThreeTimeQuasiReport", "TwoTimeLGReport", "WeakValueResult", "born_probability",
-    "detection_probabilities", "dichotomic_from_hermitian", "empirical_lg", "empirical_nsit",
-    "expectation", "expectation_decomposition", "feasibility_oracle", "inner_product",
-    "input_state", "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mr_reading",
-    "mz_basis", "mz_lg_closed_form", "mz_two_time_lg", "mz_verdict", "mz_weak_values",
-    "nsit_check", "outcome_probabilities", "output_observable", "path_observable",
-    "precession_k3", "projector_onto", "quasi", "run", "sequential_correlation",
-    "sequential_joint", "signaling_gap_projective", "sweep_beta", "three_time_suite",
-    "two_time_lg", "weak_value",
+    "ThreeTimeQuasiReport", "TwoTimeLGReport", "WeakValueResult", "detection_probabilities",
+    "empirical_lg", "empirical_nsit", "expectation", "feasibility_oracle", "input_state",
+    "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mr_reading", "mz_basis",
+    "mz_lg_closed_form", "mz_verdict", "mz_weak_values", "nsit_check", "outcome_probabilities",
+    "output_observable", "path_observable", "precession_k3", "projector_onto", "quasi", "run",
+    "sequential_correlation", "sequential_joint", "signaling_gap_projective", "sweep_beta",
+    "three_time_suite", "weak_value",
 }
+
+# test oracles, not runtime routes: they live in tests/oracles.py
+ORACLES = ("two_time_lg", "mz_two_time_lg", "born_probability", "dichotomic_from_hermitian")
+# no caller but their own tests, so deleted
+DELETED = ("inner_product", "expectation_decomposition")
 
 # reports, as JSON on the last stdout line, the exit code of ``python -m lglab.cli
 # ARGS`` run in this interpreter and the numpy and lglab modules it left loaded
@@ -59,7 +64,7 @@ def last_json(proc: subprocess.CompletedProcess):
 
 class TestSurface:
     def test_all_is_the_export_set(self):
-        assert len(lglab.__all__) == len(EXPORTS) == 51
+        assert len(lglab.__all__) == len(EXPORTS) == 45
         assert set(lglab.__all__) == EXPORTS
 
     def test_dir_lists_every_export(self):
@@ -77,6 +82,13 @@ class TestSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             mod.no_such_name
         assert not hasattr(mod, "no_such_name")
+
+    @pytest.mark.parametrize("name", ORACLES + DELETED)
+    def test_removed_name_is_not_exported(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(lglab, name)
+        assert not any(hasattr(importlib.import_module(f"lglab.{layer}"), name) for layer in LAYERS)
+        assert callable(getattr(oracles, name, None)) == (name in ORACLES)
 
     def test_cli_sweep_beta_is_the_library_sweep(self):
         assert lglab.cli.sweep_beta is lglab.lgi.sweep_beta

@@ -41,7 +41,6 @@ from lglab import (
     mr_reading,
     mz_basis,
     mz_lg_closed_form,
-    mz_two_time_lg,
     mz_verdict,
     mz_weak_values,
     nsit_check,
@@ -51,13 +50,12 @@ from lglab import (
     projector_onto,
     quasi,
     sweep_beta,
-    two_time_lg,
     weak_value,
 )
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
 
-from oracles import k3, precession_observables, propagate_unitary
+from oracles import k3, mz_two_time_lg, precession_observables, propagate_unitary, two_time_lg
 
 PROPS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 

@@ -1,4 +1,8 @@
-"""Core linear-algebra layer: construction policies, Born rule, projector algebra."""
+"""Core linear-algebra layer: construction policies, Born rule, projector algebra.
+
+The Born rule and the projector pair of a Hermitian M with M^2 = I are test
+oracles (``tests/oracles.py``); their tests here check the oracles themselves.
+"""
 
 import re
 import warnings
@@ -11,12 +15,7 @@ from lglab import (
     DimensionMismatch,
     Operator,
     StateVector,
-    born_probability,
-    dichotomic_from_hermitian,
     expectation,
-    expectation_decomposition,
-    inner_product,
-    path_observable,
     projector_onto,
     weak_value,
 )
@@ -24,6 +23,7 @@ from lglab.interferometer import mz_basis
 from lglab.qcore import STRUCT_TOL
 
 from conftest import random_dichotomic, random_state
+from oracles import born_probability, dichotomic_from_hermitian
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -104,30 +104,34 @@ class TestOperator:
 
 
 class TestInnerProduct:
+    """<a|b> as every runtime route forms it: ``np.vdot`` on the amplitudes."""
+
     def test_normalization(self):
         psi1 = mz_basis().psi1
-        assert inner_product(psi1, psi1) == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(psi1.amps, psi1.amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_paths(self):
         b = mz_basis()
-        assert inner_product(b.psi1, b.psi2) == pytest.approx(0.0, abs=1e-12)
+        assert np.vdot(b.psi1.amps, b.psi2.amps) == pytest.approx(0.0, abs=1e-12)
 
     def test_input_output_overlap(self):
-        # oracle: direct complex dot product
+        # oracle: the explicit sum conj(a_k) b_k
         psi_i = StateVector([SQ3 / 2, 0.5])
         psi3 = mz_basis().psi3
-        oracle = np.conj(psi_i.amps) @ psi3.amps
-        val = inner_product(psi_i, psi3)
+        oracle = sum(np.conj(a) * b for a, b in zip(psi_i.amps, psi3.amps))
+        val = np.vdot(psi_i.amps, psi3.amps)
         assert val == pytest.approx(oracle, abs=1e-12)
         assert val.real == pytest.approx((SQ3 + 1) / (2 * SQ2), abs=1e-12)
 
     def test_conjugate_linear_first_argument(self, rng):
-        a, b = random_state(rng), random_state(rng)
-        assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)), abs=1e-12)
+        a, b = random_state(rng).amps, random_state(rng).amps
+        assert np.vdot(a, b) == pytest.approx(np.conj(np.vdot(b, a)), abs=1e-12)
 
     def test_dimension_mismatch(self):
+        # the overlap of a weak value is checked before it is formed
+        eye = Operator(np.eye(2), kind="hermitian")
         with pytest.raises(DimensionMismatch):
-            inner_product(StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0]))
+            weak_value(eye, StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0]))
 
 
 class TestExpectation:
@@ -222,19 +226,12 @@ class TestDichotomicObservable:
             obs.projector(0)
 
 
-def _projector_pair(A):
-    obs = dichotomic_from_hermitian(A)
-    return obs.plus_proj.entries, obs.minus_proj.entries
-
-
 _PRE = StateVector([SQ3 / 2, 0.5])
 
-# each function that checks its argument with Operator.is_hermitian, reduced to comparable values
+# each runtime route that checks its argument with Operator.is_hermitian, reduced to comparable values
 HERMITIAN_ROUTES = {
     "expectation": lambda A: expectation(A, _PRE),
     "weak_value": lambda A: weak_value(A, _PRE, mz_basis().psi3).value,
-    "expectation_decomposition": lambda A: expectation_decomposition(A, _PRE, path_observable()),
-    "dichotomic_from_hermitian": _projector_pair,
 }
 
 

@@ -23,7 +23,7 @@ from lglab import (
 from lglab.lgi import _K_SIGNS
 
 from conftest import random_dichotomic, random_state
-from oracles import precession_observables
+from oracles import born_probability, precession_observables
 
 SQ3 = np.sqrt(3.0)
 
@@ -38,8 +38,6 @@ class TestQuasi:
         obs = random_dichotomic(rng)
         state = random_state(rng)
         table = quasi(state, obs, obs)
-        from lglab import born_probability
-
         for m in (+1, -1):
             assert table.entry(m, m) == pytest.approx(
                 born_probability(obs.projector(m), state), abs=1e-12

@@ -1,23 +1,28 @@
 """Weak values, the expectation decomposition and the interferometer closed forms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lglab import (
     MZConfig,
     Operator,
     OrthogonalPostSelection,
     StateVector,
+    detection_probabilities,
     expectation,
-    expectation_decomposition,
-    input_state,
     mz_basis,
     mz_weak_values,
     path_observable,
+    projector_onto,
     weak_value,
 )
 
-from conftest import random_dichotomic, random_hermitian, random_state
+from conftest import random_hermitian, random_state, random_unitary
+from oracles import born_probability
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -46,8 +51,6 @@ class TestWeakValue:
             weak_value(path_observable().operator(), pre, mz_basis().psi4)
 
     def test_postselect_prob_is_born_probability(self, rng):
-        from lglab import born_probability, projector_onto
-
         for _ in range(100):
             pre, post = random_state(rng), random_state(rng)
             if abs(np.vdot(pre.amps, post.amps)) ** 2 <= 1e-6:
@@ -62,55 +65,66 @@ class TestWeakValue:
             weak_value(Operator([[0, 1], [0, 0]]), StateVector([1, 0]), StateVector([1, 0]))
 
 
-class TestExpectationDecomposition:
-    def test_mz_example(self):
-        pre = input_state(MZConfig(beta=0.5))
-        from lglab import output_observable
+# within 1e-2 of a dark port: beta near +-1/sqrt(2), phi near 0 or pi
+NEAR_DARK_BETA = st.builds(lambda x, d: x + d, st.sampled_from((-1 / SQ2, 1 / SQ2)), st.floats(-1e-2, 1e-2))
+NEAR_DARK_PHI = st.builds(lambda x, d: x + d, st.sampled_from((0.0, np.pi)), st.floats(-1e-2, 1e-2))
 
-        _, _, total = expectation_decomposition(path_observable().operator(), pre, output_observable())
+
+def decomposed(A, pre, rng):
+    """p(f) (A)_w^f + p(f') (A)_w^{f'} over a random orthonormal basis {f, f'},
+    through :func:`weak_value`."""
+    u = random_unitary(rng).entries
+    return sum(w.postselect_prob * w.value for w in (weak_value(A, pre, StateVector(f)) for f in u.T))
+
+
+def mz_decomposed(cfg):
+    """p3 w3 + p4 w4 from the runtime port routes; an unlit port adds nothing."""
+    p3, p4 = detection_probabilities(cfg)
+    w3, w4 = mz_weak_values(cfg, allow_undefined=True)
+    return sum(p * w.value for p, w in ((p3, w3), (p4, w4)) if w is not None)
+
+
+class TestExpectationDecomposition:
+    """<A> = p(f) (A)_w^f + p(f') (A)_w^{f'}, the paper's <M2> = p3 w3 + p4 w4."""
+
+    def test_mz_example(self):
+        total = mz_decomposed(MZConfig(beta=0.5))
         assert total == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_terms_are_probabilities(self, rng):
-        pre = random_state(rng)
-        basis = random_dichotomic(rng)
-        term_f, term_fp, total = expectation_decomposition(
-            Operator(np.eye(2), kind="hermitian"), pre, basis
-        )
-        from lglab import born_probability
-
-        assert term_f == pytest.approx(born_probability(basis.plus_proj, pre), abs=1e-12)
-        assert term_fp == pytest.approx(born_probability(basis.minus_proj, pre), abs=1e-12)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        eye = Operator(np.eye(2), kind="hermitian")
+        for _ in range(100):
+            assert decomposed(eye, random_state(rng), rng) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_state_vanishes(self):
-        from lglab import output_observable
-
-        _, _, total = expectation_decomposition(
-            path_observable().operator(), mz_basis().psi3, output_observable()
-        )
-        assert total == pytest.approx(0.0, abs=1e-12)
+        # equal arms: psi4 is dark, and the lit port alone carries <M2> = 0
+        cfg = MZConfig(beta=1 / SQ2, alpha=1 / SQ2)
+        assert mz_weak_values(cfg, allow_undefined=True)[1] is None
+        assert mz_decomposed(cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_probability_branch_is_finite(self):
-        # pre orthogonal to the +1 projector of the basis: product form applies
-        from lglab import DichotomicObservable, projector_onto
-
-        b = mz_basis()
-        basis = DichotomicObservable(projector_onto(b.psi4), projector_onto(b.psi3))
-        pre = b.psi3
-        term_f, term_fp, total = expectation_decomposition(
-            path_observable().operator(), pre, basis
-        )
-        # P_f |pre> = 0, so the product-form term vanishes instead of diverging
-        assert term_f == pytest.approx(0.0, abs=1e-12)
-        assert total == pytest.approx(0.0, abs=1e-12)
+        # next to the dark port w4 diverges, but p4 w4 stays finite
+        cfg = MZConfig(beta=1 / SQ2 - 1e-7)
+        _, w4 = mz_weak_values(cfg)
+        assert abs(w4.value) > 1e6
+        assert mz_decomposed(cfg) == pytest.approx(cfg.alpha**2 - cfg.beta**2, abs=1e-12)
 
     def test_decomposition_identity_random(self, rng):
         for _ in range(1000):
             a = random_hermitian(rng)
             pre = random_state(rng)
-            basis = random_dichotomic(rng)
-            _, _, total = expectation_decomposition(a, pre, basis)
-            assert total == pytest.approx(expectation(a, pre), abs=1e-12)
+            assert decomposed(a, pre, rng) == pytest.approx(expectation(a, pre), abs=1e-12)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.one_of(st.floats(-1.0, 1.0), NEAR_DARK_BETA), st.one_of(st.floats(0.0, 2 * np.pi), NEAR_DARK_PHI),
+           st.booleans())
+    def test_mz_decomposition_over_the_domain(self, beta, phi, negative_alpha):
+        # wherever both ports are lit, down to 1e-6 next to a dark port
+        alpha = math.sqrt(1.0 - beta * beta) * (-1.0 if negative_alpha else 1.0)
+        cfg = MZConfig(beta=beta, alpha=alpha, phi=phi)
+        assume(min(detection_probabilities(cfg)) >= 1e-6)
+        total = mz_decomposed(cfg)
+        assert abs(total - (cfg.alpha**2 - cfg.beta**2)) <= 1e-12
 
 
 class TestMZWeakValues:
@@ -136,8 +150,6 @@ class TestMZWeakValues:
         assert w4.value.real == pytest.approx(2 + SQ3, abs=1e-12)
 
     def test_postselect_probs_match_detection(self):
-        from lglab import detection_probabilities
-
         for beta in np.linspace(-0.95, 0.95, 21):
             cfg = MZConfig(beta=float(beta))
             p3, p4 = detection_probabilities(cfg)
