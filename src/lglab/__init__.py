@@ -25,8 +25,7 @@ _EXPORTS = {
             "sequential_correlation", "sequential_joint", "sweep_beta"),
     "quasiprob": ("QuasiprobTable", "ThreeTimeQuasiReport", "lg_from_quasi", "mr_reading", "nsit_check",
                   "quasi", "signaling_gap_projective", "three_time_suite"),
-    "mrcheck": ("CorrelationTriple", "FeasibilityVerdict", "feasibility_oracle", "macrorealist_feasible",
-                "mz_verdict"),
+    "mrcheck": ("CorrelationTriple", "feasibility_oracle", "macrorealist_feasible", "mz_verdict"),
     "experiment": ("EmpiricalLGReport", "RunSpec", "SampleEstimate", "empirical_lg", "empirical_nsit",
                    "outcome_probabilities", "run"),
 }

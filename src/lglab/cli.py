@@ -148,28 +148,25 @@ def cmd_lgi_sweep(merged: dict) -> dict:
 
 def cmd_quasiprob(merged: dict) -> dict:
     cfg = _mz_config(merged)
-    q, (res_i, res_j) = lglab.quasiprob._quasi_pass(
-        lglab.input_state(cfg), lglab.path_observable(), lglab.output_observable()
-    )
+    table = lglab.quasi(lglab.input_state(cfg), lglab.path_observable(), lglab.output_observable())
     rec = {"beta": cfg.beta, "alpha": cfg.alpha}
-    for (mi, mj), v in sorted(q.items(), reverse=True):
+    for (mi, mj), v in sorted(table.q.items(), reverse=True):
         rec[f"q(m2={mi:+d},m3={mj:+d})"] = v
-    rec["negativity"] = lglab.quasiprob._negativity(q)
-    rec["nsit_residual_m2"] = res_i
-    rec["nsit_residual_m3"] = res_j
+    rec["negativity"] = table.negativity
+    rec["nsit_residual_m2"], rec["nsit_residual_m3"] = table.nsit_residuals
     return rec
 
 
 def cmd_mr_check(merged: dict) -> dict:
-    verdict = lglab.macrorealist_feasible(
+    table = lglab.macrorealist_feasible(
         lglab.CorrelationTriple(e2=merged["e2"], e3=merged["e3"], e23=merged["e23"])
     )
     return {
         "e2": merged["e2"],
         "e3": merged["e3"],
         "e23": merged["e23"],
-        "feasible": verdict.feasible,
-        "margin": verdict.margin,
+        "feasible": table.feasible,
+        "margin": table.margin,
     }
 
 
@@ -178,14 +175,15 @@ def cmd_simulate(merged: dict) -> dict:
     kind = merged["kind"]
     shots = merged["shots"]
     est = lglab.run(lglab.RunSpec(cfg=cfg, shots=shots, seed=merged["seed"], kind=kind))
+    estimates, stderr, metadata = est.estimates, est.stderr, est.metadata
     rec = {"beta": cfg.beta, "alpha": cfg.alpha, "kind": kind,
            "shots": est.total, "seed": merged["seed"]}
     for label in est.counts:
         rec[f"count[{label}]"] = est.counts[label]
-        rec[f"estimate[{label}]"] = est.estimates[label]
-        rec[f"stderr[{label}]"] = est.stderr[label]
-    if "zero_count_outcomes" in est.metadata:
-        rec["zero_count_stderr_rule"] = est.metadata["zero_count_stderr_rule"]
+        rec[f"estimate[{label}]"] = estimates[label]
+        rec[f"stderr[{label}]"] = stderr[label]
+    if "zero_count_outcomes" in metadata:
+        rec["zero_count_stderr_rule"] = metadata["zero_count_stderr_rule"]
     return rec
 
 

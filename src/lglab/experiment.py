@@ -12,12 +12,15 @@ Randomness comes from numpy's Philox (4x64) counter-based bit generator keyed
 directly by the run seed, so identical (spec, seed) pairs give bit-identical
 counts regardless of host or thread count. Standard errors are plain
 multinomial sqrt(p(1-p)/N); zero-count outcomes get the rule-of-three upper
-bound 3/N instead, noted in the estimate metadata.
+bound 3/N instead, noted in the estimate metadata. Results store only the
+counts or moments; estimates, errors, metadata and K are properties of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +31,7 @@ from .interferometer import (
     output_observable,
     path_observable,
 )
-from .lgi import TwoTimeLGReport, k_from_moments, sequential_joint
-from .qcore import VIOLATION_TOL
+from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments, sequential_joint
 
 KINDS = ("interference", "path", "sequential")
 
@@ -41,6 +43,21 @@ def _seq_label(m2: int, m3: int) -> str:
     return f"m2={m2:+d},m3={m3:+d}"
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy integers pass); a ValueError naming the field otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed) -> int:
+    """The one seed rule, for run seeds and master seeds alike."""
+    if not 0 <= _integer("seed", seed) < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class RunSpec:
     cfg: MZConfig
@@ -49,26 +66,46 @@ class RunSpec:
     kind: str
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.shots > 2**63 - 1:
-            raise ValueError(f"shots must be <= 2**63 - 1, got {self.shots}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        if not 1 <= _integer("shots", self.shots) <= 2**63 - 1:
+            raise ValueError(f"shots must lie in [1, 2**63 - 1], got {self.shots}")
+        _check_seed(self.seed)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class SampleEstimate:
+    """The counts of one run; everything else is read off them and the spec."""
+
+    spec: RunSpec
     counts: dict[str, int]
-    total: int
-    estimates: dict[str, float]
-    stderr: dict[str, float]
-    metadata: dict = field(default_factory=dict)
+
+    @property
+    def total(self) -> int:
+        return self.spec.shots
 
     def estimate(self, outcome: str) -> float:
-        return self.estimates[outcome]
+        return self.counts[outcome] / self.spec.shots
+
+    @property
+    def estimates(self) -> dict[str, float]:
+        return {k: self.estimate(k) for k in self.counts}
+
+    @property
+    def stderr(self) -> dict[str, float]:
+        """sqrt(p(1-p)/N) per outcome; 3/N (rule of three) for a zero count."""
+        n = self.spec.shots
+        return {k: math.sqrt(c / n * (1.0 - c / n) / n) if c else 3.0 / n
+                for k, c in self.counts.items()}
+
+    @property
+    def metadata(self) -> dict:
+        meta = {"rng": "numpy Philox(4x64)", "seed": int(self.spec.seed), "kind": self.spec.kind}
+        zero = [k for k, c in self.counts.items() if c == 0]
+        if zero:
+            meta["zero_count_stderr_rule"] = "rule-of-three upper bound 3/N"
+            meta["zero_count_outcomes"] = zero
+        return meta
 
 
 def outcome_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
@@ -84,65 +121,58 @@ def outcome_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
 def run(spec: RunSpec) -> SampleEstimate:
-    """Sample one run and return counts, frequency estimates and standard errors."""
+    """Sample one run: the counts, from which the estimates and errors are read."""
     probs = outcome_probabilities(spec.cfg, spec.kind)
-    labels = list(probs)
-    pvec = np.array([probs[k] for k in labels])
+    pvec = np.array(list(probs.values()))
     pvec = pvec / pvec.sum()  # guard against 1e-16 drift in the tail entry
-    counts = _rng(spec.seed).multinomial(spec.shots, pvec)
-    n = spec.shots
-    est = {k: c / n for k, c in zip(labels, counts)}
-    stderr = {}
-    zero = []
-    for k, c in zip(labels, counts):
-        if c == 0:
-            stderr[k] = 3.0 / n
-            zero.append(k)
-        else:
-            p = c / n
-            stderr[k] = float(np.sqrt(p * (1.0 - p) / n))
-    meta = {"rng": "numpy Philox(4x64)", "seed": int(spec.seed), "kind": spec.kind}
-    if zero:
-        meta["zero_count_stderr_rule"] = "rule-of-three upper bound 3/N"
-        meta["zero_count_outcomes"] = zero
-    return SampleEstimate(
-        counts={k: int(c) for k, c in zip(labels, counts)},
-        total=n,
-        estimates=est,
-        stderr=stderr,
-        metadata=meta,
-    )
+    counts = np.random.Generator(np.random.Philox(key=int(spec.seed))).multinomial(spec.shots, pvec)
+    return SampleEstimate(spec, dict(zip(probs, counts.tolist())))
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
     """Deterministic per-run seeds derived from one master seed."""
-    return [int(s) for s in np.random.SeedSequence(int(seed)).generate_state(n, np.uint64)]
+    states = np.random.SeedSequence(_check_seed(seed)).generate_state(n, np.uint64)
+    return [int(s) for s in states]
 
 
 def _moment_stderr(m: float, n: int) -> float:
     # variance of a +-1-valued empirical mean: (1 - m^2)/N
-    return float(np.sqrt(max(0.0, 1.0 - m * m) / n))
+    return math.sqrt(max(0.0, 1.0 - m * m) / n)
 
 
 @dataclass(frozen=True)
 class EmpiricalLGReport:
-    """Finite-shot two-time LG estimates with propagated standard errors."""
+    """Finite-shot moment estimates; K values and propagated errors are read off them."""
 
-    report: TwoTimeLGReport
-    k_stderr: dict[int, float]
     m2_est: float
-    m2_stderr: float
     m3_est: float
-    m3_stderr: float
     corr_est: float
-    corr_stderr: float
     shots: int
     seed: int
+
+    @property
+    def report(self) -> TwoTimeLGReport:
+        """K31..K34 of the moments; of several violations (noise) the most negative is named."""
+        return TwoTimeLGReport(*k_from_moments(self.m2_est, self.m3_est, self.corr_est).values())
+
+    @property
+    def m2_stderr(self) -> float:
+        return _moment_stderr(self.m2_est, self.shots)
+
+    @property
+    def m3_stderr(self) -> float:
+        return _moment_stderr(self.m3_est, self.shots)
+
+    @property
+    def corr_stderr(self) -> float:
+        return _moment_stderr(self.corr_est, self.shots)
+
+    @property
+    def k_stderr(self) -> dict[int, float]:
+        """The three moment errors in quadrature, the same for every K."""
+        se = math.sqrt(self.m2_stderr**2 + self.m3_stderr**2 + self.corr_stderr**2)
+        return dict.fromkeys(_K_SIGNS, se)
 
 
 def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
@@ -163,31 +193,7 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
         m2v * m3v * sequential.estimate(_seq_label(m2v, m3v))
         for m2v, m3v in SEQ_OUTCOMES
     )
-    se = np.sqrt(
-        _moment_stderr(m2, shots) ** 2
-        + _moment_stderr(m3, shots) ** 2
-        + _moment_stderr(corr, shots) ** 2
-    )
-    ks = k_from_moments(m2, m3, corr)
-    # sampling noise can make more than one estimate a violation; report the
-    # most negative rather than asserting the exact-theory exclusivity
-    negative = [i for i, v in ks.items() if v < -VIOLATION_TOL]
-    idx = min(negative, key=lambda i: ks[i]) if negative else None
-    report = TwoTimeLGReport(
-        *ks.values(), violated_index=idx, margin=abs(ks[idx]) if negative else 0.0
-    )
-    return EmpiricalLGReport(
-        report=report,
-        k_stderr={i: float(se) for i in ks},
-        m2_est=m2,
-        m2_stderr=_moment_stderr(m2, shots),
-        m3_est=m3,
-        m3_stderr=_moment_stderr(m3, shots),
-        corr_est=corr,
-        corr_stderr=_moment_stderr(corr, shots),
-        shots=shots,
-        seed=int(seed),
-    )
+    return EmpiricalLGReport(m2_est=m2, m3_est=m3, corr_est=corr, shots=shots, seed=int(seed))
 
 
 def empirical_nsit(cfg: MZConfig, shots: int, seed: int) -> tuple[float, float]:

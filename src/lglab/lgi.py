@@ -20,7 +20,8 @@ For the Mach-Zehnder configuration at phase phi,
     K33 = 2 beta (beta + alpha cos phi)    K34 = 2 alpha (alpha + beta cos phi)
 
 One rule decides every verdict: a K below -``VIOLATION_TOL`` (``qcore``) is a
-violation, whether it is read as K, as 4q or from a weak value.
+violation, whether it is read as K, as 4q or from a weak value. A
+:class:`TwoTimeLGReport` stores only K31..K34 and reads its verdict off them.
 
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
@@ -61,24 +62,36 @@ def k_from_moments(e2: float, e3: float, e23: float) -> dict[int, float]:
 
 @dataclass(frozen=True)
 class TwoTimeLGReport:
+    """K31..K34; the violation verdict is read off them."""
+
     k31: float
     k32: float
     k33: float
     k34: float
-    violated_index: int | None
-    margin: float
 
     def values(self) -> dict[int, float]:
         return {31: self.k31, 32: self.k32, 33: self.k33, 34: self.k34}
 
+    @property
+    def violated_index(self) -> int | None:
+        """The most negative K if below -VIOLATION_TOL (only estimates can have two), else None."""
+        ks = self.values()
+        idx = min(ks, key=ks.__getitem__)
+        return idx if ks[idx] < -VIOLATION_TOL else None
+
+    @property
+    def margin(self) -> float:
+        """|K| of the violated entry, 0.0 when no K is violated."""
+        idx = self.violated_index
+        return 0.0 if idx is None else abs(self.values()[idx])
+
     @classmethod
     def from_values(cls, k31, k32, k33, k34) -> "TwoTimeLGReport":
-        ks = {31: k31, 32: k32, 33: k33, 34: k34}
-        negative = [i for i, v in ks.items() if v < -VIOLATION_TOL]
-        if len(negative) > 1:
-            raise AssertionError(f"more than one negative LG value: {ks}")
-        idx = negative[0] if negative else None
-        return cls(k31, k32, k33, k34, violated_index=idx, margin=abs(ks[idx]) if negative else 0.0)
+        """The report of an exact route, asserting that at most one K is a violation."""
+        report = cls(k31, k32, k33, k34)
+        if sum(v < -VIOLATION_TOL for v in report.values().values()) > 1:
+            raise AssertionError(f"more than one negative LG value: {report.values()}")
+        return report
 
 
 def sequential_joint(

@@ -7,7 +7,8 @@ scenario the moment-matching joint is unique, so feasibility reduces to
 sign-checking it; an independent linear-solve route over the deterministic
 vertices is kept as a cross-validation oracle. Feasibility is equivalent to
 all four two-time LG quantities being nonnegative, under the one violation
-rule on K = 4q (:meth:`~lglab.quasiprob.QuasiprobTable.feasible`).
+rule on K = 4q. Every route returns that joint, a
+:class:`~lglab.quasiprob.QuasiprobTable` whose ``feasible`` and ``margin`` are the verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .interferometer import MZConfig
 from .lgi import mz_lg_closed_form
-from .quasiprob import OUTCOMES, QuasiprobTable, _negativity, _table_from_k, mr_reading
+from .quasiprob import OUTCOMES, QuasiprobTable, _table_from_k, mr_reading
 
 # the fixed vertices (m2, m3) and the columns of the system over them
 _VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
@@ -42,23 +43,12 @@ class CorrelationTriple:
                 raise ValueError(f"{name} must lie in [-1, 1], got {v}")
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    witness: QuasiprobTable
-    margin: float
+def macrorealist_feasible(t: CorrelationTriple) -> QuasiprobTable:
+    """The unique moment-matching joint (moment expansion), as the verdict's witness."""
+    return mr_reading(t.e2, t.e3, t.e23)
 
 
-def _verdict(table: QuasiprobTable) -> FeasibilityVerdict:
-    return FeasibilityVerdict(feasible=table.feasible(), witness=table, margin=table.min_entry())
-
-
-def macrorealist_feasible(t: CorrelationTriple) -> FeasibilityVerdict:
-    """Feasibility via the unique moment-matching joint (moment expansion)."""
-    return _verdict(mr_reading(t.e2, t.e3, t.e23))
-
-
-def feasibility_oracle(t: CorrelationTriple) -> FeasibilityVerdict:
+def feasibility_oracle(t: CorrelationTriple) -> QuasiprobTable:
     """Independent route: solve the vertex system for the candidate joint.
 
     Solves the square linear system (normalization plus three moment
@@ -68,15 +58,14 @@ def feasibility_oracle(t: CorrelationTriple) -> FeasibilityVerdict:
     construction generalizes to larger outcome sets.
     """
     x = np.linalg.solve(_VERTEX_SYSTEM, np.array([1.0, t.e2, t.e3, t.e23]))
-    q = {v: float(x[k]) for k, v in enumerate(_VERTICES)}
-    return _verdict(QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=0.0))
+    return QuasiprobTable({v: float(x[k]) for k, v in enumerate(_VERTICES)})
 
 
-def mz_verdict(cfg: MZConfig) -> FeasibilityVerdict:
-    """Macrorealist verdict on the interferometer's quantum statistics.
+def mz_verdict(cfg: MZConfig) -> QuasiprobTable:
+    """The macrorealist joint (the verdict's witness) of the interferometer's statistics.
 
     The joint is q = K/4 of :func:`~lglab.lgi.mz_lg_closed_form`: infeasible
     exactly when |alpha beta cos phi| > min(alpha^2, beta^2), at phi = 0 for
     every beta away from {0, +-1/sqrt(2), +-1}, at pi/2 never.
     """
-    return _verdict(_table_from_k(mz_lg_closed_form(cfg).values()))
+    return _table_from_k(mz_lg_closed_form(cfg).values())

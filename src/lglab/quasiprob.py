@@ -11,7 +11,8 @@ structurally. The correlator sum(mi*mj*q) equals the sequential (Lueders)
 correlator, and 4*q(m2, m3) reproduces the four two-time LG quantities, so a
 negative entry is exactly an LG violation. An ordinary intervening projective
 measurement, by contrast, does shift the later statistics; that gap is
-exposed by :func:`signaling_gap_projective`.
+exposed by :func:`signaling_gap_projective`. A :class:`QuasiprobTable` stores the
+entries and NSIT residuals; its negativity, margin and feasibility are read off them.
 """
 
 from __future__ import annotations
@@ -48,16 +49,11 @@ OUTCOMES = (+1, -1)
 
 @dataclass(frozen=True)
 class QuasiprobTable:
-    """Four q(mi, mj) values with negativity and NSIT residual diagnostics.
-
-    ``negativity`` is the total negative mass, sum of |negative entries|;
-    ``nsit_residual`` is the worst marginal-vs-Born discrepancy (zero by
-    construction for moment-built tables).
-    """
+    """Four q(mi, mj) values and the worst marginal-vs-Born discrepancies of Mi
+    and of Mj (zero for moment-built tables); every diagnostic is read off them."""
 
     q: dict[tuple[int, int], float]
-    negativity: float
-    nsit_residual: float
+    nsit_residuals: tuple[float, float] = (0.0, 0.0)
 
     def entry(self, mi: int, mj: int) -> float:
         return self.q[(mi, mj)]
@@ -72,16 +68,24 @@ class QuasiprobTable:
         eij = sum(mi * mj * p for (mi, mj), p in self.q.items())
         return float(ei), float(ej), float(eij)
 
-    def min_entry(self) -> float:
+    @property
+    def negativity(self) -> float:
+        """Total negative mass: the sum of |negative entries|."""
+        return float(sum(-v for v in self.q.values() if v < 0.0))
+
+    @property
+    def nsit_residual(self) -> float:
+        return max(self.nsit_residuals)
+
+    @property
+    def margin(self) -> float:
+        """The signed smallest q: the margin ``mr-check`` prints and :attr:`feasible` reads."""
         return float(min(self.q.values()))
 
+    @property
     def feasible(self) -> bool:
         """No K = 4q is a violation: 4 min q >= -VIOLATION_TOL."""
-        return 4.0 * self.min_entry() >= -VIOLATION_TOL
-
-
-def _negativity(q: dict) -> float:
-    return float(sum(-v for v in q.values() if v < 0.0))
+        return 4.0 * self.margin >= -VIOLATION_TOL
 
 
 def _as_density(state) -> np.ndarray:
@@ -106,8 +110,11 @@ def _as_density(state) -> np.ndarray:
     return rho
 
 
-def _quasi_pass(rho_state, Mi, Mj) -> tuple[dict, tuple[float, float]]:
-    """The q table and its marginal-vs-Born residuals (residual_i, residual_j)."""
+def quasi(
+    rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable
+) -> QuasiprobTable:
+    """Symmetrized quasiprobability table for Mi followed by Mj, with the
+    marginal-vs-Born residuals (residual_i, residual_j) of the same pass."""
     rho = _as_density(rho_state)
     if rho.shape[0] != Mi.dim or Mi.dim != Mj.dim:
         raise ValueError("state and observables must share a dimension")
@@ -129,22 +136,14 @@ def _quasi_pass(rho_state, Mi, Mj) -> tuple[dict, tuple[float, float]]:
         abs(sum(q[(mi, mj)] for mi in OUTCOMES) - np.trace(Mj.projector(mj).entries @ rho).real)
         for mj in OUTCOMES
     )
-    return q, (float(res_i), float(res_j))
-
-
-def quasi(
-    rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable
-) -> QuasiprobTable:
-    """Symmetrized quasiprobability table for Mi followed by Mj."""
-    q, residuals = _quasi_pass(rho_state, Mi, Mj)
-    return QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=max(residuals))
+    return QuasiprobTable(q, (float(res_i), float(res_j)))
 
 
 def nsit_check(
     rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable
 ) -> tuple[float, float]:
     """Marginal-vs-Born residuals (residual_i, residual_j); both vanish structurally."""
-    return _quasi_pass(rho_state, Mi, Mj)[1]
+    return quasi(rho_state, Mi, Mj).nsit_residuals
 
 
 def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
@@ -162,8 +161,7 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
 
 def _table_from_k(ks: dict[int, float]) -> QuasiprobTable:
     """The (m2, m3) table q = K/4 of K31..K34, keyed through ``_K_SIGNS``."""
-    q = {signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()}
-    return QuasiprobTable(q=q, negativity=_negativity(q), nsit_residual=0.0)
+    return QuasiprobTable({signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()})
 
 
 def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:
@@ -196,7 +194,11 @@ class ThreeTimeQuasiReport:
     """Twelve quasiprobabilities over the pairs (1,2), (1,3), (2,3)."""
 
     tables: dict[tuple[int, int], QuasiprobTable]
-    weak_macrorealism: bool
+
+    @property
+    def weak_macrorealism(self) -> bool:
+        """Every table is feasible; no finer macrorealism taxonomy is attempted."""
+        return all(t.feasible for t in self.tables.values())
 
     def entries(self) -> dict[tuple[int, int, int, int], float]:
         """Flat map (i, j, mi, mj) -> q for all twelve entries."""
@@ -214,12 +216,7 @@ def three_time_suite(
     M2: DichotomicObservable,
     M3: DichotomicObservable,
 ) -> ThreeTimeQuasiReport:
-    """Quasiprobability tables for all ordered pairs of three observables.
-
-    The verdict is that every table is :meth:`QuasiprobTable.feasible`; no
-    finer macrorealism taxonomy is attempted.
-    """
+    """Quasiprobability tables for all ordered pairs of three observables."""
     obs = {1: M1, 2: M2, 3: M3}
-    tables = {(i, j): quasi(state, obs[i], obs[j]) for (i, j) in ((1, 2), (1, 3), (2, 3))}
-    verdict = all(t.feasible() for t in tables.values())
-    return ThreeTimeQuasiReport(tables=tables, weak_macrorealism=verdict)
+    pairs = ((1, 2), (1, 3), (2, 3))
+    return ThreeTimeQuasiReport({(i, j): quasi(state, obs[i], obs[j]) for i, j in pairs})

@@ -87,21 +87,19 @@ class OrthogonalPostSelection(ValueError):
 
 @dataclass(frozen=True)
 class WeakValueResult:
+    """A weak value and its post-selection probability; the flags are read off them."""
+
     value: complex
     postselect_prob: float
-    anomalous_real: bool
-    nonzero_imag: bool
 
+    @property
+    def anomalous_real(self) -> bool:
+        """K = 2 p(f) (1 -+ Re w) is below -VIOLATION_TOL."""
+        return bool(2.0 * self.postselect_prob * (abs(self.value.real) - 1.0) > VIOLATION_TOL)
 
-def _classify(value: complex, postselect_prob: float) -> WeakValueResult:
-    # anomalous exactly when K = 2 p(f) (1 -+ Re w) is below -VIOLATION_TOL
-    excess = 2.0 * postselect_prob * (abs(value.real) - 1.0)
-    return WeakValueResult(
-        value=value,
-        postselect_prob=postselect_prob,
-        anomalous_real=bool(excess > VIOLATION_TOL),
-        nonzero_imag=bool(abs(value.imag) > STRUCT_TOL),
-    )
+    @property
+    def nonzero_imag(self) -> bool:
+        return bool(abs(self.value.imag) > STRUCT_TOL)
 
 
 def _weak_value(pre: np.ndarray, post: np.ndarray, a_post: np.ndarray) -> WeakValueResult:
@@ -113,11 +111,11 @@ def _weak_value(pre: np.ndarray, post: np.ndarray, a_post: np.ndarray) -> WeakVa
             f"post-selection probability {prob} <= {OVERLAP_TOL}: weak value undefined"
         )
     numer = complex(np.vdot(pre, a_post))
-    return _classify(numer / overlap, float(prob))
+    return WeakValueResult(numer / overlap, float(prob))
 
 
 def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
-    """(A)_w = <pre|A|post> / <pre|post> with anomaly classification."""
+    """(A)_w = <pre|A|post> / <pre|post>, with its post-selection probability."""
     if not A.is_hermitian():
         raise ValueError("weak value requires a Hermitian observable")
     _check_dims(pre, post)

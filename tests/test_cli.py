@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lglab
-from lglab import quasiprob, sweep_beta
+from lglab import sweep_beta
 from lglab.cli import main
 
 SQ3 = np.sqrt(3.0)
@@ -429,13 +429,13 @@ class TestPinnedRecords:
 class TestQuasiprobPass:
     def test_one_pass_per_record(self, capsys, monkeypatch):
         calls = []
-        one_pass = quasiprob._quasi_pass
+        one_pass = lglab.quasi
 
         def counted(*args):
             calls.append(args)
             return one_pass(*args)
 
-        monkeypatch.setattr(quasiprob, "_quasi_pass", counted)
+        monkeypatch.setattr(lglab, "quasi", counted)
         run_json(capsys, "quasiprob", "--beta", "0.5")
         assert len(calls) == 1
 
@@ -464,6 +464,8 @@ class TestLibraryChecks:
             (("lgi-sweep", "--grid", "5"), "--output is required"),
             (("probabilities", "--beta", "0.5", "--phi", "inf"), "phi must be finite, got inf"),
             (("probabilities", "--beta", "0.5", "--alpha", "nan"), "alpha must be finite, got nan"),
+            (("nsit", "--beta", "0.5", "--shots", "10", "--seed", "18446744073709551616"), "seed"),
+            (("nsit", "--beta", "0.5", "--shots", "10", "--seed", "-1"), "seed"),
         ],
     )
     def test_rejected_input_exits_2(self, capsys, argv, field):

@@ -29,6 +29,25 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="seed"):
             RunSpec(cfg=MZConfig(beta=0.5), shots=10, seed=-1, kind="path")
 
+    @pytest.mark.parametrize(
+        "shots, seed, field",
+        [(1000.5, 1, "shots"), (1000.0, 1, "shots"), ("10", 1, "shots"),
+         (10, 1.7, "seed"), (10, -0.5, "seed"), (10, 2.0, "seed")],
+    )
+    def test_rejects_non_integers(self, shots, seed, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            RunSpec(cfg=MZConfig(beta=0.5), shots=shots, seed=seed, kind="path")
+
+    def test_numpy_integers_pass(self):
+        spec = RunSpec(cfg=MZConfig(beta=0.5), shots=np.int64(1000), seed=np.uint64(7), kind="path")
+        assert run(spec).counts == run(RunSpec(MZConfig(beta=0.5), 1000, 7, "path")).counts
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 0.5])
+    @pytest.mark.parametrize("estimator", [empirical_lg, empirical_nsit])
+    def test_master_seed_has_the_run_seed_rule(self, estimator, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            estimator(MZConfig(beta=0.5), 10, seed)
+
 
 class TestOutcomeProbabilities:
     def test_interference(self):
@@ -164,3 +183,65 @@ class TestConvergence:
             if abs(est.estimates["psi4"] - target) >= 4 * est.stderr["psi4"]:
                 misses += 1
         assert misses <= 2
+
+
+def same_bits(got, want) -> bool:
+    """Equal as IEEE doubles, signed zeros told apart."""
+    return float(got).hex() == float(want).hex()
+
+
+class TestPinnedReadings:
+    """Every reading of a few seeded runs, as recorded before the readings
+    became properties of the stored counts and moments."""
+
+    def test_empirical_lg(self):
+        lg = empirical_lg(MZConfig(beta=0.5), 1000, 7)
+        want = {31: -0.32000000000000006, 32: 0.6079999999999999, 33: 1.312, 34: 2.4000000000000004}
+        assert lg.report.values().keys() == want.keys()
+        assert all(same_bits(lg.report.values()[i], want[i]) for i in want)
+        assert lg.report.violated_index == 31
+        assert same_bits(lg.report.margin, 0.32000000000000006)
+        assert lg.k_stderr.keys() == want.keys()
+        assert all(same_bits(se, 0.044851399086316135) for se in lg.k_stderr.values())
+        for name, value in (
+            ("m2_est", 0.504),
+            ("m2_stderr", 0.02731270766511442),
+            ("m3_est", -0.8560000000000001),
+            ("m3_stderr", 0.01634821091128934),
+            ("corr_est", -0.040000000000000036),
+            ("corr_stderr", 0.0315974682530104),
+        ):
+            assert same_bits(getattr(lg, name), value), name
+        assert (lg.shots, lg.seed) == (1000, 7)
+
+    @pytest.mark.parametrize(
+        "beta, kind, counts, stderr, zero",
+        [
+            (0.5, "interference", {"psi3": 952, "psi4": 48},
+             {"psi3": 0.006759881655768837, "psi4": 0.006759881655768835}, []),
+            (0.5, "path", {"psi1": 734, "psi2": 266},
+             {"psi1": 0.013972973913952606, "psi2": 0.013972973913952606}, []),
+            (0.5, "sequential",
+             {"m2=+1,m3=+1": 390, "m2=+1,m3=-1": 360, "m2=-1,m3=+1": 116, "m2=-1,m3=-1": 134},
+             {"m2=+1,m3=+1": 0.01542400726140908, "m2=+1,m3=-1": 0.015178932768808221,
+              "m2=-1,m3=+1": 0.010126401137620413, "m2=-1,m3=-1": 0.010772372069326236}, []),
+            (1 / np.sqrt(2), "interference", {"psi3": 1000, "psi4": 0},
+             {"psi3": 0.0, "psi4": 0.003}, ["psi4"]),
+            (0.0, "sequential",
+             {"m2=+1,m3=+1": 514, "m2=+1,m3=-1": 486, "m2=-1,m3=+1": 0, "m2=-1,m3=-1": 0},
+             {"m2=+1,m3=+1": 0.015805189021330938, "m2=+1,m3=-1": 0.015805189021330938,
+              "m2=-1,m3=+1": 0.003, "m2=-1,m3=-1": 0.003}, ["m2=-1,m3=+1", "m2=-1,m3=-1"]),
+        ],
+    )
+    def test_run(self, beta, kind, counts, stderr, zero):
+        est = run(RunSpec(cfg=MZConfig(beta=float(beta)), shots=1000, seed=7, kind=kind))
+        assert list(est.counts.items()) == list(counts.items())
+        assert est.total == 1000
+        assert list(est.estimates) == list(counts)
+        for k, c in counts.items():
+            assert same_bits(est.estimates[k], c / 1000) and same_bits(est.estimate(k), c / 1000)
+            assert same_bits(est.stderr[k], stderr[k]), k
+        meta = {"rng": "numpy Philox(4x64)", "seed": 7, "kind": kind}
+        if zero:
+            meta.update(zero_count_stderr_rule="rule-of-three upper bound 3/N", zero_count_outcomes=zero)
+        assert list(est.metadata.items()) == list(meta.items())

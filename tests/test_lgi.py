@@ -8,6 +8,7 @@ from lglab import (
     MZConfig,
     Operator,
     StateVector,
+    TwoTimeLGReport,
     detection_probabilities,
     input_state,
     lg_from_quasi,
@@ -133,6 +134,34 @@ class TestTwoTimeLG:
         # internal weak-value-route assertion runs on every call
         for _ in range(200):
             two_time_lg(random_state(rng), random_dichotomic(rng), random_dichotomic(rng))
+
+
+class TestDerivedReadings:
+    """The verdict and margin are read off the four K values."""
+
+    def test_most_negative_of_several_is_named(self):
+        # two violations: finite-shot estimates can give these, exact routes cannot
+        report = TwoTimeLGReport(-0.3, -0.1, 0.5, 0.9)
+        assert report.violated_index == 31
+        assert report.margin == 0.3
+        with pytest.raises(AssertionError, match="more than one negative LG value"):
+            TwoTimeLGReport.from_values(-0.3, -0.1, 0.5, 0.9)
+        later = TwoTimeLGReport(-0.1, 0.5, -0.3, 0.9)
+        assert (later.violated_index, later.margin) == (33, 0.3)
+
+    def test_ties_go_to_the_first_index(self):
+        assert TwoTimeLGReport(0.5, -0.2, 0.1, -0.2).violated_index == 32
+
+    def test_tolerance_decides(self):
+        report = TwoTimeLGReport(0.5, -1e-13, 0.1, 1.0)
+        assert report.violated_index is None
+        assert report.margin == 0.0
+        assert TwoTimeLGReport(0.5, 0.0, -2e-12, 1.0).violated_index == 33
+
+    def test_from_values_stores_only_the_k_values(self):
+        report = TwoTimeLGReport.from_values(0.5, -0.2, 0.1, 1.0)
+        assert report == TwoTimeLGReport(0.5, -0.2, 0.1, 1.0)
+        assert (report.violated_index, report.margin) == (32, 0.2)
 
 
 class TestClosedForm:

@@ -57,3 +57,27 @@ def test_every_import_is_read(path):
 def test_the_guard_finds_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nx: 'Path' = tau\nfrom pathlib import Path\n")
     assert imported_names(tree).keys() - read_names(tree) == {"os", "pi"}
+
+
+def private_reads_through(tree: ast.Module, package: str) -> dict[str, int]:
+    """Each dotted read ``package.a.b`` with an underscore-prefixed part, with its line."""
+    found = {}
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == package and any(p.startswith("_") for p in parts):
+            found[".".join([package, *reversed(parts)])] = node.lineno
+    return found
+
+
+def test_cli_reads_only_public_names_of_the_package():
+    """The CLI is a client of the library's public surface, not of its helpers."""
+    path = Path(lglab.__file__).parent / "cli.py"
+    assert not private_reads_through(ast.parse(path.read_text()), "lglab")
+
+
+def test_the_guard_finds_a_private_read():
+    tree = ast.parse("import lglab\nq = lglab.quasiprob._quasi_pass(1)\nr = lglab.quasi(lglab._x)\n")
+    assert private_reads_through(tree, "lglab") == {"lglab.quasiprob._quasi_pass": 2, "lglab._x": 3}

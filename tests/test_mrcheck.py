@@ -50,7 +50,7 @@ class TestMacrorealistFeasible:
         for _ in range(200):
             t = CorrelationTriple(*(rng.uniform(-1, 1, 3)))
             v = macrorealist_feasible(t)
-            ei, ej, eij = v.witness.moments()
+            ei, ej, eij = v.moments()
             assert ei == pytest.approx(t.e2, abs=1e-12)
             assert ej == pytest.approx(t.e3, abs=1e-12)
             assert eij == pytest.approx(t.e23, abs=1e-12)
@@ -60,15 +60,15 @@ class TestFeasibilityOracle:
     def test_point_mass(self):
         v = feasibility_oracle(CorrelationTriple(1.0, 1.0, 1.0))
         assert v.feasible
-        assert v.witness.entry(+1, +1) == pytest.approx(1.0, abs=1e-12)
+        assert v.entry(+1, +1) == pytest.approx(1.0, abs=1e-12)
         for key in ((+1, -1), (-1, +1), (-1, -1)):
-            assert v.witness.q[key] == pytest.approx(0.0, abs=1e-12)
+            assert v.q[key] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_arithmetic_counterexample(self):
         # 1 - e2 - e3 + e23 = -1.7 < 0 even though 1 + e2 + e3 + e23 >= 0
         v = feasibility_oracle(CorrelationTriple(0.9, 0.9, -0.9))
         assert not v.feasible
-        assert v.witness.entry(-1, -1) == pytest.approx(-1.7 / 4, abs=1e-12)
+        assert v.entry(-1, -1) == pytest.approx(-1.7 / 4, abs=1e-12)
 
     def test_cross_validation_random(self, rng):
         for _ in range(10_000):
@@ -86,7 +86,7 @@ class TestFeasibilityOracle:
         expected = np.linalg.solve(
             [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], [1.0, 0.3, -0.2, 0.1]
         )
-        assert list(feasibility_oracle(t).witness.q.values()) == expected.tolist()
+        assert list(feasibility_oracle(t).q.values()) == expected.tolist()
 
 
 class TestRouteEquivalence:
