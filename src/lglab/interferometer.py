@@ -6,9 +6,10 @@ An input alpha*psi1 + beta*psi2 (alpha, beta real, alpha^2 + beta^2 = 1)
 reaches the psi3 port with amplitude (alpha + e^{i phi} beta)/sqrt(2) and the
 psi4 port with amplitude (alpha - e^{i phi} beta)/sqrt(2) up to a phase, so for
 phi = 0 the port probabilities are (alpha+beta)^2/2 and (alpha-beta)^2/2 and
-the psi4 port goes dark at alpha = beta. :func:`detection_probabilities` is
-this closed form; ``tests/oracles.py`` keeps the element-by-element unitary
-product as its oracle.
+the psi4 port goes dark at alpha = beta. :func:`_mz_kernel` holds this closed
+form and the two-time K31..K34 of ``lgi`` in plain ``math`` arithmetic; every
+per-point route and the beta sweep read it. ``tests/oracles.py`` keeps the
+element-by-element unitary product as its oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +27,31 @@ from .qcore import (
 )
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def _default_alpha(beta: float) -> float:
+    """+sqrt(1 - beta^2), the alpha of a config that gives only beta."""
+    return math.sqrt(1.0 - beta**2)
+
+
+def _mz_kernel(alpha: float, beta: float, phi: float) -> tuple[float, ...]:
+    """(p3, p4, K31, K32, K33, K34) of the input (alpha, beta) at phase phi.
+
+    p = |alpha +- e^{i phi} beta|^2 / 2 is clipped at 1: alpha^2 + beta^2 may
+    exceed 1 by rounding, and a dark port's partner would read 1.0000000000000002.
+    Complex ``abs`` and ``** 2`` are libm ``hypot`` and ``pow``, the operations
+    (and bits) of the numpy reference in ``tests/oracles.py``.
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    bc, bs = beta * c, beta * s
+    return (
+        min(abs(complex(alpha + bc, bs)) ** 2 / 2.0, 1.0),
+        min(abs(complex(alpha - bc, bs)) ** 2 / 2.0, 1.0),
+        2.0 * beta * (beta - alpha * c),
+        2.0 * alpha * (alpha - beta * c),
+        2.0 * beta * (beta + alpha * c),
+        2.0 * alpha * (alpha + beta * c),
+    )
 
 
 @dataclass(frozen=True)
@@ -48,7 +74,7 @@ class MZConfig:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
         explicit = self.alpha is not None
         if not explicit:
-            object.__setattr__(self, "alpha", math.sqrt(1.0 - self.beta**2))
+            object.__setattr__(self, "alpha", _default_alpha(self.beta))
         for name, v in (("alpha", self.alpha), ("phi", self.phi)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -98,16 +124,11 @@ def input_state(cfg: MZConfig) -> StateVector:
 
 
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:
-    """(p3, p4): detection probabilities at the psi3 and psi4 ports.
+    """(p3, p4): detection probabilities at the psi3 and psi4 ports, from :func:`_mz_kernel`.
 
-    For phi = 0 these are (alpha+beta)^2/2 and (alpha-beta)^2/2, clipped at 1,
-    as a probability must be: alpha^2 + beta^2 may exceed 1 by rounding, and a
-    dark port's partner would then read 1.0000000000000002.
+    For phi = 0 these are (alpha+beta)^2/2 and (alpha-beta)^2/2, clipped at 1.
     """
-    eb = np.exp(1.0j * cfg.phi) * cfg.beta
-    p3 = min(float(abs(cfg.alpha + eb) ** 2 / 2.0), 1.0)
-    p4 = min(float(abs(cfg.alpha - eb) ** 2 / 2.0), 1.0)
-    return p3, p4
+    return _mz_kernel(cfg.alpha, cfg.beta, cfg.phi)[:2]
 
 
 def path_observable() -> DichotomicObservable:

@@ -26,27 +26,24 @@ violation, whether it is read as K, as 4q or from a weak value. A
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
 
-:func:`sweep_beta` (Fig. 2) computes its grid as whole columns: the closed
-forms above at phi = 0 and, through ``weakval._mz_weak_value_columns``, the
-port weak values. Every row matches the per-point routes (:class:`MZConfig`,
-:func:`mz_lg_closed_form`, ``detection_probabilities`` and ``mz_weak_values``)
-bit for bit.
+The MZ forms above are computed once, by ``interferometer._mz_kernel``, for
+:func:`mz_lg_closed_form` and for every row of :func:`sweep_beta` (Fig. 2).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import MZConfig
-from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector
-from .weakval import _mz_weak_value_columns, _squares
+from .interferometer import MZConfig, _default_alpha, _mz_kernel
+from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector, _check_dims
+from .weakval import _mz_weak_value_columns
 
 # sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
 # Listed in K31..K34 order, which callers rely on when unpacking values.
 _K_SIGNS = {31: (-1, +1), 32: (+1, +1), 33: (-1, -1), 34: (+1, -1)}
+_K_INDICES = tuple(_K_SIGNS)
 
 
 def k_from_moments(e2: float, e3: float, e23: float) -> dict[int, float]:
@@ -58,6 +55,14 @@ def k_from_moments(e2: float, e3: float, e23: float) -> dict[int, float]:
     return {
         idx: 1.0 + s2 * e2 + s2 * s3 * e23 + s3 * e3 for idx, (s2, s3) in _K_SIGNS.items()
     }
+
+
+def _exact_violation(ks) -> int | None:
+    """The index of the one K31..K34 below -VIOLATION_TOL, else None; two are an AssertionError."""
+    low = sorted(ks)
+    if low[1] < -VIOLATION_TOL:
+        raise AssertionError(f"more than one negative LG value: {dict(zip(_K_SIGNS, ks))}")
+    return _K_INDICES[ks.index(low[0])] if low[0] < -VIOLATION_TOL else None
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,8 @@ class TwoTimeLGReport:
     @classmethod
     def from_values(cls, k31, k32, k33, k34) -> "TwoTimeLGReport":
         """The report of an exact route, asserting that at most one K is a violation."""
-        report = cls(k31, k32, k33, k34)
-        if sum(v < -VIOLATION_TOL for v in report.values().values()) > 1:
-            raise AssertionError(f"more than one negative LG value: {report.values()}")
-        return report
+        _exact_violation((k31, k32, k33, k34))
+        return cls(k31, k32, k33, k34)
 
 
 def sequential_joint(
@@ -101,8 +104,7 @@ def sequential_joint(
 
     p(mi, mj) = || P_{mj} P_{mi} |state> ||^2.
     """
-    if state.dim != Mi.dim or Mi.dim != Mj.dim:
-        raise ValueError("state and observables must share a dimension")
+    _check_dims(state.dim, Mi.dim, Mj.dim)
     joint = {}
     for mi in (+1, -1):
         first = Mi.projector(mi).entries @ state.amps
@@ -122,16 +124,11 @@ def sequential_correlation(
 
 def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:
     """Closed-form K values, cross term times cos(phi) (psi4 as the +1 outcome of M3)."""
-    a, b, c = cfg.alpha, cfg.beta, math.cos(cfg.phi)
-    return TwoTimeLGReport.from_values(
-        2.0 * b * (b - a * c),
-        2.0 * a * (a - b * c),
-        2.0 * b * (b + a * c),
-        2.0 * a * (a + b * c),
-    )
+    return TwoTimeLGReport.from_values(*_mz_kernel(cfg.alpha, cfg.beta, cfg.phi)[2:])
 
 
-@dataclass(frozen=True)
+# not frozen: the sweep builds a row per point, and a frozen __init__ costs ten times as much
+@dataclass(slots=True)
 class SweepRow:
     beta: float
     alpha: float
@@ -149,10 +146,10 @@ class SweepRow:
 def sweep_beta(grid) -> list[SweepRow]:
     """Closed-form LG/weak-value/probability dataset over a grid of beta values.
 
-    Each field is computed for the whole grid at once, with the operations
-    that :class:`MZConfig`, :func:`mz_lg_closed_form`,
-    :func:`detection_probabilities` and ``mz_weak_values`` perform on one
-    point at phi = 0, so every row is bit for bit what those routes give.
+    Each row is what :class:`MZConfig`, :func:`mz_lg_closed_form`,
+    ``detection_probabilities`` and ``mz_weak_values`` give at that beta and
+    phi = 0: the default alpha and ``_mz_kernel`` for alpha, K and p, and
+    ``weakval._mz_weak_value_columns`` for the weak values, bit for bit.
     Undefined weak values (vanishing port overlap) are reported as None. Rows
     are emitted in grid order.
     """
@@ -163,25 +160,12 @@ def sweep_beta(grid) -> list[SweepRow]:
     if bad.size:
         raise ValueError(f"beta must lie in [-1, 1], got {b[bad[0]].item()}")
     betas = b.tolist()
-    a = np.sqrt(1.0 - _squares(betas))
-    # cos(0) = 1 and a * 1.0 == a
-    ks = np.stack([2.0 * b * (b - a), 2.0 * a * (a - b), 2.0 * b * (b + a), 2.0 * a * (a + b)])
-    p3 = np.minimum(_squares(np.abs(a + b).tolist()) / 2.0, 1.0)
-    p4 = np.minimum(_squares(np.abs(a - b).tolist()) / 2.0, 1.0)
-    w3, w4 = _mz_weak_value_columns(a, b)
-    # TwoTimeLGReport.from_values's rule on every column: the first K below
-    # -VIOLATION_TOL, and never two
-    negative = ks < -VIOLATION_TOL
-    many = np.flatnonzero(negative.sum(axis=0) > 1)
-    if many.size:
-        values = dict(zip(_K_SIGNS, ks[:, many[0]].tolist()))
-        raise AssertionError(f"more than one negative LG value: {values}")
-    first = np.array(list(_K_SIGNS))[negative.argmax(axis=0)]
-    violated = np.where(negative.any(axis=0), first, None).tolist()
-    return [
-        SweepRow(*row)
-        for row in zip(betas, a.tolist(), *ks.tolist(), w3, w4, p3.tolist(), p4.tolist(), violated)
-    ]
+    alphas = [_default_alpha(beta) for beta in betas]
+    rows = []
+    for beta, alpha, w3, w4 in zip(betas, alphas, *_mz_weak_value_columns(np.array(alphas), b)):
+        p3, p4, *ks = _mz_kernel(alpha, beta, 0.0)
+        rows.append(SweepRow(beta, alpha, *ks, w3, w4, p3, p4, _exact_violation(ks)))
+    return rows
 
 
 def precession_k3(theta: float) -> float:

@@ -35,9 +35,10 @@ class DimensionMismatch(ValueError):
     """Raised when two objects live on Hilbert spaces of different dimension."""
 
 
-def _check_dims(a, b):
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _check_dims(*dims: int) -> None:
+    """The one dimension check: DimensionMismatch unless all ``dims`` are equal."""
+    if len(set(dims)) > 1:
+        raise DimensionMismatch(f"dimension mismatch: {' vs '.join(map(str, dims))}")
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -173,17 +174,6 @@ class Operator:
         return f"Operator({self.entries.tolist()!r}, kind={self.kind!r})"
 
 
-def expectation(M: Operator, s: StateVector) -> float:
-    """<s|M|s> for Hermitian M; the (vanishing) imaginary part is asserted away."""
-    if not M.is_hermitian():
-        raise ValueError("expectation requires a Hermitian operator")
-    _check_dims(M, s)
-    val = complex(np.vdot(s.amps, M.entries @ s.amps))
-    if abs(val.imag) >= STRUCT_TOL:
-        raise AssertionError(f"Hermitian expectation has imaginary part {val.imag}")
-    return val.real
-
-
 def projector_onto(s: StateVector) -> Operator:
     """Rank-1 projector |s><s|."""
     return Operator(s.density(), kind="hermitian")
@@ -200,8 +190,7 @@ class DichotomicObservable:
     __slots__ = ("plus_proj", "minus_proj", "_operator")
 
     def __init__(self, plus_proj: Operator, minus_proj: Operator):
-        if plus_proj.dim != minus_proj.dim:
-            raise DimensionMismatch("projector dimensions differ")
+        _check_dims(plus_proj.dim, minus_proj.dim)
         for name, p in (("plus", plus_proj), ("minus", minus_proj)):
             if not p.is_projector():
                 raise ValueError(f"{name} projector fails P^2 = P = P^dagger")

@@ -41,6 +41,7 @@ from .qcore import (
     VIOLATION_TOL,
     DichotomicObservable,
     StateVector,
+    _check_dims,
     _close,
 )
 
@@ -116,8 +117,7 @@ def quasi(
     """Symmetrized quasiprobability table for Mi followed by Mj, with the
     marginal-vs-Born residuals (residual_i, residual_j) of the same pass."""
     rho = _as_density(rho_state)
-    if rho.shape[0] != Mi.dim or Mi.dim != Mj.dim:
-        raise ValueError("state and observables must share a dimension")
+    _check_dims(rho.shape[0], Mi.dim, Mj.dim)
     q = {}
     for mi in OUTCOMES:
         pi = Mi.projector(mi).entries

@@ -16,12 +16,14 @@ and each call only forms the pre-selected state and four inner products. Both
 routes share one core, which holds the overlap threshold and the
 OrthogonalPostSelection error, and they agree bit for bit.
 
-:func:`_mz_weak_value_columns` is the column form of :func:`mz_weak_values`
-at phi = 0, for a whole beta sweep at once (``lgi.sweep_beta``). It matches
-the per-point route bit for bit because it repeats that route's roundings:
-the squared norm as a per-row BLAS dot, the normalisation as numpy's complex
-division by the norm, and every inner product as a stacked ``np.matmul``,
-which rounds like ``np.vdot`` (``gemv`` and ``einsum`` do not).
+:func:`_mz_weak_value_columns` is the one column route left in the package:
+the column form of :func:`mz_weak_values` at phi = 0, for a whole beta sweep
+at once (``lgi.sweep_beta``, whose alpha, K and p come from the scalar
+``interferometer._mz_kernel``). It matches the per-point route bit for bit
+because it repeats that route's roundings: the squared norm as a per-row BLAS
+dot, the normalisation as numpy's complex division by the norm, and every
+inner product as a stacked ``np.matmul``, which rounds like ``np.vdot``
+(``gemv`` and ``einsum`` do not).
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueRes
     """(A)_w = <pre|A|post> / <pre|post>, with its post-selection probability."""
     if not A.is_hermitian():
         raise ValueError("weak value requires a Hermitian observable")
-    _check_dims(pre, post)
+    _check_dims(A.dim, pre.dim, post.dim)
     return _weak_value(pre.amps, post.amps, A.entries @ post.amps)
 
 

@@ -2,9 +2,11 @@
 
 None of these is called by ``lglab`` itself; each is a slower, element-by-element
 computation of a quantity the package gets from a closed form or a faster route:
-the unitary propagation, the Born rule on a projector, the projector pair of a
-Hermitian M with M^2 = I, the precession observables with their K3, and the
-matrix K route (:func:`two_time_lg`, :func:`mz_two_time_lg`).
+the unitary propagation, the expectation <s|M|s> and the Born rule on a
+projector, the projector pair of a Hermitian M with M^2 = I, the precession
+observables with their K3, the matrix K route (:func:`two_time_lg`,
+:func:`mz_two_time_lg`), and the numpy expressions of the MZ closed forms
+(:func:`mz_kernel_numpy`) that ``interferometer._mz_kernel`` must match bit for bit.
 
 Interferometer convention (fixed once, verified in tests): the physical
 elements are modeled as an effective preparation phase ``diag(1, i)`` on path
@@ -15,6 +17,8 @@ Only port probabilities are observable: :func:`propagate_unitary` agrees with
 ``detection_probabilities`` and with the folded ``input_state`` on them to 1e-12.
 """
 
+import math
+
 import numpy as np
 
 from lglab import (
@@ -23,7 +27,6 @@ from lglab import (
     Operator,
     StateVector,
     TwoTimeLGReport,
-    expectation,
     input_state,
     k_from_moments,
     mz_basis,
@@ -32,7 +35,7 @@ from lglab import (
     sequential_correlation,
 )
 from lglab.lgi import _K_SIGNS
-from lglab.qcore import STRUCT_TOL, _close
+from lglab.qcore import STRUCT_TOL, _check_dims, _close
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -43,6 +46,39 @@ def unitary(entries) -> Operator:
     if not _close(u.entries.conj().T @ u.entries, np.eye(u.dim)):
         raise ValueError("matrix is not unitary: U^dagger U != I")
     return u
+
+
+def expectation(M: Operator, s: StateVector) -> float:
+    """<s|M|s> for Hermitian M; the (vanishing) imaginary part is asserted away.
+
+    Oracle of the moments that :func:`two_time_lg` and the Born rule read.
+    """
+    if not M.is_hermitian():
+        raise ValueError("expectation requires a Hermitian operator")
+    _check_dims(M.dim, s.dim)
+    val = complex(np.vdot(s.amps, M.entries @ s.amps))
+    if abs(val.imag) >= STRUCT_TOL:
+        raise AssertionError(f"Hermitian expectation has imaginary part {val.imag}")
+    return val.real
+
+
+def mz_kernel_numpy(alpha: float, beta: float, phi: float) -> tuple[float, ...]:
+    """(p3, p4, K31..K34) as numpy scalars form them: the reference of ``_mz_kernel``.
+
+    The port amplitude is ``alpha +- np.exp(1j phi) beta``, a numpy complex;
+    its modulus is numpy's complex ``abs``, squared with ``** 2`` and clipped
+    at 1. The K products are those of the closed forms in ``lglab.lgi``.
+    """
+    eb = np.exp(1.0j * phi) * beta
+    c = math.cos(phi)
+    return (
+        min(float(abs(alpha + eb) ** 2 / 2.0), 1.0),
+        min(float(abs(alpha - eb) ** 2 / 2.0), 1.0),
+        2.0 * beta * (beta - alpha * c),
+        2.0 * alpha * (alpha - beta * c),
+        2.0 * beta * (beta + alpha * c),
+        2.0 * alpha * (alpha + beta * c),
+    )
 
 
 def born_probability(P: Operator, s: StateVector) -> float:

@@ -1,7 +1,7 @@
 """Static checks on the package source, with the standard library only.
 
-No linter is a dependency of this project, so an import that a change leaves
-behind would go unnoticed; this module catches it.
+No linter is a dependency of this project, so an import or a private helper
+that a change leaves behind would go unnoticed; this module catches both.
 """
 
 import ast
@@ -81,3 +81,48 @@ def test_cli_reads_only_public_names_of_the_package():
 def test_the_guard_finds_a_private_read():
     tree = ast.parse("import lglab\nq = lglab.quasiprob._quasi_pass(1)\nr = lglab.quasi(lglab._x)\n")
     assert private_reads_through(tree, "lglab") == {"lglab.quasiprob._quasi_pass": 2, "lglab._x": 3}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each underscore-prefixed, non-dunder name a module binds at its top level, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        names.update((n, node.lineno) for n in bound if n.startswith("_") and not n.endswith("__"))
+    return names
+
+
+def orphaned_privates(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """Module-level private names that no module of ``trees`` reads, as ``module:name`` with the line.
+
+    A read is a loaded name (an import of the name, read, included) or an attribute.
+    """
+    reads = set()
+    for tree in trees.values():
+        reads |= read_names(tree)
+        reads |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return {
+        f"{module}:{name}": line
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in reads
+    }
+
+
+def test_every_private_name_is_read_somewhere_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert orphaned_privates(trees) == {}
+
+
+def test_the_guard_finds_an_orphaned_private_name():
+    trees = {
+        "a.py": ast.parse("__all__ = []\n_K, _orphan = 1, 2\ndef _used(): return _K\nclass _Gone: pass\n"),
+        "b.py": ast.parse("from .a import _used\n_TABLE: dict = {}\nx = _used() + obj._TABLE\n"),
+    }
+    assert orphaned_privates(trees) == {"a.py:_orphan": 2, "a.py:_Gone": 4}

@@ -22,7 +22,7 @@ EXPORTS = {
     "MZBasis", "MZConfig", "Operator", "OrthogonalPostSelection",
     "QuasiprobTable", "RunSpec", "SampleEstimate", "StateVector", "SweepRow",
     "ThreeTimeQuasiReport", "TwoTimeLGReport", "WeakValueResult", "detection_probabilities",
-    "empirical_lg", "empirical_nsit", "expectation", "feasibility_oracle", "input_state",
+    "empirical_lg", "empirical_nsit", "feasibility_oracle", "input_state",
     "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mr_reading", "mz_basis",
     "mz_lg_closed_form", "mz_verdict", "mz_weak_values", "nsit_check", "outcome_probabilities",
     "output_observable", "path_observable", "precession_k3", "projector_onto", "quasi", "run",
@@ -31,7 +31,8 @@ EXPORTS = {
 }
 
 # test oracles, not runtime routes: they live in tests/oracles.py
-ORACLES = ("two_time_lg", "mz_two_time_lg", "born_probability", "dichotomic_from_hermitian")
+ORACLES = ("two_time_lg", "mz_two_time_lg", "born_probability", "dichotomic_from_hermitian",
+           "expectation")
 # deleted: the first two had no caller but their own tests; every field of
 # FeasibilityVerdict was a reading of its witness, the QuasiprobTable the
 # feasibility routes now return
@@ -66,7 +67,7 @@ def last_json(proc: subprocess.CompletedProcess):
 
 class TestSurface:
     def test_all_is_the_export_set(self):
-        assert len(lglab.__all__) == len(EXPORTS) == 44
+        assert len(lglab.__all__) == len(EXPORTS) == 43
         assert set(lglab.__all__) == EXPORTS
 
     def test_dir_lists_every_export(self):

@@ -4,8 +4,9 @@ closeness test, the closed-form precession K3, the one interferometer model
 (the phase shifter folded into the pre-selected state) and the precomputed
 port vectors of the interferometer weak values over the whole (beta, phi)
 domain, including configurations within rounding of saturation, the one
-violation rule down to K at its tolerance, and the column-wise beta sweep
-against the per-point routes, bit for bit.
+violation rule down to K at its tolerance, the scalar MZ kernel against the
+numpy expressions it replaced, and the beta sweep against the per-point
+routes, both bit for bit.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -52,10 +53,18 @@ from lglab import (
     sweep_beta,
     weak_value,
 )
+from lglab.interferometer import _mz_kernel
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
 
-from oracles import k3, mz_two_time_lg, precession_observables, propagate_unitary, two_time_lg
+from oracles import (
+    k3,
+    mz_kernel_numpy,
+    mz_two_time_lg,
+    precession_observables,
+    propagate_unitary,
+    two_time_lg,
+)
 
 PROPS = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -305,6 +314,37 @@ def test_default_alpha_has_the_bits_of_numpy_sqrt(beta):
     # differs from beta*beta in the last bit for about 0.1% of inputs
     assume(abs(beta) <= 1.0)
     assert MZConfig(beta=beta).alpha == float(np.sqrt(1.0 - beta**2))
+
+
+# subnormal and zero betas, and the phases where cos or sin is exact or tiny
+tiny_beta = st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min)
+kernel_beta = st.one_of(beta_near_saturation, beta_off_exceptional, tiny_beta).filter(
+    lambda b: abs(b) <= 1.0
+)
+kernel_phi = st.one_of(phi_st, st.sampled_from([-0.0, 1e-7, 5e-324]))
+
+
+@PROPS
+@given(
+    st.lists(st.tuples(kernel_beta, kernel_phi, st.booleans(), stretch_st), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mz_kernel_is_the_numpy_expressions_bit_for_bit(configs, seed):
+    """One scalar kernel in plain math gives the bits of numpy's complex
+    exp, abs and power, dark ports and subnormal betas included. Last-bit
+    differences (hypot, x * x) show on under 1% of generic configs, so each
+    example adds 40 uniform (beta, phi) draws from ``seed``."""
+    rng = np.random.default_rng(seed)
+    uniform = zip(
+        rng.uniform(-1.0, 1.0, 40).tolist(),
+        rng.uniform(-7.0, 7.0, 40).tolist(),
+        (rng.random(40) < 0.5).tolist(),
+        rng.choice([0.0, 4e-10, -4e-10], 40).tolist(),
+    )
+    for beta, phi, negative_alpha, stretch in [*configs, *uniform]:
+        cfg = mz_config(beta, phi, negative_alpha, stretch)
+        args = (cfg.alpha, cfg.beta, cfg.phi)
+        assert bits(_mz_kernel(*args)) == bits(mz_kernel_numpy(*args)), args
 
 
 _ROW_FIELDS = [f.name for f in dataclasses.fields(SweepRow)]

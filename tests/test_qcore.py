@@ -15,15 +15,19 @@ from lglab import (
     DimensionMismatch,
     Operator,
     StateVector,
-    expectation,
+    nsit_check,
     projector_onto,
+    quasi,
+    sequential_correlation,
+    sequential_joint,
+    three_time_suite,
     weak_value,
 )
 from lglab.interferometer import mz_basis
 from lglab.qcore import STRUCT_TOL
 
 from conftest import random_dichotomic, random_state
-from oracles import born_probability, dichotomic_from_hermitian
+from oracles import born_probability, dichotomic_from_hermitian, expectation
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -128,10 +132,29 @@ class TestInnerProduct:
         assert np.vdot(a, b) == pytest.approx(np.conj(np.vdot(b, a)), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        # the overlap of a weak value is checked before it is formed
+        """Every route that pairs states, operators or observables checks their
+        dimensions with the one check, before it forms anything from them."""
         eye = Operator(np.eye(2), kind="hermitian")
-        with pytest.raises(DimensionMismatch):
-            weak_value(eye, StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0]))
+        qubit, qutrit = StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0])
+        m2 = DichotomicObservable(projector_onto(qubit), projector_onto(StateVector([0.0, 1.0])))
+        m3 = DichotomicObservable(
+            Operator(np.diag([1.0, 0.0, 1.0]), kind="hermitian"),
+            Operator(np.diag([0.0, 1.0, 0.0]), kind="hermitian"),
+        )
+        routes = {
+            "weak_value": lambda: weak_value(eye, qubit, qutrit),
+            "weak_value operator": lambda: weak_value(eye, qutrit, qutrit),
+            "DichotomicObservable": lambda: DichotomicObservable(m2.plus_proj, m3.plus_proj),
+            "quasi": lambda: quasi(qubit, m2, m3),
+            "quasi state": lambda: quasi(qutrit, m2, m2),
+            "nsit_check": lambda: nsit_check(qubit, m3, m2),
+            "three_time_suite": lambda: three_time_suite(qubit, m2, m2, m3),
+            "sequential_joint": lambda: sequential_joint(qutrit, m2, m2),
+            "sequential_correlation": lambda: sequential_correlation(qubit, m2, m3),
+        }
+        for route in routes.values():
+            with pytest.raises(DimensionMismatch):
+                route()
 
 
 class TestExpectation:
@@ -230,7 +253,6 @@ _PRE = StateVector([SQ3 / 2, 0.5])
 
 # each runtime route that checks its argument with Operator.is_hermitian, reduced to comparable values
 HERMITIAN_ROUTES = {
-    "expectation": lambda A: expectation(A, _PRE),
     "weak_value": lambda A: weak_value(A, _PRE, mz_basis().psi3).value,
 }
 

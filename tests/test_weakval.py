@@ -13,7 +13,6 @@ from lglab import (
     OrthogonalPostSelection,
     StateVector,
     detection_probabilities,
-    expectation,
     mz_basis,
     mz_weak_values,
     path_observable,
@@ -22,7 +21,7 @@ from lglab import (
 )
 
 from conftest import random_hermitian, random_state, random_unitary
-from oracles import born_probability
+from oracles import born_probability, expectation
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
