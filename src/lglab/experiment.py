@@ -44,11 +44,14 @@ def _seq_label(m2: int, m3: int) -> str:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int (numpy integers pass); a ValueError naming the field otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int (numpy integers pass, booleans do not); a ValueError
+    naming the field otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_seed(seed) -> int:

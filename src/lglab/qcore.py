@@ -1,4 +1,4 @@
-"""Exact small-dimension complex linear algebra: states, operators, projectors.
+"""Exact small-dimension complex linear algebra: states, Hermitian operators, projectors.
 
 Everything here is double precision and pure. States and operators are
 immutable after construction and every operation returns a new value, so the
@@ -74,7 +74,7 @@ def _rescaled(a: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 class StateVector:
-    """Normalized pure state over a small Hilbert space.
+    """Normalized pure state over a small Hilbert space: a finite, nonzero 1-D vector.
 
     By default inputs whose norm deviates from 1 by more than ``INPUT_TOL``
     are rejected; pass ``normalize=True`` to renormalize instead. Either way
@@ -93,7 +93,9 @@ class StateVector:
     __slots__ = ("amps",)
 
     def __init__(self, amps, normalize: bool = False):
-        a = np.asarray(amps, dtype=complex).reshape(-1)
+        a = np.asarray(amps, dtype=complex)
+        if a.ndim != 1:
+            raise ValueError(f"state must be a one-dimensional vector, got shape {a.shape}")
         if a.size == 0:
             raise ValueError("state must have at least one amplitude")
         a, sq, scale = _rescaled(a)
@@ -125,29 +127,24 @@ class StateVector:
 
 
 class Operator:
-    """Square complex matrix with a structural kind tag.
+    """Hermitian matrix: square, finite and M = M^dagger to ``STRUCT_TOL``.
 
-    ``kind`` is ``"hermitian"`` or ``"general"``; a hermitian tag is verified
-    at construction to ``STRUCT_TOL``.
+    The conditions are checked once, at construction, and the entries are
+    read-only, so no route that receives an Operator tests them again.
     """
 
-    __slots__ = ("entries", "kind")
+    __slots__ = ("entries",)
 
-    KINDS = ("hermitian", "general")
-
-    def __init__(self, entries, kind: str = "general"):
+    def __init__(self, entries):
         m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite")
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown operator kind {kind!r}")
-        if kind == "hermitian" and not Operator._self_adjoint(m):
-            raise ValueError("operator declared hermitian but M != M^dagger")
+        if not _close(m, m.conj().T):
+            raise ValueError("operator is not hermitian: M != M^dagger")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -156,45 +153,32 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @staticmethod
-    def _self_adjoint(m: np.ndarray) -> bool:
-        return _close(m, m.conj().T)
-
-    def is_hermitian(self) -> bool:
-        """M = M^dagger to STRUCT_TOL; a ``hermitian`` tag was verified at
-        construction and the entries are read-only, so it is not re-tested.
-        """
-        return self.kind == "hermitian" or Operator._self_adjoint(self.entries)
-
-    def is_projector(self) -> bool:
-        m = self.entries
-        return self.is_hermitian() and _close(m @ m, m)
-
     def __repr__(self):
-        return f"Operator({self.entries.tolist()!r}, kind={self.kind!r})"
+        return f"Operator({self.entries.tolist()!r})"
 
 
 def projector_onto(s: StateVector) -> Operator:
     """Rank-1 projector |s><s|."""
-    return Operator(s.density(), kind="hermitian")
+    return Operator(s.density())
 
 
 class DichotomicObservable:
     """Hermitian observable with spectrum {+1, -1}, stored as a projector pair.
 
-    The pair must satisfy the full projector algebra (idempotent, mutually
-    orthogonal, complete) and the reconstructed M = P_plus - P_minus squares
-    to the identity; all checks at ``STRUCT_TOL``.
+    Each projector is an :class:`Operator`, so Hermitian by construction; the
+    pair must also satisfy the rest of the projector algebra (idempotent,
+    mutually orthogonal, complete) and the reconstructed M = P_plus - P_minus
+    squares to the identity; all checks at ``STRUCT_TOL``.
     """
 
     __slots__ = ("plus_proj", "minus_proj", "_operator")
 
     def __init__(self, plus_proj: Operator, minus_proj: Operator):
         _check_dims(plus_proj.dim, minus_proj.dim)
-        for name, p in (("plus", plus_proj), ("minus", minus_proj)):
-            if not p.is_projector():
-                raise ValueError(f"{name} projector fails P^2 = P = P^dagger")
         pp, pm = plus_proj.entries, minus_proj.entries
+        for name, p in (("plus", pp), ("minus", pm)):
+            if not _close(p @ p, p):
+                raise ValueError(f"{name} projector fails P^2 = P")
         if not _close(pp @ pm, 0.0):
             raise ValueError("projectors are not mutually orthogonal")
         eye = np.eye(plus_proj.dim)
@@ -205,7 +189,7 @@ class DichotomicObservable:
             raise ValueError("reconstructed observable does not satisfy M^2 = I")
         object.__setattr__(self, "plus_proj", plus_proj)
         object.__setattr__(self, "minus_proj", minus_proj)
-        object.__setattr__(self, "_operator", Operator(m, kind="hermitian"))
+        object.__setattr__(self, "_operator", Operator(m))
 
     def __setattr__(self, name, value):
         raise AttributeError("DichotomicObservable is immutable")

@@ -118,8 +118,6 @@ def _weak_value(pre: np.ndarray, post: np.ndarray, a_post: np.ndarray) -> WeakVa
 
 def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
     """(A)_w = <pre|A|post> / <pre|post>, with its post-selection probability."""
-    if not A.is_hermitian():
-        raise ValueError("weak value requires a Hermitian observable")
     _check_dims(A.dim, pre.dim, post.dim)
     return _weak_value(pre.amps, post.amps, A.entries @ post.amps)
 

@@ -13,7 +13,7 @@ def random_state(rng, dim=2) -> StateVector:
     return StateVector(amps, normalize=True)
 
 
-def random_unitary(rng, dim=2) -> Operator:
+def random_unitary(rng, dim=2) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return unitary(q * (np.diag(r) / np.abs(np.diag(r))))
@@ -21,12 +21,12 @@ def random_unitary(rng, dim=2) -> Operator:
 
 def random_hermitian(rng, dim=2) -> Operator:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Operator((z + z.conj().T) / 2.0, kind="hermitian")
+    return Operator((z + z.conj().T) / 2.0)
 
 
 def random_dichotomic(rng, dim=2) -> DichotomicObservable:
     """Random rank-1 projector pair from the columns of a Haar-ish unitary."""
-    u = random_unitary(rng, dim).entries
+    u = random_unitary(rng, dim)
     plus = projector_onto(StateVector(u[:, 0]))
     minus = projector_onto(StateVector(u[:, 1]))
     return DichotomicObservable(plus, minus)

@@ -40,21 +40,21 @@ from lglab.qcore import STRUCT_TOL, _check_dims, _close
 _SQRT2 = np.sqrt(2.0)
 
 
-def unitary(entries) -> Operator:
-    """A plain operator from ``entries``, checked to satisfy U^dagger U = I to STRUCT_TOL."""
-    u = Operator(entries)
-    if not _close(u.entries.conj().T @ u.entries, np.eye(u.dim)):
+def unitary(entries) -> np.ndarray:
+    """``entries`` as a read-only complex matrix, checked to satisfy U^dagger U = I to STRUCT_TOL."""
+    u = np.array(entries, dtype=complex)
+    if not _close(u.conj().T @ u, np.eye(len(u))):
         raise ValueError("matrix is not unitary: U^dagger U != I")
+    u.setflags(write=False)
     return u
 
 
 def expectation(M: Operator, s: StateVector) -> float:
-    """<s|M|s> for Hermitian M; the (vanishing) imaginary part is asserted away.
+    """<s|M|s> for an operator M, Hermitian by type; the (vanishing) imaginary
+    part is asserted away.
 
     Oracle of the moments that :func:`two_time_lg` and the Born rule read.
     """
-    if not M.is_hermitian():
-        raise ValueError("expectation requires a Hermitian operator")
     _check_dims(M.dim, s.dim)
     val = complex(np.vdot(s.amps, M.entries @ s.amps))
     if abs(val.imag) >= STRUCT_TOL:
@@ -86,7 +86,7 @@ def born_probability(P: Operator, s: StateVector) -> float:
 
     Oracle of ``detection_probabilities`` and of the quasiprobability marginals.
     """
-    p = expectation(P, s)  # tests M = M^dagger, so only P^2 = P is left
+    p = expectation(P, s)  # P is Hermitian by type, so only P^2 = P is left
     if not _close(P.entries @ P.entries, P.entries):
         raise ValueError("born_probability requires a projector")
     if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
@@ -95,35 +95,33 @@ def born_probability(P: Operator, s: StateVector) -> float:
 
 
 def dichotomic_from_hermitian(M: Operator) -> DichotomicObservable:
-    """Build a DichotomicObservable from Hermitian M with M^2 = I via P_pm = (I pm M)/2."""
-    if not M.is_hermitian():
-        raise ValueError("observable must be Hermitian")
+    """Build a DichotomicObservable from M (Hermitian by type) with M^2 = I via P_pm = (I pm M)/2."""
     m = M.entries
     eye = np.eye(M.dim)
     if not _close(m @ m, eye):
         raise ValueError("observable must satisfy M^2 = I (eigenvalues +-1)")
-    plus = Operator((eye + m) / 2.0, kind="hermitian")
-    minus = Operator((eye - m) / 2.0, kind="hermitian")
+    plus = Operator((eye + m) / 2.0)
+    minus = Operator((eye - m) / 2.0)
     return DichotomicObservable(plus, minus)
 
 
-def bs_unitary() -> Operator:
+def bs_unitary() -> np.ndarray:
     """Symmetric 50:50 beam splitter [[1, i], [i, 1]]/sqrt(2) in the path basis."""
     return unitary(np.array([[1.0, 1.0j], [1.0j, 1.0]]) / _SQRT2)
 
 
-def phase_unitary(phi: float) -> Operator:
+def phase_unitary(phi: float) -> np.ndarray:
     """Phase e^{i phi} on path psi2 only."""
     return unitary(np.diag([1.0, np.exp(1.0j * phi)]))
 
 
-def _bs1_effective() -> Operator:
+def _bs1_effective() -> np.ndarray:
     # preparation phase i on path psi2: turns the pre-selected state into the
     # post-first-splitter amplitudes (alpha, i beta)
     return unitary(np.diag([1.0, 1.0j]))
 
 
-def _output_relabel() -> Operator:
+def _output_relabel() -> np.ndarray:
     # psi1 axis -> port psi4, psi2 axis -> port psi3
     b = mz_basis()
     return unitary(np.column_stack([b.psi4.amps, b.psi3.amps]))
@@ -132,10 +130,10 @@ def _output_relabel() -> Operator:
 def propagate_unitary(cfg: MZConfig) -> StateVector:
     """Oracle of ``detection_probabilities`` and the phase fold: the element unitaries on raw (alpha, beta)."""
     u = (
-        _output_relabel().entries
-        @ bs_unitary().entries
-        @ phase_unitary(cfg.phi).entries
-        @ _bs1_effective().entries
+        _output_relabel()
+        @ bs_unitary()
+        @ phase_unitary(cfg.phi)
+        @ _bs1_effective()
     )
     return StateVector(u @ np.array([cfg.alpha, cfg.beta]))
 
@@ -153,7 +151,7 @@ def precession_observables(theta: float) -> tuple[DichotomicObservable, ...]:
         m = np.array(
             [[np.cos(ang), np.sin(ang)], [np.sin(ang), -np.cos(ang)]], dtype=complex
         )
-        obs.append(dichotomic_from_hermitian(Operator(m, kind="hermitian")))
+        obs.append(dichotomic_from_hermitian(Operator(m)))
     return tuple(obs)
 
 

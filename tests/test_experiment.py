@@ -31,8 +31,8 @@ class TestRunSpec:
 
     @pytest.mark.parametrize(
         "shots, seed, field",
-        [(1000.5, 1, "shots"), (1000.0, 1, "shots"), ("10", 1, "shots"),
-         (10, 1.7, "seed"), (10, -0.5, "seed"), (10, 2.0, "seed")],
+        [(1000.5, 1, "shots"), (1000.0, 1, "shots"), ("10", 1, "shots"), (True, 1, "shots"),
+         (10, 1.7, "seed"), (10, -0.5, "seed"), (10, 2.0, "seed"), (10, False, "seed")],
     )
     def test_rejects_non_integers(self, shots, seed, field):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
@@ -42,7 +42,7 @@ class TestRunSpec:
         spec = RunSpec(cfg=MZConfig(beta=0.5), shots=np.int64(1000), seed=np.uint64(7), kind="path")
         assert run(spec).counts == run(RunSpec(MZConfig(beta=0.5), 1000, 7, "path")).counts
 
-    @pytest.mark.parametrize("seed", [2**64, -1, 0.5])
+    @pytest.mark.parametrize("seed", [2**64, -1, 0.5, True])
     @pytest.mark.parametrize("estimator", [empirical_lg, empirical_nsit])
     def test_master_seed_has_the_run_seed_rule(self, estimator, seed):
         with pytest.raises(ValueError, match="^seed must be"):

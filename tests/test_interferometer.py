@@ -79,14 +79,14 @@ class TestElementConventions:
             unitary([[1.0, 0.0], [0.0, 2.0]])
 
     def test_bs_on_psi1(self):
-        out = bs_unitary().entries @ mz_basis().psi1.amps
+        out = bs_unitary() @ mz_basis().psi1.amps
         np.testing.assert_allclose(out, [1 / SQ2, 1j / SQ2], atol=1e-15)
 
     def test_phase_zero_is_identity(self):
-        np.testing.assert_allclose(phase_unitary(0.0).entries, np.eye(2), atol=0)
+        np.testing.assert_allclose(phase_unitary(0.0), np.eye(2), atol=0)
 
     def test_phase_pi_flips_psi2(self):
-        out = phase_unitary(np.pi).entries @ mz_basis().psi2.amps
+        out = phase_unitary(np.pi) @ mz_basis().psi2.amps
         np.testing.assert_allclose(out, [0.0, -1.0], atol=1e-15)
 
 

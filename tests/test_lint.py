@@ -1,7 +1,8 @@
 """Static checks on the package source, with the standard library only.
 
-No linter is a dependency of this project, so an import or a private helper
-that a change leaves behind would go unnoticed; this module catches both.
+No linter is a dependency of this project, so an import, a private helper or
+a public method that a change leaves behind would go unnoticed; this module
+catches all three.
 """
 
 import ast
@@ -12,6 +13,9 @@ import pytest
 import lglab
 
 SOURCES = sorted(Path(lglab.__file__).parent.glob("*.py"))
+# every file that may read the package's API: the package, its tests and the benchmark
+ROOT = Path(__file__).resolve().parents[1]
+READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -126,3 +130,57 @@ def test_the_guard_finds_an_orphaned_private_name():
         "b.py": ast.parse("from .a import _used\n_TABLE: dict = {}\nx = _used() + obj._TABLE\n"),
     }
     assert orphaned_privates(trees) == {"a.py:_orphan": 2, "a.py:_Gone": 4}
+
+
+def public_methods(tree: ast.Module) -> dict[str, int]:
+    """Each public method or property of a class the module defines at its top
+    level, as ``Class.name`` with its line."""
+    return {
+        f"{cls.name}.{node.name}": node.lineno
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+
+
+def unread_public_methods(trees: dict[str, ast.Module], readers: list[ast.Module]) -> dict[str, int]:
+    """Public methods and properties of ``trees`` whose name no reader reads,
+    as ``module:Class.name`` with the line.
+
+    A read is a loaded attribute or a string constant that is exactly the
+    name, as ``getattr`` takes it.
+    """
+    reads = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    return {
+        f"{module}:{name}": line
+        for module, tree in trees.items()
+        for name, line in public_methods(tree).items()
+        if name.rpartition(".")[2] not in reads
+    }
+
+
+def test_every_public_method_is_read_somewhere():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    readers = [ast.parse(path.read_text(), filename=str(path)) for path in READERS]
+    assert unread_public_methods(trees, readers) == {}
+
+
+def test_the_guard_finds_an_unread_public_method():
+    tree = ast.parse(
+        "class A:\n"
+        "    def called(self): pass\n"
+        "    @property\n"
+        "    def named(self): pass\n"
+        "    def gone(self): pass\n"
+        "    def _private(self): pass\n"
+        "    def __repr__(self): pass\n"
+        "def gone(): pass\n"
+    )
+    reader = ast.parse("a.called()\nx = getattr(a, 'named')\na.gone = 1\nprint('a.gone() is unused')\n")
+    assert unread_public_methods({"a.py": tree}, [tree, reader]) == {"a.py:A.gone": 5}

@@ -56,6 +56,7 @@ from lglab import (
 from lglab.interferometer import _mz_kernel
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
+from lglab.weakval import _mz_weak_value_columns
 
 from oracles import (
     k3,
@@ -350,13 +351,18 @@ def test_mz_kernel_is_the_numpy_expressions_bit_for_bit(configs, seed):
 _ROW_FIELDS = [f.name for f in dataclasses.fields(SweepRow)]
 
 
+def per_point_weak_values(cfg: MZConfig) -> tuple:
+    """(Re w3, Re w4) from ``mz_weak_values``, None where undefined."""
+    return tuple(None if w is None else w.value.real for w in mz_weak_values(cfg, allow_undefined=True))
+
+
 def per_point_row(beta: float) -> tuple:
     """One sweep row, in SweepRow field order, from the per-point routes."""
     beta = float(beta)
     cfg = MZConfig(beta=beta)
     report = mz_lg_closed_form(cfg)
     p3, p4 = detection_probabilities(cfg)
-    w3, w4 = (None if w is None else w.value.real for w in mz_weak_values(cfg, allow_undefined=True))
+    w3, w4 = per_point_weak_values(cfg)
     return (beta, cfg.alpha, *report.values().values(), w3, w4, p3, p4, report.violated_index)
 
 
@@ -365,9 +371,8 @@ def bits(values) -> tuple:
     return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in values)
 
 
-def assert_sweep_is_per_point(betas: list[float]) -> int:
-    """Every field of every sweep row has the per-point routes' bits; returns
-    the number of undefined weak values."""
+def assert_sweep_is_per_point(betas: list[float]) -> None:
+    """Every field of every sweep row has the per-point routes' bits."""
     rows = sweep_beta(betas)
     assert len(rows) == len(betas)
     mismatched = [
@@ -375,7 +380,27 @@ def assert_sweep_is_per_point(betas: list[float]) -> int:
         if bits(getattr(row, name) for name in _ROW_FIELDS) != bits(per_point_row(beta))
     ]
     assert mismatched == []
-    return sum((row.w3 is None) + (row.w4 is None) for row in rows)
+
+
+def weak_value_bits(column) -> np.ndarray:
+    """Each weak value as its IEEE bits, with None as NaN's."""
+    return np.array([math.nan if w is None else w for w in column]).view(np.int64)
+
+
+def assert_weak_value_columns_are_per_point(betas: list[float]) -> int:
+    """The sweep's weak-value columns have the bits of ``mz_weak_values`` at
+    every beta; returns the number of undefined weak values.
+
+    w3 and w4 are the only sweep fields that come from a second route
+    (``weakval._mz_weak_value_columns``); alpha, K, p and the violated index
+    come from the scalar kernel that the per-point routes call too.
+    """
+    cfgs = [MZConfig(beta=beta) for beta in betas]
+    columns = _mz_weak_value_columns(np.array([cfg.alpha for cfg in cfgs]), np.array(betas))
+    for column, per_point in zip(columns, zip(*map(per_point_weak_values, cfgs))):
+        mismatched = np.flatnonzero(weak_value_bits(column) != weak_value_bits(per_point))
+        assert [betas[i] for i in mismatched] == []
+    return sum(w is None for column in columns for w in column)
 
 
 # the whole beta range, both zeros, the five exceptional points, and a few
@@ -393,17 +418,17 @@ def test_sweep_columns_are_the_per_point_routes_bit_for_bit(betas):
 
 def test_sweep_columns_match_on_a_uniform_sample():
     """Squaring a float scalar is libm pow, which differs from numpy's array
-    square on about 0.08% of uniform betas; 50001 draws give alpha, K and p
-    dozens of chances to show such a difference."""
-    assert_sweep_is_per_point(np.random.default_rng(8).uniform(-1.0, 1.0, 50001).tolist())
+    square on about 0.08% of uniform betas; 50001 draws give the weak-value
+    columns dozens of chances to show such a difference."""
+    assert_weak_value_columns_are_per_point(np.random.default_rng(8).uniform(-1.0, 1.0, 50001).tolist())
 
 
 @pytest.mark.parametrize("dark", [1 / np.sqrt(2), -1 / np.sqrt(2)])
 def test_sweep_columns_match_across_the_overlap_threshold(dark):
     """200001 points within 1e-7 of a dark port, where |<pre|post>|^2 crosses
-    OVERLAP_TOL: the defined/undefined pattern and every value match too."""
+    OVERLAP_TOL: the defined/undefined pattern and every weak value match too."""
     grid = np.linspace(dark - 1e-7, dark + 1e-7, 200001).tolist()
-    undefined = assert_sweep_is_per_point(grid)
+    undefined = assert_weak_value_columns_are_per_point(grid)
     assert 0 < undefined < len(grid)
 
 

@@ -46,6 +46,11 @@ class TestStateVector:
         s = StateVector([1.0, 1.0], normalize=True)
         assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("amps", [1.0, np.eye(2) / SQ2, [[1.0], [0.0]]])
+    def test_rejects_input_that_is_not_a_vector(self, amps):
+        with pytest.raises(ValueError, match="one-dimensional vector, got shape"):
+            StateVector(amps)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             StateVector([np.nan, 0.0])
@@ -100,7 +105,7 @@ class TestStateVector:
 class TestOperator:
     def test_hermitian_check(self):
         with pytest.raises(ValueError, match="hermitian"):
-            Operator([[0.0, 1.0], [0.0, 0.0]], kind="hermitian")
+            Operator([[0.0, 1.0], [0.0, 0.0]])
 
     def test_square_required(self):
         with pytest.raises(ValueError):
@@ -134,12 +139,12 @@ class TestInnerProduct:
     def test_dimension_mismatch(self):
         """Every route that pairs states, operators or observables checks their
         dimensions with the one check, before it forms anything from them."""
-        eye = Operator(np.eye(2), kind="hermitian")
+        eye = Operator(np.eye(2))
         qubit, qutrit = StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0])
         m2 = DichotomicObservable(projector_onto(qubit), projector_onto(StateVector([0.0, 1.0])))
         m3 = DichotomicObservable(
-            Operator(np.diag([1.0, 0.0, 1.0]), kind="hermitian"),
-            Operator(np.diag([0.0, 1.0, 0.0]), kind="hermitian"),
+            Operator(np.diag([1.0, 0.0, 1.0])),
+            Operator(np.diag([0.0, 1.0, 0.0])),
         )
         routes = {
             "weak_value": lambda: weak_value(eye, qubit, qutrit),
@@ -160,18 +165,18 @@ class TestInnerProduct:
 class TestExpectation:
     def test_identity(self, rng):
         s = random_state(rng)
-        assert expectation(Operator(np.eye(2), kind="hermitian"), s) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(Operator(np.eye(2)), s) == pytest.approx(1.0, abs=1e-12)
 
     def test_path_observable_value(self):
         # oracle: explicit matrix expectation <s|M|s>
         m = np.diag([1.0, -1.0])
         s = StateVector([SQ3 / 2, 0.5])
         oracle = float((np.conj(s.amps) @ m @ s.amps).real)
-        assert expectation(Operator(m, kind="hermitian"), s) == pytest.approx(oracle, abs=1e-12)
+        assert expectation(Operator(m), s) == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(0.5, abs=1e-12)
 
     def test_balanced_superposition_is_zero(self):
-        m = Operator(np.diag([1.0, -1.0]), kind="hermitian")
+        m = Operator(np.diag([1.0, -1.0]))
         assert expectation(m, mz_basis().psi3) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
@@ -237,9 +242,14 @@ class TestDichotomicObservable:
         with pytest.raises(ValueError):
             DichotomicObservable(projector_onto(b.psi1), projector_onto(b.psi3))
 
+    def test_rejects_non_idempotent_projector(self):
+        half = Operator(np.eye(2) / 2.0)
+        with pytest.raises(ValueError, match="P\\^2 = P"):
+            DichotomicObservable(half, half)
+
     def test_rejects_wrong_spectrum(self):
         with pytest.raises(ValueError, match="M\\^2"):
-            dichotomic_from_hermitian(Operator(np.diag([1.0, 0.0]), kind="hermitian"))
+            dichotomic_from_hermitian(Operator(np.diag([1.0, 0.0])))
 
     def test_projector_lookup(self, rng):
         obs = random_dichotomic(rng)
@@ -247,24 +257,3 @@ class TestDichotomicObservable:
         assert obs.projector(-1) is obs.minus_proj
         with pytest.raises(ValueError):
             obs.projector(0)
-
-
-_PRE = StateVector([SQ3 / 2, 0.5])
-
-# each runtime route that checks its argument with Operator.is_hermitian, reduced to comparable values
-HERMITIAN_ROUTES = {
-    "weak_value": lambda A: weak_value(A, _PRE, mz_basis().psi3).value,
-}
-
-
-class TestHermitianCheck:
-    """The ``hermitian`` tag skips the M = M^dagger test only because
-    construction already ran it; an untagged operator is still tested."""
-
-    @pytest.mark.parametrize("route", list(HERMITIAN_ROUTES))
-    def test_untagged_operator_is_checked(self, rng, route):
-        fn = HERMITIAN_ROUTES[route]
-        with pytest.raises(ValueError, match="Hermitian"):
-            fn(Operator([[1.0, 1.0], [0.0, -1.0]]))  # M^2 = I, M != M^dagger
-        m = random_dichotomic(rng).operator().entries
-        np.testing.assert_array_equal(fn(Operator(m)), fn(Operator(m, kind="hermitian")))

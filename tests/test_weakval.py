@@ -31,7 +31,7 @@ class TestWeakValue:
     def test_identity_observable(self, rng):
         pre, post = random_state(rng), random_state(rng)
         if abs(np.vdot(pre.amps, post.amps)) ** 2 > 1e-6:
-            w = weak_value(Operator(np.eye(2), kind="hermitian"), pre, post)
+            w = weak_value(Operator(np.eye(2)), pre, post)
             assert w.value == pytest.approx(1.0, abs=1e-12)
             assert not w.anomalous_real
 
@@ -72,7 +72,7 @@ NEAR_DARK_PHI = st.builds(lambda x, d: x + d, st.sampled_from((0.0, np.pi)), st.
 def decomposed(A, pre, rng):
     """p(f) (A)_w^f + p(f') (A)_w^{f'} over a random orthonormal basis {f, f'},
     through :func:`weak_value`."""
-    u = random_unitary(rng).entries
+    u = random_unitary(rng)
     return sum(w.postselect_prob * w.value for w in (weak_value(A, pre, StateVector(f)) for f in u.T))
 
 
@@ -91,7 +91,7 @@ class TestExpectationDecomposition:
         assert total == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_terms_are_probabilities(self, rng):
-        eye = Operator(np.eye(2), kind="hermitian")
+        eye = Operator(np.eye(2))
         for _ in range(100):
             assert decomposed(eye, random_state(rng), rng) == pytest.approx(1.0, abs=1e-12)
 
