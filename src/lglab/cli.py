@@ -266,7 +266,10 @@ def _config_value(key: str, raw):
         ok = number and (typ is float or isinstance(raw, int) or raw.is_integer())
     if not ok:
         raise CliError(f"config key {key!r} must be {_TYPE_NAMES[typ]}, got {raw!r}")
-    return typ(raw)
+    try:
+        return typ(raw)
+    except OverflowError:  # an integer beyond the double range for a float option
+        raise CliError(f"config key {key!r} is too large for a double") from None
 
 
 def _merge(args: argparse.Namespace) -> dict:

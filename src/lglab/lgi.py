@@ -84,12 +84,6 @@ class TwoTimeLGReport:
         idx = min(ks, key=ks.__getitem__)
         return idx if ks[idx] < -VIOLATION_TOL else None
 
-    @property
-    def margin(self) -> float:
-        """|K| of the violated entry, 0.0 when no K is violated."""
-        idx = self.violated_index
-        return 0.0 if idx is None else abs(self.values()[idx])
-
     @classmethod
     def from_values(cls, k31, k32, k33, k34) -> "TwoTimeLGReport":
         """The report of an exact route, asserting that at most one K is a violation."""
@@ -123,7 +117,13 @@ def sequential_correlation(
 
 
 def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:
-    """Closed-form K values, cross term times cos(phi) (psi4 as the +1 outcome of M3)."""
+    """Closed-form K values, cross term times cos(phi) (psi4 as the +1 outcome of M3).
+
+    This is also the macrorealist verdict on the interferometer's statistics:
+    the joint q = K/4 is infeasible, and some K violated, exactly when
+    |alpha beta cos phi| > min(alpha^2, beta^2). At phi = 0 every beta away
+    from {0, +-1/sqrt(2), +-1} violates; at phi = pi/2 none does.
+    """
     return TwoTimeLGReport.from_values(*_mz_kernel(cfg.alpha, cfg.beta, cfg.phi)[2:])
 
 

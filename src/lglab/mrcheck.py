@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import MZConfig
-from .lgi import mz_lg_closed_form
-from .quasiprob import OUTCOMES, QuasiprobTable, _table_from_k, mr_reading
+from .quasiprob import OUTCOMES, QuasiprobTable, mr_reading
 
 # the fixed vertices (m2, m3) and the columns of the system over them
 _VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
@@ -60,12 +58,3 @@ def feasibility_oracle(t: CorrelationTriple) -> QuasiprobTable:
     x = np.linalg.solve(_VERTEX_SYSTEM, np.array([1.0, t.e2, t.e3, t.e23]))
     return QuasiprobTable({v: float(x[k]) for k, v in enumerate(_VERTICES)})
 
-
-def mz_verdict(cfg: MZConfig) -> QuasiprobTable:
-    """The macrorealist joint (the verdict's witness) of the interferometer's statistics.
-
-    The joint is q = K/4 of :func:`~lglab.lgi.mz_lg_closed_form`: infeasible
-    exactly when |alpha beta cos phi| > min(alpha^2, beta^2), at phi = 0 for
-    every beta away from {0, +-1/sqrt(2), +-1}, at pi/2 never.
-    """
-    return _table_from_k(mz_lg_closed_form(cfg).values())

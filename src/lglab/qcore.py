@@ -129,14 +129,15 @@ class StateVector:
 class Operator:
     """Hermitian matrix: square, finite and M = M^dagger to ``STRUCT_TOL``.
 
-    The conditions are checked once, at construction, and the entries are
-    read-only, so no route that receives an Operator tests them again.
+    The conditions are checked once, at construction, on a read-only copy of
+    the input (the caller's array stays writable), so no route that receives
+    an Operator tests them again.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        m = np.asarray(entries, dtype=complex)
+        m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):

@@ -75,10 +75,6 @@ class QuasiprobTable:
         return float(sum(-v for v in self.q.values() if v < 0.0))
 
     @property
-    def nsit_residual(self) -> float:
-        return max(self.nsit_residuals)
-
-    @property
     def margin(self) -> float:
         """The signed smallest q: the margin ``mr-check`` prints and :attr:`feasible` reads."""
         return float(min(self.q.values()))
@@ -156,11 +152,7 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
     for name, v in (("e_i", e_i), ("e_j", e_j), ("e_ij", e_ij)):
         if not math.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:
             raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-    return _table_from_k(k_from_moments(*(min(max(v, -1.0), 1.0) for v in (e_i, e_j, e_ij))))
-
-
-def _table_from_k(ks: dict[int, float]) -> QuasiprobTable:
-    """The (m2, m3) table q = K/4 of K31..K34, keyed through ``_K_SIGNS``."""
+    ks = k_from_moments(*(min(max(v, -1.0), 1.0) for v in (e_i, e_j, e_ij)))
     return QuasiprobTable({signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()})
 
 
@@ -188,35 +180,3 @@ def signaling_gap_projective(cfg: MZConfig) -> float:
     p3, _ = detection_probabilities(cfg)
     return abs(p_seq - p3)
 
-
-@dataclass(frozen=True)
-class ThreeTimeQuasiReport:
-    """Twelve quasiprobabilities over the pairs (1,2), (1,3), (2,3)."""
-
-    tables: dict[tuple[int, int], QuasiprobTable]
-
-    @property
-    def weak_macrorealism(self) -> bool:
-        """Every table is feasible; no finer macrorealism taxonomy is attempted."""
-        return all(t.feasible for t in self.tables.values())
-
-    def entries(self) -> dict[tuple[int, int, int, int], float]:
-        """Flat map (i, j, mi, mj) -> q for all twelve entries."""
-        return {
-            (i, j, mi, mj): t.entry(mi, mj)
-            for (i, j), t in self.tables.items()
-            for mi in OUTCOMES
-            for mj in OUTCOMES
-        }
-
-
-def three_time_suite(
-    state,
-    M1: DichotomicObservable,
-    M2: DichotomicObservable,
-    M3: DichotomicObservable,
-) -> ThreeTimeQuasiReport:
-    """Quasiprobability tables for all ordered pairs of three observables."""
-    obs = {1: M1, 2: M2, 3: M3}
-    pairs = ((1, 2), (1, 3), (2, 3))
-    return ThreeTimeQuasiReport({(i, j): quasi(state, obs[i], obs[j]) for i, j in pairs})

@@ -499,6 +499,9 @@ class TestConfig:
             ({"grid": 2.9}, ("lgi-sweep", "--output", "x.csv"), "grid"),
             ({"shots": True}, ("simulate", "--beta", "0.5", "--seed", "1"), "shots"),
             ({"bogus": 1}, ("probabilities", "--beta", "0"), "bogus"),
+            # an integer past the double range, also under a command that never reads it
+            ({"beta": 10**400}, ("probabilities",), "beta"),
+            ({"beta": 10**400}, ("mr-check", "--e2", "0", "--e3", "0", "--e23", "0"), "beta"),
         ],
     )
     def test_bad_config_value_exits_2(self, capsys, tmp_path, monkeypatch, config, argv, key):

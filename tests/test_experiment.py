@@ -200,7 +200,7 @@ class TestPinnedReadings:
         assert lg.report.values().keys() == want.keys()
         assert all(same_bits(lg.report.values()[i], want[i]) for i in want)
         assert lg.report.violated_index == 31
-        assert same_bits(lg.report.margin, 0.32000000000000006)
+        assert same_bits(lg.report.values()[lg.report.violated_index], -0.32000000000000006)
         assert lg.k_stderr.keys() == want.keys()
         assert all(same_bits(se, 0.044851399086316135) for se in lg.k_stderr.values())
         for name, value in (

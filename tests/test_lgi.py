@@ -14,7 +14,6 @@ from lglab import (
     lg_from_quasi,
     mr_reading,
     mz_lg_closed_form,
-    mz_verdict,
     mz_weak_values,
     output_observable,
     path_observable,
@@ -113,7 +112,6 @@ class TestTwoTimeLG:
         report = mz_two_time_lg(MZConfig(beta=0.5))
         assert report.k31 == pytest.approx((1 - SQ3) / 2, abs=1e-12)
         assert report.violated_index == 31
-        assert report.margin == pytest.approx((SQ3 - 1) / 2, abs=1e-12)
 
     def test_no_interference_endpoint(self):
         report = mz_two_time_lg(MZConfig(beta=0.0))
@@ -137,17 +135,16 @@ class TestTwoTimeLG:
 
 
 class TestDerivedReadings:
-    """The verdict and margin are read off the four K values."""
+    """The verdict is read off the four K values."""
 
     def test_most_negative_of_several_is_named(self):
         # two violations: finite-shot estimates can give these, exact routes cannot
         report = TwoTimeLGReport(-0.3, -0.1, 0.5, 0.9)
         assert report.violated_index == 31
-        assert report.margin == 0.3
         with pytest.raises(AssertionError, match="more than one negative LG value"):
             TwoTimeLGReport.from_values(-0.3, -0.1, 0.5, 0.9)
         later = TwoTimeLGReport(-0.1, 0.5, -0.3, 0.9)
-        assert (later.violated_index, later.margin) == (33, 0.3)
+        assert later.violated_index == 33
 
     def test_ties_go_to_the_first_index(self):
         assert TwoTimeLGReport(0.5, -0.2, 0.1, -0.2).violated_index == 32
@@ -155,13 +152,12 @@ class TestDerivedReadings:
     def test_tolerance_decides(self):
         report = TwoTimeLGReport(0.5, -1e-13, 0.1, 1.0)
         assert report.violated_index is None
-        assert report.margin == 0.0
         assert TwoTimeLGReport(0.5, 0.0, -2e-12, 1.0).violated_index == 33
 
     def test_from_values_stores_only_the_k_values(self):
         report = TwoTimeLGReport.from_values(0.5, -0.2, 0.1, 1.0)
         assert report == TwoTimeLGReport(0.5, -0.2, 0.1, 1.0)
-        assert (report.violated_index, report.margin) == (32, 0.2)
+        assert report.violated_index == 32
 
 
 class TestClosedForm:
@@ -212,7 +208,6 @@ class TestPhase:
             cfg = MZConfig(beta=float(beta), phi=np.pi / 2)
             assert detection_probabilities(cfg) == pytest.approx((0.5, 0.5), abs=1e-12)
             assert all(r.violated_index is None for r in self.reports(cfg))
-            assert mz_verdict(cfg).feasible
             assert not any(w.anomalous_real for w in mz_weak_values(cfg))
 
     def test_phi_one_example(self):
@@ -220,7 +215,6 @@ class TestPhase:
         for report in self.reports(cfg):
             assert report.violated_index is None
             assert report.k31 == pytest.approx(2 * 0.5 * (0.5 - cfg.alpha * np.cos(1.0)), abs=1e-12)
-        assert mz_verdict(cfg).feasible
         w3, w4 = mz_weak_values(cfg)
         assert w3.nonzero_imag and w4.nonzero_imag
         assert not (w3.anomalous_real or w4.anomalous_real)

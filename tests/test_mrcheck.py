@@ -10,7 +10,6 @@ from lglab import (
     lg_from_quasi,
     macrorealist_feasible,
     mz_lg_closed_form,
-    mz_verdict,
     mz_weak_values,
     sequential_joint,
 )
@@ -132,25 +131,28 @@ class TestQuantumSequentialStatistics:
 
 
 class TestMZVerdict:
+    """The interferometer's verdict, read off :func:`mz_lg_closed_form`: the
+    joint q = K/4 is feasible exactly when no K is violated."""
+
     def test_endpoint_feasible(self):
-        assert mz_verdict(MZConfig(beta=0.0)).feasible
+        assert mz_lg_closed_form(MZConfig(beta=0.0)).violated_index is None
 
     def test_generic_infeasible(self):
-        v = mz_verdict(MZConfig(beta=0.5))
-        assert not v.feasible
-        assert v.margin == pytest.approx((1 - SQ3) / 8, abs=1e-12)
+        report = mz_lg_closed_form(MZConfig(beta=0.5))
+        assert report.violated_index == 31
+        assert min(report.values().values()) / 4 == pytest.approx((1 - SQ3) / 8, abs=1e-12)
 
     def test_balanced_saturation_feasible(self):
-        v = mz_verdict(MZConfig(beta=1 / np.sqrt(2)))
-        assert v.feasible
-        assert v.margin == pytest.approx(0.0, abs=1e-12)
+        report = mz_lg_closed_form(MZConfig(beta=1 / np.sqrt(2)))
+        assert report.violated_index is None
+        assert min(report.values().values()) / 4 == pytest.approx(0.0, abs=1e-12)
 
     def test_infeasible_exactly_off_exceptional(self):
         exceptional = (-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0)
         for beta in np.linspace(-1.0, 1.0, 401):
-            v = mz_verdict(MZConfig(beta=float(beta)))
+            report = mz_lg_closed_form(MZConfig(beta=float(beta)))
             near = any(abs(beta - e) < 1e-9 for e in exceptional)
-            assert v.feasible == near
+            assert (report.violated_index is None) == near
 
 
 class TestOneViolationRule:
@@ -162,7 +164,6 @@ class TestOneViolationRule:
         report = mz_lg_closed_form(cfg)
         assert report.violated_index == 31
         assert -4e-12 < report.k31 < -1e-12
-        assert not mz_verdict(cfg).feasible
 
     def test_q_at_half_the_tolerance_is_infeasible_on_both_routes(self):
         # 4 q(-1, -1) = 1 - e2 - e3 + e23 = -2e-12

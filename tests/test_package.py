@@ -21,13 +21,13 @@ EXPORTS = {
     "CorrelationTriple", "DichotomicObservable", "DimensionMismatch", "EmpiricalLGReport",
     "MZBasis", "MZConfig", "Operator", "OrthogonalPostSelection",
     "QuasiprobTable", "RunSpec", "SampleEstimate", "StateVector", "SweepRow",
-    "ThreeTimeQuasiReport", "TwoTimeLGReport", "WeakValueResult", "detection_probabilities",
+    "TwoTimeLGReport", "WeakValueResult", "detection_probabilities",
     "empirical_lg", "empirical_nsit", "feasibility_oracle", "input_state",
     "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mr_reading", "mz_basis",
-    "mz_lg_closed_form", "mz_verdict", "mz_weak_values", "nsit_check", "outcome_probabilities",
+    "mz_lg_closed_form", "mz_weak_values", "nsit_check", "outcome_probabilities",
     "output_observable", "path_observable", "precession_k3", "projector_onto", "quasi", "run",
     "sequential_correlation", "sequential_joint", "signaling_gap_projective", "sweep_beta",
-    "three_time_suite", "weak_value",
+    "weak_value",
 }
 
 # test oracles, not runtime routes: they live in tests/oracles.py
@@ -35,8 +35,10 @@ ORACLES = ("two_time_lg", "mz_two_time_lg", "born_probability", "dichotomic_from
            "expectation")
 # deleted: the first two had no caller but their own tests; every field of
 # FeasibilityVerdict was a reading of its witness, the QuasiprobTable the
-# feasibility routes now return
-DELETED = ("inner_product", "expectation_decomposition", "FeasibilityVerdict")
+# feasibility routes now return; mz_verdict restated mz_lg_closed_form as q = K/4
+# (through _table_from_k) and the three-time suite was three quasi calls
+DELETED = ("inner_product", "expectation_decomposition", "FeasibilityVerdict", "mz_verdict",
+           "_table_from_k", "three_time_suite", "ThreeTimeQuasiReport")
 
 # reports, as JSON on the last stdout line, the exit code of ``python -m lglab.cli
 # ARGS`` run in this interpreter and the numpy and lglab modules it left loaded
@@ -67,7 +69,7 @@ def last_json(proc: subprocess.CompletedProcess):
 
 class TestSurface:
     def test_all_is_the_export_set(self):
-        assert len(lglab.__all__) == len(EXPORTS) == 43
+        assert len(lglab.__all__) == len(EXPORTS) == 40
         assert set(lglab.__all__) == EXPORTS
 
     def test_dir_lists_every_export(self):

@@ -20,7 +20,6 @@ from lglab import (
     quasi,
     sequential_correlation,
     sequential_joint,
-    three_time_suite,
     weak_value,
 )
 from lglab.interferometer import mz_basis
@@ -111,6 +110,14 @@ class TestOperator:
         with pytest.raises(ValueError):
             Operator(np.ones((2, 3)))
 
+    def test_caller_array_stays_writable(self):
+        m = np.eye(2, dtype=complex)
+        op = Operator(m)
+        m[0, 0] = 2.0
+        assert np.array_equal(op.entries, np.eye(2))
+        with pytest.raises(ValueError):
+            op.entries[0, 0] = 2.0
+
 
 class TestInnerProduct:
     """<a|b> as every runtime route forms it: ``np.vdot`` on the amplitudes."""
@@ -153,7 +160,6 @@ class TestInnerProduct:
             "quasi": lambda: quasi(qubit, m2, m3),
             "quasi state": lambda: quasi(qutrit, m2, m2),
             "nsit_check": lambda: nsit_check(qubit, m3, m2),
-            "three_time_suite": lambda: three_time_suite(qubit, m2, m2, m3),
             "sequential_joint": lambda: sequential_joint(qutrit, m2, m2),
             "sequential_correlation": lambda: sequential_correlation(qubit, m2, m3),
         }

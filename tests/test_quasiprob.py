@@ -18,7 +18,6 @@ from lglab import (
     quasi,
     sequential_correlation,
     signaling_gap_projective,
-    three_time_suite,
 )
 from lglab.lgi import _K_SIGNS
 
@@ -50,6 +49,13 @@ class TestQuasi:
         assert table.entry(-1, +1) == pytest.approx((1 - SQ3) / 8, abs=1e-12)
         assert table.negativity == pytest.approx((SQ3 - 1) / 8, abs=1e-12)
 
+    def test_precession_negative_entry(self):
+        # prepared in the +1 eigenstate of M1, the pair (M2, M3) at theta = pi/3 has K31 = -1/2
+        _, m2, m3 = precession_observables(np.pi / 3)
+        table = quasi(StateVector([1.0, 0.0]), m2, m3)
+        assert table.entry(-1, +1) == pytest.approx(-1 / 8, abs=1e-12)
+        assert not table.feasible
+
     def test_balanced_zero_entry(self):
         _, state, m2, m3 = mz_instance(1 / np.sqrt(2))
         table = quasi(state, m2, m3)
@@ -74,12 +80,15 @@ class TestQuasi:
         table = quasi(rho, path_observable(), output_observable())
         for v in table.q.values():
             assert v == pytest.approx(0.25, abs=1e-12)
+        # the correlator of non-commuting observables survives, every first moment vanishes
+        m1, _, m3 = precession_observables(np.pi / 3)
+        assert quasi(rho, m1, m3).moments() == pytest.approx((0.0, 0.0, -0.5), abs=1e-12)
 
     def test_rejects_bad_density(self):
         with pytest.raises(ValueError):
             quasi(np.eye(2), path_observable(), output_observable())
 
-    @pytest.mark.parametrize("route", ["quasi", "nsit_check", "three_time_suite"])
+    @pytest.mark.parametrize("route", ["quasi", "nsit_check"])
     def test_rejects_non_positive_density(self, route):
         # Hermitian with unit trace, but eigenvalue -1: no state has it
         rho = np.diag([2.0, -1.0])
@@ -87,7 +96,6 @@ class TestQuasi:
         call = {
             "quasi": lambda: quasi(rho, *obs),
             "nsit_check": lambda: nsit_check(rho, *obs),
-            "three_time_suite": lambda: three_time_suite(rho, *obs, path_observable()),
         }[route]
         with pytest.raises(ValueError, match="positive semidefinite"):
             call()
@@ -237,29 +245,6 @@ class TestSignalingGap:
             cfg = MZConfig(beta=float(beta))
             gap = signaling_gap_projective(cfg)
             assert gap == pytest.approx(abs(cfg.alpha * cfg.beta), abs=1e-12)
-
-
-class TestThreeTimeSuite:
-    def test_identical_observables_pass(self):
-        m = path_observable()
-        report = three_time_suite(StateVector([1.0, 0.0]), m, m, m)
-        assert report.weak_macrorealism
-        assert len(report.entries()) == 12
-
-    def test_precession_fails(self):
-        m1, m2, m3 = precession_observables(np.pi / 3)
-        report = three_time_suite(StateVector([1.0, 0.0]), m1, m2, m3)
-        assert not report.weak_macrorealism
-        assert min(report.entries().values()) < -1e-12
-
-    def test_maximally_mixed_uniform(self):
-        m1, m2, m3 = precession_observables(np.pi / 3)
-        report = three_time_suite(np.eye(2) / 2.0, m1, m2, m3)
-        # anticommutator moments survive, but every first moment vanishes
-        for (i, j), table in report.tables.items():
-            ei, ej, _ = table.moments()
-            assert ei == pytest.approx(0.0, abs=1e-12)
-            assert ej == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSequentialQuasiIdentity:
