@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # every exported name, keyed by the layer module that defines it
 _EXPORTS = {
-    "qcore": ("DichotomicObservable", "DimensionMismatch", "Operator", "StateVector", "projector_onto"),
+    "qcore": ("DichotomicObservable", "Operator", "StateVector", "projector_onto"),
     "interferometer": ("MZBasis", "MZConfig", "detection_probabilities", "input_state", "mz_basis",
                        "output_observable", "path_observable"),
     "weakval": ("OrthogonalPostSelection", "WeakValueResult", "mz_weak_values", "weak_value"),

@@ -279,7 +279,7 @@ def _merge(args: argparse.Namespace) -> dict:
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or an over-long integer
             raise CliError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(config, dict):
             raise CliError("config file must contain a flat JSON object")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import MZConfig, _default_alpha, _mz_kernel
-from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector, _check_dims
+from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector
 from .weakval import _mz_weak_value_columns
 
 # sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
@@ -96,15 +96,17 @@ def sequential_joint(
 ) -> dict[tuple[int, int], float]:
     """Joint outcome distribution of Mi then Mj under the two-step projective rule.
 
-    p(mi, mj) = || P_{mj} P_{mi} |state> ||^2.
+    p(mi, mj) = || P_{mj} P_{mi} |state> ||^2, in plain 2x2 arithmetic.
     """
-    _check_dims(state.dim, Mi.dim, Mj.dim)
+    x, y = state.amps.tolist()
     joint = {}
     for mi in (+1, -1):
-        first = Mi.projector(mi).entries @ state.amps
+        a, b, c, d = Mi.projector(mi).entries.ravel().tolist()
+        u, v = a * x + b * y, c * x + d * y
         for mj in (+1, -1):
-            second = Mj.projector(mj).entries @ first
-            joint[(mi, mj)] = float(np.vdot(second, second).real)
+            a, b, c, d = Mj.projector(mj).entries.ravel().tolist()
+            s, t = a * u + b * v, c * u + d * v
+            joint[(mi, mj)] = (s * s.conjugate()).real + (t * t.conjugate()).real
     return joint
 
 

@@ -1,8 +1,9 @@
-"""Exact small-dimension complex linear algebra: states, Hermitian operators, projectors.
+"""Exact qubit linear algebra: states, Hermitian operators, projectors.
 
-Everything here is double precision and pure. States and operators are
-immutable after construction and every operation returns a new value, so the
-whole module is safe for concurrent use without synchronization.
+Every state has two amplitudes and every operator is 2x2 (any other shape is
+a ValueError naming it); their checks are plain Python arithmetic on the flat
+entries. Everything is double precision, immutable after construction and
+pure, so the whole module is safe for concurrent use without synchronization.
 
 Three tolerances are used throughout:
 
@@ -16,6 +17,7 @@ Three tolerances are used throughout:
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -27,18 +29,23 @@ VIOLATION_TOL = 1e-12
 
 
 def _close(a, b, tol: float = STRUCT_TOL) -> bool:
-    """Every entry of a - b within ``tol`` in modulus: ``allclose`` with ``rtol=0``."""
-    return bool(np.all(np.abs(a - b) <= tol))
+    """Every a_k - b_k within ``tol`` in modulus, over two flat sequences of
+    numbers: ``allclose`` with ``rtol=0``."""
+    return all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
-class DimensionMismatch(ValueError):
-    """Raised when two objects live on Hilbert spaces of different dimension."""
+def _adjoint(m) -> tuple:
+    """M^dagger of a 2x2 matrix, both as flat entries (00, 01, 10, 11)."""
+    a, b, c, d = m
+    return a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()
 
 
-def _check_dims(*dims: int) -> None:
-    """The one dimension check: DimensionMismatch unless all ``dims`` are equal."""
-    if len(set(dims)) > 1:
-        raise DimensionMismatch(f"dimension mismatch: {' vs '.join(map(str, dims))}")
+def _matmul(a, b) -> tuple:
+    """The product of two 2x2 matrices, each as its flat entries (00, 01, 10, 11)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -74,7 +81,7 @@ def _rescaled(a: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 class StateVector:
-    """Normalized pure state over a small Hilbert space: a finite, nonzero 1-D vector.
+    """Normalized qubit state: a finite, nonzero vector of two amplitudes.
 
     By default inputs whose norm deviates from 1 by more than ``INPUT_TOL``
     are rejected; pass ``normalize=True`` to renormalize instead. Either way
@@ -94,10 +101,10 @@ class StateVector:
 
     def __init__(self, amps, normalize: bool = False):
         a = np.asarray(amps, dtype=complex)
-        if a.ndim != 1:
-            raise ValueError(f"state must be a one-dimensional vector, got shape {a.shape}")
-        if a.size == 0:
-            raise ValueError("state must have at least one amplitude")
+        if a.shape != (2,):
+            raise ValueError(
+                f"state must be a two-amplitude one-dimensional vector, got shape {a.shape}"
+            )
         a, sq, scale = _rescaled(a)
         norm = math.sqrt(sq)
         if norm == 0.0:
@@ -114,10 +121,6 @@ class StateVector:
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
     def density(self) -> np.ndarray:
         """Pure-state density matrix |s><s| as a plain ndarray."""
         return np.outer(self.amps, self.amps.conj())
@@ -127,7 +130,7 @@ class StateVector:
 
 
 class Operator:
-    """Hermitian matrix: square, finite and M = M^dagger to ``STRUCT_TOL``.
+    """Hermitian 2x2 matrix: finite and M = M^dagger to ``STRUCT_TOL``.
 
     The conditions are checked once, at construction, on a read-only copy of
     the input (the caller's array stays writable), so no route that receives
@@ -138,21 +141,18 @@ class Operator:
 
     def __init__(self, entries):
         m = np.array(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if m.shape != (2, 2):
+            raise ValueError(f"operator must be a 2x2 matrix, got shape {m.shape}")
+        flat = m.ravel().tolist()
+        if not all(map(cmath.isfinite, flat)):
             raise ValueError("operator entries must be finite")
-        if not _close(m, m.conj().T):
+        if not _close(flat, _adjoint(flat)):
             raise ValueError("operator is not hermitian: M != M^dagger")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def __repr__(self):
         return f"Operator({self.entries.tolist()!r})"
@@ -167,37 +167,26 @@ class DichotomicObservable:
     """Hermitian observable with spectrum {+1, -1}, stored as a projector pair.
 
     Each projector is an :class:`Operator`, so Hermitian by construction; the
-    pair must also satisfy the rest of the projector algebra (idempotent,
-    mutually orthogonal, complete) and the reconstructed M = P_plus - P_minus
-    squares to the identity; all checks at ``STRUCT_TOL``.
+    pair must also be mutually orthogonal, P_plus P_minus = 0, and complete,
+    P_plus + P_minus = I, both at ``STRUCT_TOL``. For Hermitian P these two
+    imply the rest of the algebra: P_plus^2 = P_plus - P_plus P_minus = P_plus,
+    likewise P_minus, and M = P_plus - P_minus squares to P_plus + P_minus = I.
     """
 
     __slots__ = ("plus_proj", "minus_proj", "_operator")
 
     def __init__(self, plus_proj: Operator, minus_proj: Operator):
-        _check_dims(plus_proj.dim, minus_proj.dim)
-        pp, pm = plus_proj.entries, minus_proj.entries
-        for name, p in (("plus", pp), ("minus", pm)):
-            if not _close(p @ p, p):
-                raise ValueError(f"{name} projector fails P^2 = P")
-        if not _close(pp @ pm, 0.0):
+        pp, pm = plus_proj.entries.ravel().tolist(), minus_proj.entries.ravel().tolist()
+        if not _close(_matmul(pp, pm), (0.0, 0.0, 0.0, 0.0)):
             raise ValueError("projectors are not mutually orthogonal")
-        eye = np.eye(plus_proj.dim)
-        if not _close(pp + pm, eye):
+        if not _close([x + y for x, y in zip(pp, pm)], (1.0, 0.0, 0.0, 1.0)):
             raise ValueError("projectors do not sum to the identity")
-        m = pp - pm
-        if not _close(m @ m, eye):
-            raise ValueError("reconstructed observable does not satisfy M^2 = I")
         object.__setattr__(self, "plus_proj", plus_proj)
         object.__setattr__(self, "minus_proj", minus_proj)
-        object.__setattr__(self, "_operator", Operator(m))
+        object.__setattr__(self, "_operator", Operator(plus_proj.entries - minus_proj.entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("DichotomicObservable is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.plus_proj.dim
 
     def projector(self, outcome: int) -> Operator:
         if outcome == +1:

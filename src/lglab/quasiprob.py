@@ -1,22 +1,25 @@
 """Symmetrized two-time quasiprobabilities and no-signaling-in-time checks.
 
-For dichotomic observables Mi, Mj measured in that order,
+For dichotomic observables Mi, Mj measured in that order, with P(m) = (I + m M)/2
+and M^2 = I, the symmetrized quasiprobability is a moment expansion:
 
-    q(mi, mj) = 1/2 Tr[ (P_{mj} P_{mi} + P_{mi} P_{mj}) rho ]
+    q(mi, mj) = 1/2 Tr[(P_mj P_mi + P_mi P_mj) rho] = (1 + mi <Mi> + mj <Mj> + mi mj Re <Mi Mj>)/4
 
-with P(m) = (I + m M)/2. The four entries sum to one, may be negative, and by
-the symmetry of the definition their marginals equal the undisturbed Born
-probabilities, so operational non-invasiveness (no-signaling in time) holds
-structurally. The correlator sum(mi*mj*q) equals the sequential (Lueders)
-correlator, and 4*q(m2, m3) reproduces the four two-time LG quantities, so a
-negative entry is exactly an LG violation. An ordinary intervening projective
-measurement, by contrast, does shift the later statistics; that gap is
-exposed by :func:`signaling_gap_projective`. A :class:`QuasiprobTable` stores the
-entries and NSIT residuals; its negativity, margin and feasibility are read off them.
+:func:`quasi` reads the three moments in plain 2x2 arithmetic and takes K/4 of
+``lgi.k_from_moments``, so K = 4q holds by construction; ``tests/oracles.py``
+keeps the projector-product trace as its oracle. The entries sum to one, may
+be negative, and their marginals equal the Born probabilities Re Tr(P rho), so
+no-signaling in time holds structurally; the residuals say how far each lands.
+The correlator sum(mi*mj*q) is the sequential (Lueders) one, and a negative
+4q(m2, m3) is exactly an LG violation. An intervening projective measurement
+does shift the later statistics: :func:`signaling_gap_projective`. A
+:class:`QuasiprobTable` stores the entries and NSIT residuals; its negativity,
+margin and feasibility are read off them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,12 +40,12 @@ from .lgi import (
 )
 from .qcore import (
     INPUT_TOL,
-    STRUCT_TOL,
     VIOLATION_TOL,
     DichotomicObservable,
     StateVector,
-    _check_dims,
+    _adjoint,
     _close,
+    _matmul,
 )
 
 OUTCOMES = (+1, -1)
@@ -85,26 +88,48 @@ class QuasiprobTable:
         return 4.0 * self.margin >= -VIOLATION_TOL
 
 
-def _as_density(state) -> np.ndarray:
-    """Accept a StateVector (pure-state adapter) or a density matrix ndarray.
+def _as_density(state) -> list:
+    """The flat entries (00, 01, 10, 11) of rho, from a StateVector (pure-state
+    adapter) or a 2x2 density matrix.
 
     A density matrix must be finite, Hermitian, of unit trace and positive
-    semidefinite, each to ``INPUT_TOL``.
+    semidefinite, each to ``INPUT_TOL``. With the trace at 1, a 2x2 Hermitian
+    matrix is positive semidefinite exactly when its determinant is >= 0.
     """
     if isinstance(state, StateVector):
-        return state.density()
+        x, y = state.amps.tolist()
+        xc, yc = x.conjugate(), y.conjugate()
+        return [x * xc, x * yc, y * xc, y * yc]
     rho = np.asarray(state, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if not np.all(np.isfinite(rho)):
+    if rho.shape != (2, 2):
+        raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
+    flat = rho.ravel().tolist()
+    if not all(map(cmath.isfinite, flat)):
         raise ValueError("density matrix entries must be finite")
-    if not _close(rho, rho.conj().T, INPUT_TOL):
+    if not _close(flat, _adjoint(flat), INPUT_TOL):
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > INPUT_TOL:
+    a, _, c, d = flat
+    if abs(a.real + d.real - 1.0) > INPUT_TOL:
         raise ValueError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(rho)[0] < -INPUT_TOL:
+    if a.real * d.real - (c.real * c.real + c.imag * c.imag) < -INPUT_TOL:
         raise ValueError("density matrix must be positive semidefinite")
-    return rho
+    return flat
+
+
+def _trace(m, rho) -> float:
+    """Re Tr(M rho), both as flat entries (00, 01, 10, 11)."""
+    return (m[0] * rho[0] + m[1] * rho[2] + m[2] * rho[1] + m[3] * rho[3]).real
+
+
+def _born(M: DichotomicObservable, outcome: int, rho) -> float:
+    """Re Tr(P rho) for the projector P of ``outcome``: its Born probability."""
+    return _trace(M.projector(outcome).entries.ravel().tolist(), rho)
+
+
+def _q_from_moments(e_i: float, e_j: float, e_ij: float) -> dict[tuple[int, int], float]:
+    """q(mi, mj) = K/4 of :func:`k_from_moments`: the one table formula."""
+    ks = k_from_moments(e_i, e_j, e_ij)
+    return {signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()}
 
 
 def quasi(
@@ -113,26 +138,11 @@ def quasi(
     """Symmetrized quasiprobability table for Mi followed by Mj, with the
     marginal-vs-Born residuals (residual_i, residual_j) of the same pass."""
     rho = _as_density(rho_state)
-    _check_dims(rho.shape[0], Mi.dim, Mj.dim)
-    q = {}
-    for mi in OUTCOMES:
-        pi = Mi.projector(mi).entries
-        for mj in OUTCOMES:
-            pj = Mj.projector(mj).entries
-            val = 0.5 * np.trace((pj @ pi + pi @ pj) @ rho)
-            q[(mi, mj)] = float(val.real)
-    total = sum(q.values())
-    if abs(total - 1.0) >= STRUCT_TOL:
-        raise AssertionError(f"quasiprobabilities sum to {total}, not 1")
-    res_i = max(
-        abs(sum(q[(mi, mj)] for mj in OUTCOMES) - np.trace(Mi.projector(mi).entries @ rho).real)
-        for mi in OUTCOMES
-    )
-    res_j = max(
-        abs(sum(q[(mi, mj)] for mi in OUTCOMES) - np.trace(Mj.projector(mj).entries @ rho).real)
-        for mj in OUTCOMES
-    )
-    return QuasiprobTable(q, (float(res_i), float(res_j)))
+    mi, mj = (M.operator().entries.ravel().tolist() for M in (Mi, Mj))
+    q = _q_from_moments(_trace(mi, rho), _trace(mj, rho), _trace(_matmul(mi, mj), rho))
+    res_i = max(abs(q[(m, +1)] + q[(m, -1)] - _born(Mi, m, rho)) for m in OUTCOMES)
+    res_j = max(abs(q[(+1, m)] + q[(-1, m)] - _born(Mj, m, rho)) for m in OUTCOMES)
+    return QuasiprobTable(q, (res_i, res_j))
 
 
 def nsit_check(
@@ -152,8 +162,7 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
     for name, v in (("e_i", e_i), ("e_j", e_j), ("e_ij", e_ij)):
         if not math.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:
             raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-    ks = k_from_moments(*(min(max(v, -1.0), 1.0) for v in (e_i, e_j, e_ij)))
-    return QuasiprobTable({signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()})
+    return QuasiprobTable(_q_from_moments(*(min(max(v, -1.0), 1.0) for v in (e_i, e_j, e_ij))))
 
 
 def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:

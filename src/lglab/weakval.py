@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import MZConfig, input_state, mz_basis, path_observable
-from .qcore import STRUCT_TOL, VIOLATION_TOL, Operator, StateVector, _check_dims
+from .qcore import STRUCT_TOL, VIOLATION_TOL, Operator, StateVector
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
 OVERLAP_TOL = 1e-15
@@ -118,7 +118,6 @@ def _weak_value(pre: np.ndarray, post: np.ndarray, a_post: np.ndarray) -> WeakVa
 
 def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
     """(A)_w = <pre|A|post> / <pre|post>, with its post-selection probability."""
-    _check_dims(A.dim, pre.dim, post.dim)
     return _weak_value(pre.amps, post.amps, A.entries @ post.amps)
 
 

@@ -8,25 +8,25 @@ from lglab import DichotomicObservable, Operator, StateVector, projector_onto
 from oracles import unitary
 
 
-def random_state(rng, dim=2) -> StateVector:
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def random_state(rng) -> StateVector:
+    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return StateVector(amps, normalize=True)
 
 
-def random_unitary(rng, dim=2) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_unitary(rng) -> np.ndarray:
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     return unitary(q * (np.diag(r) / np.abs(np.diag(r))))
 
 
-def random_hermitian(rng, dim=2) -> Operator:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_hermitian(rng) -> Operator:
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     return Operator((z + z.conj().T) / 2.0)
 
 
-def random_dichotomic(rng, dim=2) -> DichotomicObservable:
+def random_dichotomic(rng) -> DichotomicObservable:
     """Random rank-1 projector pair from the columns of a Haar-ish unitary."""
-    u = random_unitary(rng, dim)
+    u = random_unitary(rng)
     plus = projector_onto(StateVector(u[:, 0]))
     minus = projector_onto(StateVector(u[:, 1]))
     return DichotomicObservable(plus, minus)

@@ -3,10 +3,15 @@
 None of these is called by ``lglab`` itself; each is a slower, element-by-element
 computation of a quantity the package gets from a closed form or a faster route:
 the unitary propagation, the expectation <s|M|s> and the Born rule on a
-projector, the projector pair of a Hermitian M with M^2 = I, the precession
+projector, the projector pair of a Hermitian M with M^2 = I, the five-check
+projector-pair validation (:func:`check_projector_pair`), the precession
 observables with their K3, the matrix K route (:func:`two_time_lg`,
-:func:`mz_two_time_lg`), and the numpy expressions of the MZ closed forms
-(:func:`mz_kernel_numpy`) that ``interferometer._mz_kernel`` must match bit for bit.
+:func:`mz_two_time_lg`), the projector-product quasiprobability with the
+eigenvalue check of a density matrix (:func:`quasi_matrix`,
+:func:`density_matrix`), the numpy matrix-vector route of the sequential joint
+(:func:`sequential_joint_numpy`), and the numpy expressions of the MZ closed
+forms (:func:`mz_kernel_numpy`) that ``interferometer._mz_kernel`` must match
+bit for bit.
 
 Interferometer convention (fixed once, verified in tests): the physical
 elements are modeled as an effective preparation phase ``diag(1, i)`` on path
@@ -25,6 +30,7 @@ from lglab import (
     DichotomicObservable,
     MZConfig,
     Operator,
+    QuasiprobTable,
     StateVector,
     TwoTimeLGReport,
     input_state,
@@ -35,15 +41,21 @@ from lglab import (
     sequential_correlation,
 )
 from lglab.lgi import _K_SIGNS
-from lglab.qcore import STRUCT_TOL, _check_dims, _close
+from lglab.qcore import INPUT_TOL, STRUCT_TOL
 
 _SQRT2 = np.sqrt(2.0)
+OUTCOMES = (+1, -1)
+
+
+def close(a, b, tol: float = STRUCT_TOL) -> bool:
+    """Every entry of the arrays a - b within ``tol`` in modulus: ``allclose`` with ``rtol=0``."""
+    return bool(np.all(np.abs(a - b) <= tol))
 
 
 def unitary(entries) -> np.ndarray:
     """``entries`` as a read-only complex matrix, checked to satisfy U^dagger U = I to STRUCT_TOL."""
     u = np.array(entries, dtype=complex)
-    if not _close(u.conj().T @ u, np.eye(len(u))):
+    if not close(u.conj().T @ u, np.eye(len(u))):
         raise ValueError("matrix is not unitary: U^dagger U != I")
     u.setflags(write=False)
     return u
@@ -55,7 +67,6 @@ def expectation(M: Operator, s: StateVector) -> float:
 
     Oracle of the moments that :func:`two_time_lg` and the Born rule read.
     """
-    _check_dims(M.dim, s.dim)
     val = complex(np.vdot(s.amps, M.entries @ s.amps))
     if abs(val.imag) >= STRUCT_TOL:
         raise AssertionError(f"Hermitian expectation has imaginary part {val.imag}")
@@ -87,7 +98,7 @@ def born_probability(P: Operator, s: StateVector) -> float:
     Oracle of ``detection_probabilities`` and of the quasiprobability marginals.
     """
     p = expectation(P, s)  # P is Hermitian by type, so only P^2 = P is left
-    if not _close(P.entries @ P.entries, P.entries):
+    if not close(P.entries @ P.entries, P.entries):
         raise ValueError("born_probability requires a projector")
     if p < -STRUCT_TOL or p > 1.0 + STRUCT_TOL:
         raise AssertionError(f"Born probability {p} outside [0, 1]")
@@ -97,12 +108,96 @@ def born_probability(P: Operator, s: StateVector) -> float:
 def dichotomic_from_hermitian(M: Operator) -> DichotomicObservable:
     """Build a DichotomicObservable from M (Hermitian by type) with M^2 = I via P_pm = (I pm M)/2."""
     m = M.entries
-    eye = np.eye(M.dim)
-    if not _close(m @ m, eye):
+    eye = np.eye(2)
+    if not close(m @ m, eye):
         raise ValueError("observable must satisfy M^2 = I (eigenvalues +-1)")
     plus = Operator((eye + m) / 2.0)
     minus = Operator((eye - m) / 2.0)
     return DichotomicObservable(plus, minus)
+
+
+def check_projector_pair(plus_proj: Operator, minus_proj: Operator) -> None:
+    """The five checks that ``DichotomicObservable`` made before it kept two:
+    P^2 = P for each projector, P_plus P_minus = 0, P_plus + P_minus = I and
+    M^2 = I, in that order, each a ValueError at ``STRUCT_TOL``.
+
+    Oracle of the two checks left, which imply the other three.
+    """
+    pp, pm = plus_proj.entries, minus_proj.entries
+    for name, p in (("plus", pp), ("minus", pm)):
+        if not close(p @ p, p):
+            raise ValueError(f"{name} projector fails P^2 = P")
+    if not close(pp @ pm, 0.0):
+        raise ValueError("projectors are not mutually orthogonal")
+    eye = np.eye(2)
+    if not close(pp + pm, eye):
+        raise ValueError("projectors do not sum to the identity")
+    m = pp - pm
+    if not close(m @ m, eye):
+        raise ValueError("reconstructed observable does not satisfy M^2 = I")
+
+
+def density_matrix(state) -> np.ndarray:
+    """rho of a StateVector, or a density matrix checked with numpy: finite,
+    Hermitian, of unit trace and with its smallest eigenvalue (``eigvalsh``)
+    at least -INPUT_TOL.
+
+    Oracle of the entry checks of ``quasiprob._as_density``.
+    """
+    if isinstance(state, StateVector):
+        return state.density()
+    rho = np.asarray(state, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix entries must be finite")
+    if not close(rho, rho.conj().T, INPUT_TOL):
+        raise ValueError("density matrix must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > INPUT_TOL:
+        raise ValueError("density matrix must have unit trace")
+    if np.linalg.eigvalsh(rho)[0] < -INPUT_TOL:
+        raise ValueError("density matrix must be positive semidefinite")
+    return rho
+
+
+def quasi_matrix(rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable) -> QuasiprobTable:
+    """q(mi, mj) = 1/2 Tr[(P_mj P_mi + P_mi P_mj) rho] as numpy matrix products,
+    with the marginal-vs-Born residuals Tr(P rho).
+
+    Oracle of ``quasi``, which reads the same table off three moments.
+    """
+    rho = density_matrix(rho_state)
+    q = {}
+    for mi in OUTCOMES:
+        pi = Mi.projector(mi).entries
+        for mj in OUTCOMES:
+            pj = Mj.projector(mj).entries
+            q[(mi, mj)] = float((0.5 * np.trace((pj @ pi + pi @ pj) @ rho)).real)
+    res_i = max(
+        abs(sum(q[(mi, mj)] for mj in OUTCOMES) - np.trace(Mi.projector(mi).entries @ rho).real)
+        for mi in OUTCOMES
+    )
+    res_j = max(
+        abs(sum(q[(mi, mj)] for mi in OUTCOMES) - np.trace(Mj.projector(mj).entries @ rho).real)
+        for mj in OUTCOMES
+    )
+    return QuasiprobTable(q, (float(res_i), float(res_j)))
+
+
+def sequential_joint_numpy(
+    state: StateVector, Mi: DichotomicObservable, Mj: DichotomicObservable
+) -> dict[tuple[int, int], float]:
+    """p(mi, mj) = || P_mj P_mi |state> ||^2 with numpy matrix-vector products and ``np.vdot``.
+
+    Oracle of ``sequential_joint``, which matches it bit for bit on interferometer inputs.
+    """
+    joint = {}
+    for mi in OUTCOMES:
+        first = Mi.projector(mi).entries @ state.amps
+        for mj in OUTCOMES:
+            second = Mj.projector(mj).entries @ first
+            joint[(mi, mj)] = float(np.vdot(second, second).real)
+    return joint
 
 
 def bs_unitary() -> np.ndarray:

@@ -35,7 +35,7 @@ from lglab.experiment import RunSpec, run as mc_run
 from lglab.interferometer import mz_basis
 
 from conftest import random_dichotomic, random_state
-from oracles import born_probability, propagate_unitary
+from oracles import born_probability, propagate_unitary, quasi_matrix
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -135,7 +135,8 @@ def test_criterion_4_anomaly_violation_equivalence():
 
 
 def test_criterion_5_quasiprobability_identities():
-    """Sum, NSIT residuals, correlator equality and 4q = K, random + grid."""
+    """Sum, NSIT residuals, correlator equality and 4q = K, random + grid; each
+    table is also the projector-product trace of the matrix oracle."""
     rng = np.random.default_rng(5)
     instances = [
         (random_state(rng), random_dichotomic(rng), random_dichotomic(rng))
@@ -145,6 +146,8 @@ def test_criterion_5_quasiprobability_identities():
     instances += [(input_state(MZConfig(beta=float(b))), m2, m3) for b in GRID]
     for state, mi, mj in instances:
         table = quasi(state, mi, mj)
+        oracle = quasi_matrix(state, mi, mj)
+        assert all(abs(table.q[k] - oracle.q[k]) <= 1e-12 for k in oracle.q)
         assert abs(table.total() - 1.0) <= 1e-12
         res = nsit_check(state, mi, mj)
         assert max(res) < 1e-12

@@ -359,7 +359,9 @@ class TestRounding:
 
 # stdout of records that read the pre-selected state, as printed before the
 # phase shifter was folded into it; at phi = 0 not one byte may move, signed
-# zeros included
+# zeros included. The two quasiprob records hold the moment-expansion table of
+# quasi, whose noise digits differ from those of the projector-product trace
+# it replaced (tests/test_quasiprob.py bounds every entry against 50 digits)
 PINNED_RECORDS = [
     (
         ("weak-values", "--beta", "0.5"),
@@ -388,15 +390,16 @@ PINNED_RECORDS = [
     (
         ("quasiprob", "--beta", "0.5"),
         '{"beta": 0.5, "alpha": 0.866025403784439, "q(m2=+1,m3=+1)": 0.15849364905389, '
-        '"q(m2=+1,m3=-1)": 0.59150635094611, "q(m2=-1,m3=+1)": -0.0915063509461097, '
-        '"q(m2=-1,m3=-1)": 0.34150635094611, "negativity": 0.0915063509461097, '
-        '"nsit_residual_m2": 1.11022302462516e-16, "nsit_residual_m3": 0.0}',
+        '"q(m2=+1,m3=-1)": 0.59150635094611, "q(m2=-1,m3=+1)": -0.0915063509461099, '
+        '"q(m2=-1,m3=-1)": 0.34150635094611, "negativity": 0.0915063509461099, '
+        '"nsit_residual_m2": 3.33066907387547e-16, "nsit_residual_m3": 3.60822483003176e-16}',
     ),
     (
         ("quasiprob", "--beta", "-0.8", "--alpha", "-0.6"),
-        '{"beta": -0.8, "alpha": -0.6, "q(m2=+1,m3=+1)": -0.06, "q(m2=+1,m3=-1)": 0.42, '
-        '"q(m2=-1,m3=+1)": 0.0800000000000001, "q(m2=-1,m3=-1)": 0.56, "negativity": 0.06, '
-        '"nsit_residual_m2": 1.11022302462516e-16, "nsit_residual_m3": 1.38777878078145e-17}',
+        '{"beta": -0.8, "alpha": -0.6, "q(m2=+1,m3=+1)": -0.0600000000000001, '
+        '"q(m2=+1,m3=-1)": 0.42, "q(m2=-1,m3=+1)": 0.08, "q(m2=-1,m3=-1)": 0.56, '
+        '"negativity": 0.0600000000000001, "nsit_residual_m2": 0.0, '
+        '"nsit_residual_m3": 1.38777878078145e-16}',
     ),
     (
         ("simulate", "--beta", "0.5", "--shots", "1000000", "--seed", "42", "--kind", "sequential"),
@@ -490,6 +493,16 @@ class TestConfig:
         code, _, err = run_cli(capsys, "--config", str(cfg), "probabilities", "--beta", "0")
         assert code == 2
         assert "config" in err
+
+    def test_config_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        """json refuses an integer of more than 4300 digits with a ValueError;
+        the file is then unreadable, and the message names it."""
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"beta": 1' + "0" * 5000 + "}")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "probabilities")
+        assert code == 2
+        assert out == ""
+        assert f"cannot read config file {str(cfg)!r}" in err
 
     @pytest.mark.parametrize(
         "config, argv, key",

@@ -25,7 +25,13 @@ from lglab import (
 )
 
 from conftest import random_dichotomic, random_state
-from oracles import k3, mz_two_time_lg, precession_observables, two_time_lg
+from oracles import (
+    k3,
+    mz_two_time_lg,
+    precession_observables,
+    sequential_joint_numpy,
+    two_time_lg,
+)
 
 SQ3 = np.sqrt(3.0)
 
@@ -83,6 +89,38 @@ class TestSequentialCorrelation:
                 random_state(rng), random_dichotomic(rng), random_dichotomic(rng)
             )
             assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
+
+
+class TestSequentialJointBits:
+    """The plain-Python joint against the numpy matrix-vector route it replaced:
+    the same bits on interferometer inputs, which the pinned ``simulate``
+    counts draw from, and 1e-15 on any state and observables."""
+
+    @staticmethod
+    def mz_configs():
+        rng = np.random.default_rng(16)
+        cfgs = [MZConfig(beta=float(b)) for b in np.linspace(-1.0, 1.0, 1001)]
+        cfgs += [MZConfig(beta=b) for b in (-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0)]
+        for beta, phi, sign in zip(rng.uniform(-1.0, 1.0, 2000).tolist(),
+                                   rng.uniform(-10.0, 10.0, 2000).tolist(),
+                                   rng.choice([1.0, -1.0], 2000).tolist()):
+            cfgs.append(MZConfig(beta=beta, alpha=sign * np.sqrt(1.0 - beta**2), phi=phi))
+        return cfgs
+
+    def test_bit_identical_on_interferometer_inputs(self):
+        m2, m3 = path_observable(), output_observable()
+        mismatched = [
+            cfg for cfg in self.mz_configs()
+            if sequential_joint(input_state(cfg), m2, m3)
+            != sequential_joint_numpy(input_state(cfg), m2, m3)
+        ]
+        assert mismatched == []
+
+    def test_within_1e_15_on_random_states(self, rng):
+        for _ in range(2000):
+            state, mi, mj = random_state(rng), random_dichotomic(rng), random_dichotomic(rng)
+            fast, oracle = sequential_joint(state, mi, mj), sequential_joint_numpy(state, mi, mj)
+            assert max(abs(fast[k] - oracle[k]) for k in oracle) <= 1e-15
 
 
 class TestK3:

@@ -18,7 +18,7 @@ LAYERS = ("qcore", "interferometer", "weakval", "lgi", "quasiprob", "mrcheck", "
 
 # the package's public names; a change here is an API change
 EXPORTS = {
-    "CorrelationTriple", "DichotomicObservable", "DimensionMismatch", "EmpiricalLGReport",
+    "CorrelationTriple", "DichotomicObservable", "EmpiricalLGReport",
     "MZBasis", "MZConfig", "Operator", "OrthogonalPostSelection",
     "QuasiprobTable", "RunSpec", "SampleEstimate", "StateVector", "SweepRow",
     "TwoTimeLGReport", "WeakValueResult", "detection_probabilities",
@@ -36,9 +36,11 @@ ORACLES = ("two_time_lg", "mz_two_time_lg", "born_probability", "dichotomic_from
 # deleted: the first two had no caller but their own tests; every field of
 # FeasibilityVerdict was a reading of its witness, the QuasiprobTable the
 # feasibility routes now return; mz_verdict restated mz_lg_closed_form as q = K/4
-# (through _table_from_k) and the three-time suite was three quasi calls
+# (through _table_from_k) and the three-time suite was three quasi calls; with a
+# qubit-only core no two objects can differ in dimension
 DELETED = ("inner_product", "expectation_decomposition", "FeasibilityVerdict", "mz_verdict",
-           "_table_from_k", "three_time_suite", "ThreeTimeQuasiReport")
+           "_table_from_k", "three_time_suite", "ThreeTimeQuasiReport", "DimensionMismatch",
+           "_check_dims")
 
 # reports, as JSON on the last stdout line, the exit code of ``python -m lglab.cli
 # ARGS`` run in this interpreter and the numpy and lglab modules it left loaded
@@ -69,7 +71,7 @@ def last_json(proc: subprocess.CompletedProcess):
 
 class TestSurface:
     def test_all_is_the_export_set(self):
-        assert len(lglab.__all__) == len(EXPORTS) == 40
+        assert len(lglab.__all__) == len(EXPORTS) == 39
         assert set(lglab.__all__) == EXPORTS
 
     def test_dir_lists_every_export(self):

@@ -6,7 +6,11 @@ port vectors of the interferometer weak values over the whole (beta, phi)
 domain, including configurations within rounding of saturation, the one
 violation rule down to K at its tolerance, the scalar MZ kernel against the
 numpy expressions it replaced, and the beta sweep against the per-point
-routes, both bit for bit.
+routes, both bit for bit. The qubit core against its matrix oracles: the
+moment-expansion quasiprobability against the projector-product trace on pure
+states, density matrices and the interferometer, the determinant rule of a
+positive semidefinite density matrix against eigvalsh, and the two projector
+checks against the five they replaced.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -29,6 +33,7 @@ from lglab import (
     CorrelationTriple,
     DichotomicObservable,
     MZConfig,
+    Operator,
     OrthogonalPostSelection,
     StateVector,
     SweepRow,
@@ -55,14 +60,18 @@ from lglab import (
 from lglab.interferometer import _mz_kernel
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
+from lglab.quasiprob import _as_density
 from lglab.weakval import _mz_weak_value_columns
 
 from oracles import (
+    check_projector_pair,
+    density_matrix,
     k3,
     mz_kernel_numpy,
     mz_two_time_lg,
     precession_observables,
     propagate_unitary,
+    quasi_matrix,
     two_time_lg,
 )
 
@@ -201,8 +210,10 @@ def test_close_is_allclose_without_rtol(parts, offsets, tol, from_zero):
     if not from_zero:  # from zero, b - a is the offset exactly
         a = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
     b = a + np.array(offsets).reshape(2, 2)
-    assert _close(a, b, tol) == np.allclose(a, b, atol=tol, rtol=0)
-    assert _close(b, a, tol) == np.allclose(b, a, atol=tol, rtol=0)
+    # _close reads flat entries, as every 2x2 check passes them
+    flat_a, flat_b = a.ravel().tolist(), b.ravel().tolist()
+    assert _close(flat_a, flat_b, tol) == np.allclose(a, b, atol=tol, rtol=0)
+    assert _close(flat_b, flat_a, tol) == np.allclose(b, a, atol=tol, rtol=0)
 
 
 @PROPS
@@ -453,3 +464,117 @@ def test_failing_property_reports_a_falsifying_example(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
+
+
+def bloch_density(r: float, theta: float, phase: float) -> np.ndarray:
+    """(I + r n.sigma)/2 for the unit vector n at (theta, phase): mixed for r < 1, pure at r = 1."""
+    x, y, z = r * np.sin(theta) * np.cos(phase), r * np.sin(theta) * np.sin(phase), r * np.cos(theta)
+    return np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0
+
+
+def marginals(table) -> list[float]:
+    """The two marginals of Mi, then the two of Mj."""
+    q = table.q
+    return [q[(m, +1)] + q[(m, -1)] for m in (+1, -1)] + [q[(+1, m)] + q[(-1, m)] for m in (+1, -1)]
+
+
+def assert_quasi_is_the_matrix_oracle(state, mi, mj) -> None:
+    table, oracle = quasi(state, mi, mj), quasi_matrix(state, mi, mj)
+    for key, value in oracle.q.items():
+        assert abs(table.q[key] - value) <= 1e-15, key
+    for got, want in zip(marginals(table), marginals(oracle)):
+        assert abs(got - want) <= 1e-15
+
+
+@PROPS
+@given(*(angle,) * 6)
+def test_quasi_is_the_matrix_oracle_on_pure_states(t0, p0, ti, pi, tj, pj):
+    assert_quasi_is_the_matrix_oracle(qubit_state(t0, p0), dichotomic(ti, pi), dichotomic(tj, pj))
+
+
+@PROPS
+@given(st.floats(min_value=0.0, max_value=1.0), *(angle,) * 6)
+def test_quasi_is_the_matrix_oracle_on_density_matrices(r, t0, p0, ti, pi, tj, pj):
+    rho = bloch_density(r, t0, p0)
+    assert_quasi_is_the_matrix_oracle(rho, dichotomic(ti, pi), dichotomic(tj, pj))
+
+
+@PROPS
+@given(st.one_of(beta_st, beta_off_exceptional), phi_st, st.booleans())
+def test_quasi_is_the_matrix_oracle_on_the_interferometer(beta, phi, negative_alpha):
+    cfg = mz_config(beta, phi, negative_alpha)
+    assert_quasi_is_the_matrix_oracle(input_state(cfg), path_observable(), output_observable())
+
+
+# the smallest eigenvalue's distance from -INPUT_TOL: anywhere, near the
+# boundary, or just outside the band the property leaves out
+eigen_offset = st.one_of(
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(min_value=-1e-12, max_value=1e-12),
+    st.sampled_from([3e-15, -3e-15, 1e-14, -1e-14, 1e-13, -1e-13]),
+)
+
+
+def verdict(call) -> str:
+    """The message of the ValueError that ``call()`` raises, or "accepted"."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@PROPS
+@given(eigen_offset, angle, angle)
+def test_determinant_rule_is_the_eigenvalue_rule(offset, theta, phase):
+    """A unit-trace Hermitian 2x2 with smallest eigenvalue -INPUT_TOL + offset:
+    det >= -INPUT_TOL accepts it exactly when eigvalsh does, outside +-1e-15
+    of the boundary."""
+    low = -INPUT_TOL + offset
+    u = np.column_stack([qubit_state(theta, phase).amps, qubit_state(theta + np.pi, phase).amps])
+    rho = u @ np.diag([low, 1.0 - low]) @ u.conj().T
+    if abs(np.linalg.eigvalsh(rho)[0] + INPUT_TOL) <= 1e-15:
+        return
+    assert verdict(lambda: _as_density(rho)) == verdict(lambda: density_matrix(rho))
+
+
+def pair_residuals(pp: np.ndarray, pm: np.ndarray) -> list[float]:
+    """The largest entry of each of the five residuals of ``check_projector_pair``."""
+    eye, m = np.eye(2), pp - pm
+    return [float(np.abs(r).max())
+            for r in (pp @ pp - pp, pm @ pm - pm, pp @ pm, pp + pm - eye, m @ m - eye)]
+
+
+hermitian_noise = st.builds(
+    lambda parts, u: 10.0**u * (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8),
+    # mostly near the tolerance, where the two rules could part
+    st.one_of(st.floats(min_value=-17.0, max_value=-10.0), st.floats(min_value=-10.0, max_value=-0.5)),
+).map(lambda z: (z + z.conj().T) / 2.0)
+
+
+@PROPS
+@given(angle, angle, angle, angle, hermitian_noise, hermitian_noise,
+       st.sampled_from(["antipode", "antipode", "complement", "zero", "independent"]))
+def test_two_projector_checks_reject_what_the_five_reject(ta, pa, tb, pb, noise_p, noise_m, minus_is):
+    """P_plus P_minus = 0 and P_plus + P_minus = I reject exactly the Hermitian
+    pairs that the five checks reject, for pairs with no residual within a
+    factor 4 of STRUCT_TOL. P_plus is a noisy projector; P_minus is a noisy
+    projector onto its antipode or onto an independent direction, I - P_plus
+    (complete by construction, so only orthogonality can reject it), or noise
+    alone (orthogonal to within the noise, so only completeness can)."""
+    up = qubit_state(ta, pa)
+    plus = Operator(projector_onto(up).entries + noise_p)
+    if minus_is == "complement":
+        minus = Operator(np.eye(2) - plus.entries)
+    elif minus_is == "zero":
+        minus = Operator(noise_m)
+    else:
+        down = qubit_state(tb, pb)
+        if minus_is == "antipode":
+            down = StateVector([-up.amps[1].conjugate(), up.amps[0].conjugate()])
+        minus = Operator(projector_onto(down).entries + noise_m)
+    if any(STRUCT_TOL / 4 <= r <= 4 * STRUCT_TOL for r in pair_residuals(plus.entries, minus.entries)):
+        return
+    accepted = verdict(lambda: DichotomicObservable(plus, minus)) == "accepted"
+    assert accepted == (verdict(lambda: check_projector_pair(plus, minus)) == "accepted")

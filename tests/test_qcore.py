@@ -1,4 +1,4 @@
-"""Core linear-algebra layer: construction policies, Born rule, projector algebra.
+"""Core qubit layer: construction policies, Born rule, projector algebra.
 
 The Born rule and the projector pair of a Hermitian M with M^2 = I are test
 oracles (``tests/oracles.py``); their tests here check the oracles themselves.
@@ -12,15 +12,11 @@ import pytest
 
 from lglab import (
     DichotomicObservable,
-    DimensionMismatch,
     Operator,
     StateVector,
     nsit_check,
     projector_onto,
     quasi,
-    sequential_correlation,
-    sequential_joint,
-    weak_value,
 )
 from lglab.interferometer import mz_basis
 from lglab.qcore import STRUCT_TOL
@@ -144,28 +140,20 @@ class TestInnerProduct:
         assert np.vdot(a, b) == pytest.approx(np.conj(np.vdot(b, a)), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        """Every route that pairs states, operators or observables checks their
-        dimensions with the one check, before it forms anything from them."""
-        eye = Operator(np.eye(2))
-        qubit, qutrit = StateVector([1.0, 0.0]), StateVector([1.0, 0.0, 0.0])
-        m2 = DichotomicObservable(projector_onto(qubit), projector_onto(StateVector([0.0, 1.0])))
-        m3 = DichotomicObservable(
-            Operator(np.diag([1.0, 0.0, 1.0])),
-            Operator(np.diag([0.0, 1.0, 0.0])),
-        )
-        routes = {
-            "weak_value": lambda: weak_value(eye, qubit, qutrit),
-            "weak_value operator": lambda: weak_value(eye, qutrit, qutrit),
-            "DichotomicObservable": lambda: DichotomicObservable(m2.plus_proj, m3.plus_proj),
-            "quasi": lambda: quasi(qubit, m2, m3),
-            "quasi state": lambda: quasi(qutrit, m2, m2),
-            "nsit_check": lambda: nsit_check(qubit, m3, m2),
-            "sequential_joint": lambda: sequential_joint(qutrit, m2, m2),
-            "sequential_correlation": lambda: sequential_correlation(qubit, m2, m3),
-        }
-        for route in routes.values():
-            with pytest.raises(DimensionMismatch):
-                route()
+        """States and operators are qubit-only: any other shape is a ValueError
+        naming it, at construction and at the density-matrix input of quasi."""
+        m2 = DichotomicObservable(projector_onto(StateVector([1.0, 0.0])),
+                                  projector_onto(StateVector([0.0, 1.0])))
+        for shape in ((1,), (3,), (4,)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                StateVector(np.ones(shape) / np.sqrt(shape[0]))
+        for shape in ((1, 1), (3, 3), (2, 3), (4,), (2, 2, 2)):
+            zero = np.zeros(shape)  # finite, and Hermitian where defined: only the shape is wrong
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                Operator(zero)
+            for route in (quasi, nsit_check):
+                with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                    route(zero, m2, m2)
 
 
 class TestExpectation:
@@ -249,8 +237,9 @@ class TestDichotomicObservable:
             DichotomicObservable(projector_onto(b.psi1), projector_onto(b.psi3))
 
     def test_rejects_non_idempotent_projector(self):
+        # (I/2, I/2) sums to I, and fails P^2 = P through P_plus P_minus = I/4
         half = Operator(np.eye(2) / 2.0)
-        with pytest.raises(ValueError, match="P\\^2 = P"):
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
             DichotomicObservable(half, half)
 
     def test_rejects_wrong_spectrum(self):
