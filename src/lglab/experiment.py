@@ -9,17 +9,22 @@ probabilities:
   outcomes (m2, m3) from the two-step projective rule.
 
 Randomness comes from numpy's Philox (4x64) counter-based bit generator keyed
-directly by the run seed, so identical (spec, seed) pairs give bit-identical
-counts regardless of host or thread count. Standard errors are plain
-multinomial sqrt(p(1-p)/N); zero-count outcomes get the rule-of-three upper
-bound 3/N instead, noted in the estimate metadata. Results store only the
-counts or moments; estimates, errors, metadata and K are properties of them.
+directly by the run seed. Philox's whole stream is fixed by its (key, counter)
+pair, so each thread keeps one generator and resets it to (seed, counter 0)
+before every draw: that is exactly the stream of a freshly keyed generator,
+without the OS-entropy seeding its construction costs. Identical (spec, seed)
+pairs therefore give bit-identical counts regardless of host or thread count.
+Standard errors are plain multinomial sqrt(p(1-p)/N); zero-count outcomes get
+the rule-of-three upper bound 3/N instead, noted in the estimate metadata.
+Results store only the counts or moments; estimates, errors, metadata and K
+are properties of them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +42,30 @@ KINDS = ("interference", "path", "sequential")
 
 # joint-outcome labels in fixed order: (m2, m3) with psi4 as m3 = +1
 SEQ_OUTCOMES = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+_SEQ_LABELS = {(m2, m3): f"m2={m2:+d},m3={m3:+d}" for m2, m3 in SEQ_OUTCOMES}
 
 
-def _seq_label(m2: int, m3: int) -> str:
-    return f"m2={m2:+d},m3={m3:+d}"
+# one Philox generator per thread, built on the thread's first run: built at
+# import, it would put numpy.random's import into every command, not only runs
+_THREAD = threading.local()
+
+
+def _keyed(seed: int) -> np.random.Generator:
+    """This thread's generator in the state of a fresh ``Philox(key=seed)``:
+    counter 0, key (seed, 0), an empty buffer and no cached half-word."""
+    try:
+        gen = _THREAD.generator
+    except AttributeError:
+        gen = _THREAD.generator = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _integer(name: str, value) -> int:
@@ -120,7 +145,7 @@ def outcome_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
         return {"psi1": cfg.alpha**2, "psi2": cfg.beta**2}
     if kind == "sequential":
         joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
-        return {_seq_label(m2, m3): joint[(m2, m3)] for m2, m3 in SEQ_OUTCOMES}
+        return {label: joint[m] for m, label in _SEQ_LABELS.items()}
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
@@ -129,7 +154,7 @@ def run(spec: RunSpec) -> SampleEstimate:
     probs = outcome_probabilities(spec.cfg, spec.kind)
     pvec = np.array(list(probs.values()))
     pvec = pvec / pvec.sum()  # guard against 1e-16 drift in the tail entry
-    counts = np.random.Generator(np.random.Philox(key=int(spec.seed))).multinomial(spec.shots, pvec)
+    counts = _keyed(int(spec.seed)).multinomial(spec.shots, pvec)
     return SampleEstimate(spec, dict(zip(probs, counts.tolist())))
 
 
@@ -193,8 +218,7 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
     m3 = interference.estimate("psi4") - interference.estimate("psi3")
     m2 = path.estimate("psi1") - path.estimate("psi2")
     corr = sum(
-        m2v * m3v * sequential.estimate(_seq_label(m2v, m3v))
-        for m2v, m3v in SEQ_OUTCOMES
+        m2v * m3v * sequential.estimate(label) for (m2v, m3v), label in _SEQ_LABELS.items()
     )
     return EmpiricalLGReport(m2_est=m2, m3_est=m3, corr_est=corr, shots=shots, seed=int(seed))
 
@@ -211,8 +235,7 @@ def empirical_nsit(cfg: MZConfig, shots: int, seed: int) -> tuple[float, float]:
     sequential = run(RunSpec(cfg=cfg, shots=shots, seed=s_seq, kind="sequential"))
     p3_int = interference.estimate("psi3")
     # psi3 is the m3 = -1 outcome
-    p3_seq = sequential.estimate(_seq_label(+1, -1)) + sequential.estimate(_seq_label(-1, -1))
-    se = np.sqrt(
-        p3_int * (1.0 - p3_int) / shots + p3_seq * (1.0 - p3_seq) / shots
-    )
-    return float(p3_int - p3_seq), float(se)
+    p3_seq = (sequential.estimate(_SEQ_LABELS[(+1, -1)])
+              + sequential.estimate(_SEQ_LABELS[(-1, -1)]))
+    se = math.sqrt(p3_int * (1.0 - p3_int) / shots + p3_seq * (1.0 - p3_seq) / shots)
+    return p3_int - p3_seq, se

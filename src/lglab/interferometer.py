@@ -6,10 +6,12 @@ An input alpha*psi1 + beta*psi2 (alpha, beta real, alpha^2 + beta^2 = 1)
 reaches the psi3 port with amplitude (alpha + e^{i phi} beta)/sqrt(2) and the
 psi4 port with amplitude (alpha - e^{i phi} beta)/sqrt(2) up to a phase, so for
 phi = 0 the port probabilities are (alpha+beta)^2/2 and (alpha-beta)^2/2 and
-the psi4 port goes dark at alpha = beta. :func:`_mz_kernel` holds this closed
-form and the two-time K31..K34 of ``lgi`` in plain ``math`` arithmetic; every
-per-point route and the beta sweep read it. ``tests/oracles.py`` keeps the
-element-by-element unitary product as its oracle.
+the psi4 port goes dark at alpha = beta. :func:`_mz_probabilities` holds this
+closed form and :func:`_mz_k` the two-time K31..K34 of ``lgi``, both in plain
+``math`` arithmetic on a shared c = cos(phi); every per-point route and the
+beta sweep read them, and a caller of one pays nothing for the other.
+``tests/oracles.py`` keeps the element-by-element unitary product as its
+oracle.
 """
 
 from __future__ import annotations
@@ -34,19 +36,24 @@ def _default_alpha(beta: float) -> float:
     return math.sqrt(1.0 - beta**2)
 
 
-def _mz_kernel(alpha: float, beta: float, phi: float) -> tuple[float, ...]:
-    """(p3, p4, K31, K32, K33, K34) of the input (alpha, beta) at phase phi.
+def _mz_probabilities(alpha: float, beta: float, c: float, s: float) -> tuple[float, float]:
+    """(p3, p4) of the input (alpha, beta) at the phase with cos c and sin s.
 
     p = |alpha +- e^{i phi} beta|^2 / 2 is clipped at 1: alpha^2 + beta^2 may
     exceed 1 by rounding, and a dark port's partner would read 1.0000000000000002.
     Complex ``abs`` and ``** 2`` are libm ``hypot`` and ``pow``, the operations
     (and bits) of the numpy reference in ``tests/oracles.py``.
     """
-    c, s = math.cos(phi), math.sin(phi)
     bc, bs = beta * c, beta * s
     return (
         min(abs(complex(alpha + bc, bs)) ** 2 / 2.0, 1.0),
         min(abs(complex(alpha - bc, bs)) ** 2 / 2.0, 1.0),
+    )
+
+
+def _mz_k(alpha: float, beta: float, c: float) -> tuple[float, float, float, float]:
+    """(K31, K32, K33, K34) of the input (alpha, beta) at the phase with cos c."""
+    return (
         2.0 * beta * (beta - alpha * c),
         2.0 * alpha * (alpha - beta * c),
         2.0 * beta * (beta + alpha * c),
@@ -124,11 +131,11 @@ def input_state(cfg: MZConfig) -> StateVector:
 
 
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:
-    """(p3, p4): detection probabilities at the psi3 and psi4 ports, from :func:`_mz_kernel`.
+    """(p3, p4): detection probabilities at the psi3 and psi4 ports.
 
     For phi = 0 these are (alpha+beta)^2/2 and (alpha-beta)^2/2, clipped at 1.
     """
-    return _mz_kernel(cfg.alpha, cfg.beta, cfg.phi)[:2]
+    return _mz_probabilities(cfg.alpha, cfg.beta, math.cos(cfg.phi), math.sin(cfg.phi))
 
 
 def path_observable() -> DichotomicObservable:

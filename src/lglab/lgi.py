@@ -26,17 +26,18 @@ violation, whether it is read as K, as 4q or from a weak value. A
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
 
-The MZ forms above are computed once, by ``interferometer._mz_kernel``, for
+The MZ forms above are computed once, by ``interferometer._mz_k``, for
 :func:`mz_lg_closed_form` and for every row of :func:`sweep_beta` (Fig. 2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import MZConfig, _default_alpha, _mz_kernel
+from .interferometer import MZConfig, _default_alpha, _mz_k, _mz_probabilities
 from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector
 from .weakval import _mz_weak_value_columns
 
@@ -126,7 +127,7 @@ def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:
     |alpha beta cos phi| > min(alpha^2, beta^2). At phi = 0 every beta away
     from {0, +-1/sqrt(2), +-1} violates; at phi = pi/2 none does.
     """
-    return TwoTimeLGReport.from_values(*_mz_kernel(cfg.alpha, cfg.beta, cfg.phi)[2:])
+    return TwoTimeLGReport.from_values(*_mz_k(cfg.alpha, cfg.beta, math.cos(cfg.phi)))
 
 
 # not frozen: the sweep builds a row per point, and a frozen __init__ costs ten times as much
@@ -150,10 +151,10 @@ def sweep_beta(grid) -> list[SweepRow]:
 
     Each row is what :class:`MZConfig`, :func:`mz_lg_closed_form`,
     ``detection_probabilities`` and ``mz_weak_values`` give at that beta and
-    phi = 0: the default alpha and ``_mz_kernel`` for alpha, K and p, and
-    ``weakval._mz_weak_value_columns`` for the weak values, bit for bit.
-    Undefined weak values (vanishing port overlap) are reported as None. Rows
-    are emitted in grid order.
+    phi = 0: the default alpha, ``_mz_k`` and ``_mz_probabilities`` for alpha,
+    K and p, and ``weakval._mz_weak_value_columns`` for the weak values, bit
+    for bit. Undefined weak values (vanishing port overlap) are reported as
+    None. Rows are emitted in grid order.
     """
     b = np.asarray(grid, dtype=float)
     if b.ndim != 1:
@@ -165,7 +166,8 @@ def sweep_beta(grid) -> list[SweepRow]:
     alphas = [_default_alpha(beta) for beta in betas]
     rows = []
     for beta, alpha, w3, w4 in zip(betas, alphas, *_mz_weak_value_columns(np.array(alphas), b)):
-        p3, p4, *ks = _mz_kernel(alpha, beta, 0.0)
+        ks = _mz_k(alpha, beta, 1.0)
+        p3, p4 = _mz_probabilities(alpha, beta, 1.0, 0.0)
         rows.append(SweepRow(beta, alpha, *ks, w3, w4, p3, p4, _exact_violation(ks)))
     return rows
 

@@ -48,6 +48,17 @@ def _matmul(a, b) -> tuple:
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
+def _ket_bra(s: StateVector) -> list:
+    """The flat entries (00, 01, 10, 11) of |s><s|, in plain Python.
+
+    Each diagonal entry x * conj(x) has an imaginary part of exactly zero;
+    ``np.outer`` fuses its complex multiply and can leave one of 1e-17.
+    """
+    x, y = s.amps.tolist()
+    xc, yc = x.conjugate(), y.conjugate()
+    return [x * xc, x * yc, y * xc, y * yc]
+
+
 def _sq_norm(a: np.ndarray) -> float:
     """sum |a_i|^2 as ``np.linalg.norm`` forms it for a complex vector, without its wrapper.
 
@@ -122,8 +133,8 @@ class StateVector:
         raise AttributeError("StateVector is immutable")
 
     def density(self) -> np.ndarray:
-        """Pure-state density matrix |s><s| as a plain ndarray."""
-        return np.outer(self.amps, self.amps.conj())
+        """Pure-state density matrix |s><s| as a plain ndarray, from :func:`_ket_bra`."""
+        return np.array(_ket_bra(self)).reshape(2, 2)
 
     def __repr__(self):
         return f"StateVector({self.amps.tolist()!r})"

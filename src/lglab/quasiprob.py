@@ -45,6 +45,7 @@ from .qcore import (
     StateVector,
     _adjoint,
     _close,
+    _ket_bra,
     _matmul,
 )
 
@@ -97,9 +98,7 @@ def _as_density(state) -> list:
     matrix is positive semidefinite exactly when its determinant is >= 0.
     """
     if isinstance(state, StateVector):
-        x, y = state.amps.tolist()
-        xc, yc = x.conjugate(), y.conjugate()
-        return [x * xc, x * yc, y * xc, y * yc]
+        return _ket_bra(state)
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")

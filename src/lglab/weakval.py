@@ -19,7 +19,7 @@ OrthogonalPostSelection error, and they agree bit for bit.
 :func:`_mz_weak_value_columns` is the one column route left in the package:
 the column form of :func:`mz_weak_values` at phi = 0, for a whole beta sweep
 at once (``lgi.sweep_beta``, whose alpha, K and p come from the scalar
-``interferometer._mz_kernel``). It matches the per-point route bit for bit
+``interferometer`` kernels). It matches the per-point route bit for bit
 because it repeats that route's roundings: the squared norm as a per-row BLAS
 dot, the normalisation as numpy's complex division by the norm, and every
 inner product as a stacked ``np.matmul``, which rounds like ``np.vdot``

@@ -9,9 +9,11 @@ observables with their K3, the matrix K route (:func:`two_time_lg`,
 :func:`mz_two_time_lg`), the projector-product quasiprobability with the
 eigenvalue check of a density matrix (:func:`quasi_matrix`,
 :func:`density_matrix`), the numpy matrix-vector route of the sequential joint
-(:func:`sequential_joint_numpy`), and the numpy expressions of the MZ closed
-forms (:func:`mz_kernel_numpy`) that ``interferometer._mz_kernel`` must match
-bit for bit.
+(:func:`sequential_joint_numpy`), the numpy expressions of the MZ closed
+forms (:func:`mz_kernel_numpy`) that ``interferometer._mz_probabilities`` and
+``interferometer._mz_k`` must match bit for bit, and the freshly keyed Philox
+generator per run (:func:`philox_counts`) that ``experiment.run``'s reused,
+rekeyed one must match count for count.
 
 Interferometer convention (fixed once, verified in tests): the physical
 elements are modeled as an effective preparation phase ``diag(1, i)`` on path
@@ -31,11 +33,13 @@ from lglab import (
     MZConfig,
     Operator,
     QuasiprobTable,
+    RunSpec,
     StateVector,
     TwoTimeLGReport,
     input_state,
     k_from_moments,
     mz_basis,
+    outcome_probabilities,
     output_observable,
     path_observable,
     sequential_correlation,
@@ -74,7 +78,8 @@ def expectation(M: Operator, s: StateVector) -> float:
 
 
 def mz_kernel_numpy(alpha: float, beta: float, phi: float) -> tuple[float, ...]:
-    """(p3, p4, K31..K34) as numpy scalars form them: the reference of ``_mz_kernel``.
+    """(p3, p4, K31..K34) as numpy scalars form them: the reference of the
+    ``interferometer`` kernels ``_mz_probabilities`` (p) and ``_mz_k`` (K).
 
     The port amplitude is ``alpha +- np.exp(1j phi) beta``, a numpy complex;
     its modulus is numpy's complex ``abs``, squared with ``** 2`` and clipped
@@ -90,6 +95,19 @@ def mz_kernel_numpy(alpha: float, beta: float, phi: float) -> tuple[float, ...]:
         2.0 * beta * (beta + alpha * c),
         2.0 * alpha * (alpha + beta * c),
     )
+
+
+def philox_counts(spec: RunSpec) -> dict[str, int]:
+    """The counts of ``run(spec)`` from a new ``Generator(Philox(key=seed))``.
+
+    ``experiment.run`` keeps one generator per thread and resets it to
+    (seed, counter 0) instead; its counts must be these, draw for draw.
+    """
+    probs = outcome_probabilities(spec.cfg, spec.kind)
+    pvec = np.array(list(probs.values()))
+    pvec = pvec / pvec.sum()
+    counts = np.random.Generator(np.random.Philox(key=int(spec.seed))).multinomial(spec.shots, pvec)
+    return dict(zip(probs, counts.tolist()))
 
 
 def born_probability(P: Operator, s: StateVector) -> float:

@@ -1,7 +1,13 @@
-"""Monte Carlo harness: determinism, exact zeros, convergence to closed forms."""
+"""Monte Carlo harness: determinism, the reused per-thread generator against a
+fresh one per run, exact zeros, convergence to closed forms."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab import (
     MZConfig,
@@ -12,8 +18,24 @@ from lglab import (
     outcome_probabilities,
     run,
 )
+from lglab.experiment import KINDS
+
+from oracles import philox_counts
 
 SQ3 = np.sqrt(3.0)
+
+# a run: any beta (dark ports and single-path ends included) and phase, any
+# 64-bit seed (both ends and the top bit always in play), any kind, 1 to 1e9 shots
+run_spec = st.builds(
+    lambda beta, phi, shots, seed, kind: RunSpec(MZConfig(beta=beta, phi=phi), shots, seed, kind),
+    st.one_of(st.sampled_from([-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0]),
+              st.floats(min_value=-1.0, max_value=1.0)),
+    st.one_of(st.just(0.0), st.floats(min_value=-7.0, max_value=7.0)),
+    st.one_of(st.sampled_from([1, 10**9]), st.integers(min_value=1, max_value=10**9)),
+    st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]),
+              st.integers(min_value=0, max_value=2**64 - 1)),
+    st.sampled_from(KINDS),
+)
 
 
 class TestRunSpec:
@@ -82,6 +104,40 @@ class TestDeterminism:
         r1 = empirical_lg(cfg, 10_000, 7)
         r2 = empirical_lg(cfg, 10_000, 7)
         assert r1.report == r2.report
+
+
+class TestReusedGenerator:
+    """``run`` rekeys one generator per thread; its counts are those of a new
+    ``Generator(Philox(key=seed))`` per run (``oracles.philox_counts``)."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(run_spec, min_size=1, max_size=8))
+    def test_counts_are_those_of_a_fresh_generator(self, specs):
+        # every draw after the first starts from a generator an earlier draw used
+        counts = [run(spec).counts for spec in specs]
+        assert counts == [philox_counts(spec) for spec in specs]
+
+    def test_threads_get_the_serial_counts(self):
+        rng = np.random.default_rng(2024)
+        specs = [
+            RunSpec(MZConfig(beta=float(beta)), int(shots), int(seed), KINDS[k])
+            for beta, shots, seed, k in zip(
+                rng.uniform(-1.0, 1.0, 200), rng.integers(1, 10**6, 200),
+                rng.integers(0, 2**64, 200, dtype=np.uint64), rng.integers(0, 3, 200),
+            )
+        ]
+        serial = [run(spec).counts for spec in specs]
+        # four workers switching often, so that a generator shared between
+        # threads would be rekeyed between another thread's reset and its draw
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(5):
+                    threaded = pool.map(lambda spec: run(spec).counts, specs, timeout=60)
+                    assert list(threaded) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestExactZeros:

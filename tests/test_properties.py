@@ -57,7 +57,7 @@ from lglab import (
     sweep_beta,
     weak_value,
 )
-from lglab.interferometer import _mz_kernel
+from lglab.interferometer import _mz_k, _mz_probabilities
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
 from lglab.quasiprob import _as_density
@@ -339,10 +339,10 @@ kernel_phi = st.one_of(phi_st, st.sampled_from([-0.0, 1e-7, 5e-324]))
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_mz_kernel_is_the_numpy_expressions_bit_for_bit(configs, seed):
-    """One scalar kernel in plain math gives the bits of numpy's complex
-    exp, abs and power, dark ports and subnormal betas included. Last-bit
-    differences (hypot, x * x) show on under 1% of generic configs, so each
-    example adds 40 uniform (beta, phi) draws from ``seed``."""
+    """The two scalar kernels in plain math, p and K on one cos(phi), give the
+    bits of numpy's complex exp, abs and power, dark ports and subnormal betas
+    included. Last-bit differences (hypot, x * x) show on under 1% of generic
+    configs, so each example adds 40 uniform (beta, phi) draws from ``seed``."""
     rng = np.random.default_rng(seed)
     uniform = zip(
         rng.uniform(-1.0, 1.0, 40).tolist(),
@@ -353,7 +353,9 @@ def test_mz_kernel_is_the_numpy_expressions_bit_for_bit(configs, seed):
     for beta, phi, negative_alpha, stretch in [*configs, *uniform]:
         cfg = mz_config(beta, phi, negative_alpha, stretch)
         args = (cfg.alpha, cfg.beta, cfg.phi)
-        assert bits(_mz_kernel(*args)) == bits(mz_kernel_numpy(*args)), args
+        c, s = math.cos(cfg.phi), math.sin(cfg.phi)
+        kernel = (*_mz_probabilities(cfg.alpha, cfg.beta, c, s), *_mz_k(cfg.alpha, cfg.beta, c))
+        assert bits(kernel) == bits(mz_kernel_numpy(*args)), args
 
 
 _ROW_FIELDS = [f.name for f in dataclasses.fields(SweepRow)]

@@ -221,6 +221,18 @@ class TestProperties:
             assert expectation(m, s) == pytest.approx(val.real, abs=1e-12)
 
 
+    def test_projector_diagonal_is_exactly_real(self, rng):
+        # np.outer's fused complex multiply leaves ~1e-17 on the diagonal;
+        # each entry stays within half an ulp of 1 of it, in each part
+        for _ in range(2000):
+            s = random_state(rng)
+            p = projector_onto(s).entries
+            assert p[0, 0].imag == 0.0 and p[1, 1].imag == 0.0
+            outer = np.outer(s.amps, s.amps.conj())
+            assert np.abs(p.real - outer.real).max() <= 2.0**-53
+            assert np.abs(p.imag - outer.imag).max() <= 2.0**-53
+
+
 class TestDichotomicObservable:
     def test_from_hermitian_roundtrip(self, rng):
         obs = random_dichotomic(rng)
