@@ -14,6 +14,9 @@ pair, so each thread keeps one generator and resets it to (seed, counter 0)
 before every draw: that is exactly the stream of a freshly keyed generator,
 without the OS-entropy seeding its construction costs. Identical (spec, seed)
 pairs therefore give bit-identical counts regardless of host or thread count.
+The fixed inputs of a run are built once: the normalised probability vector
+once per (config, kind), and the child seeds once per master seed, each in a
+small bounded memo (``_MEMO_SIZE`` entries, least recently used out first).
 Standard errors are plain multinomial sqrt(p(1-p)/N); zero-count outcomes get
 the rule-of-three upper bound 3/N instead, noted in the estimate metadata.
 Results store only the counts or moments; estimates, errors, metadata and K
@@ -22,6 +25,7 @@ are properties of them.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -43,6 +47,10 @@ KINDS = ("interference", "path", "sequential")
 # joint-outcome labels in fixed order: (m2, m3) with psi4 as m3 = +1
 SEQ_OUTCOMES = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 _SEQ_LABELS = {(m2, m3): f"m2={m2:+d},m3={m3:+d}" for m2, m3 in SEQ_OUTCOMES}
+
+# entries per memo: a criterion-9 block reuses one config's three vectors and
+# one master seed's children, so a few dozen cover any interleaving of blocks
+_MEMO_SIZE = 64
 
 
 # one Philox generator per thread, built on the thread's first run: built at
@@ -149,19 +157,36 @@ def outcome_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def run(spec: RunSpec) -> SampleEstimate:
-    """Sample one run: the counts, from which the estimates and errors are read."""
-    probs = outcome_probabilities(spec.cfg, spec.kind)
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _sampling_vector(cfg: MZConfig, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The outcome labels and the read-only normalised probability vector of one run kind.
+
+    Configs that compare equal share an entry: their (beta, alpha, phi) differ
+    at most in the sign of a zero, which no probability depends on.
+    """
+    probs = outcome_probabilities(cfg, kind)
     pvec = np.array(list(probs.values()))
     pvec = pvec / pvec.sum()  # guard against 1e-16 drift in the tail entry
+    pvec.setflags(write=False)
+    return tuple(probs), pvec
+
+
+def run(spec: RunSpec) -> SampleEstimate:
+    """Sample one run: the counts, from which the estimates and errors are read."""
+    labels, pvec = _sampling_vector(spec.cfg, spec.kind)
     counts = _keyed(int(spec.seed)).multinomial(spec.shots, pvec)
-    return SampleEstimate(spec, dict(zip(probs, counts.tolist())))
+    return SampleEstimate(spec, dict(zip(labels, counts.tolist())))
 
 
-def _child_seeds(seed: int, n: int) -> list[int]:
-    """Deterministic per-run seeds derived from one master seed."""
-    states = np.random.SeedSequence(_check_seed(seed)).generate_state(n, np.uint64)
-    return [int(s) for s in states]
+# typed: a bool is checked (and rejected) even after an equal integer was cached
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _child_seeds(seed: int) -> tuple[int, int, int]:
+    """The three run seeds (interference, path, sequential) derived from one master seed.
+
+    ``generate_state`` is prefix-stable, so a caller that needs two takes the first two.
+    """
+    states = np.random.SeedSequence(_check_seed(seed)).generate_state(3, np.uint64)
+    return tuple(int(s) for s in states)
 
 
 def _moment_stderr(m: float, n: int) -> float:
@@ -202,6 +227,11 @@ class EmpiricalLGReport:
         se = math.sqrt(self.m2_stderr**2 + self.m3_stderr**2 + self.corr_stderr**2)
         return dict.fromkeys(_K_SIGNS, se)
 
+    @property
+    def run_seeds(self) -> dict[str, int]:
+        """The seed of each of the three runs, so that any one can be replayed alone."""
+        return dict(zip(KINDS, _child_seeds(self.seed)))
+
 
 def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
     """Estimate K31..K34 from three independent simulated runs.
@@ -210,7 +240,7 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
     path run, and <M2 M3> from a sequential run; per-K errors are the three
     moment errors combined in quadrature.
     """
-    s_int, s_path, s_seq = _child_seeds(seed, 3)
+    s_int, s_path, s_seq = _child_seeds(seed)
     interference = run(RunSpec(cfg=cfg, shots=shots, seed=s_int, kind="interference"))
     path = run(RunSpec(cfg=cfg, shots=shots, seed=s_path, kind="path"))
     sequential = run(RunSpec(cfg=cfg, shots=shots, seed=s_seq, kind="sequential"))
@@ -230,7 +260,7 @@ def empirical_nsit(cfg: MZConfig, shots: int, seed: int) -> tuple[float, float]:
     nonzero gap is the operational-non-invasiveness failure of an actual
     projective intervention.
     """
-    s_int, s_seq = _child_seeds(seed, 2)
+    s_int, s_seq = _child_seeds(seed)[:2]
     interference = run(RunSpec(cfg=cfg, shots=shots, seed=s_int, kind="interference"))
     sequential = run(RunSpec(cfg=cfg, shots=shots, seed=s_seq, kind="sequential"))
     p3_int = interference.estimate("psi3")

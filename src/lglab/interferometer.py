@@ -67,7 +67,8 @@ class MZConfig:
 
     ``alpha`` may be omitted, in which case it is fixed to +sqrt(1 - beta^2).
     An explicit pair within ``INPUT_TOL`` of alpha^2 + beta^2 = 1 is divided
-    by sqrt(alpha^2 + beta^2), so every route sees one unit-norm state.
+    by sqrt(alpha^2 + beta^2), so every route sees one unit-norm state. All
+    three fields are stored as Python floats.
     """
 
     beta: float
@@ -77,21 +78,26 @@ class MZConfig:
     def __post_init__(self):
         # math, not numpy: both square roots are correctly rounded, so alpha
         # has the same bits either way
-        if not math.isfinite(self.beta) or abs(self.beta) > 1.0:
-            raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
-        explicit = self.alpha is not None
+        beta, alpha, phi = self.beta, self.alpha, self.phi
+        if not math.isfinite(beta) or abs(beta) > 1.0:
+            raise ValueError(f"beta must lie in [-1, 1], got {beta}")
+        explicit = alpha is not None
         if not explicit:
-            object.__setattr__(self, "alpha", _default_alpha(self.beta))
-        for name, v in (("alpha", self.alpha), ("phi", self.phi)):
+            alpha = _default_alpha(beta)
+        for name, v in (("alpha", alpha), ("phi", phi)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        sq = self.alpha**2 + self.beta**2
+        sq = alpha**2 + beta**2
         if abs(sq - 1.0) > INPUT_TOL:
             raise ValueError(f"alpha^2 + beta^2 = {sq!r} must equal 1")
         if explicit:
             norm = math.sqrt(sq)
-            object.__setattr__(self, "alpha", self.alpha / norm)
-            object.__setattr__(self, "beta", self.beta / norm)
+            alpha, beta = alpha / norm, beta / norm
+        # plain floats with the bits given, so that a config built from numpy
+        # scalars or 0-d arrays hashes too (``experiment`` memoises on it)
+        object.__setattr__(self, "beta", float(beta))
+        object.__setattr__(self, "alpha", float(alpha))
+        object.__setattr__(self, "phi", float(phi))
 
 
 @dataclass(frozen=True, slots=True)

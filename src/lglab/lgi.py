@@ -102,10 +102,10 @@ def sequential_joint(
     x, y = state.amps.tolist()
     joint = {}
     for mi in (+1, -1):
-        a, b, c, d = Mi.projector(mi).entries.ravel().tolist()
+        a, b, c, d = Mi.projector(mi)._flat
         u, v = a * x + b * y, c * x + d * y
         for mj in (+1, -1):
-            a, b, c, d = Mj.projector(mj).entries.ravel().tolist()
+            a, b, c, d = Mj.projector(mj)._flat
             s, t = a * u + b * v, c * u + d * v
             joint[(mi, mj)] = (s * s.conjugate()).real + (t * t.conjugate()).real
     return joint
@@ -179,5 +179,5 @@ def precession_k3(theta: float) -> float:
     ``k3`` on ``precession_observables`` in ``tests/oracles.py`` is its
     matrix-route oracle.
     """
-    return float(2.0 * np.cos(theta) - np.cos(2.0 * theta) - 1.0)
+    return 2.0 * math.cos(theta) - math.cos(2.0 * theta) - 1.0
 

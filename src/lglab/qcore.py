@@ -145,22 +145,25 @@ class Operator:
 
     The conditions are checked once, at construction, on a read-only copy of
     the input (the caller's array stays writable), so no route that receives
-    an Operator tests them again.
+    an Operator tests them again. The flat entries (00, 01, 10, 11) that the
+    checks read are kept as a tuple of Python complex numbers, ``_flat``, for
+    the plain-Python routes.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_flat")
 
     def __init__(self, entries):
         m = np.array(entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"operator must be a 2x2 matrix, got shape {m.shape}")
-        flat = m.ravel().tolist()
+        flat = tuple(m.ravel().tolist())
         if not all(map(cmath.isfinite, flat)):
             raise ValueError("operator entries must be finite")
         if not _close(flat, _adjoint(flat)):
             raise ValueError("operator is not hermitian: M != M^dagger")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "_flat", flat)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -187,7 +190,7 @@ class DichotomicObservable:
     __slots__ = ("plus_proj", "minus_proj", "_operator")
 
     def __init__(self, plus_proj: Operator, minus_proj: Operator):
-        pp, pm = plus_proj.entries.ravel().tolist(), minus_proj.entries.ravel().tolist()
+        pp, pm = plus_proj._flat, minus_proj._flat
         if not _close(_matmul(pp, pm), (0.0, 0.0, 0.0, 0.0)):
             raise ValueError("projectors are not mutually orthogonal")
         if not _close([x + y for x, y in zip(pp, pm)], (1.0, 0.0, 0.0, 1.0)):

@@ -122,7 +122,7 @@ def _trace(m, rho) -> float:
 
 def _born(M: DichotomicObservable, outcome: int, rho) -> float:
     """Re Tr(P rho) for the projector P of ``outcome``: its Born probability."""
-    return _trace(M.projector(outcome).entries.ravel().tolist(), rho)
+    return _trace(M.projector(outcome)._flat, rho)
 
 
 def _q_from_moments(e_i: float, e_j: float, e_ij: float) -> dict[tuple[int, int], float]:
@@ -137,7 +137,7 @@ def quasi(
     """Symmetrized quasiprobability table for Mi followed by Mj, with the
     marginal-vs-Born residuals (residual_i, residual_j) of the same pass."""
     rho = _as_density(rho_state)
-    mi, mj = (M.operator().entries.ravel().tolist() for M in (Mi, Mj))
+    mi, mj = Mi.operator()._flat, Mj.operator()._flat
     q = _q_from_moments(_trace(mi, rho), _trace(mj, rho), _trace(_matmul(mi, mj), rho))
     res_i = max(abs(q[(m, +1)] + q[(m, -1)] - _born(Mi, m, rho)) for m in OUTCOMES)
     res_j = max(abs(q[(+1, m)] + q[(-1, m)] - _born(Mj, m, rho)) for m in OUTCOMES)

@@ -259,6 +259,22 @@ class TestSimulate:
                              "--seed", "1", "--kind", "magic")
         assert code == 2
 
+    def test_run_seeds_replay_empirical_lg(self, capsys):
+        """Each run behind an ``empirical_lg`` report replays alone from its
+        ``run_seeds`` entry, and its counts give back the report's moments."""
+        beta, phi, shots = 0.3, 0.4, 10_000
+        lg = lglab.empirical_lg(lglab.MZConfig(beta=beta, phi=phi), shots, 2024)
+        counts = {}
+        for kind, seed in lg.run_seeds.items():
+            rec = run_json(capsys, "simulate", "--kind", kind, "--seed", str(seed),
+                           "--beta", repr(beta), "--phi", repr(phi), "--shots", str(shots))
+            counts[kind] = {k[len("count["):-1]: v for k, v in rec.items() if k.startswith("count[")}
+        inter, path, seq = counts["interference"], counts["path"], counts["sequential"]
+        assert lg.m3_est == inter["psi4"] / shots - inter["psi3"] / shots
+        assert lg.m2_est == path["psi1"] / shots - path["psi2"] / shots
+        assert lg.corr_est == sum(m2 * m3 * (seq[f"m2={m2:+d},m3={m3:+d}"] / shots)
+                                  for m2, m3 in lglab.experiment.SEQ_OUTCOMES)
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("LGLAB_SEED", "777")
         rec = run_json(capsys, "simulate", "--beta", "0.5", "--shots", "100")

@@ -1,12 +1,14 @@
 """Monte Carlo harness: determinism, the reused per-thread generator against a
-fresh one per run, exact zeros, convergence to closed forms."""
+fresh one per run, the memoised probability vectors and child seeds, exact
+zeros, convergence to closed forms."""
 
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lglab import (
@@ -18,19 +20,32 @@ from lglab import (
     outcome_probabilities,
     run,
 )
-from lglab.experiment import KINDS
+from lglab.experiment import KINDS, _child_seeds, _sampling_vector
 
 from oracles import philox_counts
 
 SQ3 = np.sqrt(3.0)
 
-# a run: any beta (dark ports and single-path ends included) and phase, any
-# 64-bit seed (both ends and the top bit always in play), any kind, 1 to 1e9 shots
+
+def mz_config(beta: float, phi: float, alpha_sign: int | None) -> MZConfig:
+    """The config at (beta, phi), with the default alpha or an explicit +-sqrt(1 - beta^2)."""
+    if alpha_sign is None:
+        return MZConfig(beta=beta, phi=phi)
+    return MZConfig(beta=beta, alpha=alpha_sign * math.sqrt((1.0 - beta) * (1.0 + beta)), phi=phi)
+
+
+# a run: any beta (dark ports, single-path ends and both zeros included), phase
+# and alpha (default or explicit, either sign), any 64-bit seed (both ends and
+# the top bit always in play), any kind, 1 to 1e9 shots
 run_spec = st.builds(
-    lambda beta, phi, shots, seed, kind: RunSpec(MZConfig(beta=beta, phi=phi), shots, seed, kind),
-    st.one_of(st.sampled_from([-1.0, -1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 1.0]),
-              st.floats(min_value=-1.0, max_value=1.0)),
-    st.one_of(st.just(0.0), st.floats(min_value=-7.0, max_value=7.0)),
+    RunSpec,
+    st.builds(
+        mz_config,
+        st.one_of(st.sampled_from([-1.0, -1 / np.sqrt(2), -0.0, 0.0, 1 / np.sqrt(2), 1.0]),
+                  st.floats(min_value=-1.0, max_value=1.0)),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-7.0, max_value=7.0)),
+        st.sampled_from([None, +1, -1]),
+    ),
     st.one_of(st.sampled_from([1, 10**9]), st.integers(min_value=1, max_value=10**9)),
     st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]),
               st.integers(min_value=0, max_value=2**64 - 1)),
@@ -138,6 +153,84 @@ class TestReusedGenerator:
                     assert list(threaded) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+def seed_sequence(seed: int, n: int) -> list[int]:
+    """The first ``n`` child seeds of ``seed``, straight from numpy's ``SeedSequence``."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, np.uint64)]
+
+
+class TestMemos:
+    """``run`` reads each (config, kind) vector, and ``empirical_lg`` and
+    ``empirical_nsit`` each master seed's child seeds, from a bounded memo; a
+    cold and a warm memo give the same counts and seeds."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(run_spec)
+    def test_counts_are_those_of_a_fresh_generator_cold_and_warm(self, spec):
+        want = philox_counts(spec)
+        _sampling_vector.cache_clear()
+        assert run(spec).counts == want
+        assert run(spec).counts == want
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (MZConfig(beta=0.0), MZConfig(beta=-0.0)),
+            (MZConfig(beta=0.5, phi=0.0), MZConfig(beta=0.5, phi=-0.0)),
+            (MZConfig(beta=-0.0, phi=-0.0), MZConfig(beta=0.0, phi=0.0)),
+            (MZConfig(beta=0.0), MZConfig(beta=0.0, alpha=1.0)),
+            (MZConfig(beta=0.3), MZConfig(beta=0.3, alpha=math.sqrt(1.0 - 0.3**2))),
+            (MZConfig(beta=1.0), MZConfig(beta=1.0, alpha=-0.0)),
+            (MZConfig(beta=0.5, phi=1.0), MZConfig(beta=np.float64(0.5), phi=np.array(1.0))),
+        ],
+        ids=["beta0", "phi0", "both0", "alpha1", "alpha-default", "alpha0", "numpy"],
+    )
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equal_configs_share_the_vector_bits(self, a, b, kind):
+        assert a == b and hash(a) == hash(b)
+        _sampling_vector.cache_clear()
+        labels_a, vec_a = _sampling_vector(a, kind)
+        _sampling_vector.cache_clear()
+        labels_b, vec_b = _sampling_vector(b, kind)
+        assert labels_a == labels_b
+        assert vec_a.tobytes() == vec_b.tobytes()
+        assert not vec_a.flags.writeable
+        assert run(RunSpec(b, 1000, 7, kind)).counts == philox_counts(RunSpec(a, 1000, 7, kind))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @example(0)
+    @example(1)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**64 - 1)
+    def test_child_seeds_are_the_seed_sequence_prefixes(self, seed):
+        _child_seeds.cache_clear()
+        for n in (1, 2, 3):
+            assert list(_child_seeds(seed)[:n]) == seed_sequence(seed, n)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 12345])
+    def test_nsit_and_lg_read_the_same_children_in_either_order(self, seed):
+        cfg, shots = MZConfig(beta=0.4, phi=0.3), 1000
+        s_int, s_seq = seed_sequence(seed, 2)
+        inter = philox_counts(RunSpec(cfg, shots, s_int, "interference"))
+        seq = philox_counts(RunSpec(cfg, shots, s_seq, "sequential"))
+        gap = inter["psi3"] / shots - (seq["m2=+1,m3=-1"] / shots + seq["m2=-1,m3=-1"] / shots)
+        _child_seeds.cache_clear()
+        first = empirical_nsit(cfg, shots, seed)
+        lg = empirical_lg(cfg, shots, seed)
+        assert empirical_nsit(cfg, shots, seed) == first
+        assert first[0] == gap
+        assert list(lg.run_seeds.values()) == seed_sequence(seed, 3)
+        _child_seeds.cache_clear()
+        assert empirical_lg(cfg, shots, seed) == lg
+
+    def test_a_bool_master_seed_is_rejected_after_an_equal_integer(self):
+        cfg = MZConfig(beta=0.5)
+        empirical_lg(cfg, 10, np.int64(1))
+        with pytest.raises(ValueError, match="^seed must be"):
+            empirical_lg(cfg, 10, True)
 
 
 class TestExactZeros:
