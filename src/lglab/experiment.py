@@ -89,24 +89,32 @@ def _integer(name: str, value) -> int:
 
 def _check_seed(seed) -> int:
     """The one seed rule, for run seeds and master seeds alike."""
-    if not 0 <= _integer("seed", seed) < 2**64:
+    value = _integer("seed", seed)
+    if not 0 <= value < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+    return value
 
 
 @dataclass(frozen=True)
 class RunSpec:
+    """One run's config, shot count, seed and kind; ``shots`` and ``seed`` are
+    stored as Python ints, so numpy integers give the same results as ints."""
+
     cfg: MZConfig
     shots: int
     seed: int
     kind: str
 
     def __post_init__(self):
-        if not 1 <= _integer("shots", self.shots) <= 2**63 - 1:
+        shots = _integer("shots", self.shots)
+        if not 1 <= shots <= 2**63 - 1:
             raise ValueError(f"shots must lie in [1, 2**63 - 1], got {self.shots}")
-        _check_seed(self.seed)
+        seed = _check_seed(self.seed)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if shots is not self.shots or seed is not self.seed:  # numpy integers: store the ints
+            object.__setattr__(self, "shots", shots)
+            object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -136,7 +144,7 @@ class SampleEstimate:
 
     @property
     def metadata(self) -> dict:
-        meta = {"rng": "numpy Philox(4x64)", "seed": int(self.spec.seed), "kind": self.spec.kind}
+        meta = {"rng": "numpy Philox(4x64)", "seed": self.spec.seed, "kind": self.spec.kind}
         zero = [k for k, c in self.counts.items() if c == 0]
         if zero:
             meta["zero_count_stderr_rule"] = "rule-of-three upper bound 3/N"
@@ -174,7 +182,7 @@ def _sampling_vector(cfg: MZConfig, kind: str) -> tuple[tuple[str, ...], np.ndar
 def run(spec: RunSpec) -> SampleEstimate:
     """Sample one run: the counts, from which the estimates and errors are read."""
     labels, pvec = _sampling_vector(spec.cfg, spec.kind)
-    counts = _keyed(int(spec.seed)).multinomial(spec.shots, pvec)
+    counts = _keyed(spec.seed).multinomial(spec.shots, pvec)
     return SampleEstimate(spec, dict(zip(labels, counts.tolist())))
 
 
@@ -242,6 +250,7 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
     """
     s_int, s_path, s_seq = _child_seeds(seed)
     interference = run(RunSpec(cfg=cfg, shots=shots, seed=s_int, kind="interference"))
+    shots = interference.total  # the checked int
     path = run(RunSpec(cfg=cfg, shots=shots, seed=s_path, kind="path"))
     sequential = run(RunSpec(cfg=cfg, shots=shots, seed=s_seq, kind="sequential"))
 
@@ -262,6 +271,7 @@ def empirical_nsit(cfg: MZConfig, shots: int, seed: int) -> tuple[float, float]:
     """
     s_int, s_seq = _child_seeds(seed)[:2]
     interference = run(RunSpec(cfg=cfg, shots=shots, seed=s_int, kind="interference"))
+    shots = interference.total  # the checked int
     sequential = run(RunSpec(cfg=cfg, shots=shots, seed=s_seq, kind="sequential"))
     p3_int = interference.estimate("psi3")
     # psi3 is the m3 = -1 outcome

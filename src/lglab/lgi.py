@@ -50,11 +50,15 @@ _K_INDICES = tuple(_K_SIGNS)
 def k_from_moments(e2: float, e3: float, e23: float) -> dict[int, float]:
     """K31..K34 from <M2>, <M3> and <M2 M3>: K(s2, s3) = 4 q(s2, s3).
 
-    The single home of the K/q formula; the summation order is fixed so that
-    every caller gets bit-identical values.
+    The single home of the K/q formula, written out for the four sign pairs of
+    ``_K_SIGNS`` as 1 + s2 <M2> + s2 s3 <M2 M3> + s3 <M3>, summed left to
+    right, so that every caller gets bit-identical values.
     """
     return {
-        idx: 1.0 + s2 * e2 + s2 * s3 * e23 + s3 * e3 for idx, (s2, s3) in _K_SIGNS.items()
+        31: 1.0 - e2 - e23 + e3,
+        32: 1.0 + e2 + e23 + e3,
+        33: 1.0 - e2 + e23 - e3,
+        34: 1.0 + e2 - e23 - e3,
     }
 
 

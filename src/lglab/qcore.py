@@ -2,8 +2,13 @@
 
 Every state has two amplitudes and every operator is 2x2 (any other shape is
 a ValueError naming it); their checks are plain Python arithmetic on the flat
-entries. Everything is double precision, immutable after construction and
-pure, so the whole module is safe for concurrent use without synchronization.
+entries. Validation runs once, where an object enters: ``StateVector`` and
+``Operator`` check what the caller gives them, and ``DichotomicObservable``
+checks its projector pair and M. A projector |s><s| of a validated state is
+exactly Hermitian, so ``projector_onto`` builds it from its flat entries with
+no second check. Everything is double precision, immutable after construction
+and pure, so the whole module is safe for concurrent use without
+synchronization.
 
 Three tolerances are used throughout:
 
@@ -48,15 +53,27 @@ def _matmul(a, b) -> tuple:
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _ket_bra(s: StateVector) -> list:
+def _ket_bra(s: StateVector) -> tuple:
     """The flat entries (00, 01, 10, 11) of |s><s|, in plain Python.
 
     Each diagonal entry x * conj(x) has an imaginary part of exactly zero;
-    ``np.outer`` fuses its complex multiply and can leave one of 1e-17.
+    ``np.outer`` fuses its complex multiply and can leave one of 1e-17. The
+    entries are finite (the amplitudes have unit norm) and exactly Hermitian:
+    y * conj(x) is the exact conjugate of x * conj(y), since each part is the
+    same rounded sum of the same products, negated in the imaginary part.
     """
     x, y = s.amps.tolist()
     xc, yc = x.conjugate(), y.conjugate()
-    return [x * xc, x * yc, y * xc, y * yc]
+    return x * xc, x * yc, y * xc, y * yc
+
+
+def _check_hermitian(flat) -> None:
+    """Reject flat entries (00, 01, 10, 11) that are not finite or not
+    Hermitian to ``STRUCT_TOL``: the checks of :class:`Operator`."""
+    if not all(map(cmath.isfinite, flat)):
+        raise ValueError("operator entries must be finite")
+    if not _close(flat, _adjoint(flat)):
+        raise ValueError("operator is not hermitian: M != M^dagger")
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -147,7 +164,10 @@ class Operator:
     the input (the caller's array stays writable), so no route that receives
     an Operator tests them again. The flat entries (00, 01, 10, 11) that the
     checks read are kept as a tuple of Python complex numbers, ``_flat``, for
-    the plain-Python routes.
+    the plain-Python routes. Operators that this module derives from objects
+    it has already validated are built by :meth:`_from_flat`, straight from
+    their flat entries: a projector needs no check, and an observable's M is
+    checked by :class:`DichotomicObservable` on those entries.
     """
 
     __slots__ = ("entries", "_flat")
@@ -157,13 +177,21 @@ class Operator:
         if m.shape != (2, 2):
             raise ValueError(f"operator must be a 2x2 matrix, got shape {m.shape}")
         flat = tuple(m.ravel().tolist())
-        if not all(map(cmath.isfinite, flat)):
-            raise ValueError("operator entries must be finite")
-        if not _close(flat, _adjoint(flat)):
-            raise ValueError("operator is not hermitian: M != M^dagger")
+        _check_hermitian(flat)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "_flat", flat)
+
+    @classmethod
+    def _from_flat(cls, flat: tuple) -> Operator:
+        """The Operator with these flat entries, which the caller guarantees
+        finite and Hermitian: no check runs, and ``entries`` is built from them."""
+        op = object.__new__(cls)
+        m = np.array(flat, dtype=complex).reshape(2, 2)
+        m.setflags(write=False)
+        object.__setattr__(op, "entries", m)
+        object.__setattr__(op, "_flat", flat)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -173,8 +201,9 @@ class Operator:
 
 
 def projector_onto(s: StateVector) -> Operator:
-    """Rank-1 projector |s><s|."""
-    return Operator(s.density())
+    """Rank-1 projector |s><s|, from :func:`_ket_bra`: finite and exactly
+    Hermitian by construction, so it is not checked again."""
+    return Operator._from_flat(_ket_bra(s))
 
 
 class DichotomicObservable:
@@ -185,6 +214,8 @@ class DichotomicObservable:
     P_plus + P_minus = I, both at ``STRUCT_TOL``. For Hermitian P these two
     imply the rest of the algebra: P_plus^2 = P_plus - P_plus P_minus = P_plus,
     likewise P_minus, and M = P_plus - P_minus squares to P_plus + P_minus = I.
+    M is formed once, in plain Python on the flat entries, and gets the finite
+    and Hermitian checks of :class:`Operator` with the same messages.
     """
 
     __slots__ = ("plus_proj", "minus_proj", "_operator")
@@ -193,11 +224,15 @@ class DichotomicObservable:
         pp, pm = plus_proj._flat, minus_proj._flat
         if not _close(_matmul(pp, pm), (0.0, 0.0, 0.0, 0.0)):
             raise ValueError("projectors are not mutually orthogonal")
-        if not _close([x + y for x, y in zip(pp, pm)], (1.0, 0.0, 0.0, 1.0)):
+        a, b, c, d = pp
+        e, f, g, h = pm
+        if not _close((a + e, b + f, c + g, d + h), (1.0, 0.0, 0.0, 1.0)):
             raise ValueError("projectors do not sum to the identity")
+        m = (a - e, b - f, c - g, d - h)
+        _check_hermitian(m)
         object.__setattr__(self, "plus_proj", plus_proj)
         object.__setattr__(self, "minus_proj", minus_proj)
-        object.__setattr__(self, "_operator", Operator(plus_proj.entries - minus_proj.entries))
+        object.__setattr__(self, "_operator", Operator._from_flat(m))
 
     def __setattr__(self, name, value):
         raise AttributeError("DichotomicObservable is immutable")

@@ -120,27 +120,33 @@ def _trace(m, rho) -> float:
     return (m[0] * rho[0] + m[1] * rho[2] + m[2] * rho[1] + m[3] * rho[3]).real
 
 
-def _born(M: DichotomicObservable, outcome: int, rho) -> float:
-    """Re Tr(P rho) for the projector P of ``outcome``: its Born probability."""
-    return _trace(M.projector(outcome)._flat, rho)
-
-
 def _q_from_moments(e_i: float, e_j: float, e_ij: float) -> dict[tuple[int, int], float]:
-    """q(mi, mj) = K/4 of :func:`k_from_moments`: the one table formula."""
+    """q(mi, mj) = K/4 of :func:`k_from_moments`: the one table formula, keyed
+    by the sign pairs of ``_K_SIGNS`` in K31..K34 order."""
     ks = k_from_moments(e_i, e_j, e_ij)
-    return {signs: ks[idx] / 4.0 for idx, signs in _K_SIGNS.items()}
+    return {
+        (-1, +1): ks[31] / 4.0,
+        (+1, +1): ks[32] / 4.0,
+        (-1, -1): ks[33] / 4.0,
+        (+1, -1): ks[34] / 4.0,
+    }
 
 
 def quasi(
     rho_state, Mi: DichotomicObservable, Mj: DichotomicObservable
 ) -> QuasiprobTable:
     """Symmetrized quasiprobability table for Mi followed by Mj, with the
-    marginal-vs-Born residuals (residual_i, residual_j) of the same pass."""
+    marginal-vs-Born residuals (residual_i, residual_j) of the same pass: each
+    is the larger |marginal - Re Tr(P rho)| over the projectors P of the two
+    outcomes."""
     rho = _as_density(rho_state)
     mi, mj = Mi.operator()._flat, Mj.operator()._flat
     q = _q_from_moments(_trace(mi, rho), _trace(mj, rho), _trace(_matmul(mi, mj), rho))
-    res_i = max(abs(q[(m, +1)] + q[(m, -1)] - _born(Mi, m, rho)) for m in OUTCOMES)
-    res_j = max(abs(q[(+1, m)] + q[(-1, m)] - _born(Mj, m, rho)) for m in OUTCOMES)
+    pp, pm, mp, mm = q[(+1, +1)], q[(+1, -1)], q[(-1, +1)], q[(-1, -1)]
+    res_i = max(abs(pp + pm - _trace(Mi.plus_proj._flat, rho)),
+                abs(mp + mm - _trace(Mi.minus_proj._flat, rho)))
+    res_j = max(abs(pp + mp - _trace(Mj.plus_proj._flat, rho)),
+                abs(pm + mm - _trace(Mj.minus_proj._flat, rho)))
     return QuasiprobTable(q, (res_i, res_j))
 
 
@@ -158,10 +164,14 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
     for dichotomic pairs and reproduces the inputs as its moments. Moments are
     clipped into [-1, 1], the range of a +-1 moment, so at most one K is negative.
     """
-    for name, v in (("e_i", e_i), ("e_j", e_j), ("e_ij", e_ij)):
-        if not math.isfinite(v) or abs(v) > 1.0 + INPUT_TOL:
-            raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-    return QuasiprobTable(_q_from_moments(*(min(max(v, -1.0), 1.0) for v in (e_i, e_j, e_ij))))
+    if not math.isfinite(e_i) or abs(e_i) > 1.0 + INPUT_TOL:
+        raise ValueError(f"e_i must lie in [-1, 1], got {e_i}")
+    if not math.isfinite(e_j) or abs(e_j) > 1.0 + INPUT_TOL:
+        raise ValueError(f"e_j must lie in [-1, 1], got {e_j}")
+    if not math.isfinite(e_ij) or abs(e_ij) > 1.0 + INPUT_TOL:
+        raise ValueError(f"e_ij must lie in [-1, 1], got {e_ij}")
+    return QuasiprobTable(_q_from_moments(
+        min(max(e_i, -1.0), 1.0), min(max(e_j, -1.0), 1.0), min(max(e_ij, -1.0), 1.0)))
 
 
 def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:

@@ -11,9 +11,13 @@ eigenvalue check of a density matrix (:func:`quasi_matrix`,
 :func:`density_matrix`), the numpy matrix-vector route of the sequential joint
 (:func:`sequential_joint_numpy`), the numpy expressions of the MZ closed
 forms (:func:`mz_kernel_numpy`) that ``interferometer._mz_probabilities`` and
-``interferometer._mz_k`` must match bit for bit, and the freshly keyed Philox
+``interferometer._mz_k`` must match bit for bit, the freshly keyed Philox
 generator per run (:func:`philox_counts`) that ``experiment.run``'s reused,
-rekeyed one must match count for count.
+rekeyed one must match count for count, and the checked numpy constructions
+of a projector and of an observable's M (:func:`projector_checked`,
+:func:`observable_operator_checked`) and the sign-table K formula
+(:func:`k_from_moments_table`) that the unchecked flat-entry routes and the
+written-out ``k_from_moments`` must match bit for bit.
 
 Interferometer convention (fixed once, verified in tests): the physical
 elements are modeled as an effective preparation phase ``diag(1, i)`` on path
@@ -108,6 +112,25 @@ def philox_counts(spec: RunSpec) -> dict[str, int]:
     pvec = pvec / pvec.sum()
     counts = np.random.Generator(np.random.Philox(key=int(spec.seed))).multinomial(spec.shots, pvec)
     return dict(zip(probs, counts.tolist()))
+
+
+def projector_checked(s: StateVector) -> Operator:
+    """|s><s| through the checked constructor, from the numpy density matrix:
+    what ``projector_onto`` built before it skipped the second check."""
+    return Operator(s.density())
+
+
+def observable_operator_checked(plus_proj: Operator, minus_proj: Operator) -> Operator:
+    """M = P_plus - P_minus as a numpy difference through the checked
+    constructor: what ``DichotomicObservable`` built before it formed M on the
+    flat entries."""
+    return Operator(plus_proj.entries - minus_proj.entries)
+
+
+def k_from_moments_table(e2: float, e3: float, e23: float) -> dict[int, float]:
+    """K31..K34 as 1 + s2 e2 + s2 s3 e23 + s3 e3 over the sign table: the
+    comprehension that ``k_from_moments`` wrote out."""
+    return {idx: 1.0 + s2 * e2 + s2 * s3 * e23 + s3 * e3 for idx, (s2, s3) in _K_SIGNS.items()}
 
 
 def born_probability(P: Operator, s: StateVector) -> float:

@@ -2,6 +2,7 @@
 fresh one per run, the memoised probability vectors and child seeds, exact
 zeros, convergence to closed forms."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +26,28 @@ from lglab.experiment import KINDS, _child_seeds, _sampling_vector
 from oracles import philox_counts
 
 SQ3 = np.sqrt(3.0)
+
+
+def typed_bits(value):
+    """``value`` with each number as its exact type and bits (floats by
+    ``float.hex``, so signed zeros count), through dataclasses, dicts and sequences."""
+    if dataclasses.is_dataclass(value):
+        return type(value), typed_bits({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
+    if isinstance(value, dict):
+        return {k: typed_bits(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [typed_bits(v) for v in value]
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def builtin_only(bits) -> bool:
+    """No number in a :func:`typed_bits` result has a numpy type."""
+    if isinstance(bits, dict):
+        return all(map(builtin_only, bits.values()))
+    if isinstance(bits, tuple) and len(bits) == 2 and isinstance(bits[0], type):
+        kind, inner = bits
+        return builtin_only(inner) if isinstance(inner, (dict, list)) else kind.__module__ == "builtins"
+    return all(map(builtin_only, bits))
 
 
 def mz_config(beta: float, phi: float, alpha_sign: int | None) -> MZConfig:
@@ -78,6 +101,30 @@ class TestRunSpec:
     def test_numpy_integers_pass(self):
         spec = RunSpec(cfg=MZConfig(beta=0.5), shots=np.int64(1000), seed=np.uint64(7), kind="path")
         assert run(spec).counts == run(RunSpec(MZConfig(beta=0.5), 1000, 7, "path")).counts
+
+    @pytest.mark.parametrize("np_int", [np.int64, np.uint64])
+    def test_numpy_integers_give_builtin_results(self, np_int):
+        """numpy-integer shots and seeds give Python ints and floats, with the
+        bits of the results for int inputs."""
+        cfg = MZConfig(beta=0.5, phi=0.3)
+
+        def sample(shots, seed):
+            out = []
+            for kind in KINDS:
+                s = run(RunSpec(cfg, shots, seed, kind))
+                out.append((s.spec.shots, s.spec.seed, s.total, s.counts, s.estimates,
+                            [s.estimate(k) for k in s.counts], s.stderr, s.metadata))
+            return out
+
+        def estimators(shots, seed):
+            est = empirical_lg(cfg, shots, seed)
+            return (est, est.report, est.m2_stderr, est.m3_stderr, est.corr_stderr,
+                    est.k_stderr, est.run_seeds, empirical_nsit(cfg, shots, seed))
+
+        for produce in (sample, estimators):
+            want = typed_bits(produce(1000, 7))
+            assert builtin_only(want)
+            assert typed_bits(produce(np_int(1000), np_int(7))) == want
 
     @pytest.mark.parametrize("seed", [2**64, -1, 0.5, True])
     @pytest.mark.parametrize("estimator", [empirical_lg, empirical_nsit])

@@ -1,5 +1,10 @@
 """Macrorealist feasibility: moment route, vertex-solve oracle, LGI equivalence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -77,15 +82,39 @@ class TestFeasibilityOracle:
             assert a.feasible == b.feasible
             assert a.margin == pytest.approx(b.margin, abs=1e-12)
 
-    def test_vertex_system_is_built_once(self):
+    def test_vertex_system_is_built_once(self, rng, monkeypatch):
+        """The vertex system is inverted once, on the oracle's first call and
+        not at import: the inverse is read-only, exactly V^T / 4, and within
+        4.5e-16 of a per-call solve."""
         from lglab import mrcheck
 
-        assert not mrcheck._VERTEX_SYSTEM.flags.writeable
-        t = CorrelationTriple(0.3, -0.2, 0.1)
-        expected = np.linalg.solve(
-            [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], [1.0, 0.3, -0.2, 0.1]
+        probe = "import lglab.mrcheck as m; print(m._vertex_inverse.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(mrcheck.__file__).resolve().parents[1])}
+        fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                               timeout=120, env=env, check=True)
+        assert fresh.stdout.strip() == "0"
+
+        feasibility_oracle(CorrelationTriple(0.0, 0.0, 0.0))
+        system, inverse = mrcheck._VERTEX_SYSTEM, mrcheck._vertex_inverse()
+        assert mrcheck._vertex_inverse() is inverse
+        assert not system.flags.writeable and not inverse.flags.writeable
+        assert inverse.tobytes() == (system.T / 4).tobytes()
+        assert system.tolist() == [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
+
+        triples = [(0.3, -0.2, 0.1), *(tuple(rng.uniform(-1, 1, 3).tolist()) for _ in range(10_000))]
+        solved = [np.linalg.solve(system, [1.0, *t]).tolist() for t in triples]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the vertex system was factored again")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        monkeypatch.setattr(np.linalg, "inv", refused)
+        worst = max(
+            abs(a - b)
+            for t, want in zip(triples, solved)
+            for a, b in zip(feasibility_oracle(CorrelationTriple(*t)).q.values(), want)
         )
-        assert list(feasibility_oracle(t).q.values()) == expected.tolist()
+        assert worst <= 4.5e-16
 
 
 class TestRouteEquivalence:

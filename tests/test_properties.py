@@ -10,7 +10,9 @@ routes, both bit for bit. The qubit core against its matrix oracles: the
 moment-expansion quasiprobability against the projector-product trace on pure
 states, density matrices and the interferometer, the determinant rule of a
 positive semidefinite density matrix against eigvalsh, and the two projector
-checks against the five they replaced.
+checks against the five they replaced. The unchecked flat-entry projector and
+observable operator, and the written-out K formula, against the checked and
+tabulated constructions they replaced, bit for bit.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -67,9 +69,12 @@ from oracles import (
     check_projector_pair,
     density_matrix,
     k3,
+    k_from_moments_table,
     mz_kernel_numpy,
     mz_two_time_lg,
+    observable_operator_checked,
     precession_observables,
+    projector_checked,
     propagate_unitary,
     quasi_matrix,
     two_time_lg,
@@ -580,3 +585,75 @@ def test_two_projector_checks_reject_what_the_five_reject(ta, pa, tb, pb, noise_
         return
     accepted = verdict(lambda: DichotomicObservable(plus, minus)) == "accepted"
     assert accepted == (verdict(lambda: check_projector_pair(plus, minus)) == "accepted")
+
+
+# any finite amplitude, subnormals included, rescaled by a power of two that
+# can take the vector's squared norm past overflow or below the normal range
+amplitude = st.floats(min_value=-1.0, max_value=1.0)
+amplitude_scale = st.one_of(st.sampled_from([1.0, 2.0**-1074, 2.0**-600, 2.0**600, 2.0**1023]),
+                            st.integers(min_value=-1074, max_value=1023).map(lambda k: 2.0**k))
+
+
+@st.composite
+def random_state(draw) -> StateVector:
+    parts = draw(st.lists(amplitude, min_size=4, max_size=4))
+    scale = draw(amplitude_scale)
+    amps = [complex(parts[0] * scale, parts[1] * scale), complex(parts[2] * scale, parts[3] * scale)]
+    assume(any(amps))
+    return StateVector(amps, normalize=True)
+
+
+def operator_bits(op: Operator) -> tuple:
+    """The bytes, dtype, shape and write flag of ``entries``, and the exact
+    type and bits of each ``_flat`` entry."""
+    flat = tuple((type(z), z.real.hex(), z.imag.hex()) for z in op._flat)
+    e = op.entries
+    return e.tobytes(), e.dtype, e.shape, e.flags.writeable, type(op._flat), flat
+
+
+def antipode(s: StateVector) -> StateVector:
+    x, y = s.amps.tolist()
+    return StateVector([-y.conjugate(), x.conjugate()])
+
+
+@PROPS
+@given(random_state())
+def test_projector_is_the_checked_construction_bit_for_bit(s):
+    assert operator_bits(projector_onto(s)) == operator_bits(projector_checked(s))
+
+
+@PROPS
+@given(random_state(), st.one_of(st.none(), random_state()), hermitian_noise, hermitian_noise,
+       st.sampled_from([0.0, 4e-13, 9e-13j, 9e-13, -6e-13 + 6e-13j]))
+@example(StateVector([1.0, 0.0]), None, np.zeros((2, 2)), np.zeros((2, 2)), 9e-13)
+def test_observable_operator_is_the_checked_construction_bit_for_bit(up, down, noise_p, noise_m, skew):
+    """M of a pair of projectors, exact (onto a state and its antipode) or
+    noisy and checked, is the numpy difference through ``Operator``; a pair
+    that is refused is refused with the message of that construction. The
+    skew leaves each noisy projector Hermitian to STRUCT_TOL, and up to twice
+    that off for M."""
+    down = antipode(up) if down is None else down
+    skewed = np.array([[0.0, skew], [0.0, 0.0]])
+    exact = (projector_onto(up), projector_onto(antipode(up)))
+    noisy = (Operator(projector_onto(up).entries + noise_p + skewed),
+             Operator(projector_onto(down).entries + noise_m - skewed))
+    for pp, pm in (exact, noisy):
+        got = verdict(lambda: DichotomicObservable(pp, pm))
+        if got == "accepted":
+            m = DichotomicObservable(pp, pm).operator()
+            assert operator_bits(m) == operator_bits(observable_operator_checked(pp, pm))
+        elif "projectors" not in got:
+            assert got == verdict(lambda: observable_operator_checked(pp, pm))
+
+
+# every float, signed zeros, subnormals, infinities and NaN included
+any_moment = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats())
+
+
+@PROPS
+@given(any_moment, any_moment, any_moment)
+def test_k_from_moments_is_the_sign_table_bit_for_bit(e2, e3, e23):
+    def bits(ks):
+        return [(idx, type(k), k.hex()) for idx, k in ks.items()]
+
+    assert bits(k_from_moments(e2, e3, e23)) == bits(k_from_moments_table(e2, e3, e23))
