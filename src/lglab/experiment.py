@@ -106,6 +106,8 @@ class RunSpec:
     kind: str
 
     def __post_init__(self):
+        if not isinstance(self.cfg, MZConfig):
+            raise ValueError(f"cfg must be an MZConfig, got {self.cfg!r}")
         shots = _integer("shots", self.shots)
         if not 1 <= shots <= 2**63 - 1:
             raise ValueError(f"shots must lie in [1, 2**63 - 1], got {self.shots}")

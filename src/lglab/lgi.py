@@ -103,7 +103,7 @@ def sequential_joint(
 
     p(mi, mj) = || P_{mj} P_{mi} |state> ||^2, in plain 2x2 arithmetic.
     """
-    x, y = state.amps.tolist()
+    x, y = state._flat
     joint = {}
     for mi in (+1, -1):
         a, b, c, d = Mi.projector(mi)._flat

@@ -10,36 +10,26 @@ all four two-time LG quantities being nonnegative, under the one violation
 rule on K = 4q. Every route returns that joint, a
 :class:`~lglab.quasiprob.QuasiprobTable` whose ``feasible`` and ``margin`` are the verdict.
 
-The vertex system is fixed: it is built once, at import, and inverted once,
-on the oracle's first call; the inverse is read-only, and equals the
-transposed system over 4 exactly. A triple is validated once, by
-:class:`CorrelationTriple`.
+The vertex system is fixed, and so is its inverse: its rows are orthogonal
+with squared norm 4, so the inverse is exactly the transposed system over 4.
+Both are read-only constants, built once, at import. A triple is validated
+once, by :class:`CorrelationTriple`, and no route checks it again.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quasiprob import OUTCOMES, QuasiprobTable, mr_reading
+from .quasiprob import OUTCOMES, QuasiprobTable, _check_moments, _q_from_moments
 
 # the fixed vertices (m2, m3) and the columns of the system over them
 _VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
 _VERTEX_SYSTEM = np.array([[1.0, m2, m3, m2 * m3] for m2, m3 in _VERTICES]).T
 _VERTEX_SYSTEM.setflags(write=False)
-
-
-@functools.cache
-def _vertex_inverse() -> np.ndarray:
-    """The read-only inverse of the vertex system, built on the oracle's first
-    call, not at import: numpy's first LAPACK call adds about half a megabyte
-    of resident memory, which a process that never runs the oracle need not pay."""
-    inverse = np.linalg.inv(_VERTEX_SYSTEM)
-    inverse.setflags(write=False)
-    return inverse
+_VERTEX_INVERSE = _VERTEX_SYSTEM.T / 4
+_VERTEX_INVERSE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -51,18 +41,13 @@ class CorrelationTriple:
     e23: float
 
     def __post_init__(self):
-        e2, e3, e23 = self.e2, self.e3, self.e23
-        if not math.isfinite(e2) or abs(e2) > 1.0:
-            raise ValueError(f"e2 must lie in [-1, 1], got {e2}")
-        if not math.isfinite(e3) or abs(e3) > 1.0:
-            raise ValueError(f"e3 must lie in [-1, 1], got {e3}")
-        if not math.isfinite(e23) or abs(e23) > 1.0:
-            raise ValueError(f"e23 must lie in [-1, 1], got {e23}")
+        _check_moments(1.0, e2=self.e2, e3=self.e3, e23=self.e23)
 
 
 def macrorealist_feasible(t: CorrelationTriple) -> QuasiprobTable:
-    """The unique moment-matching joint (moment expansion), as the verdict's witness."""
-    return mr_reading(t.e2, t.e3, t.e23)
+    """The unique moment-matching joint (moment expansion), as the verdict's
+    witness, of the triple as :class:`CorrelationTriple` checked it."""
+    return QuasiprobTable(_q_from_moments(t.e2, t.e3, t.e23))
 
 
 def feasibility_oracle(t: CorrelationTriple) -> QuasiprobTable:
@@ -70,11 +55,11 @@ def feasibility_oracle(t: CorrelationTriple) -> QuasiprobTable:
 
     Solves the square linear system (normalization plus three moment
     constraints) over the four deterministic assignments (m2, m3) in {+-1}^2
-    by applying its inverse, built once, and sign-checks the unique
+    by applying its exact, constant inverse, and sign-checks the unique
     solution. Kept separate from :func:`macrorealist_feasible` as a
     cross-validation path; the vertex construction generalizes to larger
     outcome sets.
     """
-    x = _vertex_inverse().dot([1.0, t.e2, t.e3, t.e23])
+    x = _VERTEX_INVERSE.dot([1.0, t.e2, t.e3, t.e23])
     return QuasiprobTable(dict(zip(_VERTICES, x.tolist())))
 

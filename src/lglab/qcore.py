@@ -2,7 +2,9 @@
 
 Every state has two amplitudes and every operator is 2x2 (any other shape is
 a ValueError naming it); their checks are plain Python arithmetic on the flat
-entries. Validation runs once, where an object enters: ``StateVector`` and
+entries, the one form an object stores (``_flat``, a tuple of Python complex
+numbers; ``amps`` and ``entries`` build a read-only ndarray of it on access).
+Validation runs once, where an object enters: ``StateVector`` and
 ``Operator`` check what the caller gives them, and ``DichotomicObservable``
 checks its projector pair and M. A projector |s><s| of a validated state is
 exactly Hermitian, so ``projector_onto`` builds it from its flat entries with
@@ -62,7 +64,7 @@ def _ket_bra(s: StateVector) -> tuple:
     y * conj(x) is the exact conjugate of x * conj(y), since each part is the
     same rounded sum of the same products, negated in the imaginary part.
     """
-    x, y = s.amps.tolist()
+    x, y = s._flat
     xc, yc = x.conjugate(), y.conjugate()
     return x * xc, x * yc, y * xc, y * yc
 
@@ -122,10 +124,10 @@ class StateVector:
     normal double are first divided by their largest real or imaginary
     component, so that ``normalize=True`` keeps their direction and the
     rejection reports their true norm; every other input keeps this
-    arithmetic unchanged.
+    arithmetic unchanged. Only the normalized amplitudes are kept, as ``_flat``.
     """
 
-    __slots__ = ("amps",)
+    __slots__ = ("_flat",)
 
     def __init__(self, amps, normalize: bool = False):
         a = np.asarray(amps, dtype=complex)
@@ -142,9 +144,14 @@ class StateVector:
             raise ValueError(
                 f"state norm {scale * norm!r} deviates from 1 by more than {INPUT_TOL}"
             )
-        a = a / norm
+        object.__setattr__(self, "_flat", tuple((a / norm).tolist()))
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The two amplitudes, as a new read-only array built from ``_flat``."""
+        a = np.array(self._flat, dtype=complex)
         a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        return a
 
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
@@ -154,44 +161,46 @@ class StateVector:
         return np.array(_ket_bra(self)).reshape(2, 2)
 
     def __repr__(self):
-        return f"StateVector({self.amps.tolist()!r})"
+        return f"StateVector({list(self._flat)!r})"
 
 
 class Operator:
     """Hermitian 2x2 matrix: finite and M = M^dagger to ``STRUCT_TOL``.
 
-    The conditions are checked once, at construction, on a read-only copy of
-    the input (the caller's array stays writable), so no route that receives
-    an Operator tests them again. The flat entries (00, 01, 10, 11) that the
-    checks read are kept as a tuple of Python complex numbers, ``_flat``, for
-    the plain-Python routes. Operators that this module derives from objects
-    it has already validated are built by :meth:`_from_flat`, straight from
-    their flat entries: a projector needs no check, and an observable's M is
-    checked by :class:`DichotomicObservable` on those entries.
+    The conditions are checked once, at construction, on the flat entries
+    (00, 01, 10, 11) of the input, so no route that receives an Operator tests
+    them again. Those entries are all it keeps, as a tuple of Python complex
+    numbers, ``_flat``; nothing of the caller's array is kept. Operators that
+    this module derives from objects it has already validated are built by
+    :meth:`_from_flat`, straight from their flat entries: a projector needs no
+    check, and an observable's M is checked by :class:`DichotomicObservable`
+    on those entries.
     """
 
-    __slots__ = ("entries", "_flat")
+    __slots__ = ("_flat",)
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=complex)
+        m = np.asarray(entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"operator must be a 2x2 matrix, got shape {m.shape}")
         flat = tuple(m.ravel().tolist())
         _check_hermitian(flat)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "_flat", flat)
 
     @classmethod
     def _from_flat(cls, flat: tuple) -> Operator:
         """The Operator with these flat entries, which the caller guarantees
-        finite and Hermitian: no check runs, and ``entries`` is built from them."""
+        finite and Hermitian: no check runs."""
         op = object.__new__(cls)
-        m = np.array(flat, dtype=complex).reshape(2, 2)
-        m.setflags(write=False)
-        object.__setattr__(op, "entries", m)
         object.__setattr__(op, "_flat", flat)
         return op
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The 2x2 matrix, as a new read-only array built from ``_flat``."""
+        m = np.array(self._flat, dtype=complex).reshape(2, 2)
+        m.setflags(write=False)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")

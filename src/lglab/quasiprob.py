@@ -120,6 +120,14 @@ def _trace(m, rho) -> float:
     return (m[0] * rho[0] + m[1] * rho[2] + m[2] * rho[1] + m[3] * rho[3]).real
 
 
+def _check_moments(bound: float, **moments: float) -> None:
+    """Reject the first of the named moments that is not finite or exceeds
+    ``bound`` in modulus, with a ValueError naming it."""
+    for name, value in moments.items():
+        if not math.isfinite(value) or abs(value) > bound:
+            raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+
+
 def _q_from_moments(e_i: float, e_j: float, e_ij: float) -> dict[tuple[int, int], float]:
     """q(mi, mj) = K/4 of :func:`k_from_moments`: the one table formula, keyed
     by the sign pairs of ``_K_SIGNS`` in K31..K34 order."""
@@ -164,12 +172,7 @@ def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
     for dichotomic pairs and reproduces the inputs as its moments. Moments are
     clipped into [-1, 1], the range of a +-1 moment, so at most one K is negative.
     """
-    if not math.isfinite(e_i) or abs(e_i) > 1.0 + INPUT_TOL:
-        raise ValueError(f"e_i must lie in [-1, 1], got {e_i}")
-    if not math.isfinite(e_j) or abs(e_j) > 1.0 + INPUT_TOL:
-        raise ValueError(f"e_j must lie in [-1, 1], got {e_j}")
-    if not math.isfinite(e_ij) or abs(e_ij) > 1.0 + INPUT_TOL:
-        raise ValueError(f"e_ij must lie in [-1, 1], got {e_ij}")
+    _check_moments(1.0 + INPUT_TOL, e_i=e_i, e_j=e_j, e_ij=e_ij)
     return QuasiprobTable(_q_from_moments(
         min(max(e_i, -1.0), 1.0), min(max(e_j, -1.0), 1.0), min(max(e_ij, -1.0), 1.0)))
 

@@ -89,6 +89,14 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="seed"):
             RunSpec(cfg=MZConfig(beta=0.5), shots=10, seed=-1, kind="path")
 
+    @pytest.mark.parametrize("cfg", [None, {"beta": 0.5}, 0.5])
+    def test_rejects_a_cfg_that_is_not_an_mzconfig(self, cfg):
+        with pytest.raises(ValueError, match="^cfg must be an MZConfig"):
+            RunSpec(cfg=cfg, shots=10, seed=1, kind="path")
+        for estimate in (empirical_lg, empirical_nsit):
+            with pytest.raises(ValueError, match="^cfg must be an MZConfig"):
+                estimate(cfg, 10, 1)
+
     @pytest.mark.parametrize(
         "shots, seed, field",
         [(1000.5, 1, "shots"), (1000.0, 1, "shots"), ("10", 1, "shots"), (True, 1, "shots"),

@@ -1,10 +1,5 @@
 """Macrorealist feasibility: moment route, vertex-solve oracle, LGI equivalence."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -33,6 +28,24 @@ class TestCorrelationTriple:
         with pytest.raises(ValueError):
             CorrelationTriple(e2=np.nan, e3=0.0, e23=0.0)
 
+    @pytest.mark.parametrize("index, bad", [(0, 1.0 + 5e-10), (1, -np.inf), (2, np.nan)])
+    def test_message_names_the_moment(self, index, bad):
+        """The triple's bound is 1 exactly; mr_reading's is 1 + INPUT_TOL, and
+        its messages name e_i, e_j and e_ij."""
+        from lglab import mr_reading
+
+        moments = [0.0, 0.0, 0.0]
+        moments[index] = bad
+        name = ("e2", "e3", "e23")[index]
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got {bad}$"):
+            CorrelationTriple(*moments)
+        if index == 0:
+            assert mr_reading(*moments).q == mr_reading(1.0, 0.0, 0.0).q
+        else:
+            name = ("e_i", "e_j", "e_ij")[index]
+            with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got {bad}$"):
+                mr_reading(*moments)
+
 
 class TestMacrorealistFeasible:
     def test_uniform_center(self):
@@ -59,6 +72,23 @@ class TestMacrorealistFeasible:
             assert ej == pytest.approx(t.e3, abs=1e-12)
             assert eij == pytest.approx(t.e23, abs=1e-12)
 
+    def test_triple_is_checked_once(self, rng, monkeypatch):
+        """The moment route reads the triple CorrelationTriple checked, with
+        the bits of mr_reading, and does not check or clip it again."""
+        from lglab import mr_reading, quasiprob
+
+        triples = [CorrelationTriple(*rng.uniform(-1, 1, 3).tolist()) for _ in range(1000)]
+        triples += [CorrelationTriple(-0.0, 1.0, -1.0), CorrelationTriple(0.0, -0.0, 1)]
+        want = [mr_reading(t.e2, t.e3, t.e23).q for t in triples]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the triple was checked again")
+
+        monkeypatch.setattr(quasiprob, "_check_moments", refused)
+        for t, q in zip(triples, want):
+            got = macrorealist_feasible(t).q
+            assert [v.hex() for v in got.values()] == [v.hex() for v in q.values()]
+
 
 class TestFeasibilityOracle:
     def test_point_mass(self):
@@ -83,22 +113,15 @@ class TestFeasibilityOracle:
             assert a.margin == pytest.approx(b.margin, abs=1e-12)
 
     def test_vertex_system_is_built_once(self, rng, monkeypatch):
-        """The vertex system is inverted once, on the oracle's first call and
-        not at import: the inverse is read-only, exactly V^T / 4, and within
-        4.5e-16 of a per-call solve."""
+        """The vertex system and its inverse are read-only constants: the
+        inverse is exactly V^T / 4, which is also what LAPACK's inverse gives,
+        and within 4.5e-16 of a per-call solve."""
         from lglab import mrcheck
 
-        probe = "import lglab.mrcheck as m; print(m._vertex_inverse.cache_info().currsize)"
-        env = {**os.environ, "PYTHONPATH": str(Path(mrcheck.__file__).resolve().parents[1])}
-        fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                               timeout=120, env=env, check=True)
-        assert fresh.stdout.strip() == "0"
-
-        feasibility_oracle(CorrelationTriple(0.0, 0.0, 0.0))
-        system, inverse = mrcheck._VERTEX_SYSTEM, mrcheck._vertex_inverse()
-        assert mrcheck._vertex_inverse() is inverse
+        system, inverse = mrcheck._VERTEX_SYSTEM, mrcheck._VERTEX_INVERSE
         assert not system.flags.writeable and not inverse.flags.writeable
         assert inverse.tobytes() == (system.T / 4).tobytes()
+        assert inverse.tobytes() == np.linalg.inv(system).tobytes()
         assert system.tolist() == [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
 
         triples = [(0.3, -0.2, 0.1), *(tuple(rng.uniform(-1, 1, 3).tolist()) for _ in range(10_000))]

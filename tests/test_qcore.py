@@ -97,6 +97,34 @@ class TestStateVector:
             s.amps = np.array([0.0, 1.0])
 
 
+class TestOneStoredForm:
+    """Each state and operator stores only its flat entries; ``amps`` and
+    ``entries`` are new read-only arrays built from them on every access."""
+
+    def test_single_slot(self):
+        assert StateVector.__slots__ == Operator.__slots__ == ("_flat",)
+
+    def test_each_access_is_a_new_read_only_array_of_the_flat_entries(self, rng):
+        for _ in range(50):
+            s = random_state(rng)
+            obs = random_dichotomic(rng)
+            views = [(s, "amps", (2,)), (projector_onto(s), "entries", (2, 2)),
+                     (obs.operator(), "entries", (2, 2)), (obs.plus_proj, "entries", (2, 2))]
+            for obj, name, shape in views:
+                first, second = getattr(obj, name), getattr(obj, name)
+                assert first is not second
+                for a in (first, second):
+                    assert not a.flags.writeable
+                    assert a.dtype == complex and a.shape == shape
+                    assert a.tobytes() == np.array(obj._flat).tobytes()
+
+    def test_caller_array_is_not_kept(self):
+        a = np.array([0.6, 0.8j])
+        s = StateVector(a)
+        a[0] = 5.0
+        assert s.amps.tolist() == [0.6, 0.8j]
+
+
 class TestOperator:
     def test_hermitian_check(self):
         with pytest.raises(ValueError, match="hermitian"):
