@@ -22,8 +22,7 @@ _EXPORTS = {
     "weakval": ("OrthogonalPostSelection", "WeakValueResult", "mz_weak_values", "weak_value"),
     "lgi": ("SweepRow", "TwoTimeLGReport", "k_from_moments", "mz_lg_closed_form", "precession_k3",
             "sequential_correlation", "sequential_joint", "sweep_beta"),
-    "quasiprob": ("QuasiprobTable", "lg_from_quasi", "mr_reading", "nsit_check", "quasi",
-                  "signaling_gap_projective"),
+    "quasiprob": ("QuasiprobTable", "lg_from_quasi", "nsit_check", "quasi", "signaling_gap_projective"),
     "mrcheck": ("CorrelationTriple", "feasibility_oracle", "macrorealist_feasible"),
     "experiment": ("EmpiricalLGReport", "RunSpec", "SampleEstimate", "empirical_lg", "empirical_nsit",
                    "outcome_probabilities", "run"),

@@ -269,7 +269,9 @@ def empirical_nsit(cfg: MZConfig, shots: int, seed: int) -> tuple[float, float]:
 
     The true value is alpha*beta*cos(phi) (the sequential side is exactly 1/2); a
     nonzero gap is the operational-non-invasiveness failure of an actual
-    projective intervention.
+    projective intervention. The interference run takes the first child seed
+    and the sequential run the second, the one ``run_seeds`` labels ``path``,
+    so the gap replays from those two entries of the same master seed.
     """
     s_int, s_seq = _child_seeds(seed)[:2]
     interference = run(RunSpec(cfg=cfg, shots=shots, seed=s_int, kind="interference"))

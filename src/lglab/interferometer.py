@@ -16,10 +16,9 @@ oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .qcore import (
     INPUT_TOL,
@@ -28,7 +27,7 @@ from .qcore import (
     projector_onto,
 )
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 def _default_alpha(beta: float) -> float:
@@ -115,8 +114,8 @@ class MZBasis:
 _BASIS = MZBasis(
     StateVector([1.0, 0.0]),
     StateVector([0.0, 1.0]),
-    StateVector(np.array([1.0, 1.0]) / _SQRT2),
-    StateVector(np.array([1.0, -1.0]) / _SQRT2),
+    StateVector([1.0 / _SQRT2, 1.0 / _SQRT2]),
+    StateVector([1.0 / _SQRT2, -1.0 / _SQRT2]),
 )
 _PATH = DichotomicObservable(projector_onto(_BASIS.psi1), projector_onto(_BASIS.psi2))
 _OUTPUT = DichotomicObservable(projector_onto(_BASIS.psi4), projector_onto(_BASIS.psi3))
@@ -133,7 +132,7 @@ def input_state(cfg: MZConfig) -> StateVector:
     two-time quantity of (M2, U^dagger M3 U) on (alpha, beta) equals that of
     (M2, M3) on this state, exactly; at phi = 0 it is (alpha, beta) bit for bit.
     """
-    return StateVector([cfg.alpha, np.exp(1.0j * cfg.phi) * cfg.beta])
+    return StateVector([cfg.alpha, cmath.exp(1.0j * cfg.phi) * cfg.beta])
 
 
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:

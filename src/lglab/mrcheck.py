@@ -4,8 +4,10 @@ Given first moments <M2>, <M3> and the correlator <M2 M3>, a macrorealist
 (classical joint) model exists iff some nonnegative distribution over the
 four deterministic outcome assignments reproduces them. In the two-time
 scenario the moment-matching joint is unique, so feasibility reduces to
-sign-checking it; an independent linear-solve route over the deterministic
-vertices is kept as a cross-validation oracle. Feasibility is equivalent to
+sign-checking it. :func:`macrorealist_feasible` is the one runtime route to
+that joint, the macrorealist reading of the triple; an independent
+linear-solve route over the deterministic vertices is kept as a
+cross-validation oracle. Feasibility is equivalent to
 all four two-time LG quantities being nonnegative, under the one violation
 rule on K = 4q. Every route returns that joint, a
 :class:`~lglab.quasiprob.QuasiprobTable` whose ``feasible`` and ``margin`` are the verdict.
@@ -13,16 +15,18 @@ rule on K = 4q. Every route returns that joint, a
 The vertex system is fixed, and so is its inverse: its rows are orthogonal
 with squared norm 4, so the inverse is exactly the transposed system over 4.
 Both are read-only constants, built once, at import. A triple is validated
-once, by :class:`CorrelationTriple`, and no route checks it again.
+once, by :class:`CorrelationTriple`, against the one range rule (finite, and
+within [-1, 1] with no tolerance or clip), and no route checks it again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quasiprob import OUTCOMES, QuasiprobTable, _check_moments, _q_from_moments
+from .quasiprob import OUTCOMES, QuasiprobTable, _q_from_moments
 
 # the fixed vertices (m2, m3) and the columns of the system over them
 _VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
@@ -41,7 +45,10 @@ class CorrelationTriple:
     e23: float
 
     def __post_init__(self):
-        _check_moments(1.0, e2=self.e2, e3=self.e3, e23=self.e23)
+        for name in ("e2", "e3", "e23"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or abs(value) > 1.0:
+                raise ValueError(f"{name} must lie in [-1, 1], got {value}")
 
 
 def macrorealist_feasible(t: CorrelationTriple) -> QuasiprobTable:

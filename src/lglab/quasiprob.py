@@ -14,13 +14,14 @@ The correlator sum(mi*mj*q) is the sequential (Lueders) one, and a negative
 4q(m2, m3) is exactly an LG violation. An intervening projective measurement
 does shift the later statistics: :func:`signaling_gap_projective`. A
 :class:`QuasiprobTable` stores the entries and NSIT residuals; its negativity,
-margin and feasibility are read off them.
+margin and feasibility are read off them. ``_q_from_moments`` is the one table
+formula: ``quasi`` applies it to the moments of a state, and
+``mrcheck.macrorealist_feasible`` to a checked moment triple.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,10 @@ from .qcore import (
 )
 
 OUTCOMES = (+1, -1)
+
+# the sign pairs of K31..K34, read off lgi's one map; named once, at import,
+# because a comprehension over _K_SIGNS doubles the cost of a table
+_S31, _S32, _S33, _S34 = (_K_SIGNS[i] for i in (31, 32, 33, 34))
 
 
 @dataclass(frozen=True)
@@ -120,24 +125,11 @@ def _trace(m, rho) -> float:
     return (m[0] * rho[0] + m[1] * rho[2] + m[2] * rho[1] + m[3] * rho[3]).real
 
 
-def _check_moments(bound: float, **moments: float) -> None:
-    """Reject the first of the named moments that is not finite or exceeds
-    ``bound`` in modulus, with a ValueError naming it."""
-    for name, value in moments.items():
-        if not math.isfinite(value) or abs(value) > bound:
-            raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-
-
 def _q_from_moments(e_i: float, e_j: float, e_ij: float) -> dict[tuple[int, int], float]:
     """q(mi, mj) = K/4 of :func:`k_from_moments`: the one table formula, keyed
     by the sign pairs of ``_K_SIGNS`` in K31..K34 order."""
     ks = k_from_moments(e_i, e_j, e_ij)
-    return {
-        (-1, +1): ks[31] / 4.0,
-        (+1, +1): ks[32] / 4.0,
-        (-1, -1): ks[33] / 4.0,
-        (+1, -1): ks[34] / 4.0,
-    }
+    return {_S31: ks[31] / 4.0, _S32: ks[32] / 4.0, _S33: ks[33] / 4.0, _S34: ks[34] / 4.0}
 
 
 def quasi(
@@ -163,18 +155,6 @@ def nsit_check(
 ) -> tuple[float, float]:
     """Marginal-vs-Born residuals (residual_i, residual_j); both vanish structurally."""
     return quasi(rho_state, Mi, Mj).nsit_residuals
-
-
-def mr_reading(e_i: float, e_j: float, e_ij: float) -> QuasiprobTable:
-    """Moment-expansion table q(mi, mj) = K/4, with K from :func:`k_from_moments`.
-
-    This is the macrorealist reading of the quasiprobabilities; it is exact
-    for dichotomic pairs and reproduces the inputs as its moments. Moments are
-    clipped into [-1, 1], the range of a +-1 moment, so at most one K is negative.
-    """
-    _check_moments(1.0 + INPUT_TOL, e_i=e_i, e_j=e_j, e_ij=e_ij)
-    return QuasiprobTable(_q_from_moments(
-        min(max(e_i, -1.0), 1.0), min(max(e_j, -1.0), 1.0), min(max(e_ij, -1.0), 1.0)))
 
 
 def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:

@@ -18,7 +18,6 @@ from lglab import (
     input_state,
     lg_from_quasi,
     macrorealist_feasible,
-    mr_reading,
     mz_lg_closed_form,
     mz_weak_values,
     nsit_check,
@@ -173,7 +172,7 @@ def test_criterion_6_nsc_cross_validation():
         t = CorrelationTriple(*(rng.uniform(-1.0, 1.0, 3)))
         via_moments = macrorealist_feasible(t)
         via_vertices = feasibility_oracle(t)
-        lg = lg_from_quasi(mr_reading(t.e2, t.e3, t.e23))
+        lg = lg_from_quasi(via_moments)
         via_lgi = min(lg.k31, lg.k32, lg.k33, lg.k34) >= -4e-12
         if not (via_moments.feasible == via_vertices.feasible == via_lgi):
             disagreements += 1

@@ -294,6 +294,24 @@ class TestNsit:
         assert rec["true_gap"] == pytest.approx(SQ3 / 4, rel=1e-14)
         assert abs(rec["gap"] - rec["true_gap"]) < 4 * rec["gap_stderr"]
 
+    def test_run_seeds_replay_nsit_gap(self, capsys):
+        """The gap ``nsit --seed S`` prints rebuilds from two ``simulate`` runs: the
+        interference run of ``run_seeds["interference"]`` and the sequential run of
+        ``run_seeds["path"]``, the second child seed of S."""
+        beta, phi, shots, seed = 0.5, 0.4, 10_000, 42
+        rec = run_json(capsys, "nsit", "--beta", repr(beta), "--phi", repr(phi),
+                       "--shots", str(shots), "--seed", str(seed))
+        seeds = lglab.empirical_lg(lglab.MZConfig(beta=beta, phi=phi), shots, seed).run_seeds
+        counts = {}
+        for kind, child in (("interference", seeds["interference"]), ("sequential", seeds["path"])):
+            run = run_json(capsys, "simulate", "--kind", kind, "--seed", str(child),
+                           "--beta", repr(beta), "--phi", repr(phi), "--shots", str(shots))
+            counts[kind] = {k[len("count["):-1]: v for k, v in run.items() if k.startswith("count[")}
+        inter, seq = counts["interference"], counts["sequential"]
+        # psi3 is the m3 = -1 outcome
+        gap = inter["psi3"] / shots - (seq["m2=+1,m3=-1"] / shots + seq["m2=-1,m3=-1"] / shots)
+        assert rec["gap"] == r15(gap)
+
 
 def r15(x: float) -> float:
     """``x`` as a record holds it: rounded to 15 significant digits."""
@@ -432,6 +450,35 @@ PINNED_RECORDS = [
         '{"beta": 0.5, "alpha": 0.866025403784439, "shots": 1000000, "seed": 42, '
         '"gap": 0.432751, "gap_stderr": 0.000558913577093096, "true_gap": 0.433012701892219}',
     ),
+    (
+        ("mr-check", "--e2", "0", "--e3", "0", "--e23", "0"),
+        '{"e2": 0.0, "e3": 0.0, "e23": 0.0, "feasible": true, "margin": 0.25}',
+    ),
+    (
+        ("mr-check", "--e2", "0.5", "--e3", "-0.8660254037844386", "--e23", "0"),
+        '{"e2": 0.5, "e3": -0.866025403784439, "e23": 0.0, "feasible": false, '
+        '"margin": -0.0915063509461096}',
+    ),
+    (
+        ("mr-check", "--e2", "1", "--e3", "1", "--e23", "1"),
+        '{"e2": 1.0, "e3": 1.0, "e23": 1.0, "feasible": true, "margin": 0.0}',
+    ),
+    (
+        ("mr-check", "--e2", "-0", "--e3", "0", "--e23", "0"),
+        '{"e2": -0.0, "e3": 0.0, "e23": 0.0, "feasible": true, "margin": 0.25}',
+    ),
+]
+
+# (argv, stderr) of rejected inputs whose message bytes are pinned; each exits 2
+PINNED_REJECTIONS = [
+    (
+        ("mr-check", "--e2", "1.0000000005", "--e3", "0", "--e23", "0"),
+        "error: e2 must lie in [-1, 1], got 1.0000000005\n",
+    ),
+    (
+        ("mr-check", "--e2", "0", "--e3", "0", "--e23", "nan"),
+        "error: e23 must lie in [-1, 1], got nan\n",
+    ),
 ]
 
 
@@ -443,6 +490,12 @@ class TestPinnedRecords:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert out == stdout + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, stderr", PINNED_REJECTIONS, ids=[" ".join(argv) for argv, _ in PINNED_REJECTIONS]
+    )
+    def test_rejection_bytes(self, capsys, argv, stderr):
+        assert run_cli(capsys, *argv) == (2, "", stderr)
 
 
 class TestQuasiprobPass:

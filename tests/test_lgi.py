@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lglab import (
+    CorrelationTriple,
     DichotomicObservable,
     MZConfig,
     Operator,
@@ -12,7 +13,7 @@ from lglab import (
     detection_probabilities,
     input_state,
     lg_from_quasi,
-    mr_reading,
+    macrorealist_feasible,
     mz_lg_closed_form,
     mz_weak_values,
     output_observable,
@@ -334,7 +335,7 @@ class TestMacrorealistBound:
         # deterministic assignments: all four K >= 0 and K3 <= 0 exactly
         for e2 in (-1.0, 1.0):
             for e3 in (-1.0, 1.0):
-                table = mr_reading(e2, e3, e2 * e3)
+                table = macrorealist_feasible(CorrelationTriple(e2, e3, e2 * e3))
                 report = lg_from_quasi(table)
                 assert min(report.k31, report.k32, report.k33, report.k34) >= 0.0
                 # three-time form with M1 fixed at +1: K3 = e2 + e2*e3 - e3 - 1 <= 0

@@ -1,5 +1,7 @@
 """Macrorealist feasibility: moment route, vertex-solve oracle, LGI equivalence."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,21 +32,12 @@ class TestCorrelationTriple:
 
     @pytest.mark.parametrize("index, bad", [(0, 1.0 + 5e-10), (1, -np.inf), (2, np.nan)])
     def test_message_names_the_moment(self, index, bad):
-        """The triple's bound is 1 exactly; mr_reading's is 1 + INPUT_TOL, and
-        its messages name e_i, e_j and e_ij."""
-        from lglab import mr_reading
-
+        """The bound is 1 exactly, and the message names the moment."""
         moments = [0.0, 0.0, 0.0]
         moments[index] = bad
         name = ("e2", "e3", "e23")[index]
         with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got {bad}$"):
             CorrelationTriple(*moments)
-        if index == 0:
-            assert mr_reading(*moments).q == mr_reading(1.0, 0.0, 0.0).q
-        else:
-            name = ("e_i", "e_j", "e_ij")[index]
-            with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got {bad}$"):
-                mr_reading(*moments)
 
 
 class TestMacrorealistFeasible:
@@ -74,19 +67,22 @@ class TestMacrorealistFeasible:
 
     def test_triple_is_checked_once(self, rng, monkeypatch):
         """The moment route reads the triple CorrelationTriple checked, with
-        the bits of mr_reading, and does not check or clip it again."""
-        from lglab import mr_reading, quasiprob
+        the bits of the one table formula, and does not check it again."""
+        from lglab import mrcheck, quasiprob
 
         triples = [CorrelationTriple(*rng.uniform(-1, 1, 3).tolist()) for _ in range(1000)]
         triples += [CorrelationTriple(-0.0, 1.0, -1.0), CorrelationTriple(0.0, -0.0, 1)]
-        want = [mr_reading(t.e2, t.e3, t.e23).q for t in triples]
+        want = [quasiprob._q_from_moments(t.e2, t.e3, t.e23) for t in triples]
 
         def refused(*args, **kwargs):
             raise AssertionError("the triple was checked again")
 
-        monkeypatch.setattr(quasiprob, "_check_moments", refused)
+        # the one check is CorrelationTriple's, on math.isfinite and the bound 1
+        monkeypatch.setattr(CorrelationTriple, "__post_init__", refused)
+        monkeypatch.setattr(mrcheck, "math", SimpleNamespace(isfinite=refused))
         for t, q in zip(triples, want):
             got = macrorealist_feasible(t).q
+            assert list(got) == list(q)
             assert [v.hex() for v in got.values()] == [v.hex() for v in q.values()]
 
 
@@ -142,13 +138,12 @@ class TestFeasibilityOracle:
 
 class TestRouteEquivalence:
     def test_three_routes_agree_random(self, rng):
-        from lglab import mr_reading
-
         for _ in range(2000):
             t = CorrelationTriple(*(rng.uniform(-1, 1, 3)))
-            via_moments = macrorealist_feasible(t).feasible
+            table = macrorealist_feasible(t)
+            via_moments = table.feasible
             via_vertices = feasibility_oracle(t).feasible
-            report = lg_from_quasi(mr_reading(t.e2, t.e3, t.e23))
+            report = lg_from_quasi(table)
             via_lgi = (
                 min(report.k31, report.k32, report.k33, report.k34) >= -4e-12
             )

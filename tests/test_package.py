@@ -23,7 +23,7 @@ EXPORTS = {
     "QuasiprobTable", "RunSpec", "SampleEstimate", "StateVector", "SweepRow",
     "TwoTimeLGReport", "WeakValueResult", "detection_probabilities",
     "empirical_lg", "empirical_nsit", "feasibility_oracle", "input_state",
-    "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mr_reading", "mz_basis",
+    "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mz_basis",
     "mz_lg_closed_form", "mz_weak_values", "nsit_check", "outcome_probabilities",
     "output_observable", "path_observable", "precession_k3", "projector_onto", "quasi", "run",
     "sequential_correlation", "sequential_joint", "signaling_gap_projective", "sweep_beta",
@@ -37,10 +37,12 @@ ORACLES = ("two_time_lg", "mz_two_time_lg", "born_probability", "dichotomic_from
 # FeasibilityVerdict was a reading of its witness, the QuasiprobTable the
 # feasibility routes now return; mz_verdict restated mz_lg_closed_form as q = K/4
 # (through _table_from_k) and the three-time suite was three quasi calls; with a
-# qubit-only core no two objects can differ in dimension
+# qubit-only core no two objects can differ in dimension; mr_reading built the
+# table macrorealist_feasible builds, with a second moment bound (1 + INPUT_TOL,
+# then a clip) that was _check_moments' only reason to take a bound
 DELETED = ("inner_product", "expectation_decomposition", "FeasibilityVerdict", "mz_verdict",
            "_table_from_k", "three_time_suite", "ThreeTimeQuasiReport", "DimensionMismatch",
-           "_check_dims")
+           "_check_dims", "mr_reading", "_check_moments")
 
 # reports, as JSON on the last stdout line, the exit code of ``python -m lglab.cli
 # ARGS`` run in this interpreter and the numpy and lglab modules it left loaded
@@ -71,7 +73,7 @@ def last_json(proc: subprocess.CompletedProcess):
 
 class TestSurface:
     def test_all_is_the_export_set(self):
-        assert len(lglab.__all__) == len(EXPORTS) == 39
+        assert len(lglab.__all__) == len(EXPORTS) == 38
         assert set(lglab.__all__) == EXPORTS
 
     def test_dir_lists_every_export(self):

@@ -46,7 +46,6 @@ from lglab import (
     k_from_moments,
     lg_from_quasi,
     macrorealist_feasible,
-    mr_reading,
     mz_basis,
     mz_lg_closed_form,
     mz_weak_values,
@@ -128,8 +127,9 @@ def dichotomic(theta: float, phase: float) -> DichotomicObservable:
 @PROPS
 @given(moment, moment, moment)
 def test_k_is_four_times_mr_reading(e2, e3, e23):
+    """K = 4q on the macrorealist reading (the moment-matching table) of any triple."""
     ks = k_from_moments(e2, e3, e23)
-    table = mr_reading(e2, e3, e23)
+    table = macrorealist_feasible(CorrelationTriple(e2, e3, e23))
     for idx, (s2, s3) in _K_SIGNS.items():
         assert ks[idx] == 4.0 * table.entry(s2, s3)
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from lglab import (
+    CorrelationTriple,
     MZConfig,
     StateVector,
     detection_probabilities,
     input_state,
     k_from_moments,
     lg_from_quasi,
-    mr_reading,
+    macrorealist_feasible,
     mz_lg_closed_form,
     nsit_check,
     output_observable,
@@ -165,9 +166,17 @@ class TestCorrelationEquivalence:
             assert cq == pytest.approx(sequential_correlation(state, mi, mj), abs=1e-12)
 
 
+def reading(e_i, e_j, e_ij):
+    """The macrorealist reading of three moments read off a table, each clipped
+    into [-1, 1] first, since a moment read off a table may round past +-1."""
+    return macrorealist_feasible(CorrelationTriple(*(min(max(e, -1.0), 1.0) for e in (e_i, e_j, e_ij))))
+
+
 class TestMrReading:
+    """The macrorealist reading: the moment-matching table of a checked triple."""
+
     def test_uniform(self):
-        table = mr_reading(0.0, 0.0, 0.0)
+        table = macrorealist_feasible(CorrelationTriple(0.0, 0.0, 0.0))
         for v in table.q.values():
             assert v == 0.25
         assert table.total() == pytest.approx(1.0, abs=0)
@@ -175,44 +184,34 @@ class TestMrReading:
     def test_mz_moments_reproduce_quasi(self):
         _, state, m2, m3 = mz_instance(0.5)
         direct = quasi(state, m2, m3)
-        rebuilt = mr_reading(*direct.moments())
+        rebuilt = reading(*direct.moments())
         for key in direct.q:
             assert rebuilt.q[key] == pytest.approx(direct.q[key], abs=1e-12)
         assert rebuilt.entry(-1, +1) == pytest.approx((1 - SQ3) / 8, abs=1e-12)
 
     def test_point_mass(self):
-        table = mr_reading(1.0, 1.0, 1.0)
+        table = macrorealist_feasible(CorrelationTriple(1.0, 1.0, 1.0))
         assert table.entry(+1, +1) == pytest.approx(1.0, abs=0)
         assert table.negativity == 0.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            mr_reading(1.5, 0.0, 0.0)
-
-    def test_moment_within_input_tol_is_clipped(self):
-        """<M2> = 1 + 5e-10 passes the INPUT_TOL check and reads as 1, so K31 and
-        K33 are both 0 instead of both -5e-10 (two violations at once)."""
-        report = lg_from_quasi(mr_reading(1 + 5e-10, 0.0, 0.0))
-        assert (report.k31, report.k32, report.k33, report.k34) == (0.0, 2.0, 0.0, 2.0)
-        assert report.violated_index is None
-        assert mr_reading(-1 - 5e-10, 0.3, -0.3).q == mr_reading(-1.0, 0.3, -0.3).q
-        with pytest.raises(ValueError, match="e_ij"):
-            mr_reading(0.0, 0.0, 1 + 2e-9)
+            CorrelationTriple(1.5, 0.0, 0.0)
 
     def test_in_range_moments_keep_their_bits(self, rng):
-        """Moments already in [-1, 1] pass the clip untouched: every entry is
-        K/4 of k_from_moments on the raw inputs, bit for bit (signed zeros too)."""
+        """Every entry is K/4 of k_from_moments on the raw inputs, bit for bit
+        (signed zeros too)."""
         triples = [tuple(rng.uniform(-1.0, 1.0, 3)) for _ in range(300)]
         triples += [(1.0, -1.0, -0.0), (-1.0, 1.0, 1.0), (-0.0, 0.0, -1.0), (0.5, -0.5, 0.25)]
         for e in triples:
-            table, ks = mr_reading(*e), k_from_moments(*e)
+            table, ks = macrorealist_feasible(CorrelationTriple(*e)), k_from_moments(*e)
             for idx, signs in _K_SIGNS.items():
                 assert table.q[signs].hex() == (ks[idx] / 4.0).hex(), (e, idx)
 
     def test_moment_expansion_exact_random(self, rng):
         for _ in range(300):
             direct = quasi(random_state(rng), random_dichotomic(rng), random_dichotomic(rng))
-            rebuilt = mr_reading(*direct.moments())
+            rebuilt = reading(*direct.moments())
             for key in direct.q:
                 assert rebuilt.q[key] == pytest.approx(direct.q[key], abs=1e-12)
 
@@ -227,7 +226,7 @@ class TestLGFromQuasi:
         assert report.violated_index == 31
 
     def test_uniform_table(self):
-        report = lg_from_quasi(mr_reading(0.0, 0.0, 0.0))
+        report = lg_from_quasi(macrorealist_feasible(CorrelationTriple(0.0, 0.0, 0.0)))
         assert (report.k31, report.k32, report.k33, report.k34) == (1.0, 1.0, 1.0, 1.0)
 
     def test_endpoint(self):
