@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quasiprob import OUTCOMES, QuasiprobTable, _q_from_moments
+from .quasiprob import QuasiprobTable, _q_from_moments
+
+OUTCOMES = (+1, -1)
 
 # the fixed vertices (m2, m3) and the columns of the system over them
 _VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]

@@ -12,33 +12,25 @@ be negative, and their marginals equal the Born probabilities Re Tr(P rho), so
 no-signaling in time holds structurally; the residuals say how far each lands.
 The correlator sum(mi*mj*q) is the sequential (Lueders) one, and a negative
 4q(m2, m3) is exactly an LG violation. An intervening projective measurement
-does shift the later statistics: :func:`signaling_gap_projective`. A
-:class:`QuasiprobTable` stores the entries and NSIT residuals; its negativity,
-margin and feasibility are read off them. ``_q_from_moments`` is the one table
-formula: ``quasi`` applies it to the moments of a state, and
-``mrcheck.macrorealist_feasible`` to a checked moment triple.
+does shift the later statistics; :func:`signaling_gap_projective`, the one
+interferometer function here, is that shift's closed form |alpha*beta*cos(phi)|
+and builds no state. A :class:`QuasiprobTable` stores the entries and NSIT
+residuals; its negativity, margin and feasibility are read off them.
+``_q_from_moments`` is the one table formula: ``quasi`` applies it to the
+moments of a state, and ``mrcheck.macrorealist_feasible`` to a checked moment
+triple.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import (
-    MZConfig,
-    detection_probabilities,
-    input_state,
-    output_observable,
-    path_observable,
-)
-from .lgi import (
-    _K_SIGNS,
-    TwoTimeLGReport,
-    k_from_moments,
-    sequential_joint,
-)
+from .interferometer import MZConfig
+from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments
 from .qcore import (
     INPUT_TOL,
     VIOLATION_TOL,
@@ -49,8 +41,6 @@ from .qcore import (
     _ket_bra,
     _matmul,
 )
-
-OUTCOMES = (+1, -1)
 
 # the sign pairs of K31..K34, read off lgi's one map; named once, at import,
 # because a comprehension over _K_SIGNS doubles the cost of a table
@@ -170,14 +160,12 @@ def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:
 
 
 def signaling_gap_projective(cfg: MZConfig) -> float:
-    """|p_seq(psi3) - p(psi3)|: the statistics shift caused by an actual
-    intervening projective path measurement. Closed form
-    |alpha*beta*cos(phi)|; always 1/2 on the sequential side since a collapsed
-    path state hits either port with equal probability.
-    """
-    joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
-    # psi3 is the m3 = -1 outcome
-    p_seq = sum(joint[(m, -1)] for m in OUTCOMES)
-    p3, _ = detection_probabilities(cfg)
-    return abs(p_seq - p3)
+    """|p_seq(psi3) - p(psi3)| = |alpha*beta*cos(phi)|: the shift in the psi3
+    port statistics that an actual intervening projective path measurement
+    causes, a violation of no-signaling in time.
 
+    The collapsed path state hits either port with probability 1/2, and
+    p(psi3) = 1/2 + alpha*beta*cos(phi) for a normalised input. The two-step
+    Lueders route is a test oracle, ``projective_gap`` in ``tests/oracles.py``.
+    """
+    return abs(cfg.alpha * cfg.beta * math.cos(cfg.phi))

@@ -9,9 +9,11 @@ observables with their K3, the matrix K route (:func:`two_time_lg`,
 :func:`mz_two_time_lg`), the projector-product quasiprobability with the
 eigenvalue check of a density matrix (:func:`quasi_matrix`,
 :func:`density_matrix`), the numpy matrix-vector route of the sequential joint
-(:func:`sequential_joint_numpy`), the numpy expressions of the MZ closed
-forms (:func:`mz_kernel_numpy`) that ``interferometer._mz_probabilities`` and
-``interferometer._mz_k`` must match bit for bit, the freshly keyed Philox
+(:func:`sequential_joint_numpy`), the two-step Lueders route of the
+projective signaling gap (:func:`projective_gap`), the numpy expressions of
+the MZ closed forms (:func:`mz_kernel_numpy`) that
+``interferometer._mz_probabilities`` and ``interferometer._mz_k`` must match
+bit for bit, the freshly keyed Philox
 generator per run (:func:`philox_counts`) that ``experiment.run``'s reused,
 rekeyed one must match count for count, and the checked numpy constructions
 of a projector and of an observable's M (:func:`projector_checked`,
@@ -40,6 +42,7 @@ from lglab import (
     RunSpec,
     StateVector,
     TwoTimeLGReport,
+    detection_probabilities,
     input_state,
     k_from_moments,
     mz_basis,
@@ -47,6 +50,7 @@ from lglab import (
     output_observable,
     path_observable,
     sequential_correlation,
+    sequential_joint,
 )
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL
@@ -239,6 +243,19 @@ def sequential_joint_numpy(
             second = Mj.projector(mj).entries @ first
             joint[(mi, mj)] = float(np.vdot(second, second).real)
     return joint
+
+
+def projective_gap(cfg: MZConfig) -> float:
+    """|p_seq(psi3) - p(psi3)| with p_seq from the two-step Lueders joint of
+    the path then the output observable on ``input_state(cfg)``.
+
+    Oracle of ``signaling_gap_projective``, which is the closed form |alpha*beta*cos(phi)|.
+    """
+    joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
+    # psi3 is the m3 = -1 outcome
+    p_seq = sum(joint[(m, -1)] for m in OUTCOMES)
+    p3, _ = detection_probabilities(cfg)
+    return abs(p_seq - p3)
 
 
 def bs_unitary() -> np.ndarray:

@@ -34,7 +34,7 @@ from lglab.experiment import RunSpec, run as mc_run
 from lglab.interferometer import mz_basis
 
 from conftest import random_dichotomic, random_state
-from oracles import born_probability, propagate_unitary, quasi_matrix
+from oracles import born_probability, projective_gap, propagate_unitary, quasi_matrix
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -183,13 +183,15 @@ def test_criterion_6_nsc_cross_validation():
 
 def test_criterion_7_signaling_contrast():
     """Projective intervention shifts statistics by |alpha*beta| while the
-    quasiprobability marginals stay non-signaling."""
+    quasiprobability marginals stay non-signaling. The two-step Lueders route
+    of an actual intervening path measurement gives the same gap."""
     m2, m3 = path_observable(), output_observable()
     for beta in GRID:
         cfg = MZConfig(beta=float(beta))
         gap = signaling_gap_projective(cfg)
         assert abs(gap - abs(cfg.alpha * cfg.beta)) <= 1e-12
         assert max(nsit_check(input_state(cfg), m2, m3)) < 1e-12
+        assert abs(projective_gap(cfg) - gap) <= 1e-12
     report(7, "projective signaling gap |alpha*beta| vs structural NSIT")
 
 

@@ -24,6 +24,7 @@ from lglab import (
     sequential_joint,
     sweep_beta,
 )
+from lglab.cli import _sweep_rows
 
 from conftest import random_dichotomic, random_state
 from oracles import (
@@ -308,6 +309,27 @@ class TestSweep:
             assert (row.violated_index == 32) == (row.w4 is not None and row.w4 < -1)
             assert (row.violated_index == 33) == (row.w3 is not None and row.w3 > 1)
             assert (row.violated_index == 34) == (row.w3 is not None and row.w3 < -1)
+
+    def test_fig2_rows_within_bounds_of_exact(self):
+        """Every row ``reproduce-fig2`` writes, against 50-digit values of its
+        double beta, with alpha = sqrt(1 - beta^2) exact: alpha within 8 eps
+        relative, K within 4 eps, p within 2 eps, and each defined w within
+        256 eps relative (alpha -+ beta cancels next to the dark ports). The
+        worst errors measured were 7.0, 3.2, 1.4 and 200.6 eps."""
+        mpmath = pytest.importorskip("mpmath")
+        eps = 2.0**-52
+        with mpmath.workdps(50):
+            for row in _sweep_rows({"grid": 1001, "min": -1.0, "max": 1.0}):
+                b = mpmath.mpf(row.beta)
+                a = mpmath.sqrt(1 - b * b)
+                assert abs(row.alpha - a) <= 8 * eps * a
+                exact_k = (2 * b * (b - a), 2 * a * (a - b), 2 * b * (b + a), 2 * a * (a + b))
+                for got, want in zip((row.k31, row.k32, row.k33, row.k34), exact_k):
+                    assert abs(got - want) <= 4 * eps
+                for got, want in ((row.p3, (a + b) ** 2 / 2), (row.p4, (a - b) ** 2 / 2)):
+                    assert abs(got - want) <= 2 * eps
+                for got, want in ((row.w3, (a - b) / (a + b)), (row.w4, (a + b) / (a - b))):
+                    assert got is None or abs(got - want) <= 256 * eps * abs(want)
 
     def test_builds_one_state_and_no_fixed_object_per_point(self, monkeypatch):
         """Regression guard: the observables and port vectors are built once, at

@@ -1,7 +1,11 @@
 """Quasiprobability tables, NSIT residuals, moment expansion and the LG link."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lglab import (
     CorrelationTriple,
@@ -23,9 +27,23 @@ from lglab import (
 from lglab.lgi import _K_SIGNS
 
 from conftest import random_dichotomic, random_state
-from oracles import born_probability, precession_observables
+from oracles import born_probability, precession_observables, projective_gap
 
 SQ3 = np.sqrt(3.0)
+PROPS = settings(derandomize=True, max_examples=500, deadline=None, database=None)
+# the whole beta range: both zeros, the five exceptional points, within 1e-8
+# of either dark port, or anywhere
+GAP_BETA = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -1 / math.sqrt(2), 1 / math.sqrt(2), 1.0]),
+    st.builds(lambda x, d: x + d, st.sampled_from([-1 / math.sqrt(2), 1 / math.sqrt(2)]),
+              st.floats(min_value=-1e-8, max_value=1e-8)),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+# no fringe, a quarter or half turn, a phase far past any period, or any finite phase
+GAP_PHI = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def mz_instance(beta):
@@ -264,6 +282,37 @@ class TestSignalingGap:
             cfg = MZConfig(beta=float(beta))
             gap = signaling_gap_projective(cfg)
             assert gap == pytest.approx(abs(cfg.alpha * cfg.beta), abs=1e-12)
+
+    def test_builds_no_state(self, monkeypatch):
+        """The gap is its closed form: no state is built, so no two-step route runs."""
+        cfg = MZConfig(beta=0.5, phi=1.0)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("signaling_gap_projective built a StateVector")
+
+        monkeypatch.setattr(StateVector, "__init__", refuse)
+        assert signaling_gap_projective(cfg) == abs(cfg.alpha * cfg.beta * math.cos(1.0))
+
+    @PROPS
+    @given(beta=GAP_BETA, phi=GAP_PHI)
+    def test_matches_two_step_route(self, beta, phi):
+        cfg = MZConfig(beta=beta, phi=phi)
+        assert abs(signaling_gap_projective(cfg) - projective_gap(cfg)) <= 1e-15
+
+    def test_within_2_3e_16_of_exact(self):
+        """Against 40-digit |alpha*beta*cos(phi)| of the stored doubles; the
+        two-step route of ``oracles.projective_gap`` reaches 8.4e-16."""
+        mpmath = pytest.importorskip("mpmath")
+
+        @PROPS
+        @given(beta=GAP_BETA, phi=GAP_PHI)
+        def check(beta, phi):
+            cfg = MZConfig(beta=beta, phi=phi)
+            with mpmath.workdps(40):
+                exact = abs(mpmath.mpf(cfg.alpha) * mpmath.mpf(cfg.beta) * mpmath.cos(mpmath.mpf(cfg.phi)))
+                assert float(abs(signaling_gap_projective(cfg) - exact)) <= 2.3e-16
+
+        check()
 
 
 class TestSequentialQuasiIdentity:
