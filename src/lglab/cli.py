@@ -31,6 +31,9 @@ UNDEFINED = "undefined"
 # default of an option the user must supply, by flag or config file
 REQUIRED = object()
 
+# the most sweep rows: 10^6 take about 0.6 GB and write a 182 MB CSV
+MAX_GRID = 10**6
+
 
 def __getattr__(name: str):  # lglab.cli.sweep_beta names the library's sweep, looked up on use
     if name != "sweep_beta":
@@ -91,6 +94,8 @@ def _sweep_rows(merged: dict):
     lo, hi = merged["min"], merged["max"]
     if n is None or n < 2:
         raise CliError("--grid must be an integer >= 2")
+    if n > MAX_GRID:
+        raise CliError(f"--grid must be at most {MAX_GRID}, got {n}")
     if not (-1.0 <= lo < hi <= 1.0):
         raise CliError(f"sweep range must satisfy -1 <= min < max <= 1, got [{lo}, {hi}]")
     step = (hi - lo) / (n - 1)

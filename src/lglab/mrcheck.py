@@ -12,9 +12,9 @@ all four two-time LG quantities being nonnegative, under the one violation
 rule on K = 4q. Every route returns that joint, a
 :class:`~lglab.quasiprob.QuasiprobTable` whose ``feasible`` and ``margin`` are the verdict.
 
-The vertex system is fixed, and so is its inverse: its rows are orthogonal
-with squared norm 4, so the inverse is exactly the transposed system over 4.
-Both are read-only constants, built once, at import. A triple is validated
+The vertex system is fixed: its rows are orthogonal with squared norm 4, so
+its inverse is exactly the transposed system over 4, which the oracle applies
+in plain Python from one tuple of vertex rows built at import. A triple is validated
 once, by :class:`CorrelationTriple`, against the one range rule (finite, and
 within [-1, 1] with no tolerance or clip), and no route checks it again.
 """
@@ -24,18 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .quasiprob import QuasiprobTable, _q_from_moments
 
 OUTCOMES = (+1, -1)
 
-# the fixed vertices (m2, m3) and the columns of the system over them
+# the fixed vertices (m2, m3) and their rows (1, m2, m3, m2*m3): the columns
+# of the vertex system V, so V^T / 4, its exact inverse, is these rows over 4
 _VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
-_VERTEX_SYSTEM = np.array([[1.0, m2, m3, m2 * m3] for m2, m3 in _VERTICES]).T
-_VERTEX_SYSTEM.setflags(write=False)
-_VERTEX_INVERSE = _VERTEX_SYSTEM.T / 4
-_VERTEX_INVERSE.setflags(write=False)
+_VERTEX_ROWS = tuple((1.0, float(m2), float(m3), float(m2 * m3)) for m2, m3 in _VERTICES)
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,8 @@ def feasibility_oracle(t: CorrelationTriple) -> QuasiprobTable:
     cross-validation path; the vertex construction generalizes to larger
     outcome sets.
     """
-    x = _VERTEX_INVERSE.dot([1.0, t.e2, t.e3, t.e23])
-    return QuasiprobTable(dict(zip(_VERTICES, x.tolist())))
+    e2, e3, e23 = t.e2, t.e3, t.e23
+    # each row written out: a sum() over a generator is slower than numpy's dot
+    rows = zip(_VERTICES, _VERTEX_ROWS)
+    return QuasiprobTable({v: (a + b * e2 + c * e3 + d * e23) / 4 for v, (a, b, c, d) in rows})
 

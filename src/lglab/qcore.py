@@ -4,7 +4,8 @@ Every state has two amplitudes and every operator is 2x2 (any other shape is
 a ValueError naming it); their checks are plain Python arithmetic on the flat
 entries, the one form an object stores (``_flat``, a tuple of Python complex
 numbers; ``amps`` and ``entries`` build a read-only ndarray of it on access).
-Validation runs once, where an object enters: ``StateVector`` and
+One helper, ``_flat_2x2``, parses the 2x2 input of an operator or a density
+matrix. Validation runs once, where an object enters: ``StateVector`` and
 ``Operator`` check what the caller gives them, and ``DichotomicObservable``
 checks its projector pair and M. A projector |s><s| of a validated state is
 exactly Hermitian, so ``projector_onto`` builds it from its flat entries with
@@ -67,6 +68,15 @@ def _ket_bra(s: StateVector) -> tuple:
     x, y = s._flat
     xc, yc = x.conjugate(), y.conjugate()
     return x * xc, x * yc, y * xc, y * yc
+
+
+def _flat_2x2(entries, rule: str) -> tuple:
+    """The flat entries (00, 01, 10, 11) of an array-like 2x2 matrix, as Python
+    complex numbers; any other shape is a ValueError, ``rule`` and the shape."""
+    m = np.asarray(entries, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"{rule}, got shape {m.shape}")
+    return tuple(m.ravel().tolist())
 
 
 def _check_hermitian(flat) -> None:
@@ -156,10 +166,6 @@ class StateVector:
     def __setattr__(self, name, value):
         raise AttributeError("StateVector is immutable")
 
-    def density(self) -> np.ndarray:
-        """Pure-state density matrix |s><s| as a plain ndarray, from :func:`_ket_bra`."""
-        return np.array(_ket_bra(self)).reshape(2, 2)
-
     def __repr__(self):
         return f"StateVector({list(self._flat)!r})"
 
@@ -180,10 +186,7 @@ class Operator:
     __slots__ = ("_flat",)
 
     def __init__(self, entries):
-        m = np.asarray(entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"operator must be a 2x2 matrix, got shape {m.shape}")
-        flat = tuple(m.ravel().tolist())
+        flat = _flat_2x2(entries, "operator must be a 2x2 matrix")
         _check_hermitian(flat)
         object.__setattr__(self, "_flat", flat)
 
@@ -206,7 +209,8 @@ class Operator:
         raise AttributeError("Operator is immutable")
 
     def __repr__(self):
-        return f"Operator({self.entries.tolist()!r})"
+        a, b, c, d = self._flat
+        return f"Operator({[[a, b], [c, d]]!r})"
 
 
 def projector_onto(s: StateVector) -> Operator:

@@ -27,8 +27,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .interferometer import MZConfig
 from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments
 from .qcore import (
@@ -38,6 +36,7 @@ from .qcore import (
     StateVector,
     _adjoint,
     _close,
+    _flat_2x2,
     _ket_bra,
     _matmul,
 )
@@ -84,7 +83,7 @@ class QuasiprobTable:
         return 4.0 * self.margin >= -VIOLATION_TOL
 
 
-def _as_density(state) -> list:
+def _as_density(state) -> tuple:
     """The flat entries (00, 01, 10, 11) of rho, from a StateVector (pure-state
     adapter) or a 2x2 density matrix.
 
@@ -94,10 +93,7 @@ def _as_density(state) -> list:
     """
     if isinstance(state, StateVector):
         return _ket_bra(state)
-    rho = np.asarray(state, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    flat = rho.ravel().tolist()
+    flat = _flat_2x2(state, "density matrix must be 2x2")
     if not all(map(cmath.isfinite, flat)):
         raise ValueError("density matrix entries must be finite")
     if not _close(flat, _adjoint(flat), INPUT_TOL):

@@ -23,7 +23,9 @@ at once (``lgi.sweep_beta``, whose alpha, K and p come from the scalar
 because it repeats that route's roundings: the squared norm as a per-row BLAS
 dot, the normalisation as numpy's complex division by the norm, and every
 inner product as a stacked ``np.matmul``, which rounds like ``np.vdot``
-(``gemv`` and ``einsum`` do not).
+(``gemv`` and ``einsum`` do not). A row's weak value is defined by the
+per-point rule itself, ``abs(overlap) ** 2 > OVERLAP_TOL`` on a Python complex:
+``** 2`` is libm pow, which numpy's array square differs from in the last bit.
 """
 
 from __future__ import annotations
@@ -50,13 +52,6 @@ def _port(post: StateVector) -> tuple[np.ndarray, np.ndarray]:
 _PORTS = (_port(mz_basis().psi3), _port(mz_basis().psi4))
 
 
-def _squares(xs: list[float]) -> np.ndarray:
-    """x ** 2 for each float, as the per-point routes square a scalar: that is
-    libm pow, which differs in the last bit from numpy's correctly rounded
-    array square on about 0.08% of inputs."""
-    return np.array([x**2 for x in xs])
-
-
 def _mz_weak_value_columns(alpha: np.ndarray, beta: np.ndarray) -> list[list[float | None]]:
     """Re (M2)_w at the psi3 and psi4 ports for each phi = 0 row (alpha, beta).
 
@@ -75,11 +70,12 @@ def _mz_weak_value_columns(alpha: np.ndarray, beta: np.ndarray) -> list[list[flo
     for post, m2_post in _PORTS:
         overlap = np.matmul(pre, post[:, None])[:, 0, 0]
         numer = np.matmul(pre, m2_post[:, None])[:, 0, 0]
-        defined = _squares(np.abs(overlap).tolist()) > OVERLAP_TOL
         # every amplitude is real, so the complex quotient's real part is
         # this one division
-        w = np.divide(numer.real, overlap.real, out=np.zeros(alpha.size), where=defined)
-        columns.append([v if d else None for v, d in zip(w.tolist(), defined.tolist())])
+        columns.append([
+            n.real / o.real if abs(o) ** 2 > OVERLAP_TOL else None
+            for n, o in zip(numer.tolist(), overlap.tolist())
+        ])
     return columns
 
 

@@ -49,6 +49,7 @@ from lglab import (
     outcome_probabilities,
     output_observable,
     path_observable,
+    projector_onto,
     sequential_correlation,
     sequential_joint,
 )
@@ -119,9 +120,10 @@ def philox_counts(spec: RunSpec) -> dict[str, int]:
 
 
 def projector_checked(s: StateVector) -> Operator:
-    """|s><s| through the checked constructor, from the numpy density matrix:
-    what ``projector_onto`` built before it skipped the second check."""
-    return Operator(s.density())
+    """|s><s| through the checked constructor, from the entries array of the
+    unchecked projector: what ``projector_onto`` built before it skipped the
+    second check."""
+    return Operator(projector_onto(s).entries)
 
 
 def observable_operator_checked(plus_proj: Operator, minus_proj: Operator) -> Operator:
@@ -190,7 +192,7 @@ def density_matrix(state) -> np.ndarray:
     Oracle of the entry checks of ``quasiprob._as_density``.
     """
     if isinstance(state, StateVector):
-        return state.density()
+        return projector_onto(state).entries
     rho = np.asarray(state, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")

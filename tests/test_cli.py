@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import lglab
 from lglab import sweep_beta
-from lglab.cli import main
+from lglab.cli import MAX_GRID, main
 
 SQ3 = np.sqrt(3.0)
 
@@ -117,6 +118,29 @@ class TestSweep:
             capsys, "lgi-sweep", "--grid", "1", "--output", str(tmp_path / "x.csv")
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            (None, ("lgi-sweep", "--grid", "1000000000000")),
+            (None, ("lgi-sweep", "--grid", str(MAX_GRID + 1))),
+            (None, ("reproduce-fig2", "--grid", "1000000000000")),
+            ({"grid": 1e300}, ("lgi-sweep",)),
+        ],
+    )
+    def test_grid_above_the_bound_exits_2_before_building(self, capsys, tmp_path, config, argv):
+        out = tmp_path / "x.csv"
+        prefix = ()
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            prefix = ("--config", str(cfg))
+        start = time.perf_counter()
+        code, stdout, err = run_cli(capsys, *prefix, *argv, "--output", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == ""
+        assert f"--grid must be at most {MAX_GRID}" in err
+        assert not out.exists()
 
     def test_unwritable_path_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -184,3 +184,58 @@ def test_the_guard_finds_an_unread_public_method():
     )
     reader = ast.parse("a.called()\nx = getattr(a, 'named')\na.gone = 1\nprint('a.gone() is unused')\n")
     assert unread_public_methods({"a.py": tree}, [tree, reader]) == {"a.py:A.gone": 5}
+
+
+# what each numpy importer needs it for: qcore, the input parse and the state
+# norm's BLAS dot; weakval, the inner products' BLAS dots, whose bits fig2.csv
+# and the pinned weak values hold; lgi, the sweep grid it hands to weakval's
+# column route; experiment, the Philox draws
+NUMPY_IMPORTERS = {"qcore.py", "weakval.py", "lgi.py", "experiment.py"}
+
+
+def imports_numpy(tree: ast.Module) -> bool:
+    """Whether the module imports numpy or a submodule of it anywhere, at any
+    depth: ``import``, ``from ... import``, or ``__import__`` or
+    ``importlib.import_module`` called with the name as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            names = [node.args[0].value] if called in ("__import__", "import_module") else []
+        else:
+            continue
+        if any(isinstance(n, str) and n.partition(".")[0] == "numpy" for n in names):
+            return True
+    return False
+
+
+def test_numpy_is_imported_only_where_a_pinned_bit_a_draw_or_a_parse_needs_it():
+    importers = {path.name for path in SOURCES if imports_numpy(ast.parse(path.read_text()))}
+    assert importers == NUMPY_IMPORTERS
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import numpy",
+        "import numpy as np",
+        "import os, numpy.linalg",
+        "from numpy import asarray",
+        "from numpy.random import Philox as P",
+        "def f():\n    import numpy as np\n    return np",
+        "class A:\n    def f(self):\n        from numpy import vdot",
+        "np = __import__('numpy')",
+        "import importlib\nnp = importlib.import_module('numpy.linalg')",
+    ],
+)
+def test_the_guard_finds_a_numpy_import(source):
+    assert imports_numpy(ast.parse(source))
+
+
+def test_the_guard_passes_a_module_without_numpy():
+    source = "import math\nfrom .qcore import _flat_2x2\nimport numpyish\n'import numpy'\nimport_module(name)\n"
+    assert not imports_numpy(ast.parse(source))

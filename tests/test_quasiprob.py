@@ -20,6 +20,7 @@ from lglab import (
     nsit_check,
     output_observable,
     path_observable,
+    projector_onto,
     quasi,
     sequential_correlation,
     signaling_gap_projective,
@@ -90,7 +91,7 @@ class TestQuasi:
         state = random_state(rng)
         mi, mj = random_dichotomic(rng), random_dichotomic(rng)
         t_pure = quasi(state, mi, mj)
-        t_rho = quasi(state.density(), mi, mj)
+        t_rho = quasi(projector_onto(state).entries, mi, mj)
         for key in t_pure.q:
             assert t_pure.q[key] == pytest.approx(t_rho.q[key], abs=1e-12)
 
