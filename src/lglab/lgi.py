@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .interferometer import MZConfig, _default_alpha, _mz_k, _mz_probabilities
 from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector
 from .weakval import _mz_weak_value_columns
@@ -159,17 +157,20 @@ def sweep_beta(grid) -> list[SweepRow]:
     K and p, and ``weakval._mz_weak_value_columns`` for the weak values, bit
     for bit. Undefined weak values (vanishing port overlap) are reported as
     None. Rows are emitted in grid order.
+
+    ``grid`` is a one-dimensional sequence of reals, read as Python floats;
+    any other grid, or a beta outside [-1, 1] or NaN, is a ValueError.
     """
-    b = np.asarray(grid, dtype=float)
-    if b.ndim != 1:
-        raise ValueError(f"beta grid must be one-dimensional, got shape {b.shape}")
-    bad = np.flatnonzero(~(np.abs(b) <= 1.0))
-    if bad.size:
-        raise ValueError(f"beta must lie in [-1, 1], got {b[bad[0]].item()}")
-    betas = b.tolist()
+    try:
+        betas = [float(beta) for beta in grid]
+    except (TypeError, ValueError):
+        raise ValueError("beta grid must be a one-dimensional sequence of numbers") from None
+    bad = next((beta for beta in betas if not abs(beta) <= 1.0), None)
+    if bad is not None:
+        raise ValueError(f"beta must lie in [-1, 1], got {bad}")
     alphas = [_default_alpha(beta) for beta in betas]
     rows = []
-    for beta, alpha, w3, w4 in zip(betas, alphas, *_mz_weak_value_columns(np.array(alphas), b)):
+    for beta, alpha, w3, w4 in zip(betas, alphas, *_mz_weak_value_columns(alphas, betas)):
         ks = _mz_k(alpha, beta, 1.0)
         p3, p4 = _mz_probabilities(alpha, beta, 1.0, 0.0)
         rows.append(SweepRow(beta, alpha, *ks, w3, w4, p3, p4, _exact_violation(ks)))

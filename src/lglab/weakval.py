@@ -10,22 +10,24 @@ near-zero overlaps deliberately produce huge finite values (no clamping), as
 the divergence at destructive interference is exactly the effect of interest.
 
 :func:`weak_value` is the generic route for any Hermitian observable and pair
-of states. :func:`mz_weak_values` post-selects on the two fixed output ports,
-so the port vectors psi3, psi4 and M2 psi3, M2 psi4 are built once, at import,
-and each call only forms the pre-selected state and four inner products. Both
-routes share one core, which holds the overlap threshold and the
-OrthogonalPostSelection error, and they agree bit for bit.
+of states. The Mach-Zehnder routes post-select on the two output ports, which
+M2 = diag(1, -1) swaps bit for bit (M2 psi3 = psi4, M2 psi4 = psi3), so with
+d3 = <pre|psi3> and d4 = <pre|psi4> the path weak values are w3 = d4 / d3 and
+w4 = d3 / d4: two inner products per configuration. One kernel,
+:func:`_port_overlaps`, forms them for a stack of pre-selected states.
+:func:`mz_weak_values` calls it on one state and reads each port through
+:func:`_ratio`, which holds the overlap threshold and the
+OrthogonalPostSelection error for :func:`weak_value` too;
+:func:`_mz_weak_value_columns` calls it on a whole phi = 0 beta sweep
+(``lgi.sweep_beta``). All three agree bit for bit.
 
-:func:`_mz_weak_value_columns` is the one column route left in the package:
-the column form of :func:`mz_weak_values` at phi = 0, for a whole beta sweep
-at once (``lgi.sweep_beta``, whose alpha, K and p come from the scalar
-``interferometer`` kernels). It matches the per-point route bit for bit
-because it repeats that route's roundings: the squared norm as a per-row BLAS
-dot, the normalisation as numpy's complex division by the norm, and every
-inner product as a stacked ``np.matmul``, which rounds like ``np.vdot``
-(``gemv`` and ``einsum`` do not). A row's weak value is defined by the
-per-point rule itself, ``abs(overlap) ** 2 > OVERLAP_TOL`` on a Python complex:
-``** 2`` is libm pow, which numpy's array square differs from in the last bit.
+The kernel forms each inner product as a stacked ``np.matmul``, which rounds
+like ``np.vdot`` (``gemv``, ``einsum`` and one product with both ports as a
+2x2 matrix do not). The column route repeats ``StateVector``'s roundings (the
+squared norm as a per-row BLAS dot, then numpy's complex division by the
+norm) and applies the per-point rule to each row, ``abs(overlap) ** 2 >
+OVERLAP_TOL`` on a Python complex: ``** 2`` is libm pow, which numpy's array
+square differs from in the last bit.
 """
 
 from __future__ import annotations
@@ -34,49 +36,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interferometer import MZConfig, input_state, mz_basis, path_observable
+from .interferometer import MZConfig, input_state, mz_basis
 from .qcore import STRUCT_TOL, VIOLATION_TOL, Operator, StateVector
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
 OVERLAP_TOL = 1e-15
 
 
-def _port(post: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, M2 psi) for one output port, both read-only."""
-    m2_post = path_observable().operator().entries @ post.amps
-    m2_post.setflags(write=False)
-    return post.amps, m2_post
+# the psi3 and psi4 columns as a stack of two (2, 1) matrices, built once
+_PORT_COLUMNS = np.stack([mz_basis().psi3.amps, mz_basis().psi4.amps])[:, :, None]
+_PORT_COLUMNS.setflags(write=False)
 
 
-# the psi3 and psi4 ports are fixed, so their vectors are built once
-_PORTS = (_port(mz_basis().psi3), _port(mz_basis().psi4))
+def _port_overlaps(pre: np.ndarray) -> list[list[complex]]:
+    """[d3, d4] = [<pre|psi3>, <pre|psi4>] for each row of normalised
+    pre-selected amplitudes, as lists of Python complex numbers."""
+    # one matmul broadcast over rows and ports: each product stays a
+    # (1, 2) @ (2, 1) one, which rounds like np.vdot
+    return np.matmul(pre.conj()[:, None, None, :], _PORT_COLUMNS)[:, :, 0, 0].T.tolist()
 
 
-def _mz_weak_value_columns(alpha: np.ndarray, beta: np.ndarray) -> list[list[float | None]]:
+def _mz_weak_value_columns(alpha, beta) -> list[list[float | None]]:
     """Re (M2)_w at the psi3 and psi4 ports for each phi = 0 row (alpha, beta).
 
     Returns one list per port, None where the weak value is undefined. Bit
     for bit what :func:`mz_weak_values` gives row by row, for rows whose norm
     is 1 within ``INPUT_TOL``.
     """
-    amps = np.empty((alpha.size, 2), dtype=complex)
+    amps = np.empty((len(alpha), 2), dtype=complex)
     amps[:, 0], amps[:, 1] = alpha, beta
     # StateVector: the squared norm is a BLAS dot (the imaginary parts are 0),
     # then a division by the complex norm, which numpy does as a reciprocal
     # multiply
     sq = np.matmul(amps.real[:, None, :], amps.real[:, :, None])[:, 0, 0]
-    pre = (amps / np.sqrt(sq)[:, None]).conj()[:, None, :]
-    columns = []
-    for post, m2_post in _PORTS:
-        overlap = np.matmul(pre, post[:, None])[:, 0, 0]
-        numer = np.matmul(pre, m2_post[:, None])[:, 0, 0]
-        # every amplitude is real, so the complex quotient's real part is
-        # this one division
-        columns.append([
-            n.real / o.real if abs(o) ** 2 > OVERLAP_TOL else None
-            for n, o in zip(numer.tolist(), overlap.tolist())
-        ])
-    return columns
+    d3, d4 = _port_overlaps(amps / np.sqrt(sq)[:, None])
+    # every amplitude is real, so the complex quotient's real part is this
+    # one division
+    return [
+        [n.real / o.real if abs(o) ** 2 > OVERLAP_TOL else None for n, o in zip(numer, overlap)]
+        for numer, overlap in ((d4, d3), (d3, d4))
+    ]
 
 
 class OrthogonalPostSelection(ValueError):
@@ -100,21 +99,20 @@ class WeakValueResult:
         return bool(abs(self.value.imag) > STRUCT_TOL)
 
 
-def _weak_value(pre: np.ndarray, post: np.ndarray, a_post: np.ndarray) -> WeakValueResult:
-    """<pre|A|post> / <pre|post> from the amplitudes of |pre>, |post> and A|post>."""
-    overlap = complex(np.vdot(pre, post))
+def _ratio(numer: complex, overlap: complex) -> WeakValueResult:
+    """numer / overlap, with the post-selection probability |overlap|^2."""
     prob = abs(overlap) ** 2
     if prob <= OVERLAP_TOL:
         raise OrthogonalPostSelection(
             f"post-selection probability {prob} <= {OVERLAP_TOL}: weak value undefined"
         )
-    numer = complex(np.vdot(pre, a_post))
-    return WeakValueResult(numer / overlap, float(prob))
+    return WeakValueResult(numer / overlap, prob)
 
 
 def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
     """(A)_w = <pre|A|post> / <pre|post>, with its post-selection probability."""
-    return _weak_value(pre.amps, post.amps, A.entries @ post.amps)
+    bra, ket = pre.amps, post.amps
+    return _ratio(complex(np.vdot(bra, A.entries @ ket)), complex(np.vdot(bra, ket)))
 
 
 def mz_weak_values(
@@ -127,11 +125,11 @@ def mz_weak_values(
     and (alpha+b)/(alpha-b), complex unless phi is a multiple of pi.
     With ``allow_undefined`` a vanishing port yields None instead of raising.
     """
-    pre = input_state(cfg).amps
+    (d3,), (d4,) = _port_overlaps(input_state(cfg).amps[None])
     results = []
-    for post, m2_post in _PORTS:
+    for numer, overlap in ((d4, d3), (d3, d4)):
         try:
-            results.append(_weak_value(pre, post, m2_post))
+            results.append(_ratio(numer, overlap))
         except OrthogonalPostSelection:
             if not allow_undefined:
                 raise

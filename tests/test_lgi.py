@@ -1,5 +1,7 @@
 """Leggett-Garg evaluators: sequential correlators, K3, two-time forms, sweep."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,23 @@ class TestSweep:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             sweep_beta([1.5])
+
+    @pytest.mark.parametrize(
+        "grid", [np.zeros((2, 2)), [[0.1, 0.2]], 0.5], ids=["2d-ndarray", "nested-list", "bare-float"]
+    )
+    def test_rejects_a_grid_that_is_not_a_sequence_of_numbers(self, grid):
+        with pytest.raises(ValueError, match="beta grid"):
+            sweep_beta(grid)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"beta must lie in \[-1, 1\], got nan"):
+            sweep_beta([0.0, math.nan])
+
+    def test_list_tuple_and_ndarray_give_the_same_bits(self):
+        # a float's repr round-trips its bits, the sign of a zero included
+        betas = [-1.0, -0.0, 0.0, 0.3, 2**-0.5, 1.0]
+        first, *others = (repr(sweep_beta(grid)) for grid in (betas, tuple(betas), np.array(betas)))
+        assert others == [first, first]
 
     def test_grid_violation_pattern(self):
         # oracle: sign analysis of the four closed forms per beta region

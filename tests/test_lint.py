@@ -188,9 +188,8 @@ def test_the_guard_finds_an_unread_public_method():
 
 # what each numpy importer needs it for: qcore, the input parse and the state
 # norm's BLAS dot; weakval, the inner products' BLAS dots, whose bits fig2.csv
-# and the pinned weak values hold; lgi, the sweep grid it hands to weakval's
-# column route; experiment, the Philox draws
-NUMPY_IMPORTERS = {"qcore.py", "weakval.py", "lgi.py", "experiment.py"}
+# and the pinned weak values hold; experiment, the Philox draws
+NUMPY_IMPORTERS = {"qcore.py", "weakval.py", "experiment.py"}
 
 
 def imports_numpy(tree: ast.Module) -> bool:

@@ -148,6 +148,13 @@ class TestMZWeakValues:
         assert w3.value.real == pytest.approx(2 - SQ3, abs=1e-12)
         assert w4.value.real == pytest.approx(2 + SQ3, abs=1e-12)
 
+    def test_m2_swaps_the_ports_bit_for_bit(self):
+        """M2 psi3 = psi4 and M2 psi4 = psi3 byte for byte, so <pre|M2 psi3> is
+        the overlap d4 and w3 = d4/d3, w4 = d3/d4 from the two port overlaps."""
+        m2, basis = path_observable().operator().entries, mz_basis()
+        assert (m2 @ basis.psi3.amps).tobytes() == basis.psi4.amps.tobytes()
+        assert (m2 @ basis.psi4.amps).tobytes() == basis.psi3.amps.tobytes()
+
     def test_postselect_probs_match_detection(self):
         for beta in np.linspace(-0.95, 0.95, 21):
             cfg = MZConfig(beta=float(beta))
