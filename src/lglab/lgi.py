@@ -19,9 +19,8 @@ For the Mach-Zehnder configuration at phase phi,
     K31 = 2 beta (beta - alpha cos phi)    K32 = 2 alpha (alpha - beta cos phi)
     K33 = 2 beta (beta + alpha cos phi)    K34 = 2 alpha (alpha + beta cos phi)
 
-One rule decides every verdict: a K below -``VIOLATION_TOL`` (``qcore``) is a
-violation, whether it is read as K, as 4q or from a weak value. A
-:class:`TwoTimeLGReport` stores only K31..K34 and reads its verdict off them.
+One predicate, ``qcore._violates``, decides every verdict on a K, read as K, as
+4q or from a weak value; reports and sweep rows read theirs with ``_lowest_violation``.
 
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
@@ -36,13 +35,12 @@ import math
 from dataclasses import dataclass
 
 from .interferometer import MZConfig, _default_alpha, _mz_k, _mz_probabilities
-from .qcore import VIOLATION_TOL, DichotomicObservable, StateVector
+from .qcore import DichotomicObservable, StateVector, _violates
 from .weakval import _mz_weak_value_columns
 
 # sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
 # Listed in K31..K34 order, which callers rely on when unpacking values.
 _K_SIGNS = {31: (-1, +1), 32: (+1, +1), 33: (-1, -1), 34: (+1, -1)}
-_K_INDICES = tuple(_K_SIGNS)
 
 
 def k_from_moments(e2: float, e3: float, e23: float) -> dict[int, float]:
@@ -60,12 +58,13 @@ def k_from_moments(e2: float, e3: float, e23: float) -> dict[int, float]:
     }
 
 
-def _exact_violation(ks) -> int | None:
-    """The index of the one K31..K34 below -VIOLATION_TOL, else None; two are an AssertionError."""
+def _lowest_violation(ks, exact: bool = False) -> int | None:
+    """The index of the lowest K31..K34 (the first of a tie) if it violates, else None;
+    ``exact`` (by position: the sweep calls this per row) asserts that no second one does."""
     low = sorted(ks)
-    if low[1] < -VIOLATION_TOL:
+    if exact and _violates(low[1]):
         raise AssertionError(f"more than one negative LG value: {dict(zip(_K_SIGNS, ks))}")
-    return _K_INDICES[ks.index(low[0])] if low[0] < -VIOLATION_TOL else None
+    return 31 + ks.index(low[0]) if _violates(low[0]) else None
 
 
 @dataclass(frozen=True)
@@ -82,15 +81,13 @@ class TwoTimeLGReport:
 
     @property
     def violated_index(self) -> int | None:
-        """The most negative K if below -VIOLATION_TOL (only estimates can have two), else None."""
-        ks = self.values()
-        idx = min(ks, key=ks.__getitem__)
-        return idx if ks[idx] < -VIOLATION_TOL else None
+        """The most negative K if it violates (only estimates can have two), else None."""
+        return _lowest_violation((self.k31, self.k32, self.k33, self.k34))
 
     @classmethod
     def from_values(cls, k31, k32, k33, k34) -> "TwoTimeLGReport":
         """The report of an exact route, asserting that at most one K is a violation."""
-        _exact_violation((k31, k32, k33, k34))
+        _lowest_violation((k31, k32, k33, k34), True)
         return cls(k31, k32, k33, k34)
 
 
@@ -173,7 +170,7 @@ def sweep_beta(grid) -> list[SweepRow]:
     for beta, alpha, w3, w4 in zip(betas, alphas, *_mz_weak_value_columns(alphas, betas)):
         ks = _mz_k(alpha, beta, 1.0)
         p3, p4 = _mz_probabilities(alpha, beta, 1.0, 0.0)
-        rows.append(SweepRow(beta, alpha, *ks, w3, w4, p3, p4, _exact_violation(ks)))
+        rows.append(SweepRow(beta, alpha, *ks, w3, w4, p3, p4, _lowest_violation(ks, True)))
     return rows
 
 

@@ -7,9 +7,8 @@ scenario the moment-matching joint is unique, so feasibility reduces to
 sign-checking it. :func:`macrorealist_feasible` is the one runtime route to
 that joint, the macrorealist reading of the triple; an independent
 linear-solve route over the deterministic vertices is kept as a
-cross-validation oracle. Feasibility is equivalent to
-all four two-time LG quantities being nonnegative, under the one violation
-rule on K = 4q. Every route returns that joint, a
+cross-validation oracle. Feasible means that no two-time LG quantity K = 4q
+violates ``qcore._violates``. Every route returns that joint, a
 :class:`~lglab.quasiprob.QuasiprobTable` whose ``feasible`` and ``margin`` are the verdict.
 
 The vertex system is fixed: its rows are orthogonal with squared norm 4, so

@@ -19,8 +19,8 @@ Three tolerances are used throughout:
   (hermiticity, projector algebra, norms after construction);
 * ``INPUT_TOL`` (1e-9) for validating user-supplied data, which may carry
   accumulated rounding from whatever produced it;
-* ``VIOLATION_TOL`` (1e-12), the one violation rule: a Leggett-Garg K (read
-  as K, as 4q or as 2 p(f)(1 -+ Re w)) below -VIOLATION_TOL is a violation.
+* ``VIOLATION_TOL`` (1e-12), read only by ``_violates``, the one violation rule:
+  a Leggett-Garg K (as K, 4q or 2 p(f)(1 -+ Re w)) below -VIOLATION_TOL violates.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ import numpy as np
 STRUCT_TOL = 1e-12
 INPUT_TOL = 1e-9
 VIOLATION_TOL = 1e-12
+
+
+def _violates(k: float) -> bool:
+    """The one violation rule: the Leggett-Garg K is below -VIOLATION_TOL."""
+    return k < -VIOLATION_TOL
 
 
 def _close(a, b, tol: float = STRUCT_TOL) -> bool:

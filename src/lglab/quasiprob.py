@@ -31,7 +31,6 @@ from .interferometer import MZConfig
 from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments
 from .qcore import (
     INPUT_TOL,
-    VIOLATION_TOL,
     DichotomicObservable,
     StateVector,
     _adjoint,
@@ -39,6 +38,7 @@ from .qcore import (
     _flat_2x2,
     _ket_bra,
     _matmul,
+    _violates,
 )
 
 # the sign pairs of K31..K34, read off lgi's one map; named once, at import,
@@ -79,8 +79,8 @@ class QuasiprobTable:
 
     @property
     def feasible(self) -> bool:
-        """No K = 4q is a violation: 4 min q >= -VIOLATION_TOL."""
-        return 4.0 * self.margin >= -VIOLATION_TOL
+        """No K = 4q violates (``qcore._violates``), read at the lowest q."""
+        return not _violates(4.0 * self.margin)
 
 
 def _as_density(state) -> tuple:
@@ -150,9 +150,8 @@ def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:
     psi4 port is the +1 outcome: K31 = 4q(-1,+1), K32 = 4q(+1,+1),
     K33 = 4q(-1,-1), K34 = 4q(+1,-1).
     """
-    return TwoTimeLGReport.from_values(
-        *(4.0 * table.entry(s2, s3) for s2, s3 in _K_SIGNS.values())
-    )
+    ks = (4.0 * table.entry(s2, s3) for s2, s3 in _K_SIGNS.values())
+    return TwoTimeLGReport.from_values(*ks)
 
 
 def signaling_gap_projective(cfg: MZConfig) -> float:

@@ -2,8 +2,8 @@
 
 The weak value of A for pre-selected |i> and post-selected |f> is
 (A)_w = <i|A|f> / <i|f>. For a dichotomic (+-1) observable it is *anomalous*
-when the K = 2 p(f) (1 -+ Re w) it implies is a violation, K < -VIOLATION_TOL,
-so a real part just past +-1 on a nearly dark port is not; a nonzero imaginary
+when the K = 2 p(f) (1 -+ Re w) it implies violates (``qcore._violates``), so
+a real part just past +-1 on a nearly dark port is not; a nonzero imaginary
 part is flagged separately and does not count. When the post-selection overlap
 vanishes the weak value is undefined and OrthogonalPostSelection is raised;
 near-zero overlaps deliberately produce huge finite values (no clamping), as
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interferometer import MZConfig, input_state, mz_basis
-from .qcore import STRUCT_TOL, VIOLATION_TOL, Operator, StateVector
+from .qcore import STRUCT_TOL, Operator, StateVector, _violates
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
 OVERLAP_TOL = 1e-15
@@ -91,8 +91,8 @@ class WeakValueResult:
 
     @property
     def anomalous_real(self) -> bool:
-        """K = 2 p(f) (1 -+ Re w) is below -VIOLATION_TOL."""
-        return bool(2.0 * self.postselect_prob * (abs(self.value.real) - 1.0) > VIOLATION_TOL)
+        """K = 2 p(f) (1 -+ Re w) violates, at the sign of Re w that gives the lower K."""
+        return bool(_violates(2.0 * self.postselect_prob * (1.0 - abs(self.value.real))))
 
     @property
     def nonzero_imag(self) -> bool:
@@ -100,8 +100,8 @@ class WeakValueResult:
 
 
 def _ratio(numer: complex, overlap: complex) -> WeakValueResult:
-    """numer / overlap, with the post-selection probability |overlap|^2."""
-    prob = abs(overlap) ** 2
+    """numer / overlap, with p(f) = |overlap|^2 clipped at 1, as ``_mz_probabilities`` clips p."""
+    prob = min(abs(overlap) ** 2, 1.0)
     if prob <= OVERLAP_TOL:
         raise OrthogonalPostSelection(
             f"post-selection probability {prob} <= {OVERLAP_TOL}: weak value undefined"

@@ -1,0 +1,175 @@
+"""A standing mutation check: does the test suite still catch a fixed list of faults?
+
+Each mutant replaces one exact piece of source text, found exactly once, in a
+temporary copy of the project (``src``, ``tests`` and ``pyproject.toml``) and
+runs ``python -m pytest -x tests`` there. The mutant is killed when that run
+fails, or runs past the timeout. The unmutated copy is run first and must
+pass, so that no kill is a failure the suite has anyway.
+
+Run it from anywhere, with the test extra installed:
+
+    python tests/mutants.py
+
+It prints one line per mutant and a kill count. The exit code is 0 when every
+mutant is killed except the listed equivalent survivors, 1 when another one
+survives, and 2 when the unmutated copy fails or a mutant's text is not found
+exactly once (the list no longer matches the source). A surviving mutant costs
+one full suite run, about a minute, so this runs as its own CI step, not with
+the tests.
+
+The list restates eight hand-made mutants on the current source: two K signs,
+the rule-of-three error, the clip of p at 1, and four boundaries. Three of the
+boundaries are the one violation rule, ``qcore._violates``: the predicate
+itself, and the two readers that once spelt the rule out, each made to count
+K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with ``<``
+for ``<=`` on ``OVERLAP_TOL``, is an equivalent survivor: no input the suite
+can build gives |overlap|^2 of exactly 1e-15.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a run that takes longer than this is stopped and counted as a kill
+TIMEOUT_S = 900
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    # why the mutant is equivalent, for the documented survivors
+    equivalent: str | None = None
+
+
+MUTANTS = (
+    Mutant(
+        "k_from_moments: the sign of <M2 M3> in K31",
+        "src/lglab/lgi.py",
+        "31: 1.0 - e2 - e23 + e3,",
+        "31: 1.0 - e2 + e23 + e3,",
+    ),
+    Mutant(
+        "_mz_k: the sign of the cross term in K31",
+        "src/lglab/interferometer.py",
+        "2.0 * beta * (beta - alpha * c),",
+        "2.0 * beta * (beta + alpha * c),",
+    ),
+    Mutant(
+        "SampleEstimate.stderr: the rule-of-three bound 3/N",
+        "src/lglab/experiment.py",
+        "if c else 3.0 / n",
+        "if c else 1.0 / n",
+    ),
+    Mutant(
+        "_mz_probabilities: the clip of p3 at 1",
+        "src/lglab/interferometer.py",
+        "min(abs(complex(alpha + bc, bs)) ** 2 / 2.0, 1.0),",
+        "abs(complex(alpha + bc, bs)) ** 2 / 2.0,",
+    ),
+    Mutant(
+        "_violates: K = -VIOLATION_TOL violates (< to <=)",
+        "src/lglab/qcore.py",
+        "return k < -VIOLATION_TOL",
+        "return k <= -VIOLATION_TOL",
+    ),
+    Mutant(
+        "QuasiprobTable.feasible: 4 min q = -VIOLATION_TOL is infeasible (>= to >)",
+        "src/lglab/quasiprob.py",
+        "return not _violates(4.0 * self.margin)",
+        "return not _violates(4.0 * self.margin) and 4.0 * self.margin != -1e-12",
+    ),
+    Mutant(
+        "WeakValueResult.anomalous_real: K = -VIOLATION_TOL is anomalous (> to >=)",
+        "src/lglab/weakval.py",
+        "return bool(_violates(2.0 * self.postselect_prob * (1.0 - abs(self.value.real))))",
+        "return bool(_violates(k := 2.0 * self.postselect_prob * (1.0 - abs(self.value.real)))"
+        " or k == -1e-12)",
+    ),
+    Mutant(
+        "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",
+        "src/lglab/weakval.py",
+        "if prob <= OVERLAP_TOL:",
+        "if prob < OVERLAP_TOL:",
+        equivalent="no input gives |overlap|^2 of exactly 1e-15",
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _mutate(dest: Path, mutant: Mutant) -> None:
+    path = dest / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise LookupError(f"{mutant.path}: {mutant.old!r} occurs {text.count(mutant.old)} times")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _suite_fails(dest: Path) -> bool:
+    """Whether ``pytest -x tests`` fails (or times out) in the copy at ``dest``."""
+    env = {**os.environ, "PYTHONPATH": str(dest / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    try:
+        run = subprocess.run(cmd, cwd=dest, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return True
+    return run.returncode != 0
+
+
+def _run(mutant: Mutant | None) -> bool:
+    """Whether the suite fails on a fresh copy with ``mutant`` applied (None: unmutated)."""
+    with tempfile.TemporaryDirectory(prefix="lglab-mutant-") as tmp:
+        dest = Path(tmp)
+        _copy(dest)
+        if mutant is not None:
+            _mutate(dest, mutant)
+        return _suite_fails(dest)
+
+
+def main() -> int:
+    start = time.perf_counter()
+    if _run(None):
+        print("the unmutated copy fails its tests: no mutant can be scored", file=sys.stderr)
+        return 2
+    print(f"unmutated copy passes ({time.perf_counter() - start:.1f} s)", flush=True)
+    killed, unexpected = 0, []
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        try:
+            dead = _run(mutant)
+        except LookupError as exc:
+            print(f"stale mutant {mutant.name!r}: {exc}", file=sys.stderr)
+            return 2
+        killed += dead
+        note = ""
+        if dead:
+            verdict = "killed  "
+        elif mutant.equivalent:
+            verdict, note = "survived", f"; equivalent: {mutant.equivalent}"
+        else:
+            verdict = "SURVIVED"
+            unexpected.append(mutant.name)
+        print(f"{verdict} {mutant.name} ({time.perf_counter() - start:.1f} s){note}", flush=True)
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -186,6 +186,55 @@ def test_the_guard_finds_an_unread_public_method():
     assert unread_public_methods({"a.py": tree}, [tree, reader]) == {"a.py:A.gone": 5}
 
 
+def readers_of(tree: ast.Module, name: str) -> set[str]:
+    """The top-level functions and classes of the module that read ``name``,
+    and ``<module>`` for a read by any other top-level statement.
+
+    A read is a loaded name, an attribute, an import of the name or a string
+    constant that is exactly the name, as ``getattr`` takes it.
+    """
+    found = set()
+    for stmt in tree.body:
+        defines = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                read = any(alias.name.rpartition(".")[2] == name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                read = isinstance(node.ctx, ast.Load) and node.id == name
+            elif isinstance(node, ast.Attribute):
+                read = node.attr == name
+            else:
+                read = isinstance(node, ast.Constant) and node.value == name
+            if read:
+                found.add(stmt.name if defines else "<module>")
+    return found
+
+
+def test_only_the_one_violation_predicate_reads_the_violation_tolerance():
+    """Every K, 4q and weak-value verdict calls ``qcore._violates``; no other
+    code under the package compares against ``VIOLATION_TOL``."""
+    readers = {
+        f"{path.stem}.{where}"
+        for path in SOURCES
+        for where in readers_of(ast.parse(path.read_text()), "VIOLATION_TOL")
+    }
+    assert readers == {"qcore._violates"}
+
+
+def test_the_guard_finds_a_read_of_the_violation_tolerance():
+    tree = ast.parse(
+        "from .qcore import VIOLATION_TOL as TOL\n"
+        "from . import qcore\n"
+        "def f(k):\n    return k < -qcore.VIOLATION_TOL\n"
+        "class A:\n    def g(self):\n        return getattr(qcore, 'VIOLATION_TOL')\n"
+        "def h():\n    'VIOLATION_TOL, in prose'\n    VIOLATION_TOL = 1e-12\n"
+        "LIMIT = 2 * VIOLATION_TOL\n"
+    )
+    assert readers_of(tree, "VIOLATION_TOL") == {"<module>", "f", "A"}
+    assert readers_of(ast.parse("from .qcore import VIOLATION_TOL\n"), "VIOLATION_TOL") == {"<module>"}
+    assert readers_of(ast.parse("def h():\n    VIOLATION_TOL = 1e-12\n"), "VIOLATION_TOL") == set()
+
+
 # what each numpy importer needs it for: qcore, the input parse and the state
 # norm's BLAS dot; weakval, the inner products' BLAS dots, whose bits fig2.csv
 # and the pinned weak values hold; experiment, the Philox draws

@@ -1,5 +1,7 @@
 """Macrorealist feasibility: moment route, vertex-solve oracle, LGI equivalence."""
 
+import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,17 +10,32 @@ import pytest
 from lglab import (
     CorrelationTriple,
     MZConfig,
+    TwoTimeLGReport,
+    WeakValueResult,
     feasibility_oracle,
     lg_from_quasi,
     macrorealist_feasible,
     mz_lg_closed_form,
     mz_weak_values,
     sequential_joint,
+    sweep_beta,
 )
+from lglab.cli import main
+from lglab.qcore import VIOLATION_TOL
 
 from conftest import random_dichotomic, random_state
 
 SQ3 = np.sqrt(3.0)
+
+# a K one ulp below -VIOLATION_TOL, at it and one ulp above it, each with
+# whether it is a violation: the boundary of the one rule, ``qcore._violates``
+BOUNDARY = [
+    (math.nextafter(-VIOLATION_TOL, -math.inf), True),
+    (-VIOLATION_TOL, False),
+    (math.nextafter(-VIOLATION_TOL, 0.0), False),
+]
+BOUNDARY_IDS = ["one-ulp-below", "at", "one-ulp-above"]
+at_the_boundary = pytest.mark.parametrize("k, violates", BOUNDARY, ids=BOUNDARY_IDS)
 
 
 class TestCorrelationTriple:
@@ -204,7 +221,68 @@ class TestMZVerdict:
 
 class TestOneViolationRule:
     """K below -VIOLATION_TOL (1e-12) is a violation, whether it is read as K,
-    as q = K/4 or as the K = 2 p(f) (1 -+ Re w) of a weak value."""
+    as q = K/4 or as the K = 2 p(f) (1 -+ Re w) of a weak value. Each verdict
+    reader is fed K at -VIOLATION_TOL and one ulp on either side of it."""
+
+    @at_the_boundary
+    def test_violated_index_at_the_boundary(self, k, violates):
+        assert TwoTimeLGReport(0.5, 0.5, k, 1.0).violated_index == (33 if violates else None)
+
+    @at_the_boundary
+    def test_from_values_at_the_boundary(self, k, violates):
+        """One K at the boundary is the verdict; two are an AssertionError
+        exactly when both violate."""
+        assert TwoTimeLGReport.from_values(0.5, k, 0.1, 1.0).violated_index == (32 if violates else None)
+        if violates:
+            with pytest.raises(AssertionError, match="more than one negative LG value"):
+                TwoTimeLGReport.from_values(k, 0.5, k, 1.0)
+        else:
+            assert TwoTimeLGReport.from_values(k, 0.5, k, 1.0).violated_index is None
+
+    # each beta's K31 = 2 beta (beta - alpha) is exactly the boundary K of its
+    # position in BOUNDARY, at the default alpha (1.0 here) and phi = 0
+    @pytest.mark.parametrize(
+        "beta, k, violates",
+        [
+            (beta, k, violates)
+            for beta, (k, violates) in zip(
+                (5.000000000002501e-13, 5.0000000000025e-13, 5.000000000002499e-13), BOUNDARY
+            )
+        ],
+        ids=BOUNDARY_IDS,
+    )
+    def test_sweep_row_and_closed_form_at_the_boundary(self, beta, k, violates):
+        (row,) = sweep_beta([beta])
+        assert row.k31.hex() == k.hex()
+        assert row.violated_index == (31 if violates else None)
+        report = mz_lg_closed_form(MZConfig(beta=beta))
+        assert report.k31.hex() == k.hex()
+        assert report.violated_index == row.violated_index
+
+    @at_the_boundary
+    def test_feasible_at_the_boundary_on_both_routes(self, k, violates):
+        # K31 = 4 q(-1, +1) = 1 - e2 - e23 + e3 = -e23, exactly
+        t = CorrelationTriple(e2=1.0, e3=0.0, e23=-k)
+        for route in (macrorealist_feasible, feasibility_oracle):
+            v = route(t)
+            assert (4.0 * v.margin).hex() == k.hex()
+            assert v.feasible is not violates
+
+    @at_the_boundary
+    @pytest.mark.parametrize("w", [2.0, -2.0])
+    def test_anomalous_real_at_the_boundary(self, k, violates, w):
+        # K = 2 p(f) (1 - |Re w|) = -2 p(f) = k, exactly
+        result = WeakValueResult(complex(w, 0.0), -k / 2.0)
+        assert (2.0 * result.postselect_prob * (1.0 - abs(w))).hex() == k.hex()
+        assert result.anomalous_real is violates
+
+    @at_the_boundary
+    def test_mr_check_record_at_the_boundary(self, capsys, k, violates):
+        """``--e2 1 --e3 0 --e23 1e-12`` gives K31 = -1e-12 exactly: feasible."""
+        assert main(["mr-check", "--e2", "1", "--e3", "0", "--e23", repr(-k)]) == 0
+        out = capsys.readouterr().out
+        feasible = json.dumps(not violates)
+        assert out == f'{{"e2": 1.0, "e3": 0.0, "e23": 1e-12, "feasible": {feasible}, "margin": -2.5e-13}}\n'
 
     def test_k_at_twice_the_tolerance_is_infeasible(self):
         cfg = MZConfig(beta=1e-12)

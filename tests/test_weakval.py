@@ -13,6 +13,7 @@ from lglab import (
     OrthogonalPostSelection,
     StateVector,
     detection_probabilities,
+    input_state,
     mz_basis,
     mz_weak_values,
     path_observable,
@@ -164,6 +165,18 @@ class TestMZWeakValues:
                 assert w3.postselect_prob == pytest.approx(p3, abs=1e-12)
             if w4 is not None:
                 assert w4.postselect_prob == pytest.approx(p4, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, lit", [(2**-0.5, 0), (-(2**-0.5), 1)], ids=["psi4-dark", "psi3-dark"])
+    def test_postselect_prob_is_at_most_one_at_an_exact_dark_port(self, alpha, lit):
+        """The lit port's |overlap|^2 rounds to 1.0000000000000004 at beta =
+        |alpha| = 2**-0.5; p(f) is clipped at 1 there, as the detection p is."""
+        cfg = MZConfig(beta=2**-0.5, alpha=alpha)
+        results = mz_weak_values(cfg, allow_undefined=True)
+        assert results[1 - lit] is None
+        assert results[lit].postselect_prob == 1.0
+        assert detection_probabilities(cfg)[lit] == 1.0
+        post = (mz_basis().psi3, mz_basis().psi4)[lit]
+        assert weak_value(path_observable().operator(), input_state(cfg), post).postselect_prob == 1.0
 
 
 class TestMZProperties:
