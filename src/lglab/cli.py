@@ -64,27 +64,30 @@ def _default_seed() -> int:
         raise CliError(f"LGLAB_SEED must be an integer, got {env!r}") from None
 
 
-def _mz_config(merged: dict) -> lglab.MZConfig:
-    return lglab.MZConfig(beta=merged["beta"], alpha=merged["alpha"], phi=merged["phi"])
+def _mz(fields):
+    """The handler of an interferometer command: the checked ``MZConfig`` of the
+    merged ``beta``, ``alpha`` and ``phi``, its prefix, then ``fields(cfg, merged)``."""
+    def handler(merged: dict) -> dict:
+        cfg = lglab.MZConfig(beta=merged["beta"], alpha=merged["alpha"], phi=merged["phi"])
+        return {"beta": cfg.beta, "alpha": cfg.alpha, "phi": cfg.phi, **fields(cfg, merged)}
+    return handler
 
 
-def cmd_probabilities(merged: dict) -> dict:
-    cfg = _mz_config(merged)
+def cmd_probabilities(cfg: lglab.MZConfig, merged: dict) -> dict:
     p3, p4 = lglab.detection_probabilities(cfg)
-    return {"beta": cfg.beta, "alpha": cfg.alpha, "phi": cfg.phi, "p3": p3, "p4": p4}
+    return {"p3": p3, "p4": p4}
 
 
-def cmd_weak_values(merged: dict) -> dict:
-    cfg = _mz_config(merged)
+def cmd_weak_values(cfg: lglab.MZConfig, merged: dict) -> dict:
     p3, p4 = lglab.detection_probabilities(cfg)
     w3, w4 = lglab.mz_weak_values(cfg, allow_undefined=True)
-    rec = {"beta": cfg.beta, "alpha": cfg.alpha, "p3": p3, "p4": p4}
+    rec = {"p3": p3, "p4": p4}
     for name, w in (("w3", w3), ("w4", w4)):
         if w is None:
-            rec[name] = UNDEFINED
-            rec[f"{name}_anomalous"] = UNDEFINED
+            rec[name] = rec[f"{name}_imag"] = rec[f"{name}_anomalous"] = UNDEFINED
         else:
             rec[name] = w.value.real
+            rec[f"{name}_imag"] = w.value.imag
             rec[f"{name}_anomalous"] = w.anomalous_real
     return rec
 
@@ -151,12 +154,9 @@ def cmd_lgi_sweep(merged: dict) -> dict:
     return {"rows": len(rows), "violated_rows": violated, "output": output, "format": fmt}
 
 
-def cmd_quasiprob(merged: dict) -> dict:
-    cfg = _mz_config(merged)
+def cmd_quasiprob(cfg: lglab.MZConfig, merged: dict) -> dict:
     table = lglab.quasi(lglab.input_state(cfg), lglab.path_observable(), lglab.output_observable())
-    rec = {"beta": cfg.beta, "alpha": cfg.alpha}
-    for (mi, mj), v in sorted(table.q.items(), reverse=True):
-        rec[f"q(m2={mi:+d},m3={mj:+d})"] = v
+    rec = {f"q(m2={mi:+d},m3={mj:+d})": v for (mi, mj), v in sorted(table.q.items(), reverse=True)}
     rec["negativity"] = table.negativity
     rec["nsit_residual_m2"], rec["nsit_residual_m3"] = table.nsit_residuals
     return rec
@@ -175,14 +175,11 @@ def cmd_mr_check(merged: dict) -> dict:
     }
 
 
-def cmd_simulate(merged: dict) -> dict:
-    cfg = _mz_config(merged)
+def cmd_simulate(cfg: lglab.MZConfig, merged: dict) -> dict:
     kind = merged["kind"]
-    shots = merged["shots"]
-    est = lglab.run(lglab.RunSpec(cfg=cfg, shots=shots, seed=merged["seed"], kind=kind))
+    est = lglab.run(lglab.RunSpec(cfg=cfg, shots=merged["shots"], seed=merged["seed"], kind=kind))
     estimates, stderr, metadata = est.estimates, est.stderr, est.metadata
-    rec = {"beta": cfg.beta, "alpha": cfg.alpha, "kind": kind,
-           "shots": est.total, "seed": merged["seed"]}
+    rec = {"kind": kind, "shots": est.total, "seed": merged["seed"]}
     for label in est.counts:
         rec[f"count[{label}]"] = est.counts[label]
         rec[f"estimate[{label}]"] = estimates[label]
@@ -192,13 +189,10 @@ def cmd_simulate(merged: dict) -> dict:
     return rec
 
 
-def cmd_nsit(merged: dict) -> dict:
-    cfg = _mz_config(merged)
+def cmd_nsit(cfg: lglab.MZConfig, merged: dict) -> dict:
     shots = merged["shots"]
     gap, se = lglab.empirical_nsit(cfg, shots, merged["seed"])
     return {
-        "beta": cfg.beta,
-        "alpha": cfg.alpha,
         "shots": shots,
         "seed": merged["seed"],
         "gap": gap,
@@ -216,22 +210,22 @@ _SWEEP_OPTIONS = {
     "format": (str, "csv"),
 }
 
-# the interferometer of every MZ command, read by _mz_config
+# the interferometer of every MZ command, read by _mz
 _MZ_OPTIONS = {"beta": (float, REQUIRED), "alpha": (float, None), "phi": (float, 0.0)}
 
 # (handler, {option: (type, default)})
 COMMANDS = {
-    "probabilities": (cmd_probabilities, _MZ_OPTIONS),
-    "weak-values": (cmd_weak_values, _MZ_OPTIONS),
+    "probabilities": (_mz(cmd_probabilities), _MZ_OPTIONS),
+    "weak-values": (_mz(cmd_weak_values), _MZ_OPTIONS),
     "lgi-sweep": (cmd_lgi_sweep, _SWEEP_OPTIONS),
     "reproduce-fig2": (cmd_lgi_sweep, {**_SWEEP_OPTIONS, "grid": (int, 1001), "output": (str, "fig2.csv")}),
-    "quasiprob": (cmd_quasiprob, _MZ_OPTIONS),
+    "quasiprob": (_mz(cmd_quasiprob), _MZ_OPTIONS),
     "mr-check": (cmd_mr_check, {"e2": (float, REQUIRED), "e3": (float, REQUIRED), "e23": (float, REQUIRED)}),
     "simulate": (
-        cmd_simulate,
+        _mz(cmd_simulate),
         {**_MZ_OPTIONS, "shots": (int, REQUIRED), "seed": (int, None), "kind": (str, "interference")},
     ),
-    "nsit": (cmd_nsit, {**_MZ_OPTIONS, "shots": (int, REQUIRED), "seed": (int, None)}),
+    "nsit": (_mz(cmd_nsit), {**_MZ_OPTIONS, "shots": (int, REQUIRED), "seed": (int, None)}),
 }
 
 

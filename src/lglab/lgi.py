@@ -21,6 +21,8 @@ For the Mach-Zehnder configuration at phase phi,
 
 One predicate, ``qcore._violates``, decides every verdict on a K, read as K, as
 4q or from a weak value; reports and sweep rows read theirs with ``_lowest_violation``.
+A report names a NaN K (``_named_nan``) before reading its verdict; a sweep row's
+K come from a checked beta and are read unchecked.
 
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
@@ -67,6 +69,15 @@ def _lowest_violation(ks, exact: bool = False) -> int | None:
     return 31 + ks.index(low[0]) if _violates(low[0]) else None
 
 
+def _named_nan(ks) -> tuple:
+    """K31..K34 unchanged, or a ValueError naming the first NaN: ``sorted`` does not
+    order NaN, so a verdict read past one would depend on where it sits."""
+    for i, k in zip(_K_SIGNS, ks):
+        if k != k:
+            raise ValueError(f"K{i} is nan")
+    return ks
+
+
 @dataclass(frozen=True)
 class TwoTimeLGReport:
     """K31..K34; the violation verdict is read off them."""
@@ -82,12 +93,12 @@ class TwoTimeLGReport:
     @property
     def violated_index(self) -> int | None:
         """The most negative K if it violates (only estimates can have two), else None."""
-        return _lowest_violation((self.k31, self.k32, self.k33, self.k34))
+        return _lowest_violation(_named_nan((self.k31, self.k32, self.k33, self.k34)))
 
     @classmethod
     def from_values(cls, k31, k32, k33, k34) -> "TwoTimeLGReport":
         """The report of an exact route, asserting that at most one K is a violation."""
-        _lowest_violation((k31, k32, k33, k34), True)
+        _lowest_violation(_named_nan((k31, k32, k33, k34)), True)
         return cls(k31, k32, k33, k34)
 
 

@@ -74,7 +74,11 @@ class QuasiprobTable:
 
     @property
     def margin(self) -> float:
-        """The signed smallest q: the margin ``mr-check`` prints and :attr:`feasible` reads."""
+        """The signed smallest q: the margin ``mr-check`` prints and :attr:`feasible` reads.
+        A NaN entry, which ``min`` does not order, raises a ValueError naming it."""
+        for (mi, mj), v in self.q.items():
+            if v != v:
+                raise ValueError(f"q({mi:+d},{mj:+d}) is nan")
         return float(min(self.q.values()))
 
     @property

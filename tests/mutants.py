@@ -17,13 +17,14 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list restates eight hand-made mutants on the current source: two K signs,
-the rule-of-three error, the clip of p at 1, and four boundaries. Three of the
-boundaries are the one violation rule, ``qcore._violates``: the predicate
-itself, and the two readers that once spelt the rule out, each made to count
-K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with ``<``
-for ``<=`` on ``OVERLAP_TOL``, is an equivalent survivor: no input the suite
-can build gives |overlap|^2 of exactly 1e-15.
+The list holds ten hand-made mutants on the current source: two K signs, the
+rule-of-three error, the clip of p at 1, four boundaries, a report that reads
+its verdict past a NaN K, and interferometer records that drop ``phi``. Three
+of the boundaries are the one violation rule, ``qcore._violates``: the
+predicate itself, and the two readers that once spelt the rule out, each made
+to count K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with
+``<`` for ``<=`` on ``OVERLAP_TOL``, is an equivalent survivor: no input the
+suite can build gives |overlap|^2 of exactly 1e-15.
 """
 
 from __future__ import annotations
@@ -96,6 +97,18 @@ MUTANTS = (
         "return bool(_violates(2.0 * self.postselect_prob * (1.0 - abs(self.value.real))))",
         "return bool(_violates(k := 2.0 * self.postselect_prob * (1.0 - abs(self.value.real)))"
         " or k == -1e-12)",
+    ),
+    Mutant(
+        "TwoTimeLGReport.violated_index: no NaN check before the verdict",
+        "src/lglab/lgi.py",
+        "return _lowest_violation(_named_nan((self.k31, self.k32, self.k33, self.k34)))",
+        "return _lowest_violation((self.k31, self.k32, self.k33, self.k34))",
+    ),
+    Mutant(
+        "cli._mz: the interferometer record prefix without phi",
+        "src/lglab/cli.py",
+        '"alpha": cfg.alpha, "phi": cfg.phi, **fields(cfg, merged)}',
+        '"alpha": cfg.alpha, **fields(cfg, merged)}',
     ),
     Mutant(
         "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",

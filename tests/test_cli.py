@@ -343,9 +343,10 @@ def r15(x: float) -> float:
 
 
 class TestPhase:
-    """Every interferometer command reads phi, from a flag or a config file, and
-    reports the library's values at that phase. At phi = 1 and beta = 0.5 no K
-    is violated, so no weak value is anomalous and no q is negative."""
+    """Every interferometer command reads phi, from a flag or a config file,
+    prints it after beta and alpha, and reports the library's values at that
+    phase. At phi = 1 and beta = 0.5 no K is violated, so no weak value is
+    anomalous and no q is negative."""
 
     PHI = 1.0
     CFG = {"beta": 0.5, "phi": PHI}
@@ -361,9 +362,17 @@ class TestPhase:
 
         return run
 
+    def test_every_record_opens_with_beta_alpha_phi(self, run_at_phi):
+        cfg = lglab.MZConfig(**self.CFG)
+        for argv in (("probabilities",), ("weak-values",), ("quasiprob",),
+                     ("simulate", "--shots", "100", "--seed", "7"),
+                     ("nsit", "--shots", "100", "--seed", "7")):
+            rec = run_at_phi(*argv)
+            assert list(rec)[:3] == ["beta", "alpha", "phi"]
+            assert (rec["beta"], rec["alpha"], rec["phi"]) == (0.5, r15(cfg.alpha), self.PHI)
+
     def test_probabilities(self, run_at_phi):
         rec = run_at_phi("probabilities")
-        assert rec["phi"] == self.PHI
         p3, p4 = lglab.detection_probabilities(lglab.MZConfig(**self.CFG))
         assert (rec["p3"], rec["p4"]) == (r15(p3), r15(p4))
 
@@ -374,7 +383,10 @@ class TestPhase:
         assert rec["p3"] == run_at_phi("probabilities")["p3"]
         for name, w in zip(("w3", "w4"), lglab.mz_weak_values(cfg)):
             assert rec[name] == r15(w.value.real)
+            assert rec[f"{name}_imag"] == r15(w.value.imag) != 0.0
             assert rec[f"{name}_anomalous"] is w.anomalous_real is False
+        assert list(rec)[3:] == ["p3", "p4", "w3", "w3_imag", "w3_anomalous",
+                                 "w4", "w4_imag", "w4_anomalous"]
 
     def test_quasiprob(self, run_at_phi):
         rec = run_at_phi("quasiprob")
@@ -415,54 +427,58 @@ class TestRounding:
         assert all(v == float(f"{v:.15g}") for v in floats)
 
 
-# stdout of records that read the pre-selected state, as printed before the
-# phase shifter was folded into it; at phi = 0 not one byte may move, signed
-# zeros included. The two quasiprob records hold the moment-expansion table of
-# quasi, whose noise digits differ from those of the projector-product trace
-# it replaced (tests/test_quasiprob.py bounds every entry against 50 digits)
+# stdout of records that read the pre-selected state, signed zeros included.
+# Every interferometer record opens with beta, alpha and phi, and weak-values
+# prints Im w after each Re w; with those keys left out, each holds the bytes
+# printed before the phase shifter was folded into the state. The two quasiprob
+# records hold the moment-expansion table of quasi, whose noise digits differ
+# from those of the projector-product trace it replaced (tests/test_quasiprob.py
+# bounds every entry against 50 digits)
 PINNED_RECORDS = [
     (
         ("weak-values", "--beta", "0.5"),
-        '{"beta": 0.5, "alpha": 0.866025403784439, "p3": 0.933012701892219, '
-        '"p4": 0.0669872981077807, "w3": 0.267949192431123, "w3_anomalous": false, '
-        '"w4": 3.73205080756888, "w4_anomalous": true}',
+        '{"beta": 0.5, "alpha": 0.866025403784439, "phi": 0.0, "p3": 0.933012701892219, '
+        '"p4": 0.0669872981077807, "w3": 0.267949192431123, "w3_imag": 0.0, '
+        '"w3_anomalous": false, "w4": 3.73205080756888, "w4_imag": 0.0, "w4_anomalous": true}',
     ),
     (
         ("weak-values", "--beta", "0.7071067811865476", "--alpha", "0.7071067811865476"),
-        '{"beta": 0.707106781186548, "alpha": 0.707106781186548, "p3": 1.0, "p4": 0.0, '
-        '"w3": 4.26642158858964e-17, "w3_anomalous": false, "w4": "undefined", '
-        '"w4_anomalous": "undefined"}',
+        '{"beta": 0.707106781186548, "alpha": 0.707106781186548, "phi": 0.0, "p3": 1.0, '
+        '"p4": 0.0, "w3": 4.26642158858964e-17, "w3_imag": 0.0, "w3_anomalous": false, '
+        '"w4": "undefined", "w4_imag": "undefined", "w4_anomalous": "undefined"}',
     ),
     (
         ("weak-values", "--beta", "0.7071067811865476"),
-        '{"beta": 0.707106781186548, "alpha": 0.707106781186547, "p3": 1.0, '
-        '"p4": 6.16297582203915e-33, "w3": -6.83580865766192e-17, "w3_anomalous": false, '
-        '"w4": "undefined", "w4_anomalous": "undefined"}',
+        '{"beta": 0.707106781186548, "alpha": 0.707106781186547, "phi": 0.0, "p3": 1.0, '
+        '"p4": 6.16297582203915e-33, "w3": -6.83580865766192e-17, "w3_imag": 0.0, '
+        '"w3_anomalous": false, "w4": "undefined", "w4_imag": "undefined", '
+        '"w4_anomalous": "undefined"}',
     ),
     (
         ("weak-values", "--beta", "0.7071067811865476", "--alpha", "-0.7071067811865476"),
-        '{"beta": 0.707106781186548, "alpha": -0.707106781186548, "p3": 0.0, "p4": 1.0, '
-        '"w3": "undefined", "w3_anomalous": "undefined", "w4": 4.26642158858964e-17, '
-        '"w4_anomalous": false}',
+        '{"beta": 0.707106781186548, "alpha": -0.707106781186548, "phi": 0.0, "p3": 0.0, '
+        '"p4": 1.0, "w3": "undefined", "w3_imag": "undefined", "w3_anomalous": "undefined", '
+        '"w4": 4.26642158858964e-17, "w4_imag": -0.0, "w4_anomalous": false}',
     ),
     (
         ("quasiprob", "--beta", "0.5"),
-        '{"beta": 0.5, "alpha": 0.866025403784439, "q(m2=+1,m3=+1)": 0.15849364905389, '
+        '{"beta": 0.5, "alpha": 0.866025403784439, "phi": 0.0, "q(m2=+1,m3=+1)": 0.15849364905389, '
         '"q(m2=+1,m3=-1)": 0.59150635094611, "q(m2=-1,m3=+1)": -0.0915063509461099, '
         '"q(m2=-1,m3=-1)": 0.34150635094611, "negativity": 0.0915063509461099, '
         '"nsit_residual_m2": 3.33066907387547e-16, "nsit_residual_m3": 3.60822483003176e-16}',
     ),
     (
         ("quasiprob", "--beta", "-0.8", "--alpha", "-0.6"),
-        '{"beta": -0.8, "alpha": -0.6, "q(m2=+1,m3=+1)": -0.0600000000000001, '
+        '{"beta": -0.8, "alpha": -0.6, "phi": 0.0, "q(m2=+1,m3=+1)": -0.0600000000000001, '
         '"q(m2=+1,m3=-1)": 0.42, "q(m2=-1,m3=+1)": 0.08, "q(m2=-1,m3=-1)": 0.56, '
         '"negativity": 0.0600000000000001, "nsit_residual_m2": 0.0, '
         '"nsit_residual_m3": 1.38777878078145e-16}',
     ),
     (
         ("simulate", "--beta", "0.5", "--shots", "1000000", "--seed", "42", "--kind", "sequential"),
-        '{"beta": 0.5, "alpha": 0.866025403784439, "kind": "sequential", "shots": 1000000, '
-        '"seed": 42, "count[m2=+1,m3=+1]": 374620, "estimate[m2=+1,m3=+1]": 0.37462, '
+        '{"beta": 0.5, "alpha": 0.866025403784439, "phi": 0.0, "kind": "sequential", '
+        '"shots": 1000000, "seed": 42, "count[m2=+1,m3=+1]": 374620, '
+        '"estimate[m2=+1,m3=+1]": 0.37462, '
         '"stderr[m2=+1,m3=+1]": 0.000484024643587493, "count[m2=+1,m3=-1]": 375134, '
         '"estimate[m2=+1,m3=-1]": 0.375134, "stderr[m2=+1,m3=-1]": 0.000484157497147364, '
         '"count[m2=-1,m3=+1]": 125152, "estimate[m2=-1,m3=+1]": 0.125152, '
@@ -471,7 +487,7 @@ PINNED_RECORDS = [
     ),
     (
         ("nsit", "--beta", "0.5", "--shots", "1000000", "--seed", "42"),
-        '{"beta": 0.5, "alpha": 0.866025403784439, "shots": 1000000, "seed": 42, '
+        '{"beta": 0.5, "alpha": 0.866025403784439, "phi": 0.0, "shots": 1000000, "seed": 42, '
         '"gap": 0.432751, "gap_stderr": 0.000558913577093096, "true_gap": 0.433012701892219}',
     ),
     (

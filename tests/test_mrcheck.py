@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from lglab import (
     CorrelationTriple,
     MZConfig,
+    QuasiprobTable,
     TwoTimeLGReport,
     WeakValueResult,
     feasibility_oracle,
@@ -307,3 +309,30 @@ class TestOneViolationRule:
         w3, _ = mz_weak_values(cfg)
         assert w3.value.real > 1.0
         assert not w3.anomalous_real
+
+
+# q keys in the order a table holds them
+Q_KEYS = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+
+
+class TestNanIsNamed:
+    """``sorted`` and ``min`` do not order NaN, so a verdict read past one would
+    depend on where it sits. Every verdict reader raises a ValueError naming the
+    NaN, wherever it is; the other entries hold one violation."""
+
+    @pytest.mark.parametrize("pos", range(4), ids=["K31", "K32", "K33", "K34"])
+    def test_a_nan_k_is_named_at_every_position(self, pos):
+        ks = [0.5, -1.0, 0.5, 0.5]
+        ks[pos] = math.nan
+        with pytest.raises(ValueError, match=f"^K{31 + pos} is nan$"):
+            TwoTimeLGReport(*ks).violated_index
+        with pytest.raises(ValueError, match=f"^K{31 + pos} is nan$"):
+            TwoTimeLGReport.from_values(*ks)
+
+    @pytest.mark.parametrize("key", Q_KEYS, ids=[f"q({mi:+d},{mj:+d})" for mi, mj in Q_KEYS])
+    @pytest.mark.parametrize("reader", ["margin", "feasible"])
+    def test_a_nan_q_is_named_at_every_position(self, key, reader):
+        q = dict(zip(Q_KEYS, (0.25, 0.25, -0.25, 0.75)))
+        q[key] = math.nan
+        with pytest.raises(ValueError, match=re.escape(f"q({key[0]:+d},{key[1]:+d}) is nan")):
+            getattr(QuasiprobTable(q), reader)
