@@ -108,9 +108,12 @@ def _sweep_rows(merged: dict):
 
 # sweep file columns, in order
 _SWEEP_FIELDS = ("beta", "alpha", "K31", "K32", "K33", "K34", "w3", "w4", "p3", "p4", "violated")
-# one CSV line: %.15g is _fmt's format; w3, w4 and violated may be words, so
-# they arrive as text
+# CSV lines, %.15g being _fmt's format. _CSV_LINE takes _row_cells(row, _fmt),
+# in which w3, w4 and violated arrive as text, since each may be a word. A row
+# whose w3 and w4 are both defined takes _CSV_DEFINED_LINE on its numbers and
+# gets the same text with no _fmt call; its violated is "none" or the index.
 _CSV_LINE = "%.15g,%.15g,%.15g,%.15g,%.15g,%.15g,%s,%s,%.15g,%.15g,%s\n"
+_CSV_DEFINED_LINE = "%.15g," * 10 + "%s\n"
 
 
 def _row_cells(row, weak_cell) -> tuple:
@@ -135,7 +138,14 @@ def _write_sweep(path: str, fmt: str, rows) -> None:
                 # no field name or cell ever holds a comma, quote or newline,
                 # so plain lines give the bytes csv.DictWriter would
                 fh.write(",".join(_SWEEP_FIELDS) + "\n")
-                fh.writelines(_CSV_LINE % _row_cells(r, _fmt) for r in rows)
+                fh.writelines(
+                    _CSV_LINE % _row_cells(r, _fmt) if r.w3 is None or r.w4 is None
+                    else _CSV_DEFINED_LINE % (
+                        r.beta, r.alpha, r.k31, r.k32, r.k33, r.k34, r.w3, r.w4, r.p3, r.p4,
+                        "none" if r.violated_index is None else r.violated_index,
+                    )
+                    for r in rows
+                )
             else:
                 json.dump([_rounded(_row_record(r)) for r in rows], fh, indent=1)
                 fh.write("\n")

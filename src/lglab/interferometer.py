@@ -9,7 +9,10 @@ phi = 0 the port probabilities are (alpha+beta)^2/2 and (alpha-beta)^2/2 and
 the psi4 port goes dark at alpha = beta. :func:`_mz_probabilities` holds this
 closed form and :func:`_mz_k` the two-time K31..K34 of ``lgi``, both in plain
 ``math`` arithmetic on a shared c = cos(phi); every per-point route and the
-beta sweep read them, and a caller of one pays nothing for the other.
+beta sweep read them, and a caller of one pays nothing for the other. At
+beta*sin(phi) = 0 the p kernel squares the real amplitude without the complex
+modulus, with the same bits: hypot(x, +-0) = |x| (C99 Annex F), and the
+square is libm ``pow`` on both paths.
 ``tests/oracles.py`` keeps the element-by-element unitary product as its
 oracle.
 """
@@ -41,13 +44,20 @@ def _mz_probabilities(alpha: float, beta: float, c: float, s: float) -> tuple[fl
     p = |alpha +- e^{i phi} beta|^2 / 2 is clipped at 1: alpha^2 + beta^2 may
     exceed 1 by rounding, and a dark port's partner would read 1.0000000000000002.
     Complex ``abs`` and ``** 2`` are libm ``hypot`` and ``pow``, the operations
-    (and bits) of the numpy reference in ``tests/oracles.py``.
+    (and bits) of the numpy reference in ``tests/oracles.py``. When beta*s is
+    zero (every phi = 0 call, so every sweep row, and beta = 0) the modulus is
+    skipped: C99 Annex F makes hypot(x, +-0) = |x| exactly, and glibc's ``pow``
+    squares -x and x alike, so ``x ** 2`` has the bits of ``abs(complex(x, 0)) ** 2``.
+    ``** 2`` stays: ``x * x`` is not libm ``pow`` and differs from it in the
+    last bit on some inputs. A NaN beta*s is truthy and takes the complex path.
     """
     bc, bs = beta * c, beta * s
-    return (
-        min(abs(complex(alpha + bc, bs)) ** 2 / 2.0, 1.0),
-        min(abs(complex(alpha - bc, bs)) ** 2 / 2.0, 1.0),
+    q3, q4 = (
+        (abs(complex(alpha + bc, bs)) ** 2, abs(complex(alpha - bc, bs)) ** 2)
+        if bs
+        else ((alpha + bc) ** 2, (alpha - bc) ** 2)
     )
+    return min(q3 / 2.0, 1.0), min(q4 / 2.0, 1.0)
 
 
 def _mz_k(alpha: float, beta: float, c: float) -> tuple[float, float, float, float]:

@@ -67,19 +67,23 @@ class QuasiprobTable:
         eij = sum(mi * mj * p for (mi, mj), p in self.q.items())
         return float(ei), float(ej), float(eij)
 
-    @property
-    def negativity(self) -> float:
-        """Total negative mass: the sum of |negative entries|."""
-        return float(sum(-v for v in self.q.values() if v < 0.0))
-
-    @property
-    def margin(self) -> float:
-        """The signed smallest q: the margin ``mr-check`` prints and :attr:`feasible` reads.
-        A NaN entry, which ``min`` does not order, raises a ValueError naming it."""
+    def _checked(self):
+        """The entries; a NaN among them, which ``min`` does not order and
+        ``< 0`` skips, raises a ValueError naming it."""
         for (mi, mj), v in self.q.items():
             if v != v:
                 raise ValueError(f"q({mi:+d},{mj:+d}) is nan")
-        return float(min(self.q.values()))
+        return self.q.values()
+
+    @property
+    def negativity(self) -> float:
+        """Total negative mass: the sum of |negative entries|."""
+        return float(sum(-v for v in self._checked() if v < 0.0))
+
+    @property
+    def margin(self) -> float:
+        """The signed smallest q: the margin ``mr-check`` prints and :attr:`feasible` reads."""
+        return float(min(self._checked()))
 
     @property
     def feasible(self) -> bool:

@@ -17,9 +17,11 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds ten hand-made mutants on the current source: two K signs, the
-rule-of-three error, the clip of p at 1, four boundaries, a report that reads
-its verdict past a NaN K, and interferometer records that drop ``phi``. Three
+The list holds twelve hand-made mutants on the current source: two K signs,
+the rule-of-three error, the clip of p at 1, the p kernel's zero-phase branch
+taken on the wrong side of its test, four boundaries, a report that reads its
+verdict past a NaN K, interferometer records that drop ``phi``, and sweep CSV
+lines that print a defined row's weak values to 16 digits. Three
 of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
 to count K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with
@@ -76,8 +78,14 @@ MUTANTS = (
     Mutant(
         "_mz_probabilities: the clip of p3 at 1",
         "src/lglab/interferometer.py",
-        "min(abs(complex(alpha + bc, bs)) ** 2 / 2.0, 1.0),",
-        "abs(complex(alpha + bc, bs)) ** 2 / 2.0,",
+        "return min(q3 / 2.0, 1.0), min(q4 / 2.0, 1.0)",
+        "return q3 / 2.0, min(q4 / 2.0, 1.0)",
+    ),
+    Mutant(
+        "_mz_probabilities: the zero-phase branch taken where beta*sin(phi) is nonzero",
+        "src/lglab/interferometer.py",
+        "        if bs\n",
+        "        if not bs\n",
     ),
     Mutant(
         "_violates: K = -VIOLATION_TOL violates (< to <=)",
@@ -109,6 +117,12 @@ MUTANTS = (
         "src/lglab/cli.py",
         '"alpha": cfg.alpha, "phi": cfg.phi, **fields(cfg, merged)}',
         '"alpha": cfg.alpha, **fields(cfg, merged)}',
+    ),
+    Mutant(
+        "cli._write_sweep: the w3 and w4 cells of a defined row at 16 digits",
+        "src/lglab/cli.py",
+        '_CSV_DEFINED_LINE = "%.15g," * 10 + "%s\\n"',
+        '_CSV_DEFINED_LINE = "%.15g," * 6 + "%.16g," * 2 + "%.15g," * 2 + "%s\\n"',
     ),
     Mutant(
         "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",

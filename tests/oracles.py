@@ -13,7 +13,9 @@ eigenvalue check of a density matrix (:func:`quasi_matrix`,
 projective signaling gap (:func:`projective_gap`), the numpy expressions of
 the MZ closed forms (:func:`mz_kernel_numpy`) that
 ``interferometer._mz_probabilities`` and ``interferometer._mz_k`` must match
-bit for bit, the freshly keyed Philox
+bit for bit, the complex modulus of p on every input
+(:func:`mz_probabilities_complex`) that ``_mz_probabilities`` skips where
+beta*sin(phi) is zero, the freshly keyed Philox
 generator per run (:func:`philox_counts`) that ``experiment.run``'s reused,
 rekeyed one must match count for count, and the checked numpy constructions
 of a projector and of an observable's M (:func:`projector_checked`,
@@ -103,6 +105,17 @@ def mz_kernel_numpy(alpha: float, beta: float, phi: float) -> tuple[float, ...]:
         2.0 * alpha * (alpha - beta * c),
         2.0 * beta * (beta + alpha * c),
         2.0 * alpha * (alpha + beta * c),
+    )
+
+
+def mz_probabilities_complex(alpha: float, beta: float, c: float, s: float) -> tuple[float, float]:
+    """(p3, p4) as ``min(abs(complex(alpha +- beta c, beta s)) ** 2 / 2, 1)`` on
+    every input: the expression ``interferometer._mz_probabilities`` evaluated
+    before it squared the real amplitude directly where beta*s is zero."""
+    bc, bs = beta * c, beta * s
+    return (
+        min(abs(complex(alpha + bc, bs)) ** 2 / 2.0, 1.0),
+        min(abs(complex(alpha - bc, bs)) ** 2 / 2.0, 1.0),
     )
 
 

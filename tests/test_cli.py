@@ -8,15 +8,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lglab
-from lglab import sweep_beta
-from lglab.cli import MAX_GRID, main
+from lglab import SweepRow, sweep_beta
+from lglab.cli import _CSV_LINE, _SWEEP_FIELDS, MAX_GRID, _fmt, _row_cells, _write_sweep, main
 
 SQ3 = np.sqrt(3.0)
 
@@ -91,6 +94,19 @@ class TestWeakValues:
     def test_undefined_sentinel(self, capsys):
         rec = run_json(capsys, "weak-values", "--beta", "0.7071067811865476")
         assert rec["w4"] == "undefined"
+
+
+# a sweep row of any cells: each float either zero or any float, NaN and
+# infinities included; each weak value also undefined; a verdict or none
+sweep_cell_st = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+sweep_row_st = st.builds(
+    SweepRow,
+    *(sweep_cell_st,) * 6,
+    *(st.one_of(st.none(), sweep_cell_st),) * 2,
+    sweep_cell_st,
+    sweep_cell_st,
+    st.sampled_from([None, 31, 32, 33, 34]),
+)
 
 
 class TestSweep:
@@ -195,7 +211,9 @@ class TestSweep:
 
     def test_csv_bytes_match_dictwriter_on_cells_fig2_never_holds(self, capsys, tmp_path):
         """The dark ports give undefined, -0 and none cells, which the pinned
-        fig2 hash never sees; the joined lines must still be csv's bytes."""
+        fig2 hash never sees; the joined lines must still be csv's bytes. Both
+        line templates write here: beta = 0 has both weak values defined, each
+        dark port has one undefined."""
         out = tmp_path / "dark.csv"
         dark = 0.7071067811865476
         run_json(capsys, "lgi-sweep", "--grid", "3", "--min", repr(-dark), "--max", repr(dark),
@@ -208,7 +226,9 @@ class TestSweep:
         fields = ["beta", "alpha", "K31", "K32", "K33", "K34", "w3", "w4", "p3", "p4", "violated"]
         writer = csv.DictWriter(ref, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for r in sweep_beta([-dark, 0.0, dark]):
+        rows = sweep_beta([-dark, 0.0, dark])
+        assert [r.w3 is None or r.w4 is None for r in rows] == [True, False, True]
+        for r in rows:
             values = (r.beta, r.alpha, r.k31, r.k32, r.k33, r.k34, r.w3, r.w4, r.p3, r.p4)
             writer.writerow(
                 {**dict(zip(fields, map(cell, values))),
@@ -217,6 +237,20 @@ class TestSweep:
         text = ref.getvalue()
         assert "undefined" in text and ",-0," in text and ",none" in text
         assert out.read_bytes() == text.encode()
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.lists(sweep_row_st, min_size=1, max_size=8))
+    def test_csv_lines_are_the_cell_template_on_drawn_rows(self, rows):
+        """A row whose weak values are both defined takes the all-%.15g line;
+        on any cells, -0.0, NaN, undefined w and both kinds of verdict
+        included, every line is the text of ``_CSV_LINE % _row_cells(row, _fmt)``."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.csv")
+            _write_sweep(path, "csv", rows)
+            with open(path, newline="") as fh:
+                text = fh.read()
+        lines = (_CSV_LINE % _row_cells(r, _fmt) for r in rows)
+        assert text == ",".join(_SWEEP_FIELDS) + "\n" + "".join(lines)
 
     @pytest.mark.parametrize(
         "argv",

@@ -317,8 +317,9 @@ Q_KEYS = [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
 
 class TestNanIsNamed:
     """``sorted`` and ``min`` do not order NaN, so a verdict read past one would
-    depend on where it sits. Every verdict reader raises a ValueError naming the
-    NaN, wherever it is; the other entries hold one violation."""
+    depend on where it sits. Every verdict reader, and ``negativity``, whose
+    ``< 0`` skips a NaN, raises a ValueError naming the NaN, wherever it is; the
+    other entries hold one violation (none once the NaN replaces the -0.25)."""
 
     @pytest.mark.parametrize("pos", range(4), ids=["K31", "K32", "K33", "K34"])
     def test_a_nan_k_is_named_at_every_position(self, pos):
@@ -330,7 +331,7 @@ class TestNanIsNamed:
             TwoTimeLGReport.from_values(*ks)
 
     @pytest.mark.parametrize("key", Q_KEYS, ids=[f"q({mi:+d},{mj:+d})" for mi, mj in Q_KEYS])
-    @pytest.mark.parametrize("reader", ["margin", "feasible"])
+    @pytest.mark.parametrize("reader", ["margin", "feasible", "negativity"])
     def test_a_nan_q_is_named_at_every_position(self, key, reader):
         q = dict(zip(Q_KEYS, (0.25, 0.25, -0.25, 0.75)))
         q[key] = math.nan

@@ -5,7 +5,8 @@ closeness test, the closed-form precession K3, the one interferometer model
 port vectors of the interferometer weak values over the whole (beta, phi)
 domain, including configurations within rounding of saturation, the one
 violation rule down to K at its tolerance, the scalar MZ kernel against the
-numpy expressions it replaced, and the beta sweep against the per-point
+numpy expressions it replaced, its zero-phase branch against the complex
+modulus it skips, and the beta sweep against the per-point
 routes, both bit for bit. The qubit core against its matrix oracles: the
 moment-expansion quasiprobability against the projector-product trace on pure
 states, density matrices and the interferometer, the determinant rule of a
@@ -70,6 +71,7 @@ from oracles import (
     k3,
     k_from_moments_table,
     mz_kernel_numpy,
+    mz_probabilities_complex,
     mz_two_time_lg,
     observable_operator_checked,
     precession_observables,
@@ -374,6 +376,50 @@ def test_mz_kernel_is_the_numpy_expressions_bit_for_bit(configs, seed):
         c, s = math.cos(cfg.phi), math.sin(cfg.phi)
         kernel = (*_mz_probabilities(cfg.alpha, cfg.beta, c, s), *_mz_k(cfg.alpha, cfg.beta, c))
         assert bits(kernel) == bits(mz_kernel_numpy(*args)), args
+
+
+def kernel_outcome(kernel, *args):
+    """The IEEE bytes of ``kernel(*args)``, or the type of the error it raises
+    (a square past the double range is an OverflowError on either path)."""
+    try:
+        return bits(kernel(*args))
+    except OverflowError as exc:
+        return type(exc)
+
+
+# alpha and beta each over [-1, 1], both zeros, the five exceptional points and
+# a few hundred ulp around each saturation point; cos either sign of 1 or 0,
+# or anywhere in [-1, 1]; sin either zero, or any finite value
+amplitude_st = st.one_of(st.sampled_from([0.0, -0.0, *EXCEPTIONAL]), beta_near_saturation)
+cos_st = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(min_value=-1.0, max_value=1.0))
+sin_st = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPS
+@given(
+    st.lists(st.tuples(amplitude_st, amplitude_st, cos_st, sin_st), min_size=1, max_size=20),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(
+    [(DARK, DARK, 1.0, 0.0), (DARK, -DARK, 1.0, -0.0), (-DARK, DARK, -1.0, 0.0),
+     (1.0, 0.0, 1.0, 0.0), (1.0, -0.0, -1.0, -0.0), (0.0, 1.0, 1.0, 0.0)],
+    0,
+)
+def test_zero_phase_branch_is_the_complex_modulus_bit_for_bit(points, seed):
+    """Where beta*s is zero, ``_mz_probabilities`` squares alpha +- beta*c with
+    no complex modulus: hypot(x, +-0) = |x|, so the bits are those of the
+    modulus route, dark ports and beta = +-0 included. x * x in place of
+    ``** 2`` would differ on about 0.09% of uniform draws, so each example adds
+    40 uniform (alpha, beta) at s = +-0 from ``seed``."""
+    rng = np.random.default_rng(seed)
+    uniform = zip(
+        rng.uniform(-1.0, 1.0, 40).tolist(),
+        rng.uniform(-1.0, 1.0, 40).tolist(),
+        rng.choice([1.0, -1.0], 40).tolist(),
+        rng.choice([0.0, -0.0], 40).tolist(),
+    )
+    for args in [*points, *uniform]:
+        assert kernel_outcome(_mz_probabilities, *args) == kernel_outcome(mz_probabilities_complex, *args), args
 
 
 _ROW_FIELDS = [f.name for f in dataclasses.fields(SweepRow)]
