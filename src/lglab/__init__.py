@@ -8,6 +8,11 @@ The first use of an exported name (or of a layer module such as
 ``lglab.quasiprob``) imports all seven layers at once and binds every export
 into the package namespace (PEP 562), so later lookups are plain attribute
 reads. Other unknown names raise :class:`AttributeError`.
+
+Loading the layers loads no numpy either: ``qcore``, ``weakval`` and
+``experiment`` import it inside the routes that use it (parsing array-like
+input, the BLAS dots, the Philox draws), so the closed forms, the moment
+checks and every object built from flat entries run without it.
 """
 
 import importlib

@@ -17,6 +17,9 @@ pairs therefore give bit-identical counts regardless of host or thread count.
 The fixed inputs of a run are built once: the normalised probability vector
 once per (config, kind), and the child seeds once per master seed, each in a
 small bounded memo (``_MEMO_SIZE`` entries, least recently used out first).
+numpy is imported where those memos miss and where a thread builds its
+generator, never at load and never on a run's steady path, so a command that
+draws nothing loads none of it.
 Standard errors are plain multinomial sqrt(p(1-p)/N); zero-count outcomes get
 the rule-of-three upper bound 3/N instead, noted in the estimate metadata.
 Results store only the counts or moments; estimates, errors, metadata and K
@@ -30,8 +33,6 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from .interferometer import (
     MZConfig,
@@ -54,16 +55,19 @@ _MEMO_SIZE = 64
 
 
 # one Philox generator per thread, built on the thread's first run: built at
-# import, it would put numpy.random's import into every command, not only runs
+# import, it would put numpy's import into every command, not only runs
 _THREAD = threading.local()
 
 
-def _keyed(seed: int) -> np.random.Generator:
-    """This thread's generator in the state of a fresh ``Philox(key=seed)``:
-    counter 0, key (seed, 0), an empty buffer and no cached half-word."""
+def _keyed(seed: int):
+    """This thread's ``numpy.random.Generator`` in the state of a fresh
+    ``Philox(key=seed)``: counter 0, key (seed, 0), an empty buffer and no
+    cached half-word."""
     try:
         gen = _THREAD.generator
     except AttributeError:
+        import numpy as np
+
         gen = _THREAD.generator = np.random.Generator(np.random.Philox())
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -168,15 +172,23 @@ def outcome_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _sampling_vector(cfg: MZConfig, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """The outcome labels and the read-only normalised probability vector of one run kind.
+def _sampling_vector(cfg: MZConfig, kind: str) -> tuple:
+    """The outcome labels and the read-only normalised probability vector
+    (an ndarray) of one run kind.
 
     Configs that compare equal share an entry: their (beta, alpha, phi) differ
     at most in the sign of a zero, which no probability depends on.
     """
+    import numpy as np
+
     probs = outcome_probabilities(cfg, kind)
-    pvec = np.array(list(probs.values()))
-    pvec = pvec / pvec.sum()  # guard against 1e-16 drift in the tail entry
+    # normalised against 1e-16 drift in the tail entry, with the bits of
+    # ``pvec / pvec.sum()``: numpy sums fewer than eight entries left to right
+    # (builtin sum compensates since Python 3.12), and divides as Python does
+    total = 0.0
+    for p in probs.values():
+        total += p
+    pvec = np.array([p / total for p in probs.values()])
     pvec.setflags(write=False)
     return tuple(probs), pvec
 
@@ -195,6 +207,8 @@ def _child_seeds(seed: int) -> tuple[int, int, int]:
 
     ``generate_state`` is prefix-stable, so a caller that needs two takes the first two.
     """
+    import numpy as np
+
     states = np.random.SeedSequence(_check_seed(seed)).generate_state(3, np.uint64)
     return tuple(int(s) for s in states)
 
@@ -258,9 +272,11 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
 
     m3 = interference.estimate("psi4") - interference.estimate("psi3")
     m2 = path.estimate("psi1") - path.estimate("psi2")
-    corr = sum(
-        m2v * m3v * sequential.estimate(label) for (m2v, m3v), label in _SEQ_LABELS.items()
-    )
+    # a left fold, as builtin sum was until Python 3.12 began to compensate:
+    # the same bits on every supported version
+    corr = 0.0
+    for (m2v, m3v), label in _SEQ_LABELS.items():
+        corr += m2v * m3v * sequential.estimate(label)
     return EmpiricalLGReport(m2_est=m2, m3_est=m3, corr_est=corr, shots=shots, seed=int(seed))
 
 

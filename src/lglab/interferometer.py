@@ -14,7 +14,9 @@ beta*sin(phi) = 0 the p kernel squares the real amplitude without the complex
 modulus, with the same bits: hypot(x, +-0) = |x| (C99 Annex F), and the
 square is libm ``pow`` on both paths.
 ``tests/oracles.py`` keeps the element-by-element unitary product as its
-oracle.
+oracle. The module loads no numpy: the fixed basis is built from its exact
+flat entries and the two observables from that basis in plain Python, so a
+command that needs only the closed forms (``probabilities``) never imports it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .qcore import (
     StateVector,
     projector_onto,
 )
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def _default_alpha(beta: float) -> float:
@@ -119,13 +119,17 @@ class MZBasis:
     psi4: StateVector
 
 
-# the basis and the two measured observables are fixed; they are built and
-# validated once, at import, and shared (every type involved is immutable)
+# the basis and the two measured observables are fixed; they are built once,
+# at import, and shared (every type involved is immutable). Each basis vector
+# holds the exact entries that StateVector gives its input: 1/sqrt(2) divided
+# by that input's norm is sqrt(0.5), one ulp above 1/sqrt(2), and every
+# imaginary part is +0.0 (tests/test_interferometer.py checks the bits)
+_H = math.sqrt(0.5)
 _BASIS = MZBasis(
-    StateVector([1.0, 0.0]),
-    StateVector([0.0, 1.0]),
-    StateVector([1.0 / _SQRT2, 1.0 / _SQRT2]),
-    StateVector([1.0 / _SQRT2, -1.0 / _SQRT2]),
+    StateVector._from_flat((1 + 0j, 0j)),
+    StateVector._from_flat((0j, 1 + 0j)),
+    StateVector._from_flat((complex(_H, 0.0), complex(_H, 0.0))),
+    StateVector._from_flat((complex(_H, 0.0), complex(-_H, 0.0))),
 )
 _PATH = DichotomicObservable(projector_onto(_BASIS.psi1), projector_onto(_BASIS.psi2))
 _OUTPUT = DichotomicObservable(projector_onto(_BASIS.psi4), projector_onto(_BASIS.psi3))

@@ -9,9 +9,15 @@ matrix. Validation runs once, where an object enters: ``StateVector`` and
 ``Operator`` check what the caller gives them, and ``DichotomicObservable``
 checks its projector pair and M. A projector |s><s| of a validated state is
 exactly Hermitian, so ``projector_onto`` builds it from its flat entries with
-no second check. Everything is double precision, immutable after construction
-and pure, so the whole module is safe for concurrent use without
+no second check, and a fixed object whose exact entries are known is built by
+``_from_flat`` with none. Everything is double precision, immutable after
+construction and pure, so the whole module is safe for concurrent use without
 synchronization.
+
+Loading the module loads no numpy: the routes that parse array-like input
+(``StateVector``, ``_flat_2x2``) or build an array (``amps``, ``entries``)
+import it when called, so a caller that only builds objects from flat
+entries, as ``interferometer`` does at import, never pays for it.
 
 Three tolerances are used throughout:
 
@@ -28,8 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-
-import numpy as np
 
 STRUCT_TOL = 1e-12
 INPUT_TOL = 1e-9
@@ -78,6 +82,8 @@ def _ket_bra(s: StateVector) -> tuple:
 def _flat_2x2(entries, rule: str) -> tuple:
     """The flat entries (00, 01, 10, 11) of an array-like 2x2 matrix, as Python
     complex numbers; any other shape is a ValueError, ``rule`` and the shape."""
+    import numpy as np
+
     m = np.asarray(entries, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"{rule}, got shape {m.shape}")
@@ -93,27 +99,28 @@ def _check_hermitian(flat) -> None:
         raise ValueError("operator is not hermitian: M != M^dagger")
 
 
-def _sq_norm(a: np.ndarray) -> float:
+# the range of a squared norm at full precision: below the smallest normal
+# double it has lost bits, and a NaN or inf amplitude lands outside it too
+_SQ_MIN, _SQ_MAX = sys.float_info.min, math.inf
+
+
+def _sq_norm(a) -> float:
     """sum |a_i|^2 as ``np.linalg.norm`` forms it for a complex vector, without its wrapper.
 
     ``np.vdot`` is the BLAS dot that ``ndarray.dot`` calls, with the same bits,
     but it raises no overflow warning: a sum that overflows reads inf.
     """
+    import numpy as np
+
     return float(np.vdot(a.real, a.real)) + float(np.vdot(a.imag, a.imag))
 
 
-def _rescaled(a: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """``a`` divided by a scale, its squared norm and that scale; non-finite
-    amplitudes are rejected.
+def _rescaled(a, sq: float) -> tuple:
+    """``a``, whose squared norm ``sq`` lies outside [_SQ_MIN, _SQ_MAX), divided
+    by its largest real or imaginary component, then its squared norm and that
+    scale; non-finite amplitudes are rejected, and a zero vector stays zero."""
+    import numpy as np
 
-    The scale is 1 (``a`` itself) unless the squared norm overflows or leaves
-    the normal range; then it is max |component|, and a zero vector stays zero.
-    """
-    sq = _sq_norm(a)
-    # below the smallest normal double the squared norm has lost precision;
-    # a NaN or inf amplitude lands outside this range too
-    if sys.float_info.min <= sq < math.inf:
-        return a, sq, 1.0
     if not np.isfinite(a).all():
         raise ValueError("state amplitudes must be finite")
     peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
@@ -145,12 +152,18 @@ class StateVector:
     __slots__ = ("_flat",)
 
     def __init__(self, amps, normalize: bool = False):
+        import numpy as np
+
         a = np.asarray(amps, dtype=complex)
         if a.shape != (2,):
             raise ValueError(
                 f"state must be a two-amplitude one-dimensional vector, got shape {a.shape}"
             )
-        a, sq, scale = _rescaled(a)
+        # _sq_norm written out, on the path that every state takes
+        sq = float(np.vdot(a.real, a.real)) + float(np.vdot(a.imag, a.imag))
+        scale = 1.0
+        if not _SQ_MIN <= sq < _SQ_MAX:
+            a, sq, scale = _rescaled(a, sq)
         norm = math.sqrt(sq)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -161,9 +174,19 @@ class StateVector:
             )
         object.__setattr__(self, "_flat", tuple((a / norm).tolist()))
 
+    @classmethod
+    def _from_flat(cls, flat: tuple) -> StateVector:
+        """The StateVector with these two amplitudes, Python complex numbers
+        that the caller guarantees finite and of unit norm: no check runs."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_flat", flat)
+        return s
+
     @property
-    def amps(self) -> np.ndarray:
-        """The two amplitudes, as a new read-only array built from ``_flat``."""
+    def amps(self):
+        """The two amplitudes, as a new read-only ndarray built from ``_flat``."""
+        import numpy as np
+
         a = np.array(self._flat, dtype=complex)
         a.setflags(write=False)
         return a
@@ -204,8 +227,10 @@ class Operator:
         return op
 
     @property
-    def entries(self) -> np.ndarray:
-        """The 2x2 matrix, as a new read-only array built from ``_flat``."""
+    def entries(self):
+        """The 2x2 matrix, as a new read-only ndarray built from ``_flat``."""
+        import numpy as np
+
         m = np.array(self._flat, dtype=complex).reshape(2, 2)
         m.setflags(write=False)
         return m

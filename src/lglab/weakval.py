@@ -27,14 +27,15 @@ like ``np.vdot`` (``gemv``, ``einsum`` and one product with both ports as a
 squared norm as a per-row BLAS dot, then numpy's complex division by the
 norm) and applies the per-point rule to each row, ``abs(overlap) ** 2 >
 OVERLAP_TOL`` on a Python complex: ``** 2`` is libm pow, which numpy's array
-square differs from in the last bit.
+square differs from in the last bit. numpy is imported by the routes that
+call it and the port columns are built on first use, so loading the module
+loads no numpy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .interferometer import MZConfig, input_state, mz_basis
 from .qcore import STRUCT_TOL, Operator, StateVector, _violates
@@ -43,17 +44,25 @@ from .qcore import STRUCT_TOL, Operator, StateVector, _violates
 OVERLAP_TOL = 1e-15
 
 
-# the psi3 and psi4 columns as a stack of two (2, 1) matrices, built once
-_PORT_COLUMNS = np.stack([mz_basis().psi3.amps, mz_basis().psi4.amps])[:, :, None]
-_PORT_COLUMNS.setflags(write=False)
+@functools.cache
+def _port_columns():
+    """The psi3 and psi4 columns as a read-only stack of two (2, 1) matrices,
+    built on the first weak value, not at import."""
+    import numpy as np
+
+    cols = np.stack([mz_basis().psi3.amps, mz_basis().psi4.amps])[:, :, None]
+    cols.setflags(write=False)
+    return cols
 
 
-def _port_overlaps(pre: np.ndarray) -> list[list[complex]]:
+def _port_overlaps(pre) -> list[list[complex]]:
     """[d3, d4] = [<pre|psi3>, <pre|psi4>] for each row of normalised
     pre-selected amplitudes, as lists of Python complex numbers."""
+    import numpy as np
+
     # one matmul broadcast over rows and ports: each product stays a
     # (1, 2) @ (2, 1) one, which rounds like np.vdot
-    return np.matmul(pre.conj()[:, None, None, :], _PORT_COLUMNS)[:, :, 0, 0].T.tolist()
+    return np.matmul(pre.conj()[:, None, None, :], _port_columns())[:, :, 0, 0].T.tolist()
 
 
 def _mz_weak_value_columns(alpha, beta) -> list[list[float | None]]:
@@ -63,6 +72,8 @@ def _mz_weak_value_columns(alpha, beta) -> list[list[float | None]]:
     for bit what :func:`mz_weak_values` gives row by row, for rows whose norm
     is 1 within ``INPUT_TOL``.
     """
+    import numpy as np
+
     amps = np.empty((len(alpha), 2), dtype=complex)
     amps[:, 0], amps[:, 1] = alpha, beta
     # StateVector: the squared norm is a BLAS dot (the imaginary parts are 0),
@@ -111,6 +122,8 @@ def _ratio(numer: complex, overlap: complex) -> WeakValueResult:
 
 def weak_value(A: Operator, pre: StateVector, post: StateVector) -> WeakValueResult:
     """(A)_w = <pre|A|post> / <pre|post>, with its post-selection probability."""
+    import numpy as np
+
     bra, ket = pre.amps, post.amps
     return _ratio(complex(np.vdot(bra, A.entries @ ket)), complex(np.vdot(bra, ket)))
 

@@ -126,10 +126,17 @@ def philox_counts(spec: RunSpec) -> dict[str, int]:
     (seed, counter 0) instead; its counts must be these, draw for draw.
     """
     probs = outcome_probabilities(spec.cfg, spec.kind)
-    pvec = np.array(list(probs.values()))
-    pvec = pvec / pvec.sum()
+    pvec = sampling_vector_numpy(probs)
     counts = np.random.Generator(np.random.Philox(key=int(spec.seed))).multinomial(spec.shots, pvec)
     return dict(zip(probs, counts.tolist()))
+
+
+def sampling_vector_numpy(probs: dict[str, float]) -> np.ndarray:
+    """The run's normalised probability vector as numpy forms it, ``pvec /
+    pvec.sum()``: the expression ``experiment._sampling_vector`` replaced with a
+    Python sum and division that must give its bits."""
+    pvec = np.array(list(probs.values()))
+    return pvec / pvec.sum()
 
 
 def projector_checked(s: StateVector) -> Operator:

@@ -5,6 +5,7 @@ import pytest
 
 from lglab import (
     MZConfig,
+    StateVector,
     detection_probabilities,
     input_state,
     mz_basis,
@@ -58,6 +59,33 @@ class TestBasis:
         for x, y in ((b.psi1, b.psi2), (b.psi3, b.psi4)):
             assert abs(np.vdot(x.amps, y.amps)) < 1e-15
             assert abs(np.vdot(x.amps, x.amps) - 1) < 1e-15
+
+
+class TestFixedObjects:
+    """The basis and the two observables are built once, at import, from exact
+    flat entries: the same objects on every call, with the bits that
+    ``StateVector`` gives the inputs they stand for."""
+
+    @pytest.mark.parametrize("factory", [mz_basis, path_observable, output_observable])
+    def test_every_call_returns_the_same_object(self, factory):
+        assert factory() is factory()
+
+    @pytest.mark.parametrize(
+        "name, amps",
+        [
+            ("psi1", [1.0, 0.0]),
+            ("psi2", [0.0, 1.0]),
+            ("psi3", [1.0 / SQ2, 1.0 / SQ2]),
+            ("psi4", [1.0 / SQ2, -1.0 / SQ2]),
+        ],
+    )
+    def test_basis_vectors_are_the_validated_bits(self, name, amps):
+        def bits(flat):
+            return [(z.real.hex(), z.imag.hex()) for z in flat]
+
+        got = getattr(mz_basis(), name)._flat
+        assert all(type(z) is complex for z in got)
+        assert bits(got) == bits(StateVector(amps)._flat)
 
 
 class TestInputState:

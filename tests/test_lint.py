@@ -237,7 +237,10 @@ def test_the_guard_finds_a_read_of_the_violation_tolerance():
 
 # what each numpy importer needs it for: qcore, the input parse and the state
 # norm's BLAS dot; weakval, the inner products' BLAS dots, whose bits fig2.csv
-# and the pinned weak values hold; experiment, the Philox draws
+# and the pinned weak values hold; experiment, the Philox draws. Each imports
+# it inside those routes, not at load, so mr-check and probabilities run
+# without it (tests/test_package.py::TestStartup); the guard finds an import
+# at any depth, so this set still names every module that can load numpy
 NUMPY_IMPORTERS = {"qcore.py", "weakval.py", "experiment.py"}
 
 

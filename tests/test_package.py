@@ -1,5 +1,5 @@
-"""Package surface and start-up: the lazy exports of ``lglab`` and a numpy-free CLI
-until a command is dispatched."""
+"""Package surface and start-up: the lazy exports of ``lglab``, a numpy-free CLI
+until a command is dispatched, and numpy-free layers until a route needs it."""
 
 import importlib
 import json
@@ -144,6 +144,38 @@ print("ok")
         assert rec["code"] == 2
         assert "--beta is required" in proc.stderr
         assert rec["modules"] == ["lglab"]
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["mr-check", "--e2", "0.5", "--e3", "-0.5", "--e23", "0.25"], 0),
+            (["probabilities", "--beta", "0.6", "--phi", "1"], 0),
+            (["mr-check", "--e2", "2", "--e3", "0", "--e23", "0"], 2),
+        ],
+        ids=["mr-check", "probabilities", "validation-error"],
+    )
+    def test_closed_form_commands_load_every_layer_and_no_numpy(self, args, code):
+        """The moment check and the port probabilities load the seven layers
+        and run without numpy, a validation error included."""
+        proc = python("-c", RUN_CLI, *args)
+        rec = last_json(proc)
+        assert rec["code"] == code, proc.stderr
+        assert rec["modules"] == sorted(["lglab", *(f"lglab.{layer}" for layer in LAYERS)])
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["quasiprob", "--beta", "0.6"],
+            ["weak-values", "--beta", "0.6"],
+            ["simulate", "--beta", "0.6", "--shots", "100"],
+        ],
+        ids=["quasiprob", "weak-values", "simulate"],
+    )
+    def test_array_commands_load_numpy(self, args):
+        """Where the boundary lies: a state parse, a BLAS dot or a draw loads numpy."""
+        rec = last_json(python("-c", RUN_CLI, *args))
+        assert rec["code"] == 0
+        assert "numpy" in rec["modules"]
 
     def test_dispatch_loads_every_layer(self, tmp_path):
         """An in-process ``reproduce-fig2`` leaves all seven layers loaded, as a
