@@ -7,7 +7,8 @@ Carlo harness.
 The first use of an exported name (or of a layer module such as
 ``lglab.quasiprob``) imports all seven layers at once and binds every export
 into the package namespace (PEP 562), so later lookups are plain attribute
-reads. Other unknown names raise :class:`AttributeError`.
+reads. ``__all__`` lists the 39 exports; other unknown names raise
+:class:`AttributeError`.
 
 Loading the layers loads no numpy either: ``qcore``, ``weakval`` and
 ``experiment`` import it inside the routes that use it (parsing array-like
@@ -27,7 +28,8 @@ _EXPORTS = {
     "weakval": ("OrthogonalPostSelection", "WeakValueResult", "mz_weak_values", "weak_value"),
     "lgi": ("SweepRow", "TwoTimeLGReport", "k_from_moments", "mz_lg_closed_form", "precession_k3",
             "sequential_correlation", "sequential_joint", "sweep_beta"),
-    "quasiprob": ("QuasiprobTable", "lg_from_quasi", "nsit_check", "quasi", "signaling_gap_projective"),
+    "quasiprob": ("QuasiprobTable", "lg_from_quasi", "mz_quasi", "nsit_check", "quasi",
+                  "signaling_gap_projective"),
     "mrcheck": ("CorrelationTriple", "feasibility_oracle", "macrorealist_feasible"),
     "experiment": ("EmpiricalLGReport", "RunSpec", "SampleEstimate", "empirical_lg", "empirical_nsit",
                    "outcome_probabilities", "run"),

@@ -165,7 +165,7 @@ def cmd_lgi_sweep(merged: dict) -> dict:
 
 
 def cmd_quasiprob(cfg: lglab.MZConfig, merged: dict) -> dict:
-    table = lglab.quasi(lglab.input_state(cfg), lglab.path_observable(), lglab.output_observable())
+    table = lglab.mz_quasi(cfg)
     rec = {f"q(m2={mi:+d},m3={mj:+d})": v for (mi, mj), v in sorted(table.q.items(), reverse=True)}
     rec["negativity"] = table.negativity
     rec["nsit_residual_m2"], rec["nsit_residual_m3"] = table.nsit_residuals

@@ -12,13 +12,16 @@ be negative, and their marginals equal the Born probabilities Re Tr(P rho), so
 no-signaling in time holds structurally; the residuals say how far each lands.
 The correlator sum(mi*mj*q) is the sequential (Lueders) one, and a negative
 4q(m2, m3) is exactly an LG violation. An intervening projective measurement
-does shift the later statistics; :func:`signaling_gap_projective`, the one
-interferometer function here, is that shift's closed form |alpha*beta*cos(phi)|
-and builds no state. A :class:`QuasiprobTable` stores the entries and NSIT
-residuals; its negativity, margin and feasibility are read off them.
+does shift the later statistics; :func:`signaling_gap_projective` is that
+shift's closed form |alpha*beta*cos(phi)| and builds no state. A
+:class:`QuasiprobTable` stores the entries and NSIT residuals; its negativity,
+margin and feasibility are read off them.
 ``_q_from_moments`` is the one table formula: ``quasi`` applies it to the
 moments of a state, and ``mrcheck.macrorealist_feasible`` to a checked moment
-triple.
+triple. :func:`mz_quasi`, the interferometer's table, needs no moments: it is
+K/4 of the closed form ``interferometer._mz_k`` under the same keys, built with
+no state, and its residuals compare its marginals with the closed-form path
+and port probabilities.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .interferometer import MZConfig
+from .interferometer import MZConfig, _mz_k, _mz_probabilities
 from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments
 from .qcore import (
     INPUT_TOL,
@@ -160,6 +163,26 @@ def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:
     """
     ks = (4.0 * table.entry(s2, s3) for s2, s3 in _K_SIGNS.values())
     return TwoTimeLGReport.from_values(*ks)
+
+
+def mz_quasi(cfg: MZConfig) -> QuasiprobTable:
+    """The interferometer's (M2, M3) table as K/4 of the closed form
+    ``interferometer._mz_k``, keyed by ``_K_SIGNS`` as :func:`lg_from_quasi`
+    reads it back; no state is built.
+
+    The NSIT residuals stay a cross-route disagreement: the M2 marginals
+    against alpha^2 and beta^2, as ``outcome_probabilities(cfg, "path")``
+    gives them, and the M3 marginals against the p kernel, q(., +1) against
+    p4 (psi4 is the +1 outcome) and q(., -1) against p3.
+    """
+    alpha, beta, c = cfg.alpha, cfg.beta, math.cos(cfg.phi)
+    k31, k32, k33, k34 = _mz_k(alpha, beta, c)
+    q = {_S31: k31 / 4.0, _S32: k32 / 4.0, _S33: k33 / 4.0, _S34: k34 / 4.0}
+    pp, pm, mp, mm = q[(+1, +1)], q[(+1, -1)], q[(-1, +1)], q[(-1, -1)]
+    p3, p4 = _mz_probabilities(alpha, beta, c, math.sin(cfg.phi))
+    res_m2 = max(abs(pp + pm - alpha**2), abs(mp + mm - beta**2))
+    res_m3 = max(abs(pp + mp - p4), abs(pm + mm - p3))
+    return QuasiprobTable(q, (res_m2, res_m3))
 
 
 def signaling_gap_projective(cfg: MZConfig) -> float:

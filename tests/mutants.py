@@ -17,11 +17,13 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds twelve hand-made mutants on the current source: two K signs,
+The list holds thirteen hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, the p kernel's zero-phase branch
 taken on the wrong side of its test, four boundaries, a report that reads its
-verdict past a NaN K, interferometer records that drop ``phi``, and sweep CSV
-lines that print a defined row's weak values to 16 digits. Three
+verdict past a NaN K, interferometer records that drop ``phi``, sweep CSV
+lines that print a defined row's weak values to 16 digits, and an MZ
+quasiprobability table whose M3 residuals compare each marginal with the
+other port. Three
 of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
 to count K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with
@@ -123,6 +125,12 @@ MUTANTS = (
         "src/lglab/cli.py",
         '_CSV_DEFINED_LINE = "%.15g," * 10 + "%s\\n"',
         '_CSV_DEFINED_LINE = "%.15g," * 6 + "%.16g," * 2 + "%.15g," * 2 + "%s\\n"',
+    ),
+    Mutant(
+        "mz_quasi: the M3 residuals read q(., +1) against p3 and q(., -1) against p4",
+        "src/lglab/quasiprob.py",
+        "res_m3 = max(abs(pp + mp - p4), abs(pm + mm - p3))",
+        "res_m3 = max(abs(pp + mp - p3), abs(pm + mm - p4))",
     ),
     Mutant(
         "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",

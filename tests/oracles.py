@@ -21,7 +21,9 @@ rekeyed one must match count for count, and the checked numpy constructions
 of a projector and of an observable's M (:func:`projector_checked`,
 :func:`observable_operator_checked`) and the sign-table K formula
 (:func:`k_from_moments_table`) that the unchecked flat-entry routes and the
-written-out ``k_from_moments`` must match bit for bit.
+written-out ``k_from_moments`` must match bit for bit, and the exact rational
+MZ table at phi = 0 (:func:`exact_mz_q`, with :func:`ulps` to read a float's
+distance from it), which needs only the standard library and so never skips.
 
 Interferometer convention (fixed once, verified in tests): the physical
 elements are modeled as an effective preparation phase ``diag(1, i)`` on path
@@ -33,6 +35,7 @@ Only port probabilities are observable: :func:`propagate_unitary` agrees with
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -265,6 +268,24 @@ def sequential_joint_numpy(
             second = Mj.projector(mj).entries @ first
             joint[(mi, mj)] = float(np.vdot(second, second).real)
     return joint
+
+
+def exact_mz_q(alpha: float, beta: float) -> dict[tuple[int, int], Fraction]:
+    """q(m2, m3) = K/4 at phi = 0, exactly, for the float inputs alpha and beta:
+    K31 = 2 beta (beta - alpha), K32 = 2 alpha (alpha - beta), K33 = 2 beta
+    (beta + alpha) and K34 = 2 alpha (alpha + beta), keyed by ``_K_SIGNS``."""
+    a, b = Fraction(alpha), Fraction(beta)
+    ks = {31: 2 * b * (b - a), 32: 2 * a * (a - b), 33: 2 * b * (b + a), 34: 2 * a * (a + b)}
+    return {_K_SIGNS[i]: k / 4 for i, k in ks.items()}
+
+
+def ulps(x: float, exact: Fraction) -> float:
+    """|x - exact| in units of the spacing of the doubles at |exact|: the ulp of
+    the largest double not above |exact| (``math.ulp(0.0)`` at zero)."""
+    low = float(abs(exact))
+    if Fraction(low) > abs(exact):
+        low = math.nextafter(low, 0.0)
+    return float(abs(Fraction(x) - exact) / Fraction(math.ulp(low)))
 
 
 def projective_gap(cfg: MZConfig) -> float:

@@ -425,10 +425,11 @@ class TestPhase:
     def test_quasiprob(self, run_at_phi):
         rec = run_at_phi("quasiprob")
         cfg = lglab.MZConfig(**self.CFG)
-        table = lglab.quasi(lglab.input_state(cfg), lglab.path_observable(), lglab.output_observable())
+        table = lglab.mz_quasi(cfg)
         for (mi, mj), v in table.q.items():
             assert rec[f"q(m2={mi:+d},m3={mj:+d})"] == r15(v)
         assert rec["negativity"] == table.negativity == 0.0
+        assert (rec["nsit_residual_m2"], rec["nsit_residual_m3"]) == tuple(map(r15, table.nsit_residuals))
 
     @pytest.mark.parametrize("kind", ["interference", "sequential"])
     def test_simulate(self, run_at_phi, kind):
@@ -465,9 +466,10 @@ class TestRounding:
 # Every interferometer record opens with beta, alpha and phi, and weak-values
 # prints Im w after each Re w; with those keys left out, each holds the bytes
 # printed before the phase shifter was folded into the state. The two quasiprob
-# records hold the moment-expansion table of quasi, whose noise digits differ
-# from those of the projector-product trace it replaced (tests/test_quasiprob.py
-# bounds every entry against 50 digits)
+# records hold mz_quasi's table, K/4 of the closed-form kernel, whose entries
+# lie within 2 ulp of the exact table of the float alpha and beta
+# (tests/test_quasiprob.py::TestExactTable); the generic moment route on the
+# state, which they replaced, differed in the noise digits
 PINNED_RECORDS = [
     (
         ("weak-values", "--beta", "0.5"),
@@ -497,16 +499,16 @@ PINNED_RECORDS = [
     (
         ("quasiprob", "--beta", "0.5"),
         '{"beta": 0.5, "alpha": 0.866025403784439, "phi": 0.0, "q(m2=+1,m3=+1)": 0.15849364905389, '
-        '"q(m2=+1,m3=-1)": 0.59150635094611, "q(m2=-1,m3=+1)": -0.0915063509461099, '
-        '"q(m2=-1,m3=-1)": 0.34150635094611, "negativity": 0.0915063509461099, '
-        '"nsit_residual_m2": 3.33066907387547e-16, "nsit_residual_m3": 3.60822483003176e-16}',
+        '"q(m2=+1,m3=-1)": 0.59150635094611, "q(m2=-1,m3=+1)": -0.0915063509461096, '
+        '"q(m2=-1,m3=-1)": 0.34150635094611, "negativity": 0.0915063509461096, '
+        '"nsit_residual_m2": 0.0, "nsit_residual_m3": 1.11022302462516e-16}',
     ),
     (
         ("quasiprob", "--beta", "-0.8", "--alpha", "-0.6"),
-        '{"beta": -0.8, "alpha": -0.6, "phi": 0.0, "q(m2=+1,m3=+1)": -0.0600000000000001, '
+        '{"beta": -0.8, "alpha": -0.6, "phi": 0.0, "q(m2=+1,m3=+1)": -0.06, '
         '"q(m2=+1,m3=-1)": 0.42, "q(m2=-1,m3=+1)": 0.08, "q(m2=-1,m3=-1)": 0.56, '
-        '"negativity": 0.0600000000000001, "nsit_residual_m2": 0.0, '
-        '"nsit_residual_m3": 1.38777878078145e-16}',
+        '"negativity": 0.06, "nsit_residual_m2": 1.11022302462516e-16, '
+        '"nsit_residual_m3": 1.11022302462516e-16}',
     ),
     (
         ("simulate", "--beta", "0.5", "--shots", "1000000", "--seed", "42", "--kind", "sequential"),
@@ -574,16 +576,28 @@ class TestPinnedRecords:
 
 class TestQuasiprobPass:
     def test_one_pass_per_record(self, capsys, monkeypatch):
+        """The quasiprob record is one mz_quasi table: no state is built and the
+        generic quasi is not called, and the closed-form commands beside it
+        build no table."""
         calls = []
-        one_pass = lglab.quasi
+        one_pass = lglab.mz_quasi
 
-        def counted(*args):
-            calls.append(args)
-            return one_pass(*args)
+        def counted(cfg):
+            calls.append(cfg)
+            return one_pass(cfg)
 
-        monkeypatch.setattr(lglab, "quasi", counted)
-        run_json(capsys, "quasiprob", "--beta", "0.5")
-        assert len(calls) == 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quasiprob record built a state or called quasi")
+
+        monkeypatch.setattr(lglab.StateVector, "__init__", refuse)
+        monkeypatch.setattr(lglab, "quasi", refuse)
+        monkeypatch.setattr(lglab.quasiprob, "quasi", refuse)
+        monkeypatch.setattr(lglab, "mz_quasi", counted)
+        rec = run_json(capsys, "quasiprob", "--beta", "0.5")
+        run_json(capsys, "probabilities", "--beta", "0.5")
+        run_json(capsys, "mr-check", "--e2", "0.5", "--e3", "-0.5", "--e23", "0.25")
+        assert calls == [lglab.MZConfig(beta=0.5)]
+        assert rec["q(m2=-1,m3=+1)"] == r15(one_pass(calls[0]).entry(-1, +1))
 
 
 class TestLibraryChecks:

@@ -24,7 +24,7 @@ EXPORTS = {
     "TwoTimeLGReport", "WeakValueResult", "detection_probabilities",
     "empirical_lg", "empirical_nsit", "feasibility_oracle", "input_state",
     "k_from_moments", "lg_from_quasi", "macrorealist_feasible", "mz_basis",
-    "mz_lg_closed_form", "mz_weak_values", "nsit_check", "outcome_probabilities",
+    "mz_lg_closed_form", "mz_quasi", "mz_weak_values", "nsit_check", "outcome_probabilities",
     "output_observable", "path_observable", "precession_k3", "projector_onto", "quasi", "run",
     "sequential_correlation", "sequential_joint", "signaling_gap_projective", "sweep_beta",
     "weak_value",
@@ -73,7 +73,7 @@ def last_json(proc: subprocess.CompletedProcess):
 
 class TestSurface:
     def test_all_is_the_export_set(self):
-        assert len(lglab.__all__) == len(EXPORTS) == 38
+        assert len(lglab.__all__) == len(EXPORTS) == 39
         assert set(lglab.__all__) == EXPORTS
 
     def test_dir_lists_every_export(self):
@@ -150,13 +150,15 @@ print("ok")
         [
             (["mr-check", "--e2", "0.5", "--e3", "-0.5", "--e23", "0.25"], 0),
             (["probabilities", "--beta", "0.6", "--phi", "1"], 0),
+            (["quasiprob", "--beta", "0.6"], 0),
             (["mr-check", "--e2", "2", "--e3", "0", "--e23", "0"], 2),
         ],
-        ids=["mr-check", "probabilities", "validation-error"],
+        ids=["mr-check", "probabilities", "quasiprob", "validation-error"],
     )
     def test_closed_form_commands_load_every_layer_and_no_numpy(self, args, code):
-        """The moment check and the port probabilities load the seven layers
-        and run without numpy, a validation error included."""
+        """The moment check, the port probabilities and the quasiprobability
+        table load the seven layers and run without numpy, a validation error
+        included."""
         proc = python("-c", RUN_CLI, *args)
         rec = last_json(proc)
         assert rec["code"] == code, proc.stderr
@@ -165,11 +167,10 @@ print("ok")
     @pytest.mark.parametrize(
         "args",
         [
-            ["quasiprob", "--beta", "0.6"],
             ["weak-values", "--beta", "0.6"],
             ["simulate", "--beta", "0.6", "--shots", "100"],
         ],
-        ids=["quasiprob", "weak-values", "simulate"],
+        ids=["weak-values", "simulate"],
     )
     def test_array_commands_load_numpy(self, args):
         """Where the boundary lies: a state parse, a BLAS dot or a draw loads numpy."""

@@ -1,6 +1,7 @@
 """Quasiprobability tables, NSIT residuals, moment expansion and the LG link."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lglab import (
     lg_from_quasi,
     macrorealist_feasible,
     mz_lg_closed_form,
+    mz_quasi,
     nsit_check,
     output_observable,
     path_observable,
@@ -28,7 +30,7 @@ from lglab import (
 from lglab.lgi import _K_SIGNS
 
 from conftest import random_dichotomic, random_state
-from oracles import born_probability, precession_observables, projective_gap
+from oracles import born_probability, exact_mz_q, precession_observables, projective_gap, ulps
 
 SQ3 = np.sqrt(3.0)
 PROPS = settings(derandomize=True, max_examples=500, deadline=None, database=None)
@@ -139,6 +141,43 @@ class TestAccuracy:
                 table = quasi(input_state(cfg), m2, m3)
                 worst = max(worst, *(float(abs(table.q[k] - v / 2)) for k, v in exact.items()))
         assert worst <= 4e-16
+
+
+# the betas of ``lgi-sweep --grid 101``, the five exceptional points and the
+# doubles either side of each that lie in [-1, 1]
+EXCEPTIONAL = (-1.0, -1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), 1.0)
+EXACT_BETAS = [-1.0 + k * 0.02 for k in range(100)] + [1.0] + [
+    b for x in EXCEPTIONAL for b in (math.nextafter(x, -2.0), x, math.nextafter(x, 2.0)) if abs(b) <= 1.0
+]
+
+
+class TestExactTable:
+    """mz_quasi at phi = 0 against the exact rational table of its own float
+    alpha and beta (``oracles.exact_mz_q``): standard library only, so these
+    never skip."""
+
+    @pytest.mark.parametrize("beta", EXACT_BETAS)
+    def test_entries_within_2_ulps_of_exact(self, beta):
+        cfg = MZConfig(beta=beta)
+        table = mz_quasi(cfg)
+        for key, exact in exact_mz_q(cfg.alpha, cfg.beta).items():
+            assert ulps(table.q[key], exact) <= 2.0, key
+
+    @pytest.mark.parametrize("beta", [1 / math.sqrt(2), -1 / math.sqrt(2)])
+    def test_dark_port_negativity_is_exact(self, beta):
+        """At the dark port the computed alpha sits one ulp below |beta|, so the
+        one negative entry alpha (alpha -+ beta)/2 = -alpha 2^-54, 3.9e-17 in
+        magnitude, is a double, and the kernel gives it exactly."""
+        cfg = MZConfig(beta=beta)
+        exact = sum(-v for v in exact_mz_q(cfg.alpha, cfg.beta).values() if v < 0)
+        assert exact > 0
+        assert mz_quasi(cfg).negativity == float(exact)
+
+    def test_ulps_counts_in_the_binade_of_the_exact_value(self):
+        below_one = 1 - Fraction(1, 2**60)
+        assert ulps(1.0, below_one) == 2.0**-60 / 2.0**-53
+        assert ulps(1.0 + 2.0**-52, Fraction(1)) == 1.0
+        assert ulps(0.0, Fraction(0)) == 0.0
 
 
 class TestNSIT:
