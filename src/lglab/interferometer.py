@@ -96,7 +96,10 @@ class MZConfig:
         for name, v in (("alpha", alpha), ("phi", phi)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        sq = alpha**2 + beta**2
+        try:
+            sq = alpha**2 + beta**2
+        except OverflowError:  # |alpha| past about 1.34e154
+            raise ValueError(f"alpha^2 + beta^2 must equal 1, got alpha = {alpha!r}") from None
         if abs(sq - 1.0) > INPUT_TOL:
             raise ValueError(f"alpha^2 + beta^2 = {sq!r} must equal 1")
         if explicit:
@@ -139,6 +142,11 @@ def mz_basis() -> MZBasis:
     return _BASIS
 
 
+def _pre_amps(cfg: MZConfig) -> tuple[float, complex]:
+    """(alpha, e^{i phi} beta): the amplitudes of :func:`input_state`."""
+    return cfg.alpha, cmath.exp(1.0j * cfg.phi) * cfg.beta
+
+
 def input_state(cfg: MZConfig) -> StateVector:
     """Pre-selected state alpha*psi1 + e^{i phi} beta*psi2: the phase shifter folded in.
 
@@ -146,7 +154,7 @@ def input_state(cfg: MZConfig) -> StateVector:
     two-time quantity of (M2, U^dagger M3 U) on (alpha, beta) equals that of
     (M2, M3) on this state, exactly; at phi = 0 it is (alpha, beta) bit for bit.
     """
-    return StateVector([cfg.alpha, cmath.exp(1.0j * cfg.phi) * cfg.beta])
+    return StateVector(_pre_amps(cfg))
 
 
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:

@@ -19,6 +19,11 @@ For the Mach-Zehnder configuration at phase phi,
     K31 = 2 beta (beta - alpha cos phi)    K32 = 2 alpha (alpha - beta cos phi)
     K33 = 2 beta (beta + alpha cos phi)    K34 = 2 alpha (alpha + beta cos phi)
 
+With <M3> = p4 - p3 and p3 + p4 = 1 these are K31 = 2 p4 - <M2>, K32 = 2 p4 +
+<M2>, K33 = 2 p3 - <M2> and K34 = 2 p3 + <M2>: the lowest K is 2 min(p3, p4) -
+|<M2>|, so at every phase a violation is a port darker than half the path
+imbalance, read off the two single-time runs alone.
+
 One predicate, ``qcore._violates``, decides every verdict on a K, read as K, as
 4q or from a weak value; reports and sweep rows read theirs with ``_lowest_violation``.
 A report names a NaN K (``_named_nan``) before reading its verdict; a sweep row's

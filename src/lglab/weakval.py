@@ -3,33 +3,27 @@
 The weak value of A for pre-selected |i> and post-selected |f> is
 (A)_w = <i|A|f> / <i|f>. For a dichotomic (+-1) observable it is *anomalous*
 when the K = 2 p(f) (1 -+ Re w) it implies violates (``qcore._violates``), so
-a real part just past +-1 on a nearly dark port is not; a nonzero imaginary
-part is flagged separately and does not count. When the post-selection overlap
-vanishes the weak value is undefined and OrthogonalPostSelection is raised;
-near-zero overlaps deliberately produce huge finite values (no clamping), as
-the divergence at destructive interference is exactly the effect of interest.
+a real part just past +-1 on a nearly dark port is not; the imaginary part
+does not count. When the post-selection overlap vanishes the weak value is
+undefined and OrthogonalPostSelection is raised; near-zero overlaps
+deliberately produce huge finite values (no clamping), as the divergence at
+destructive interference is exactly the effect of interest.
 
 :func:`weak_value` is the generic route for any Hermitian observable and pair
-of states. The Mach-Zehnder routes post-select on the two output ports, which
-M2 = diag(1, -1) swaps bit for bit (M2 psi3 = psi4, M2 psi4 = psi3), so with
-d3 = <pre|psi3> and d4 = <pre|psi4> the path weak values are w3 = d4 / d3 and
-w4 = d3 / d4: two inner products per configuration. One kernel,
-:func:`_port_overlaps`, forms them for a stack of pre-selected states.
-:func:`mz_weak_values` calls it on one state and reads each port through
-:func:`_ratio`, which holds the overlap threshold and the
-OrthogonalPostSelection error for :func:`weak_value` too;
-:func:`_mz_weak_value_columns` calls it on a whole phi = 0 beta sweep
-(``lgi.sweep_beta``). All three agree bit for bit.
+of states. At the Mach-Zehnder output ports, which M2 = diag(1, -1) swaps bit
+for bit, the path weak values are w3 = d4 / d3 and w4 = d3 / d4 on the
+overlaps d3 = <pre|psi3> and d4 = <pre|psi4>. One kernel, :func:`_mz_overlaps`,
+normalises rows alpha*psi1 + b*psi2 and forms both overlaps of each, with no
+``StateVector``. Two readers call it: :func:`mz_weak_values` on one row, each
+port read through :func:`_ratio`, and :func:`_mz_weak_value_columns` on a
+phi = 0 beta sweep (``lgi.sweep_beta``), so the two agree bit for bit.
 
-The kernel forms each inner product as a stacked ``np.matmul``, which rounds
+The kernel's norm and overlaps are per-row ``np.matmul`` dots, which round
 like ``np.vdot`` (``gemv``, ``einsum`` and one product with both ports as a
-2x2 matrix do not). The column route repeats ``StateVector``'s roundings (the
-squared norm as a per-row BLAS dot, then numpy's complex division by the
-norm) and applies the per-point rule to each row, ``abs(overlap) ** 2 >
-OVERLAP_TOL`` on a Python complex: ``** 2`` is libm pow, which numpy's array
-square differs from in the last bit. numpy is imported by the routes that
-call it and the port columns are built on first use, so loading the module
-loads no numpy.
+2x2 matrix do not). The sweep reader applies the per-point rule,
+``abs(overlap) ** 2 > OVERLAP_TOL`` on a Python complex: ``** 2`` is libm
+pow, which numpy's array square differs from in the last bit. numpy is
+imported on the first weak value, not at load.
 """
 
 from __future__ import annotations
@@ -37,8 +31,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .interferometer import MZConfig, input_state, mz_basis
-from .qcore import STRUCT_TOL, Operator, StateVector, _violates
+from .interferometer import MZConfig, _pre_amps, mz_basis
+from .qcore import Operator, StateVector, _violates
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
 OVERLAP_TOL = 1e-15
@@ -55,32 +49,26 @@ def _port_columns():
     return cols
 
 
-def _port_overlaps(pre) -> list[list[complex]]:
-    """[d3, d4] = [<pre|psi3>, <pre|psi4>] for each row of normalised
-    pre-selected amplitudes, as lists of Python complex numbers."""
+def _mz_overlaps(alpha, b) -> list[list[complex]]:
+    """[d3s, d4s]: <pre|psi3> and <pre|psi4> for each pre-selected row
+    alpha*psi1 + b*psi2 divided by its norm, as lists of Python complex numbers."""
     import numpy as np
 
+    amps = np.empty((len(alpha), 2), dtype=complex)
+    amps[:, 0], amps[:, 1] = alpha, b
+    re, im = amps.real, amps.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    pre = amps / np.sqrt(sq[:, 0])
     # one matmul broadcast over rows and ports: each product stays a
     # (1, 2) @ (2, 1) one, which rounds like np.vdot
     return np.matmul(pre.conj()[:, None, None, :], _port_columns())[:, :, 0, 0].T.tolist()
 
 
 def _mz_weak_value_columns(alpha, beta) -> list[list[float | None]]:
-    """Re (M2)_w at the psi3 and psi4 ports for each phi = 0 row (alpha, beta).
-
-    Returns one list per port, None where the weak value is undefined. Bit
-    for bit what :func:`mz_weak_values` gives row by row, for rows whose norm
-    is 1 within ``INPUT_TOL``.
-    """
-    import numpy as np
-
-    amps = np.empty((len(alpha), 2), dtype=complex)
-    amps[:, 0], amps[:, 1] = alpha, beta
-    # StateVector: the squared norm is a BLAS dot (the imaginary parts are 0),
-    # then a division by the complex norm, which numpy does as a reciprocal
-    # multiply
-    sq = np.matmul(amps.real[:, None, :], amps.real[:, :, None])[:, 0, 0]
-    d3, d4 = _port_overlaps(amps / np.sqrt(sq)[:, None])
+    """Re (M2)_w at the psi3 and psi4 ports for each phi = 0 row (alpha, beta),
+    one list per port, None where the weak value is undefined: the bits that
+    :func:`mz_weak_values` gives row by row."""
+    d3, d4 = _mz_overlaps(alpha, beta)
     # every amplitude is real, so the complex quotient's real part is this
     # one division
     return [
@@ -95,7 +83,7 @@ class OrthogonalPostSelection(ValueError):
 
 @dataclass(frozen=True)
 class WeakValueResult:
-    """A weak value and its post-selection probability; the flags are read off them."""
+    """A weak value and its post-selection probability; the anomaly flag is read off them."""
 
     value: complex
     postselect_prob: float
@@ -104,10 +92,6 @@ class WeakValueResult:
     def anomalous_real(self) -> bool:
         """K = 2 p(f) (1 -+ Re w) violates, at the sign of Re w that gives the lower K."""
         return bool(_violates(2.0 * self.postselect_prob * (1.0 - abs(self.value.real))))
-
-    @property
-    def nonzero_imag(self) -> bool:
-        return bool(abs(self.value.imag) > STRUCT_TOL)
 
 
 def _ratio(numer: complex, overlap: complex) -> WeakValueResult:
@@ -133,12 +117,13 @@ def mz_weak_values(
 ) -> tuple[WeakValueResult | None, WeakValueResult | None]:
     """Path-observable weak values for post-selection on the two output ports.
 
-    Returns (w3, w4) for post-selected states psi3 and psi4 and pre-selected
-    :func:`input_state`; with b = beta e^{-i phi} they are (alpha-b)/(alpha+b)
+    Returns (w3, w4) at psi3 and psi4 for the amplitudes of :func:`input_state`,
+    with no state built; with b = beta e^{-i phi} they are (alpha-b)/(alpha+b)
     and (alpha+b)/(alpha-b), complex unless phi is a multiple of pi.
     With ``allow_undefined`` a vanishing port yields None instead of raising.
     """
-    (d3,), (d4,) = _port_overlaps(input_state(cfg).amps[None])
+    alpha, b = _pre_amps(cfg)
+    (d3,), (d4,) = _mz_overlaps([alpha], [b])
     results = []
     for numer, overlap in ((d4, d3), (d3, d4)):
         try:

@@ -17,13 +17,17 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds thirteen hand-made mutants on the current source: two K signs,
+The list holds fifteen hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, the p kernel's zero-phase branch
 taken on the wrong side of its test, four boundaries, a report that reads its
 verdict past a NaN K, interferometer records that drop ``phi``, sweep CSV
-lines that print a defined row's weak values to 16 digits, and an MZ
+lines that print a defined row's weak values to 16 digits, an MZ
 quasiprobability table whose M3 residuals compare each marginal with the
-other port. Three
+other port, a weak-value overlap kernel whose squared norm drops the
+imaginary parts (only the bit-for-bit weak-value properties at a nonzero
+phase see it: the weak value is a ratio of overlaps, so only p(f) moves), and
+an ``MZConfig`` that lets the OverflowError of an alpha past about 1.34e154
+escape. Three
 of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
 to count K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with
@@ -131,6 +135,18 @@ MUTANTS = (
         "src/lglab/quasiprob.py",
         "res_m3 = max(abs(pp + mp - p4), abs(pm + mm - p3))",
         "res_m3 = max(abs(pp + mp - p3), abs(pm + mm - p4))",
+    ),
+    Mutant(
+        "_mz_overlaps: the squared norm without the imaginary-part dot",
+        "src/lglab/weakval.py",
+        "sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])",
+        "sq = np.matmul(re[:, None, :], re[:, :, None])",
+    ),
+    Mutant(
+        "MZConfig: the OverflowError of alpha**2 left uncaught",
+        "src/lglab/interferometer.py",
+        "except OverflowError:",
+        "except ZeroDivisionError:",
     ),
     Mutant(
         "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",

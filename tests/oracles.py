@@ -9,7 +9,9 @@ observables with their K3, the matrix K route (:func:`two_time_lg`,
 :func:`mz_two_time_lg`), the projector-product quasiprobability with the
 eigenvalue check of a density matrix (:func:`quasi_matrix`,
 :func:`density_matrix`), the numpy matrix-vector route of the sequential joint
-(:func:`sequential_joint_numpy`), the two-step Lueders route of the
+(:func:`sequential_joint_numpy`), the route of the MZ weak values through
+the pre-selected ``StateVector`` (:func:`mz_weak_values_state`) that
+``weakval.mz_weak_values`` must match bit for bit, the two-step Lueders route of the
 projective signaling gap (:func:`projective_gap`), the numpy expressions of
 the MZ closed forms (:func:`mz_kernel_numpy`) that
 ``interferometer._mz_probabilities`` and ``interferometer._mz_k`` must match
@@ -60,6 +62,7 @@ from lglab import (
 )
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL
+from lglab.weakval import OVERLAP_TOL
 
 _SQRT2 = np.sqrt(2.0)
 OUTCOMES = (+1, -1)
@@ -268,6 +271,23 @@ def sequential_joint_numpy(
             second = Mj.projector(mj).entries @ first
             joint[(mi, mj)] = float(np.vdot(second, second).real)
     return joint
+
+
+def mz_weak_values_state(cfg: MZConfig) -> tuple:
+    """(w3, w4) as (value, postselect_prob) pairs, None where |overlap|^2 is at
+    most ``OVERLAP_TOL``, through the pre-selected ``StateVector``.
+
+    Oracle of ``mz_weak_values``, which normalises the same amplitudes with no
+    state built: ``input_state(cfg)``'s amplitudes against each port as one
+    (1, 2) @ (2, 1) ``np.matmul``, then d4 / d3 and d3 / d4 with p(f) =
+    |overlap|^2 clipped at 1.
+    """
+    pre, basis = input_state(cfg).amps.conj()[None, :], mz_basis()
+    d3, d4 = (complex(np.matmul(pre, port.amps[:, None])[0, 0]) for port in (basis.psi3, basis.psi4))
+    return tuple(
+        (numer / overlap, prob) if (prob := min(abs(overlap) ** 2, 1.0)) > OVERLAP_TOL else None
+        for numer, overlap in ((d4, d3), (d3, d4))
+    )
 
 
 def exact_mz_q(alpha: float, beta: float) -> dict[tuple[int, int], Fraction]:

@@ -1,11 +1,13 @@
 """Command-line interface: records, exit codes, file outputs, config precedence."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 import lglab
 from lglab import SweepRow, sweep_beta
-from lglab.cli import _CSV_LINE, _SWEEP_FIELDS, MAX_GRID, _fmt, _row_cells, _write_sweep, main
+from lglab.cli import _CSV_LINE, _SWEEP_FIELDS, MAX_GRID, UNDEFINED, _fmt, _row_cells, _write_sweep, main
+from lglab.lgi import _K_SIGNS
 
 SQ3 = np.sqrt(3.0)
 
@@ -600,6 +603,45 @@ class TestQuasiprobPass:
         assert rec["q(m2=-1,m3=+1)"] == r15(one_pass(calls[0]).entry(-1, +1))
 
 
+class TestNoStateBuilt:
+    """No interferometer record, sweep or closed-form command builds a
+    StateVector: with its constructor patched to raise, each exits 0 with the
+    stdout (and sweep file bytes) it gives unpatched."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("probabilities", "--beta", "0.5"),
+            ("weak-values", "--beta", "0.5"),
+            ("weak-values", "--beta", "0.5", "--phi", "1"),
+            ("weak-values", "--beta", "0.6", "--alpha", "-0.8"),
+            ("quasiprob", "--beta", "0.5"),
+            ("lgi-sweep", "--grid", "11", "--output", "sweep.csv"),
+            ("reproduce-fig2", "--output", "fig2.csv"),
+            ("mr-check", "--e2", "0.5", "--e3", "-0.5", "--e23", "0.25"),
+            ("simulate", "--beta", "0.123", "--shots", "1000", "--seed", "3", "--kind", "interference"),
+            ("simulate", "--beta", "0.123", "--shots", "1000", "--seed", "3", "--kind", "path"),
+        ],
+        ids=" ".join,
+    )
+    def test_record_is_the_unpatched_one(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+
+        def record():
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            written = sorted(tmp_path.iterdir())
+            return out, [path.read_bytes() for path in written]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a StateVector was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lglab.StateVector, "__init__", refuse)
+            patched = record()
+        assert patched == record()
+
+
 class TestLibraryChecks:
     """The CLI holds no copy of the library's input checks; it maps their
     ValueErrors to exit 2, and the message names the offending field."""
@@ -626,6 +668,10 @@ class TestLibraryChecks:
             (("probabilities", "--beta", "0.5", "--alpha", "nan"), "alpha must be finite, got nan"),
             (("nsit", "--beta", "0.5", "--shots", "10", "--seed", "18446744073709551616"), "seed"),
             (("nsit", "--beta", "0.5", "--shots", "10", "--seed", "-1"), "seed"),
+            # alpha**2 overflows past |alpha| of about 1.34e154
+            (("probabilities", "--beta", "0.6", "--alpha", "1e200"), "got alpha = 1e+200"),
+            (("weak-values", "--beta", "0.6", "--alpha=-1e308"), "got alpha = -1e+308"),
+            (("probabilities", "--beta", "0.6", "--alpha", "1e150"), "alpha^2 + beta^2 = "),
         ],
     )
     def test_rejected_input_exits_2(self, capsys, argv, field):
@@ -633,6 +679,79 @@ class TestLibraryChecks:
         assert code == 2
         assert out == ""
         assert field in err
+
+
+# the values an MZ field may take, by flag or config key: both zeros, NaN,
+# both infinities, subnormals, the ends of the double range, 1e200 (whose
+# square overflows), and one ulp either side of +-1 and +-1/sqrt(2)
+MZ_EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1e200, -1e200,
+    *(math.nextafter(x, toward) for x in (1.0, -1.0, 2**-0.5, -(2**-0.5)) for toward in (-2.0, 2.0)),
+    1.0, -1.0, 2**-0.5, -(2**-0.5),
+]
+mz_value_st = st.one_of(st.sampled_from(MZ_EDGES), st.floats())
+
+
+@st.composite
+def mz_fields(draw) -> dict:
+    """beta, alpha and phi, each an edge value or any float; beta also anywhere
+    in [-1, 1], and alpha also omitted or +-sqrt(1 - beta^2)."""
+    beta = draw(st.one_of(mz_value_st, st.floats(-1.0, 1.0)))
+    on_circle = math.sqrt(1.0 - beta * beta) if abs(beta) <= 1.0 else 1.0
+    alpha = draw(st.one_of(st.none(), mz_value_st, st.sampled_from([on_circle, -on_circle])))
+    return {"beta": beta, "alpha": alpha, "phi": draw(mz_value_st)}
+
+
+def faulty_field(beta: float, alpha: float | None, phi: float) -> str | None:
+    """The first of beta, alpha and phi outside its own domain, else None."""
+    if not (math.isfinite(beta) and abs(beta) <= 1.0):
+        return "beta"
+    if alpha is not None and not math.isfinite(alpha):
+        return "alpha"
+    return None if math.isfinite(phi) else "phi"
+
+
+class TestMZInputs:
+    """Any beta, alpha and phi, each by flag or config key, through the three
+    closed-form interferometer commands: the exit code is 0 or 2, a rejection
+    names the field at fault (alpha where only alpha^2 + beta^2 is off 1), and
+    an accepted record is finite and agrees with the library's K verdict."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(
+        st.sampled_from(["probabilities", "weak-values", "quasiprob"]),
+        mz_fields(),
+        st.fixed_dictionaries({name: st.booleans() for name in ("beta", "alpha", "phi")}),
+    )
+    def test_exit_code_and_record(self, command, fields, by_config):
+        config = {k: v for k, v in fields.items() if v is not None and by_config[k]}
+        flags = [f"--{k}={v!r}" for k, v in fields.items() if v is not None and not by_config[k]]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--config", path, command, *flags])
+        fault = faulty_field(**fields)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert (fault or "alpha") in err.getvalue()
+            return
+        assert code == 0 and fault is None, err.getvalue()
+        rec = json.loads(out.getvalue())
+        assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float)), rec
+        cfg = lglab.MZConfig(**fields)
+        report = lglab.mz_lg_closed_form(cfg)
+        if command == "quasiprob":
+            ks = {_K_SIGNS[i]: k for i, k in report.values().items()}
+            for (m2, m3), q in lglab.mz_quasi(cfg).q.items():
+                # q is K/4 bit for bit, so 4q is K wherever K/4 is normal
+                assert struct.pack("<d", q) == struct.pack("<d", ks[(m2, m3)] / 4.0)
+                assert rec[f"q(m2={m2:+d},m3={m3:+d})"] == r15(q)
+        elif command == "weak-values" and UNDEFINED not in (rec["w3"], rec["w4"]):
+            assert (rec["w3_anomalous"] or rec["w4_anomalous"]) == (report.violated_index is not None)
 
 
 class TestConfig:
@@ -683,6 +802,14 @@ class TestConfig:
         assert out == ""
         assert repr(key) in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("alpha", [1e200, -1e308])
+    def test_config_alpha_whose_square_overflows_exits_2(self, capsys, tmp_path, alpha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 0.6, "alpha": alpha}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "probabilities")
+        assert (code, out) == (2, "")
+        assert f"got alpha = {alpha!r}" in err
 
     @pytest.mark.parametrize(
         "config, argv",

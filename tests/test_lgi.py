@@ -258,7 +258,10 @@ class TestPhase:
             assert report.violated_index is None
             assert report.k31 == pytest.approx(2 * 0.5 * (0.5 - cfg.alpha * np.cos(1.0)), abs=1e-12)
         w3, w4 = mz_weak_values(cfg)
-        assert w3.nonzero_imag and w4.nonzero_imag
+        b = 0.5 * np.exp(-1.0j)
+        assert w3.value == pytest.approx((cfg.alpha - b) / (cfg.alpha + b), abs=1e-12)
+        assert w4.value == pytest.approx((cfg.alpha + b) / (cfg.alpha - b), abs=1e-12)
+        assert min(abs(w3.value.imag), abs(w4.value.imag)) > 0.1
         assert not (w3.anomalous_real or w4.anomalous_real)
 
 

@@ -63,7 +63,7 @@ from lglab import (
 )
 from lglab.interferometer import _mz_k, _mz_probabilities
 from lglab.lgi import _K_SIGNS
-from lglab.qcore import INPUT_TOL, STRUCT_TOL, _close
+from lglab.qcore import INPUT_TOL, STRUCT_TOL, VIOLATION_TOL, _close
 from lglab.quasiprob import _as_density
 from lglab.weakval import _mz_weak_value_columns
 
@@ -75,6 +75,7 @@ from oracles import (
     mz_kernel_numpy,
     mz_probabilities_complex,
     mz_two_time_lg,
+    mz_weak_values_state,
     observable_operator_checked,
     precession_observables,
     projector_checked,
@@ -262,15 +263,29 @@ def test_folded_state_gives_port_probabilities(beta, phi, negative_alpha, stretc
         assert abs(np.vdot(port.amps, out)) ** 2 == pytest.approx(p, abs=1e-12)
 
 
+# the lowest K is 2 min(p3, p4) - |<M2>| exactly for the MZ state (<M2 M3> = 0
+# and alpha^2 + beta^2 = 1); the computed pair differs by the roundings of
+# each, about ten operations on values below 2, and by c^2 + s^2 - 1. 200000
+# random configs, half within 1e-17 to 1e-6 of an exceptional point, showed at
+# most 2 ulp of 1
+PORT_BAND = 8 * 2.0**-52
+
+
 @PROPS
 @example(1e-12, 0.0, False)
 @given(st.one_of(beta_st, beta_off_exceptional), st.one_of(phi_st, st.just(1e-7)), st.booleans())
 def test_violation_verdict_and_anomaly_agree_at_every_phase(beta, phi, negative_alpha):
     """One violation rule, on K: the K routes (the quasiprobability one read as
     K = 4q) and the anomaly flag on 2 p(f) (|Re w| - 1) agree, down to K at
-    the tolerance."""
+    the tolerance. At every config, the port criterion 2 min(p3, p4) -
+    |alpha^2 - beta^2| violates exactly when the closed form does, outside
+    ``PORT_BAND`` of -VIOLATION_TOL."""
     cfg = mz_config(beta, phi, negative_alpha)
     reports = k_routes(cfg)
+    p3, p4 = detection_probabilities(cfg)
+    port = 2.0 * min(p3, p4) - abs(cfg.alpha**2 - cfg.beta**2)
+    if (port < -VIOLATION_TOL) != (reports[0].violated_index is not None):
+        assert abs(port + VIOLATION_TOL) <= PORT_BAND, (port, reports[0].values())
     # a lit pair of ports keeps both weak values defined
     ws = mz_weak_values(cfg, allow_undefined=True)
     if None in ws:
@@ -336,6 +351,48 @@ def test_mz_weak_values_are_the_generic_weak_values_bit_for_bit(cfg):
         except OrthogonalPostSelection:
             generic = None
         assert result_bits(fast) == result_bits(generic)  # same None pattern, same bits
+
+
+def state_route_bits(w) -> tuple | None:
+    """An oracle weak value's (value, p(f)) as the bytes of :func:`result_bits`."""
+    return None if w is None else bits((w[0].real, w[0].imag, w[1]))
+
+
+@PROPS
+@given(
+    st.lists(
+        st.tuples(
+            beta_near_saturation.filter(lambda b: abs(b) <= 1.0),
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(allow_nan=False, allow_infinity=False)),
+            st.sampled_from([None, 1.0, -1.0]),
+            stretch_st,
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([(DARK, 0.0, 1.0, 0.0), (DARK, 0.0, -1.0, 0.0), (DARK, 1.0, -1.0, 0.0), (-1.0, -0.0, None, 0.0)], 0)
+def test_mz_weak_values_are_the_state_route_bit_for_bit(points, seed):
+    """The one overlap kernel normalises the pre-selected amplitudes with no
+    state built: each weak value and p(f) has the bits of the route through
+    ``input_state``'s StateVector (``tests/oracles.py``), zero signs and the
+    undefined pattern included, at any phase and with alpha omitted or given
+    with either sign. Each example adds 40 uniform configs from ``seed``."""
+    rng = np.random.default_rng(seed)
+    uniform = zip(
+        rng.uniform(-1.0, 1.0, 40).tolist(),
+        rng.uniform(-7.0, 7.0, 40).tolist(),
+        rng.choice([1.0, -1.0], 40).tolist(),
+        rng.choice([0.0, 4e-10, -4e-10], 40).tolist(),
+    )
+    for beta, phi, sign, stretch in [*points, *uniform]:
+        if sign is None:
+            cfg = MZConfig(beta=beta, phi=phi)
+        else:
+            cfg = mz_config(beta, phi, sign < 0, stretch)
+        got = tuple(map(result_bits, mz_weak_values(cfg, allow_undefined=True)))
+        assert got == tuple(map(state_route_bits, mz_weak_values_state(cfg))), (cfg,)
 
 
 @PROPS

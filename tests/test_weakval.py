@@ -42,7 +42,7 @@ class TestWeakValue:
         pre = StateVector([SQ3 / 2, 0.5])
         w = weak_value(path_observable().operator(), pre, mz_basis().psi4)
         assert w.value.real == pytest.approx(2 + SQ3, abs=1e-12)
-        assert w.anomalous_real and not w.nonzero_imag
+        assert w.anomalous_real and w.value.imag == 0.0
         assert w.postselect_prob == pytest.approx((2 - SQ3) / 4, abs=1e-12)
 
     def test_orthogonal_postselection_raises(self):
