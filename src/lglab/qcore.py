@@ -14,10 +14,15 @@ no second check, and a fixed object whose exact entries are known is built by
 construction and pure, so the whole module is safe for concurrent use without
 synchronization.
 
-Loading the module loads no numpy: the routes that parse array-like input
-(``StateVector``, ``_flat_2x2``) or build an array (``amps``, ``entries``)
-import it when called, so a caller that only builds objects from flat
-entries, as ``interferometer`` does at import, never pays for it.
+A state is parsed and normalised in plain Python. A list or tuple of two
+numbers, or a numeric ndarray of two entries through ``tolist()``, is read by
+``complex()``; numpy is imported only to read any other state input, as
+``np.asarray(..., dtype=complex)`` always has, and so to name the shape of a
+rejected one, to parse the 2x2 input of ``_flat_2x2``, and by ``amps`` and
+``entries``, which build an array. A state's norm is the fused two-term dot
+that a fusing BLAS ``ddot`` gives, computed exactly in Python
+(``_fused_dot``), so it has the bits numpy gives on such a BLAS and the same
+bits on any platform. Loading the module loads no numpy.
 
 Three tolerances are used throughout:
 
@@ -46,9 +51,12 @@ def _violates(k: float) -> bool:
 
 
 def _close(a, b, tol: float = STRUCT_TOL) -> bool:
-    """Every a_k - b_k within ``tol`` in modulus, over two flat sequences of
-    numbers: ``allclose`` with ``rtol=0``."""
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
+    """Every a_k - b_k within ``tol`` in modulus, over two flat 2x2 entry
+    sequences (00, 01, 10, 11): ``allclose`` with ``rtol=0``, unrolled."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (abs(a0 - b0) <= tol and abs(a1 - b1) <= tol
+            and abs(a2 - b2) <= tol and abs(a3 - b3) <= tol)
 
 
 def _adjoint(m) -> tuple:
@@ -79,15 +87,39 @@ def _ket_bra(s: StateVector) -> tuple:
     return x * xc, x * yc, y * xc, y * yc
 
 
+# the Python types whose complex() is numpy's cast to complex128, as ndarray
+# tolist() gives them: every other element takes numpy's own parse
+_NUMBER_TYPES = (float, int, complex)
+_SEQUENCE_TYPES = (list, tuple)
+
+
+def _listed(data):
+    """A plain numeric ndarray of two entries as its ``tolist()``, anything
+    else as it is: a larger array is numpy's to reject, with no list built,
+    and any other dtype (structured, object, str) is numpy's to read. An
+    ndarray exists only once numpy is loaded, so this loads none."""
+    np = sys.modules.get("numpy")
+    if (np is not None and type(data) is np.ndarray and data.size == 2
+            and data.dtype.kind in "iufc"):
+        return data.tolist()
+    return data
+
+
+def _numpy_parse(data, shape: tuple, rule: str) -> tuple:
+    """The flat parts of ``data`` as ``np.asarray(data, dtype=complex)`` reads
+    them; any other shape is a ValueError, ``rule`` and the shape numpy names."""
+    import numpy as np
+
+    a = np.asarray(data, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"{rule}, got shape {a.shape}")
+    return tuple(a.ravel().tolist())
+
+
 def _flat_2x2(entries, rule: str) -> tuple:
     """The flat entries (00, 01, 10, 11) of an array-like 2x2 matrix, as Python
     complex numbers; any other shape is a ValueError, ``rule`` and the shape."""
-    import numpy as np
-
-    m = np.asarray(entries, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"{rule}, got shape {m.shape}")
-    return tuple(m.ravel().tolist())
+    return _numpy_parse(entries, (2, 2), rule)
 
 
 def _check_hermitian(flat) -> None:
@@ -103,33 +135,62 @@ def _check_hermitian(flat) -> None:
 # double it has lost bits, and a NaN or inf amplitude lands outside it too
 _SQ_MIN, _SQ_MAX = sys.float_info.min, math.inf
 
+# Veltkamp's splitter for doubles, 2**27 + 1: b = hi + lo in two 26-bit halves
+_SPLIT = 134217729.0
+# Dekker's product b*b = h + l is exact while |b| is within this range
+_EXACT_MIN, _EXACT_MAX = 2.0**-450, 2.0**450
 
-def _sq_norm(a) -> float:
-    """sum |a_i|^2 as ``np.linalg.norm`` forms it for a complex vector, without its wrapper.
 
-    ``np.vdot`` is the BLAS dot that ``ndarray.dot`` calls, with the same bits,
-    but it raises no overflow warning: a sum that overflows reads inf.
+def _fused_dot(a: float, b: float) -> float:
+    """a*a + b*b as a two-term BLAS ``ddot`` that fuses its second product
+    forms it: fma(b, b, fl(a*a)), the exact b*b added to the rounded a*a and
+    rounded once.
+
+    Within ``[_EXACT_MIN, _EXACT_MAX]`` Dekker's product splits b*b exactly
+    into h + l, and ``math.fsum`` rounds fl(a*a) + h + l once, correctly; for
+    any other finite b the same sum is formed exactly as a ``Fraction``. A sum
+    past the largest double is inf; a NaN or inf part gives NaN or inf.
     """
-    import numpy as np
+    aa = a * a
+    if _EXACT_MIN <= abs(b) <= _EXACT_MAX:
+        h = b * b
+        t = _SPLIT * b
+        hi = t - (t - b)
+        lo = b - hi
+        l = ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
+        try:
+            return math.fsum((aa, h, l))
+        except OverflowError:
+            return math.inf
+    if b == 0.0:
+        return aa
+    if not (math.isfinite(aa) and math.isfinite(b)):
+        return aa + b * b
+    from fractions import Fraction
 
-    return float(np.vdot(a.real, a.real)) + float(np.vdot(a.imag, a.imag))
+    try:
+        return float(Fraction(aa) + Fraction(b) ** 2)
+    except OverflowError:
+        return math.inf
 
 
-def _rescaled(a, sq: float) -> tuple:
-    """``a``, whose squared norm ``sq`` lies outside [_SQ_MIN, _SQ_MAX), divided
-    by its largest real or imaginary component, then its squared norm and that
-    scale; non-finite amplitudes are rejected, and a zero vector stays zero."""
-    import numpy as np
-
-    if not np.isfinite(a).all():
+def _rescaled(parts: tuple) -> tuple:
+    """The real and imaginary parts (xr, xi, yr, yi) of a state whose squared
+    norm lies outside [_SQ_MIN, _SQ_MAX), divided by their largest magnitude
+    as ``re / peak + 1j * (im / peak)`` forms it in numpy (so a -0.0 real part
+    of a nonnegative imaginary one, and a -0.0 imaginary part, turn +0.0),
+    then their squared norm and that scale; non-finite amplitudes are
+    rejected, and a zero vector stays zero."""
+    if not all(map(math.isfinite, parts)):
         raise ValueError("state amplitudes must be finite")
-    peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+    peak = max(map(abs, parts))
     if peak == 0.0:
-        return a, sq, 1.0
+        return parts, 0.0, 1.0
     # real and imaginary parts apart: complex division by a subnormal peak
     # would form 1/peak, which overflows
-    a = a.real / peak + 1j * (a.imag / peak)
-    return a, _sq_norm(a), peak
+    xr, xi, yr, yi = (p / peak for p in parts)
+    xr, xi, yr, yi = xr + 0.0 * xi, xi + 0.0, yr + 0.0 * yi, yi + 0.0
+    return (xr, xi, yr, yi), _fused_dot(xr, yr) + _fused_dot(xi, yi), peak
 
 
 class StateVector:
@@ -141,7 +202,10 @@ class StateVector:
     ``sum(|amp|^2) == 1`` holds to ``STRUCT_TOL`` after construction.
 
     The norm is ``sqrt(re.re + im.im)``, the expression ``np.linalg.norm``
-    evaluates for a complex vector, so it has the same bits. Finite nonzero
+    evaluates for a complex vector, with each two-term dot fused as a fusing
+    BLAS forms it (:func:`_fused_dot`, in plain Python), so it has the bits of
+    ``v / np.linalg.norm(v)`` on such a BLAS and the same bits anywhere; the
+    division is numpy's complex division by the real norm. Finite nonzero
     amplitudes whose squared norm overflows to inf or falls below the smallest
     normal double are first divided by their largest real or imaginary
     component, so that ``normalize=True`` keeps their direction and the
@@ -152,18 +216,17 @@ class StateVector:
     __slots__ = ("_flat",)
 
     def __init__(self, amps, normalize: bool = False):
-        import numpy as np
-
-        a = np.asarray(amps, dtype=complex)
-        if a.shape != (2,):
-            raise ValueError(
-                f"state must be a two-amplitude one-dimensional vector, got shape {a.shape}"
-            )
-        # _sq_norm written out, on the path that every state takes
-        sq = float(np.vdot(a.real, a.real)) + float(np.vdot(a.imag, a.imag))
+        v = _listed(amps)
+        if (type(v) in _SEQUENCE_TYPES and len(v) == 2
+                and type(v[0]) in _NUMBER_TYPES and type(v[1]) in _NUMBER_TYPES):
+            x, y = complex(v[0]), complex(v[1])
+        else:
+            x, y = _numpy_parse(amps, (2,), "state must be a two-amplitude one-dimensional vector")
+        xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+        sq = _fused_dot(xr, yr) + _fused_dot(xi, yi)
         scale = 1.0
         if not _SQ_MIN <= sq < _SQ_MAX:
-            a, sq, scale = _rescaled(a, sq)
+            (xr, xi, yr, yi), sq, scale = _rescaled((xr, xi, yr, yi))
         norm = math.sqrt(sq)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -172,7 +235,11 @@ class StateVector:
             raise ValueError(
                 f"state norm {scale * norm!r} deviates from 1 by more than {INPUT_TOL}"
             )
-        object.__setattr__(self, "_flat", tuple((a / norm).tolist()))
+        # numpy's complex division by (norm + 0j): each part, plus or minus
+        # the other times +0.0, times the reciprocal
+        r = 1.0 / norm
+        object.__setattr__(self, "_flat", (complex((xr + xi * 0.0) * r, (xi - xr * 0.0) * r),
+                                           complex((yr + yi * 0.0) * r, (yi - yr * 0.0) * r)))
 
     @classmethod
     def _from_flat(cls, flat: tuple) -> StateVector:

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random states, unitaries and dichotomic observables."""
+"""Shared helpers: seeded random states, unitaries and dichotomic observables,
+and the outcome of a construction as bits or an error message."""
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ def random_dichotomic(rng) -> DichotomicObservable:
     plus = projector_onto(StateVector(u[:, 0]))
     minus = projector_onto(StateVector(u[:, 1]))
     return DichotomicObservable(plus, minus)
+
+
+def outcome(make) -> tuple:
+    """The bits of each number ``make()`` returns (a StateVector's ``_flat``,
+    or flat parts), or the type and message of the error it raises."""
+    try:
+        got = make()
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return "accepted", [(z.real.hex(), z.imag.hex()) for z in map(complex, getattr(got, "_flat", got))]
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds fifteen hand-made mutants on the current source: two K signs,
+The list holds seventeen hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, the p kernel's zero-phase branch
 taken on the wrong side of its test, four boundaries, a report that reads its
 verdict past a NaN K, interferometer records that drop ``phi``, sweep CSV
@@ -27,7 +27,9 @@ other port, a weak-value overlap kernel whose squared norm drops the
 imaginary parts (only the bit-for-bit weak-value properties at a nonzero
 phase see it: the weak value is a ratio of overlaps, so only p(f) moves), and
 an ``MZConfig`` that lets the OverflowError of an alpha past about 1.34e154
-escape. Three
+escape, and two faults in a state's squared norm, the fused two-term dot:
+its operands swapped (the first part fused instead of the second) and
+Dekker's low term dropped (b*b rounded before the sum). Three
 of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
 to count K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with
@@ -147,6 +149,18 @@ MUTANTS = (
         "src/lglab/interferometer.py",
         "except OverflowError:",
         "except ZeroDivisionError:",
+    ),
+    Mutant(
+        "StateVector: the operands of the fused two-term dot swapped",
+        "src/lglab/qcore.py",
+        "sq = _fused_dot(xr, yr) + _fused_dot(xi, yi)",
+        "sq = _fused_dot(yr, xr) + _fused_dot(yi, xi)",
+    ),
+    Mutant(
+        "_fused_dot: Dekker's low term l dropped",
+        "src/lglab/qcore.py",
+        "return math.fsum((aa, h, l))",
+        "return math.fsum((aa, h))",
     ),
     Mutant(
         "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",

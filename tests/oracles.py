@@ -25,7 +25,12 @@ of a projector and of an observable's M (:func:`projector_checked`,
 (:func:`k_from_moments_table`) that the unchecked flat-entry routes and the
 written-out ``k_from_moments`` must match bit for bit, and the exact rational
 MZ table at phi = 0 (:func:`exact_mz_q`, with :func:`ulps` to read a float's
-distance from it), which needs only the standard library and so never skips.
+distance from it), which needs only the standard library and so never skips;
+and the fused two-term dot of a state's squared norm as an exact ``Fraction``
+rounded once (:func:`fused_sq_norm`), with the numpy parse and the numpy
+expressions of ``StateVector`` around it (:func:`numpy_parse`,
+:func:`normalized_state`), which ``StateVector`` must match bit for bit and
+message for message.
 
 Interferometer convention (fixed once, verified in tests): the physical
 elements are modeled as an effective preparation phase ``diag(1, i)`` on path
@@ -37,6 +42,7 @@ Only port probabilities are observable: :func:`propagate_unitary` agrees with
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +312,58 @@ def ulps(x: float, exact: Fraction) -> float:
     if Fraction(low) > abs(exact):
         low = math.nextafter(low, 0.0)
     return float(abs(Fraction(x) - exact) / Fraction(math.ulp(low)))
+
+
+def fused_sq_norm(a: float, b: float) -> float:
+    """fma(b, b, fl(a*a)): the two-term dot a*a + b*b as a BLAS ``ddot`` that
+    fuses its second product forms it, from its exact ``Fraction`` value
+    rounded once (inf past the largest double), for finite a and b."""
+    aa = a * a
+    if aa == math.inf:
+        return aa
+    exact = Fraction(aa) + Fraction(b) ** 2
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf
+
+
+def numpy_parse(data, shape: tuple, rule: str) -> tuple:
+    """The flat parts of ``data`` as ``np.asarray(data, dtype=complex)``
+    reads them, and a ValueError naming any other shape: the parse that
+    ``StateVector`` ran through numpy on every input."""
+    a = np.asarray(data, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"{rule}, got shape {a.shape}")
+    return tuple(a.ravel().tolist())
+
+
+def normalized_state(amps, normalize: bool) -> np.ndarray:
+    """The amplitudes ``StateVector(amps, normalize)`` keeps, by the numpy
+    expressions it always evaluated (the parse, the rescale of extreme
+    magnitudes by the largest part and the division by the norm), with each
+    two-term dot of the squared norm from :func:`fused_sq_norm`; raises the
+    ValueError ``StateVector`` raises."""
+    a = np.array(numpy_parse(amps, (2,), "state must be a two-amplitude one-dimensional vector"))
+    if not np.isfinite(a).all():
+        raise ValueError("state amplitudes must be finite")
+
+    def sq_norm(v):
+        (xr, yr), (xi, yi) = v.real.tolist(), v.imag.tolist()
+        return fused_sq_norm(xr, yr) + fused_sq_norm(xi, yi)
+
+    sq, scale = sq_norm(a), 1.0
+    if not sys.float_info.min <= sq < math.inf:
+        peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+        if peak != 0.0:
+            a = a.real / peak + 1j * (a.imag / peak)
+            sq, scale = sq_norm(a), peak
+    norm = math.sqrt(sq)
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    if not normalize and abs(scale * norm - 1.0) > INPUT_TOL:
+        raise ValueError(f"state norm {scale * norm!r} deviates from 1 by more than {INPUT_TOL}")
+    return a / norm
 
 
 def projective_gap(cfg: MZConfig) -> float:

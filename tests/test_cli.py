@@ -23,6 +23,7 @@ import lglab
 from lglab import SweepRow, sweep_beta
 from lglab.cli import _CSV_LINE, _SWEEP_FIELDS, MAX_GRID, UNDEFINED, _fmt, _row_cells, _write_sweep, main
 from lglab.lgi import _K_SIGNS
+from lglab.qcore import VIOLATION_TOL
 
 SQ3 = np.sqrt(3.0)
 
@@ -752,6 +753,53 @@ class TestMZInputs:
                 assert rec[f"q(m2={m2:+d},m3={m3:+d})"] == r15(q)
         elif command == "weak-values" and UNDEFINED not in (rec["w3"], rec["w4"]):
             assert (rec["w3_anomalous"] or rec["w4_anomalous"]) == (report.violated_index is not None)
+
+
+# the values a moment may take, by flag or config key: both zeros, NaN, both
+# infinities, subnormals, +-1e308, and +-1 with one ulp either side
+MOMENT_EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    *(math.nextafter(x, toward) for x in (1.0, -1.0) for toward in (-2.0, 2.0)), 1.0, -1.0,
+]
+moment_value_st = st.one_of(st.sampled_from(MOMENT_EDGES), st.floats(-1.0, 1.0))
+MOMENTS = ("e2", "e3", "e23")
+
+
+class TestMrCheckInputs:
+    """Any e2, e3 and e23, each by flag or config key, through ``mr-check``:
+    the exit code is 0 or 2, a rejection names the first moment outside
+    [-1, 1], and an accepted record is finite, echoes the moments and reads
+    its verdict off its margin: feasible exactly when 4 * margin, the lowest
+    K, does not violate."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(
+        st.fixed_dictionaries({name: moment_value_st for name in MOMENTS}),
+        st.fixed_dictionaries({name: st.booleans() for name in MOMENTS}),
+    )
+    def test_exit_code_and_record(self, fields, by_config):
+        config = {k: v for k, v in fields.items() if by_config[k]}
+        flags = [f"--{k}={v!r}" for k, v in fields.items() if not by_config[k]]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--config", path, "mr-check", *flags])
+        fault = next((k for k in MOMENTS if not (math.isfinite(fields[k]) and abs(fields[k]) <= 1.0)), None)
+        if code == 2:
+            assert out.getvalue() == ""
+            # the whole phrase: e2 is a prefix of e23
+            assert f"{fault} must lie in [-1, 1]" in err.getvalue(), err.getvalue()
+            return
+        assert code == 0 and fault is None, err.getvalue()
+        rec = json.loads(out.getvalue())
+        assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float)), rec
+        assert [struct.pack("<d", rec[k]) for k in MOMENTS] == [struct.pack("<d", r15(fields[k])) for k in MOMENTS]
+        table = lglab.macrorealist_feasible(lglab.CorrelationTriple(**fields))
+        assert (rec["feasible"], rec["margin"]) == (table.feasible, r15(table.margin))
+        assert rec["feasible"] is (not (4.0 * rec["margin"] < -VIOLATION_TOL))
 
 
 class TestConfig:

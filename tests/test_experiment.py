@@ -377,6 +377,38 @@ class TestEmpiricalLG:
             assert abs(val - truth[idx]) < 4 * report.k_stderr[idx]
 
 
+class TestPortCriterion:
+    """The paper's claim from the two single-time runs alone: for the MZ state
+    <M2 M3> = 0, so the lowest K of the three runs is 1 - |m3| - |m2|, that is
+    2 min(p3, p4) - |e2|, read off the interference and path runs.
+
+    The four K are 1 +- e2 +- e3 +- e23, so the three-run lowest K differs from
+    1 - |m3| - |m2| by at most |corr_est|. With fixed seeds over a spread of
+    beta and two phases, the bound stated is 4 standard errors: the two
+    readings agree within 4 * k_stderr, and corr_est lies within
+    4 * corr_stderr of 0.
+    """
+
+    BETAS = (-1.0, -0.9, -1 / math.sqrt(2), -0.5, -0.2, 0.0, 0.3, 0.6, 1 / math.sqrt(2), 0.8, 0.99, 1.0)
+    SHOTS = 20_000
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0])
+    def test_lowest_k_is_the_port_criterion_within_four_sigma(self, phi):
+        for i, beta in enumerate(self.BETAS):
+            cfg = MZConfig(beta=beta, phi=phi)
+            report = empirical_lg(cfg, self.SHOTS, 900 + i)
+            interference = run(RunSpec(cfg=cfg, shots=self.SHOTS, seed=report.run_seeds["interference"],
+                                       kind="interference"))
+            p3, p4 = interference.estimate("psi3"), interference.estimate("psi4")
+            assert report.m3_est == p4 - p3
+            port = 1.0 - abs(report.m3_est) - abs(report.m2_est)
+            assert abs(port - (2.0 * min(p3, p4) - abs(report.m2_est))) <= 4 * 2.0**-53
+            lowest = min(report.report.values().values())
+            assert abs(lowest - port) <= abs(report.corr_est) + 4 * 2.0**-53, beta
+            assert abs(lowest - port) < 4 * report.k_stderr[31], beta
+            assert abs(report.corr_est) < 4 * report.corr_stderr, beta
+
+
 class TestEmpiricalNSIT:
     def test_zero_gap_at_eigenstate(self):
         gap, se = empirical_nsit(MZConfig(beta=0.0), 100_000, 1)

@@ -235,8 +235,9 @@ def test_the_guard_finds_a_read_of_the_violation_tolerance():
     assert readers_of(ast.parse("def h():\n    VIOLATION_TOL = 1e-12\n"), "VIOLATION_TOL") == set()
 
 
-# what each numpy importer needs it for: qcore, the input parse and the state
-# norm's BLAS dot; weakval, the inner products' BLAS dots, whose bits fig2.csv
+# what each numpy importer needs it for: qcore, only ``amps``, ``entries``,
+# the 2x2 parse and a state input that is not two plain numbers (the state
+# norm is its fused dot in plain Python); weakval, the inner products' BLAS dots, whose bits fig2.csv
 # and the pinned weak values hold; experiment, the Philox draws. Each imports
 # it inside those routes, not at load, so mr-check and probabilities run
 # without it (tests/test_package.py::TestStartup); the guard finds an import

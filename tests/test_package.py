@@ -173,10 +173,36 @@ print("ok")
         ids=["weak-values", "simulate"],
     )
     def test_array_commands_load_numpy(self, args):
-        """Where the boundary lies: a state parse, a BLAS dot or a draw loads numpy."""
+        """Where the boundary lies: a BLAS dot or a draw loads numpy."""
         rec = last_json(python("-c", RUN_CLI, *args))
         assert rec["code"] == 0
         assert "numpy" in rec["modules"]
+
+    def test_numbers_parse_without_numpy(self):
+        """States given as plain numbers, and observables of their
+        projectors, are parsed and checked without numpy; a rejected shape
+        loads it to be named."""
+        script = (
+            "import sys, lglab\n"
+            "m2, m3 = lglab.path_observable(), lglab.output_observable()\n"
+            "s = lglab.StateVector((0.6, 0.8j))\n"
+            "lglab.StateVector([3, 4], normalize=True)\n"
+            "lglab.input_state(lglab.MZConfig(beta=0.6, phi=1.0))\n"
+            "lglab.DichotomicObservable(lglab.projector_onto(s), lglab.projector_onto(lglab.StateVector([0.8j, 0.6])))\n"
+            "lglab.quasi(s, m2, m3)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "try:\n"
+            "    lglab.StateVector([[0.6], [0.8]])\n"
+            "except ValueError as exc:\n"
+            "    assert str(exc).endswith('got shape (2, 1)'), exc\n"
+            "else:\n"
+            "    raise AssertionError('a column vector was accepted')\n"
+            "assert 'numpy' in sys.modules\n"
+            "print('ok')\n"
+        )
+        proc = python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
     def test_dispatch_loads_every_layer(self, tmp_path):
         """An in-process ``reproduce-fig2`` leaves all seven layers loaded, as a

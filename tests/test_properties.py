@@ -67,15 +67,18 @@ from lglab.qcore import INPUT_TOL, STRUCT_TOL, VIOLATION_TOL, _close
 from lglab.quasiprob import _as_density
 from lglab.weakval import _mz_weak_value_columns
 
+from conftest import outcome
 from oracles import (
     check_projector_pair,
     density_matrix,
+    fused_sq_norm,
     k3,
     k_from_moments_table,
     mz_kernel_numpy,
     mz_probabilities_complex,
     mz_two_time_lg,
     mz_weak_values_state,
+    normalized_state,
     observable_operator_checked,
     precession_observables,
     projector_checked,
@@ -744,6 +747,65 @@ def test_two_projector_checks_reject_what_the_five_reject(ta, pa, tb, pb, noise_
 amplitude = st.floats(min_value=-1.0, max_value=1.0)
 amplitude_scale = st.one_of(st.sampled_from([1.0, 2.0**-1074, 2.0**-600, 2.0**600, 2.0**1023]),
                             st.integers(min_value=-1074, max_value=1023).map(lambda k: 2.0**k))
+
+
+# a part of a state: any finite float (signed zeros and subnormals included),
+# or one within 2^+-440 to 2^+-520, across the edge of Dekker's exact range
+state_part = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 2.0**e, st.floats(min_value=-2.0, max_value=2.0),
+              st.one_of(st.integers(min_value=440, max_value=520),
+                        st.integers(min_value=-520, max_value=-440))),
+)
+
+
+@st.composite
+def near_unit_parts(draw) -> list[float]:
+    """The parts of a unit vector, each moved by up to 4 ulp."""
+    theta = draw(st.floats(min_value=0.0, max_value=np.pi / 2))
+    phase_x, phase_y = draw(angle), draw(angle)
+    parts = [math.cos(theta) * math.cos(phase_x), math.cos(theta) * math.sin(phase_x),
+             math.sin(theta) * math.cos(phase_y), math.sin(theta) * math.sin(phase_y)]
+    for i, steps in enumerate(draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4))):
+        for _ in range(abs(steps)):
+            parts[i] = math.nextafter(parts[i], math.copysign(math.inf, steps))
+    return parts
+
+
+# two parts (0.135, 0.721) whose dot rounds differently fused, unfused, and
+# fused with its operands swapped; likewise the other two pairs
+FUSION_PROBES = ((0.135, 0.721), (0.486, 0.889), (0.711, 0.932))
+# whether the local BLAS ddot fuses its second product: StateVector's bits are
+# numpy's own only where it does
+BLAS_FUSES = all(float(np.vdot(p, p)) == fused_sq_norm(*p) for p in FUSION_PROBES)
+
+
+def test_the_probes_tell_the_three_dots_apart():
+    for a, b in FUSION_PROBES:
+        fused, unfused, swapped = fused_sq_norm(a, b), a * a + b * b, fused_sq_norm(b, a)
+        assert fused != unfused and fused != swapped
+
+
+@PROPS
+@given(st.one_of(st.lists(state_part, min_size=4, max_size=4), near_unit_parts()),
+       st.sampled_from([list, tuple, np.array]), st.booleans())
+@example([0.135, 0.0, 0.721, 0.0], list, False)
+@example([-0.0, 0.6, 0.0, -0.8], np.array, True)
+@example([2.0**-450, 2.0**-451, 2.0**450, -2.0**449], tuple, True)
+def test_state_has_the_bits_of_the_fused_norm(parts, container, normalize):
+    """``StateVector`` keeps the bits of the numpy expressions divided by the
+    exact fused norm (``normalized_state``), or raises its message, on every
+    finite input; on a BLAS that fuses, that is also ``v / np.linalg.norm(v)``
+    wherever the squared norm needs no rescale."""
+    xr, xi, yr, yi = parts
+    amps = container([complex(xr, xi), complex(yr, yi)])
+    got = outcome(lambda: StateVector(amps, normalize=normalize))
+    assert got == outcome(lambda: normalized_state(amps, normalize))
+    sq = fused_sq_norm(xr, yr) + fused_sq_norm(xi, yi)
+    if BLAS_FUSES and got[0] == "accepted" and sys.float_info.min <= sq < math.inf:
+        v = np.array(amps, dtype=complex)
+        assert got == outcome(lambda: v / np.linalg.norm(v))
 
 
 @st.composite

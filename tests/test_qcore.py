@@ -4,6 +4,8 @@ The Born rule and the projector pair of a Hermitian M with M^2 = I are test
 oracles (``tests/oracles.py``); their tests here check the oracles themselves.
 """
 
+import array
+import collections
 import re
 import warnings
 
@@ -21,8 +23,8 @@ from lglab import (
 from lglab.interferometer import mz_basis
 from lglab.qcore import STRUCT_TOL
 
-from conftest import random_dichotomic, random_state
-from oracles import born_probability, dichotomic_from_hermitian, expectation
+from conftest import outcome, random_dichotomic, random_state
+from oracles import born_probability, dichotomic_from_hermitian, expectation, normalized_state
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -95,6 +97,107 @@ class TestStateVector:
         s = StateVector([1.0, 0.0])
         with pytest.raises(AttributeError):
             s.amps = np.array([0.0, 1.0])
+
+
+class _Float(float):
+    """A float subclass: not a plain number, so numpy reads it, as ever."""
+
+
+class _Array(np.ndarray):
+    """An ndarray subclass: not a plain ndarray, so numpy reads it, as ever."""
+
+
+LONG_THIRD = np.longdouble(1) / 3
+
+
+def _boxed(obj) -> np.ndarray:
+    """A 0-d object array holding ``obj``: its ``tolist()`` is ``obj`` itself."""
+    a = np.empty((), dtype=object)
+    a[()] = obj
+    return a
+
+
+# inputs that are not a list or tuple of two plain numbers, or that are and
+# sit at the edge of what complex() and numpy read alike; each is a factory,
+# so an iterator is fresh for every reading
+ODD_STATES = {
+    "set": lambda: {0.6, 0.8},
+    "dict": lambda: {0: 0.6, 1: 0.8},
+    "str": lambda: "ab",
+    "numeric str": lambda: "0.6",
+    "bytes": lambda: b"ab",
+    "None": lambda: None,
+    "float": lambda: 0.6,
+    "numpy scalar": lambda: np.float64(0.6),
+    "0-d array": lambda: np.array(0.6),
+    "column": lambda: [[0.6], [0.8]],
+    "row": lambda: [[0.6, 0.8]],
+    "2x2": lambda: [[0.6, 0.8], [0.0, 0.0]],
+    "ragged": lambda: [[0.6], 0.8],
+    "three": lambda: [0.6, 0.8, 0.0],
+    "one": lambda: [1.0],
+    "empty": lambda: [],
+    "iterator": lambda: iter([0.6, 0.8]),
+    "generator": lambda: (x for x in (0.6, 0.8)),
+    "range": lambda: range(2),
+    "deque": lambda: collections.deque([0.6, 0.8]),
+    "array.array": lambda: array.array("d", [0.6, 0.8]),
+    "memoryview": lambda: memoryview(array.array("d", [0.6, 0.8])),
+    "ndarray subclass": lambda: np.array([0.6, 0.8]).view(_Array),
+    "ndarray subclass row": lambda: np.array([[0.6, 0.8]]).view(_Array),
+    "long array": lambda: np.arange(6.0),
+    "int array": lambda: np.array([3, 4]),
+    "uint64 array past 2^63": lambda: np.array([2**63 + 2**11 + 1, 2**63 - 2**10], dtype=np.uint64),
+    "bool array": lambda: np.array([True, False]),
+    "float32 array": lambda: np.array([0.6, 0.8], dtype=np.float32),
+    "complex64 array": lambda: np.array([0.6, 0.8j], dtype=np.complex64),
+    "longdouble array": lambda: np.array([LONG_THIRD, 2 * LONG_THIRD]),
+    "clongdouble array": lambda: np.array([LONG_THIRD, 1j * LONG_THIRD], dtype=np.clongdouble),
+    "object array": lambda: np.array([0.6, 0.8j], dtype=object),
+    "object array of big ints": lambda: np.array([2**70 + 1, 2**69], dtype=object),
+    "object array past the double range": lambda: np.array([10**400, 1], dtype=object),
+    "0-d object array of a pair": lambda: _boxed([0.6, 0.8]),
+    "0-d structured array": lambda: np.array((0.6, 0.8), dtype="f8,f8"),
+    "structured array": lambda: np.array([(0.6, 0.0), (0.8, 0.0)], dtype="f8,f8"),
+    "str array": lambda: np.array(["0.6", "0.8"]),
+    "strided view": lambda: np.array([[0.6, 0.0], [0.8, 0.0]])[:, 0],
+    "reversed view": lambda: np.array([0.8, 0.6])[::-1],
+    "bools": lambda: [True, False],
+    "ints": lambda: [3, 4],
+    "ints past 2^53": lambda: [2**53 + 1, 2**70 + 2**17 + 1],
+    "int past the double range": lambda: [10**400, 1],
+    "numpy scalars": lambda: [np.float64(0.6), np.complex128(0.8j)],
+    "float subclass": lambda: [_Float(0.6), 0.8],
+    "None entry": lambda: [0.6, None],
+    "str entries": lambda: ["0.6", "0.8"],
+    "nested entry": lambda: [0.6, [0.8]],
+    "complex tuple": lambda: (0.6, 0.8j),
+    "nan": lambda: [float("nan"), 1.0],
+}
+
+
+class TestParse:
+    """Two plain numbers (in a list, a tuple or a numeric ndarray's
+    ``tolist()``) are read by ``complex()``, and every other input by numpy,
+    as before: each input
+    is accepted with the bits, or rejected with the error type and message,
+    of the numpy parse (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("make", ODD_STATES.values(), ids=ODD_STATES.keys())
+    def test_state_input_is_read_as_numpy_read_it(self, make, normalize):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lambda: StateVector(make(), normalize=normalize))
+        assert got == outcome(lambda: normalized_state(make(), normalize))
+
+    def test_the_table_takes_both_routes_and_both_verdicts(self):
+        verdicts = {name: outcome(lambda: StateVector(make(), normalize=True))[0]
+                    for name, make in ODD_STATES.items()}
+        assert {"accepted", "ValueError", "TypeError", "OverflowError"} == set(verdicts.values())
+        assert verdicts["clongdouble array"] == verdicts["uint64 array past 2^63"] == "accepted"
+        assert verdicts["column"] == verdicts["None"] == "ValueError"
+        assert verdicts["iterator"] == verdicts["set"] == "TypeError"
 
 
 class TestOneStoredForm:
