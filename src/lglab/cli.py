@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -207,7 +206,7 @@ def cmd_nsit(cfg: lglab.MZConfig, merged: dict) -> dict:
         "seed": merged["seed"],
         "gap": gap,
         "gap_stderr": se,
-        "true_gap": cfg.alpha * cfg.beta * math.cos(cfg.phi),
+        "true_gap": lglab.quasiprob.signed_signaling_gap(cfg),
     }
 
 

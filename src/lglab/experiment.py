@@ -17,9 +17,9 @@ pairs therefore give bit-identical counts regardless of host or thread count.
 The fixed inputs of a run are built once: the normalised probability vector
 once per (config, kind), and the child seeds once per master seed, each in a
 small bounded memo (``_MEMO_SIZE`` entries, least recently used out first).
-numpy is imported where those memos miss and where a thread builds its
-generator, never at load and never on a run's steady path, so a command that
-draws nothing loads none of it.
+Child seeds are numpy's ``SeedSequence`` bits in plain Python, its hash
+multipliers tabulated at import. numpy is loaded only for the Philox draw and
+the probability vector, never at load, so a command that draws nothing loads none.
 Standard errors are plain multinomial sqrt(p(1-p)/N); zero-count outcomes get
 the rule-of-three upper bound 3/N instead, noted in the estimate metadata.
 Results store only the counts or moments; estimates, errors, metadata and K
@@ -54,8 +54,9 @@ _SEQ_LABELS = {(m2, m3): f"m2={m2:+d},m3={m3:+d}" for m2, m3 in SEQ_OUTCOMES}
 _MEMO_SIZE = 64
 
 
-# one Philox generator per thread, built on the thread's first run: built at
-# import, it would put numpy's import into every command, not only runs
+# one Philox generator and state dict per thread, built on the thread's first
+# run (at import, numpy would load in every command); each run sets only the
+# dict's key, and a dict shared by threads could take another thread's key
 _THREAD = threading.local()
 
 
@@ -64,25 +65,25 @@ def _keyed(seed: int):
     ``Philox(key=seed)``: counter 0, key (seed, 0), an empty buffer and no
     cached half-word."""
     try:
-        gen = _THREAD.generator
+        gen, bit_generator, state, inner = _THREAD.philox
     except AttributeError:
         import numpy as np
 
-        gen = _THREAD.generator = np.random.Generator(np.random.Philox())
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        gen = np.random.Generator(np.random.Philox())
+        bit_generator, inner = gen.bit_generator, {"counter": (0, 0, 0, 0)}
+        state = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _THREAD.philox = gen, bit_generator, state, inner
+    inner["key"] = (seed, 0)
+    bit_generator.state = state
     return gen
 
 
 def _integer(name: str, value) -> int:
     """``value`` as an int (numpy integers pass, booleans do not); a ValueError
     naming the field otherwise."""
+    if type(value) is int:
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)
@@ -200,17 +201,42 @@ def run(spec: RunSpec) -> SampleEstimate:
     return SampleEstimate(spec, dict(zip(labels, counts.tolist())))
 
 
+_M32 = 0xFFFFFFFF
+# numpy's SeedSequence hash: step k xors in the multiplier init * mult^(k-1)
+# and multiplies by init * mult^k (mod 2^32), for every seed alike
+_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) & _M32 for k in range(17)]
+_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) & _M32 for k in range(7)]
+# the four-word pool: the seed's two words hashed, then these two hashed zeros
+_PAD = [v ^ v >> 16 for v in (_A[2] * _A[3] & _M32, _A[3] * _A[4] & _M32)]
+# then one step per ordered pair (src, dst) of pool words, src != dst, in loop order
+_MIX = [(src, dst, _A[k], _A[k + 1]) for k, (src, dst) in enumerate(
+    ((src, dst) for src in range(4) for dst in range(4) if src != dst), start=4)]
+# generate_state(3, uint64): six 32-bit words cycled from the pool, low word first
+_OUT = [(k % 4, _B[k], _B[k + 1]) for k in range(6)]
+
+
 # typed: a bool is checked (and rejected) even after an equal integer was cached
 @functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _child_seeds(seed: int) -> tuple[int, int, int]:
-    """The three run seeds (interference, path, sequential) derived from one master seed.
+    """The three run seeds (interference, path, sequential) derived from one
+    master seed: numpy's ``SeedSequence(seed).generate_state(3, uint64)``.
 
+    A seed's words are (low, high); numpy pads a one-word seed with a zero word.
     ``generate_state`` is prefix-stable, so a caller that needs two takes the first two.
     """
-    import numpy as np
-
-    states = np.random.SeedSequence(_check_seed(seed)).generate_state(3, np.uint64)
-    return tuple(int(s) for s in states)
+    seed = _check_seed(seed)
+    lo = ((seed & _M32) ^ _A[0]) * _A[1] & _M32
+    hi = ((seed >> 32) ^ _A[1]) * _A[2] & _M32
+    pool = [lo ^ lo >> 16, hi ^ hi >> 16, *_PAD]
+    for src, dst, x, m in _MIX:
+        v = (pool[src] ^ x) * m & _M32
+        v = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
+        pool[dst] = v ^ v >> 16
+    words = []
+    for src, x, m in _OUT:
+        v = (pool[src] ^ x) * m & _M32
+        words.append(v ^ v >> 16)
+    return words[0] | words[1] << 32, words[2] | words[3] << 32, words[4] | words[5] << 32
 
 
 def _moment_stderr(m: float, n: int) -> float:

@@ -13,7 +13,8 @@ no-signaling in time holds structurally; the residuals say how far each lands.
 The correlator sum(mi*mj*q) is the sequential (Lueders) one, and a negative
 4q(m2, m3) is exactly an LG violation. An intervening projective measurement
 does shift the later statistics; :func:`signaling_gap_projective` is that
-shift's closed form |alpha*beta*cos(phi)| and builds no state. A
+shift's closed form |alpha*beta*cos(phi)|, the magnitude of
+:func:`signed_signaling_gap`, and builds no state. A
 :class:`QuasiprobTable` stores the entries and NSIT residuals; its negativity,
 margin and feasibility are read off them.
 ``_q_from_moments`` is the one table formula: ``quasi`` applies it to the
@@ -185,6 +186,12 @@ def mz_quasi(cfg: MZConfig) -> QuasiprobTable:
     return QuasiprobTable(q, (res_m2, res_m3))
 
 
+def signed_signaling_gap(cfg: MZConfig) -> float:
+    """p(psi3) - p_seq(psi3) = alpha*beta*cos(phi), which ``empirical_nsit``
+    estimates; not exported, the package's API is its magnitude (below)."""
+    return cfg.alpha * cfg.beta * math.cos(cfg.phi)
+
+
 def signaling_gap_projective(cfg: MZConfig) -> float:
     """|p_seq(psi3) - p(psi3)| = |alpha*beta*cos(phi)|: the shift in the psi3
     port statistics that an actual intervening projective path measurement
@@ -194,4 +201,4 @@ def signaling_gap_projective(cfg: MZConfig) -> float:
     p(psi3) = 1/2 + alpha*beta*cos(phi) for a normalised input. The two-step
     Lueders route is a test oracle, ``projective_gap`` in ``tests/oracles.py``.
     """
-    return abs(cfg.alpha * cfg.beta * math.cos(cfg.phi))
+    return abs(signed_signaling_gap(cfg))

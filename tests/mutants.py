@@ -17,7 +17,7 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds seventeen hand-made mutants on the current source: two K signs,
+The list holds nineteen hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, the p kernel's zero-phase branch
 taken on the wrong side of its test, four boundaries, a report that reads its
 verdict past a NaN K, interferometer records that drop ``phi``, sweep CSV
@@ -29,7 +29,9 @@ phase see it: the weak value is a ratio of overlaps, so only p(f) moves), and
 an ``MZConfig`` that lets the OverflowError of an alpha past about 1.34e154
 escape, and two faults in a state's squared norm, the fused two-term dot:
 its operands swapped (the first part fused instead of the second) and
-Dekker's low term dropped (b*b rounded before the sum). Three
+Dekker's low term dropped (b*b rounded before the sum), child seeds whose
+output words skip the final xorshift of numpy's ``SeedSequence``, and an
+integer check whose fast path lets a bool through as a shot count. Three
 of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
 to count K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with
@@ -161,6 +163,18 @@ MUTANTS = (
         "src/lglab/qcore.py",
         "return math.fsum((aa, h, l))",
         "return math.fsum((aa, h))",
+    ),
+    Mutant(
+        "_child_seeds: the output words without their xorshift",
+        "src/lglab/experiment.py",
+        "words.append(v ^ v >> 16)",
+        "words.append(v)",
+    ),
+    Mutant(
+        "_integer: the int fast path accepts a bool",
+        "src/lglab/experiment.py",
+        "if type(value) is int:",
+        "if type(value) in (int, bool):",
     ),
     Mutant(
         "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import lglab
 from lglab import SweepRow, sweep_beta
+from lglab.experiment import KINDS
 from lglab.cli import _CSV_LINE, _SWEEP_FIELDS, MAX_GRID, UNDEFINED, _fmt, _row_cells, _write_sweep, main
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import VIOLATION_TOL
@@ -753,6 +755,117 @@ class TestMZInputs:
                 assert rec[f"q(m2={m2:+d},m3={m3:+d})"] == r15(q)
         elif command == "weak-values" and UNDEFINED not in (rec["w3"], rec["w4"]):
             assert (rec["w3_anomalous"] or rec["w4_anomalous"]) == (report.violated_index is not None)
+
+
+# the values shots and seed may take: zero, one, -1, the ends of the 63- and
+# 64-bit ranges and one past each; bools and floats (integral or not) reach
+# the CLI only as config values, since a flag of type int parses none of them
+RUN_INT_EDGES = [0, 1, -1, 2**63 - 1, 2**63, 2**64 - 1, 2**64]
+RUN_CONFIG_ONLY = [True, False, 0.5, 1.5, -2.5, 1000.0, 1e19]
+run_int_st = st.one_of(st.sampled_from(RUN_INT_EDGES + RUN_CONFIG_ONLY), st.integers(1, 10**6),
+                       st.integers(1, 2**63 - 1))
+# LGLAB_SEED, read when no seed is given: unset, in range (int() also takes
+# blanks, underscores and non-ASCII digits), out of range, and not an integer
+ENV_SEEDS = [None, "0", " 42 ", "1_000", "٣", "18446744073709551615", "18446744073709551616",
+             "-1", "", "abc", "1.5", "0x1F"]
+BAD_KINDS = ["", "magic", "Path", "path ", "sequential\n", "INTERFERENCE"]
+
+
+def config_int(value):
+    """The int a config value of an int option becomes, or None where the key is rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        return None
+    return int(value)
+
+
+def run_fault(command, fields, shots, seed, kind, env_seed) -> str | None:
+    """The field that the CLI's first failing check names, in the order it
+    checks: config values, LGLAB_SEED for an omitted seed, the interferometer
+    (alpha where only alpha^2 + beta^2 is off 1), then the run; ``nsit`` derives
+    its child seeds, and so checks the seed, before it builds a run."""
+    for name, value in (("shots", shots), ("seed", seed)):
+        if value is not None and config_int(value) is None:
+            return name
+    if seed is None and env_seed is not None:
+        try:
+            int(env_seed)
+        except ValueError:
+            return "LGLAB_SEED"
+    fault = faulty_field(**fields)
+    if fault is not None:
+        return fault
+    try:
+        lglab.MZConfig(**fields)
+    except ValueError:
+        return "alpha"
+    shots = config_int(shots)
+    seed = config_int(seed) if seed is not None else int(env_seed or 0)
+    checks = [("shots", 1 <= shots < 2**63), ("seed", 0 <= seed < 2**64), ("kind", kind in KINDS)]
+    if command == "nsit":
+        checks = [checks[1], checks[0]]
+    return next((name for name, ok in checks if not ok), None)
+
+
+class TestRunInputs:
+    """Any beta, alpha, phi, shots, seed and kind, each by flag or config key,
+    and any LGLAB_SEED, through ``simulate`` and ``nsit``: the exit code is 0
+    or 2, a rejection names the first field at fault, a ``simulate`` record
+    holds the library's counts and a ``nsit`` record its gap."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(
+        st.sampled_from(["simulate", "nsit"]),
+        st.fixed_dictionaries({
+            # half of the draws on the unit circle, so that most records reach a run
+            "mz": st.one_of(mz_fields(), st.fixed_dictionaries(
+                {"beta": st.floats(-1.0, 1.0), "alpha": st.none(), "phi": st.floats(-7.0, 7.0)})),
+            "shots": run_int_st,
+            "seed": st.one_of(st.none(), run_int_st, st.integers(0, 2**64 - 1)),
+            "kind": st.one_of(st.none(), st.sampled_from(KINDS), st.sampled_from(BAD_KINDS)),
+        }),
+        st.fixed_dictionaries({name: st.booleans() for name in ("beta", "alpha", "phi", "shots", "seed", "kind")}),
+        st.sampled_from(ENV_SEEDS),
+    )
+    def test_exit_code_and_record(self, command, drawn, by_config, env_seed):
+        kind = drawn["kind"] if command == "simulate" else None
+        fields = {**drawn["mz"], "shots": drawn["shots"], "seed": drawn["seed"], "kind": kind}
+        config, flags = {}, []
+        for key, value in fields.items():
+            if value is None:
+                continue
+            if by_config[key] or not (isinstance(value, (int, str)) and not isinstance(value, bool)):
+                config[key] = value
+            else:
+                flags.append(f"--{key}={value if key in ('shots', 'seed', 'kind') else repr(value)}")
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop("LGLAB_SEED", None)
+            if env_seed is not None:
+                os.environ["LGLAB_SEED"] = env_seed
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--config", path, command, *flags])
+        fault = run_fault(command, drawn["mz"], fields["shots"], fields["seed"],
+                          "interference" if kind is None else kind, env_seed)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert fault is not None and fault in err.getvalue(), (fault, err.getvalue())
+            return
+        assert code == 0 and fault is None, err.getvalue()
+        rec = json.loads(out.getvalue())
+        cfg = lglab.MZConfig(**drawn["mz"])
+        shots = config_int(fields["shots"])
+        seed = config_int(fields["seed"]) if fields["seed"] is not None else int(env_seed or 0)
+        assert (rec["shots"], rec["seed"]) == (shots, seed)
+        if command == "simulate":
+            counts = lglab.run(lglab.RunSpec(cfg, shots, seed, "interference" if kind is None else kind)).counts
+            assert {label: rec[f"count[{label}]"] for label in counts} == counts
+            assert sum(counts.values()) == shots
+        else:
+            assert rec["gap"] == r15(lglab.empirical_nsit(cfg, shots, seed)[0])
+            assert abs(rec["true_gap"]) == r15(lglab.signaling_gap_projective(cfg))
 
 
 # the values a moment may take, by flag or config key: both zeros, NaN, both
