@@ -19,10 +19,9 @@ numbers, or a numeric ndarray of two entries through ``tolist()``, is read by
 ``complex()``; numpy is imported only to read any other state input, as
 ``np.asarray(..., dtype=complex)`` always has, and so to name the shape of a
 rejected one, to parse the 2x2 input of ``_flat_2x2``, and by ``amps`` and
-``entries``, which build an array. A state's norm is the fused two-term dot
-that a fusing BLAS ``ddot`` gives, computed exactly in Python
-(``_fused_dot``), so it has the bits numpy gives on such a BLAS and the same
-bits on any platform. Loading the module loads no numpy.
+``entries``, which build an array. A state's norm is ``math.hypot`` of its
+four real parts, a scaled norm within 1 ulp of the exact one that CPython
+computes itself, with no BLAS. Loading the module loads no numpy.
 
 Three tolerances are used throughout:
 
@@ -131,86 +130,23 @@ def _check_hermitian(flat) -> None:
         raise ValueError("operator is not hermitian: M != M^dagger")
 
 
-# the range of a squared norm at full precision: below the smallest normal
-# double it has lost bits, and a NaN or inf amplitude lands outside it too
-_SQ_MIN, _SQ_MAX = sys.float_info.min, math.inf
-
-# Veltkamp's splitter for doubles, 2**27 + 1: b = hi + lo in two 26-bit halves
-_SPLIT = 134217729.0
-# Dekker's product b*b = h + l is exact while |b| is within this range
-_EXACT_MIN, _EXACT_MAX = 2.0**-450, 2.0**450
-
-
-def _fused_dot(a: float, b: float) -> float:
-    """a*a + b*b as a two-term BLAS ``ddot`` that fuses its second product
-    forms it: fma(b, b, fl(a*a)), the exact b*b added to the rounded a*a and
-    rounded once.
-
-    Within ``[_EXACT_MIN, _EXACT_MAX]`` Dekker's product splits b*b exactly
-    into h + l, and ``math.fsum`` rounds fl(a*a) + h + l once, correctly; for
-    any other finite b the same sum is formed exactly as a ``Fraction``. A sum
-    past the largest double is inf; a NaN or inf part gives NaN or inf.
-    """
-    aa = a * a
-    if _EXACT_MIN <= abs(b) <= _EXACT_MAX:
-        h = b * b
-        t = _SPLIT * b
-        hi = t - (t - b)
-        lo = b - hi
-        l = ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
-        try:
-            return math.fsum((aa, h, l))
-        except OverflowError:
-            return math.inf
-    if b == 0.0:
-        return aa
-    if not (math.isfinite(aa) and math.isfinite(b)):
-        return aa + b * b
-    from fractions import Fraction
-
-    try:
-        return float(Fraction(aa) + Fraction(b) ** 2)
-    except OverflowError:
-        return math.inf
-
-
-def _rescaled(parts: tuple) -> tuple:
-    """The real and imaginary parts (xr, xi, yr, yi) of a state whose squared
-    norm lies outside [_SQ_MIN, _SQ_MAX), divided by their largest magnitude
-    as ``re / peak + 1j * (im / peak)`` forms it in numpy (so a -0.0 real part
-    of a nonnegative imaginary one, and a -0.0 imaginary part, turn +0.0),
-    then their squared norm and that scale; non-finite amplitudes are
-    rejected, and a zero vector stays zero."""
-    if not all(map(math.isfinite, parts)):
-        raise ValueError("state amplitudes must be finite")
-    peak = max(map(abs, parts))
-    if peak == 0.0:
-        return parts, 0.0, 1.0
-    # real and imaginary parts apart: complex division by a subnormal peak
-    # would form 1/peak, which overflows
-    xr, xi, yr, yi = (p / peak for p in parts)
-    xr, xi, yr, yi = xr + 0.0 * xi, xi + 0.0, yr + 0.0 * yi, yi + 0.0
-    return (xr, xi, yr, yi), _fused_dot(xr, yr) + _fused_dot(xi, yi), peak
-
-
 class StateVector:
     """Normalized qubit state: a finite, nonzero vector of two amplitudes.
 
     By default inputs whose norm deviates from 1 by more than ``INPUT_TOL``
     are rejected; pass ``normalize=True`` to renormalize instead. Either way
-    the stored amplitudes are divided by their exact norm, so
-    ``sum(|amp|^2) == 1`` holds to ``STRUCT_TOL`` after construction.
+    the stored amplitudes are divided by their norm, so ``sum(|amp|^2) == 1``
+    holds to ``STRUCT_TOL`` after construction.
 
-    The norm is ``sqrt(re.re + im.im)``, the expression ``np.linalg.norm``
-    evaluates for a complex vector, with each two-term dot fused as a fusing
-    BLAS forms it (:func:`_fused_dot`, in plain Python), so it has the bits of
-    ``v / np.linalg.norm(v)`` on such a BLAS and the same bits anywhere; the
-    division is numpy's complex division by the real norm. Finite nonzero
-    amplitudes whose squared norm overflows to inf or falls below the smallest
-    normal double are first divided by their largest real or imaginary
-    component, so that ``normalize=True`` keeps their direction and the
-    rejection reports their true norm; every other input keeps this
-    arithmetic unchanged. Only the normalized amplitudes are kept, as ``_flat``.
+    The norm is ``math.hypot`` of the four real parts, within 1 ulp of the
+    exact norm (CPython documents its error as under 1 ulp) and free of
+    intermediate overflow and underflow; each part is then divided by it.
+    Where that norm is subnormal, zero or not finite, the parts are first
+    scaled by the power of two that takes their largest magnitude into
+    [1, 2), which rounds only parts that fall below the normal range, and
+    the norm is taken again, so that ``normalize=True`` keeps the direction
+    of a tiny vector and a rejection reports the true norm of a huge one.
+    Only the normalized amplitudes are kept, as ``_flat``.
     """
 
     __slots__ = ("_flat",)
@@ -223,11 +159,16 @@ class StateVector:
         else:
             x, y = _numpy_parse(amps, (2,), "state must be a two-amplitude one-dimensional vector")
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-        sq = _fused_dot(xr, yr) + _fused_dot(xi, yi)
-        scale = 1.0
-        if not _SQ_MIN <= sq < _SQ_MAX:
-            (xr, xi, yr, yi), sq, scale = _rescaled((xr, xi, yr, yi))
-        norm = math.sqrt(sq)
+        norm, scale = math.hypot(xr, xi, yr, yi), 1.0
+        if not sys.float_info.min <= norm < math.inf:
+            if not all(map(math.isfinite, (xr, xi, yr, yi))):
+                raise ValueError("state amplitudes must be finite")
+            # by the power of two that takes the largest part into [1, 2),
+            # exact but for parts it takes below the normal range (a zero
+            # vector stays zero, and is refused below)
+            k = math.frexp(max(abs(xr), abs(xi), abs(yr), abs(yi)))[1] - 1
+            xr, xi, yr, yi = (math.ldexp(part, -k) for part in (xr, xi, yr, yi))
+            norm, scale = math.hypot(xr, xi, yr, yi), math.ldexp(1.0, k)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         # the norm of the input, inf if it overflows
@@ -235,11 +176,7 @@ class StateVector:
             raise ValueError(
                 f"state norm {scale * norm!r} deviates from 1 by more than {INPUT_TOL}"
             )
-        # numpy's complex division by (norm + 0j): each part, plus or minus
-        # the other times +0.0, times the reciprocal
-        r = 1.0 / norm
-        object.__setattr__(self, "_flat", (complex((xr + xi * 0.0) * r, (xi - xr * 0.0) * r),
-                                           complex((yr + yi * 0.0) * r, (yi - yr * 0.0) * r)))
+        object.__setattr__(self, "_flat", (complex(xr / norm, xi / norm), complex(yr / norm, yi / norm)))
 
     @classmethod
     def _from_flat(cls, flat: tuple) -> StateVector:

@@ -20,10 +20,13 @@ phi = 0 beta sweep (``lgi.sweep_beta``), so the two agree bit for bit.
 
 The kernel's norm and overlaps are per-row ``np.matmul`` dots, which round
 like ``np.vdot`` (``gemv``, ``einsum`` and one product with both ports as a
-2x2 matrix do not). The sweep reader applies the per-point rule,
-``abs(overlap) ** 2 > OVERLAP_TOL`` on a Python complex: ``** 2`` is libm
-pow, which numpy's array square differs from in the last bit. numpy is
-imported on the first weak value, not at load.
+2x2 matrix do not). That row norm is the package's only BLAS norm
+(``StateVector`` takes ``math.hypot``): ``fig2.csv``'s bytes hold it, so it
+stays until they are re-recorded from an exact closed form. The sweep
+reader applies the per-point rule, ``abs(overlap) ** 2 > OVERLAP_TOL`` on a
+Python complex: ``** 2`` is libm pow, which numpy's array square differs
+from in the last bit. numpy is imported on the first weak value, not at
+load.
 """
 
 from __future__ import annotations

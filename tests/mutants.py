@@ -19,7 +19,7 @@ the tests.
 
 The list holds nineteen hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, the p kernel's zero-phase branch
-taken on the wrong side of its test, four boundaries, a report that reads its
+taken on the wrong side of its test, five boundaries, a report that reads its
 verdict past a NaN K, interferometer records that drop ``phi``, sweep CSV
 lines that print a defined row's weak values to 16 digits, an MZ
 quasiprobability table whose M3 residuals compare each marginal with the
@@ -27,16 +27,18 @@ other port, a weak-value overlap kernel whose squared norm drops the
 imaginary parts (only the bit-for-bit weak-value properties at a nonzero
 phase see it: the weak value is a ratio of overlaps, so only p(f) moves), and
 an ``MZConfig`` that lets the OverflowError of an alpha past about 1.34e154
-escape, and two faults in a state's squared norm, the fused two-term dot:
-its operands swapped (the first part fused instead of the second) and
-Dekker's low term dropped (b*b rounded before the sum), child seeds whose
-output words skip the final xorshift of numpy's ``SeedSequence``, and an
-integer check whose fast path lets a bool through as a shot count. Three
-of the boundaries are the one violation rule, ``qcore._violates``: the
-predicate itself, and the two readers that once spelt the rule out, each made
-to count K = -VIOLATION_TOL as a violation. The fourth, ``weakval._ratio`` with
-``<`` for ``<=`` on ``OVERLAP_TOL``, is an equivalent survivor: no input the
-suite can build gives |overlap|^2 of exactly 1e-15.
+escape, a ``StateVector`` that keeps the subnormal or infinite norm of its
+input after rescaling the parts, child seeds whose output words skip the
+final xorshift of numpy's ``SeedSequence``, and an integer check whose fast
+path lets a bool through as a shot count. Three of the boundaries are the
+one violation rule, ``qcore._violates``: the predicate itself, and the two
+readers that once spelt the rule out, each made to count K = -VIOLATION_TOL
+as a violation. Two more boundaries are equivalent survivors. One is
+``weakval._ratio`` with ``<`` for ``<=`` on ``OVERLAP_TOL``: no input the
+suite can build gives |overlap|^2 of exactly 1e-15. The other is
+``StateVector``'s range check with ``<`` for ``<=`` at the smallest normal
+double: the rescale there is by a power of two, which ``math.hypot``
+scales out exactly, so no bit moves.
 """
 
 from __future__ import annotations
@@ -153,16 +155,10 @@ MUTANTS = (
         "except ZeroDivisionError:",
     ),
     Mutant(
-        "StateVector: the operands of the fused two-term dot swapped",
+        "StateVector: the norm left unscaled after the parts are rescaled",
         "src/lglab/qcore.py",
-        "sq = _fused_dot(xr, yr) + _fused_dot(xi, yi)",
-        "sq = _fused_dot(yr, xr) + _fused_dot(yi, xi)",
-    ),
-    Mutant(
-        "_fused_dot: Dekker's low term l dropped",
-        "src/lglab/qcore.py",
-        "return math.fsum((aa, h, l))",
-        "return math.fsum((aa, h))",
+        "norm, scale = math.hypot(xr, xi, yr, yi), math.ldexp(1.0, k)",
+        "norm, scale = norm, math.ldexp(1.0, k)",
     ),
     Mutant(
         "_child_seeds: the output words without their xorshift",
@@ -175,6 +171,14 @@ MUTANTS = (
         "src/lglab/experiment.py",
         "if type(value) is int:",
         "if type(value) in (int, bool):",
+    ),
+    Mutant(
+        "StateVector: a norm of exactly the smallest normal double is rescaled (<= to <)",
+        "src/lglab/qcore.py",
+        "if not sys.float_info.min <= norm < math.inf:",
+        "if not sys.float_info.min < norm < math.inf:",
+        equivalent="the rescale is by a power of two, which math.hypot scales out exactly,"
+        " so a normal norm and every stored part keep their bits",
     ),
     Mutant(
         "_ratio: |overlap|^2 = OVERLAP_TOL is defined (<= to <)",

@@ -10,7 +10,8 @@ observables with their K3, the matrix K route (:func:`two_time_lg`,
 eigenvalue check of a density matrix (:func:`quasi_matrix`,
 :func:`density_matrix`), the numpy matrix-vector route of the sequential joint
 (:func:`sequential_joint_numpy`), the route of the MZ weak values through
-the pre-selected ``StateVector`` (:func:`mz_weak_values_state`) that
+the pre-selected amplitudes divided by ``np.linalg.norm``
+(:func:`mz_pre_amps`, :func:`mz_weak_values_state`) that
 ``weakval.mz_weak_values`` must match bit for bit, the two-step Lueders route of the
 projective signaling gap (:func:`projective_gap`), the numpy expressions of
 the MZ closed forms (:func:`mz_kernel_numpy`) that
@@ -26,9 +27,10 @@ of a projector and of an observable's M (:func:`projector_checked`,
 written-out ``k_from_moments`` must match bit for bit, and the exact rational
 MZ table at phi = 0 (:func:`exact_mz_q`, with :func:`ulps` to read a float's
 distance from it), which needs only the standard library and so never skips;
-and the fused two-term dot of a state's squared norm as an exact ``Fraction``
-rounded once (:func:`fused_sq_norm`), with the numpy parse and the numpy
-expressions of ``StateVector`` around it (:func:`numpy_parse`,
+the exact comparison of a float with p / sqrt(S) for an exact ``Fraction`` S
+(:func:`root_ratio_within`), against which a state's norm and stored parts
+are read to the ulp; and the numpy parse of a state input followed by
+``StateVector`` of the parsed pair (:func:`numpy_parse`,
 :func:`normalized_state`), which ``StateVector`` must match bit for bit and
 message for message.
 
@@ -66,6 +68,7 @@ from lglab import (
     sequential_correlation,
     sequential_joint,
 )
+from lglab.interferometer import _pre_amps
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL
 from lglab.weakval import OVERLAP_TOL
@@ -279,16 +282,23 @@ def sequential_joint_numpy(
     return joint
 
 
+def mz_pre_amps(cfg: MZConfig) -> tuple[complex, complex]:
+    """The amplitudes of ``input_state(cfg)`` as ``v / np.linalg.norm(v)``
+    forms them, the BLAS norm that the MZ weak-value kernel keeps."""
+    v = np.array(_pre_amps(cfg))
+    return tuple((v / np.linalg.norm(v)).tolist())
+
+
 def mz_weak_values_state(cfg: MZConfig) -> tuple:
     """(w3, w4) as (value, postselect_prob) pairs, None where |overlap|^2 is at
-    most ``OVERLAP_TOL``, through the pre-selected ``StateVector``.
+    most ``OVERLAP_TOL``, through the pre-selected amplitudes of :func:`mz_pre_amps`.
 
-    Oracle of ``mz_weak_values``, which normalises the same amplitudes with no
-    state built: ``input_state(cfg)``'s amplitudes against each port as one
-    (1, 2) @ (2, 1) ``np.matmul``, then d4 / d3 and d3 / d4 with p(f) =
-    |overlap|^2 clipped at 1.
+    Oracle of ``mz_weak_values``, which normalises the same amplitudes by
+    per-row dots: those amplitudes against each port as one (1, 2) @ (2, 1)
+    ``np.matmul``, then d4 / d3 and d3 / d4 with p(f) = |overlap|^2 clipped
+    at 1.
     """
-    pre, basis = input_state(cfg).amps.conj()[None, :], mz_basis()
+    pre, basis = np.array(mz_pre_amps(cfg)).conj()[None, :], mz_basis()
     d3, d4 = (complex(np.matmul(pre, port.amps[:, None])[0, 0]) for port in (basis.psi3, basis.psi4))
     return tuple(
         (numer / overlap, prob) if (prob := min(abs(overlap) ** 2, 1.0)) > OVERLAP_TOL else None
@@ -314,18 +324,30 @@ def ulps(x: float, exact: Fraction) -> float:
     return float(abs(Fraction(x) - exact) / Fraction(math.ulp(low)))
 
 
-def fused_sq_norm(a: float, b: float) -> float:
-    """fma(b, b, fl(a*a)): the two-term dot a*a + b*b as a BLAS ``ddot`` that
-    fuses its second product forms it, from its exact ``Fraction`` value
-    rounded once (inf past the largest double), for finite a and b."""
-    aa = a * a
-    if aa == math.inf:
-        return aa
-    exact = Fraction(aa) + Fraction(b) ** 2
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf
+def root_ratio_within(x: float, p: float, sq: Fraction, n: int) -> bool:
+    """Whether x lies within ``n`` ulp of p / sqrt(sq), for sq > 0, decided
+    exactly by comparing squares. The ulp is that of the double just below
+    |x| (``math.ulp(0.0)`` at zero), never larger than the ulp at the exact
+    value when x is within a few ulp of it. An infinite x stands for every
+    value past 2^1024, the overflow threshold, so it is within n ulp of
+    everything beyond 2^1024 - n ulp(max) of its sign."""
+    p = Fraction(p)
+
+    def sign_from(c: Fraction) -> int:
+        # the sign of p / sqrt(sq) - c: p's sign if c has the other one,
+        # else the sign of p^2 - c^2 sq, turned for a negative p
+        if (p >= 0) != (c >= 0):
+            return 1 if p > c else -1
+        d = p * p - c * c * sq
+        return ((d > 0) - (d < 0)) * (1 if p >= 0 else -1)
+
+    edge = 2**1024 - n * Fraction(math.ulp(sys.float_info.max))
+    if x == math.inf:
+        return sign_from(edge) >= 0
+    if x == -math.inf:
+        return sign_from(-edge) <= 0
+    u = Fraction(math.ulp(math.nextafter(abs(x), 0.0)))
+    return sign_from(Fraction(x) - n * u) >= 0 and sign_from(Fraction(x) + n * u) <= 0
 
 
 def numpy_parse(data, shape: tuple, rule: str) -> tuple:
@@ -338,32 +360,13 @@ def numpy_parse(data, shape: tuple, rule: str) -> tuple:
     return tuple(a.ravel().tolist())
 
 
-def normalized_state(amps, normalize: bool) -> np.ndarray:
-    """The amplitudes ``StateVector(amps, normalize)`` keeps, by the numpy
-    expressions it always evaluated (the parse, the rescale of extreme
-    magnitudes by the largest part and the division by the norm), with each
-    two-term dot of the squared norm from :func:`fused_sq_norm`; raises the
-    ValueError ``StateVector`` raises."""
-    a = np.array(numpy_parse(amps, (2,), "state must be a two-amplitude one-dimensional vector"))
-    if not np.isfinite(a).all():
-        raise ValueError("state amplitudes must be finite")
-
-    def sq_norm(v):
-        (xr, yr), (xi, yi) = v.real.tolist(), v.imag.tolist()
-        return fused_sq_norm(xr, yr) + fused_sq_norm(xi, yi)
-
-    sq, scale = sq_norm(a), 1.0
-    if not sys.float_info.min <= sq < math.inf:
-        peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
-        if peak != 0.0:
-            a = a.real / peak + 1j * (a.imag / peak)
-            sq, scale = sq_norm(a), peak
-    norm = math.sqrt(sq)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    if not normalize and abs(scale * norm - 1.0) > INPUT_TOL:
-        raise ValueError(f"state norm {scale * norm!r} deviates from 1 by more than {INPUT_TOL}")
-    return a / norm
+def normalized_state(amps, normalize: bool) -> StateVector:
+    """``StateVector`` of the pair that the numpy parse reads from ``amps``
+    (:func:`numpy_parse`), with the ValueError naming any other shape: the
+    bits and messages of a state whose input numpy parses, as every input
+    once was."""
+    return StateVector(numpy_parse(amps, (2,), "state must be a two-amplitude one-dimensional vector"),
+                       normalize=normalize)
 
 
 def projective_gap(cfg: MZConfig) -> float:

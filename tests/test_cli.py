@@ -915,6 +915,130 @@ class TestMrCheckInputs:
         assert rec["feasible"] is (not (4.0 * rec["margin"] < -VIOLATION_TOL))
 
 
+# the values a sweep field may take. grid: the bounds and one past each
+# (MAX_GRID + 1 and beyond are rejected before any row is built), or 2 to 50;
+# bools and floats, integral or not, reach it only as config values. min and
+# max: +-1 and one ulp past each, both zeros, NaN, the infinities, the ends of
+# the double range, or anything in [-1, 1]; bools and an integer past the
+# double range only as config values. format: csv, json or a near miss.
+# output: a file in a fresh directory, one in a missing directory, or the
+# directory itself
+GRID_EDGES = [-1, 0, 1, 2, 3, 50, MAX_GRID + 1, 2**64]
+GRID_CONFIG_ONLY = [True, False, 2.0, 2.5, 1e7]
+RANGE_EDGES = [-1.0, 1.0, math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0), 0.0, -0.0, math.nan,
+               math.inf, -math.inf, 5e-324, 1e308, -1.7976931348623157e308]
+RANGE_CONFIG_ONLY = [True, False, 10**400]
+SWEEP_FORMATS = ["csv", "json", "", "CSV", "xml", "json\n"]
+SWEEP_FIELDS = ("grid", "min", "max", "format", "output")
+
+
+@st.composite
+def sweep_fields(draw) -> tuple[str, dict]:
+    """A sweep command and its fields, None for an omitted one: half of the
+    draws from the edges and near misses, half from values each field
+    accepts, with min below max, so that most of those reach a file.
+    reproduce-fig2 always gets a grid, since its default builds 1001 rows."""
+    command = draw(st.sampled_from(["lgi-sweep", "reproduce-fig2"]))
+    if draw(st.booleans()):
+        grid = st.one_of(st.sampled_from(GRID_EDGES + GRID_CONFIG_ONLY), st.integers(2, 50))
+        bounds = st.tuples(*[st.one_of(st.none(), st.sampled_from(RANGE_EDGES + RANGE_CONFIG_ONLY),
+                                       st.floats(-1.0, 1.0))] * 2)
+        fmt = st.one_of(st.none(), st.sampled_from(SWEEP_FORMATS))
+        output = st.sampled_from([None, "out", "missing/out", "."])
+    else:
+        grid = st.one_of(st.integers(2, 50), st.sampled_from([2.0, 50.0]))
+        bounds = st.tuples(st.one_of(st.none(), st.floats(-1.0, 1.0)), st.floats(-1.0, 1.0)).map(
+            lambda b: tuple(sorted(b, key=lambda x: -1.0 if x is None else x)))
+        fmt = st.sampled_from([None, "csv", "json"])
+        output = st.sampled_from([None, "out"] if command == "reproduce-fig2" else ["out"])
+    if command == "lgi-sweep":
+        grid = st.one_of(st.none(), grid)
+    lo, hi = draw(bounds)
+    return command, {"grid": draw(grid), "min": lo, "max": hi, "format": draw(fmt), "output": draw(output)}
+
+
+def config_only(key: str, value) -> bool:
+    """Whether a value can reach the CLI only as a config value: a flag
+    parses no bool, no float for the grid, and no integer past the double
+    range for min or max."""
+    return isinstance(value, bool) or key == "grid" and isinstance(value, float) or value == 10**400
+
+
+def sweep_fault(command: str, fields: dict) -> str | None:
+    """The field that the CLI's first failing check names, in the order it
+    checks: config values (in the order the config file lists them), a
+    required output, the format, the grid, the range, then the write."""
+    for key in SWEEP_FIELDS:
+        value = fields[key]
+        if isinstance(value, bool) or value == 10**400:
+            return key
+        if key == "grid" and isinstance(value, float) and not value.is_integer():
+            return key
+    if command == "lgi-sweep" and fields["output"] is None:
+        return "output"
+    if fields["format"] not in (None, "csv", "json"):
+        return "format"
+    grid = fields["grid"]
+    if grid is None or not 2 <= grid <= MAX_GRID:
+        return "grid"
+    lo = -1.0 if fields["min"] is None else fields["min"]
+    hi = 1.0 if fields["max"] is None else fields["max"]
+    if not -1.0 <= lo < hi <= 1.0:
+        return "min"
+    if fields["output"] in ("missing/out", "."):
+        return "output"
+    return None
+
+
+class TestSweepInputs:
+    """Any grid, min, max, format and output, each by flag or config key,
+    through ``lgi-sweep`` and ``reproduce-fig2``, with at most 50 rows: the
+    exit code is 0 or 2, a rejection names the first field at fault, and an
+    accepted record counts the rows of the file it wrote, and the rows of it
+    whose violated cell is not none."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(sweep_fields(), st.fixed_dictionaries({name: st.booleans() for name in SWEEP_FIELDS}))
+    def test_exit_code_and_record(self, drawn, by_config):
+        command, fields = drawn
+        config, flags = {}, []
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            # relative outputs, reproduce-fig2's default fig2.csv among them,
+            # land in the fresh directory
+            os.chdir(tmp)
+            try:
+                for key in SWEEP_FIELDS:
+                    value = fields[key]
+                    if value is None:
+                        continue
+                    if by_config[key] or config_only(key, value):
+                        config[key] = value
+                    else:
+                        flags.append(f"--{key}={value!r}" if key in ("min", "max") else f"--{key}={value}")
+                with open("cfg.json", "w") as fh:
+                    json.dump(config, fh)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["--config", "cfg.json", command, *flags])
+                fault = sweep_fault(command, fields)
+                if code == 2:
+                    assert out.getvalue() == ""
+                    assert fault is not None and fault in err.getvalue(), (fault, err.getvalue())
+                    return
+                assert code == 0 and fault is None, err.getvalue()
+                rec = json.loads(out.getvalue())
+                fmt = fields["format"] or "csv"
+                output = fields["output"] or "fig2.csv"
+                assert (rec["format"], rec["output"]) == (fmt, output)
+                with open(output, newline="") as fh:
+                    rows = list(csv.DictReader(fh)) if fmt == "csv" else json.load(fh)
+            finally:
+                os.chdir(cwd)
+        assert rec["rows"] == int(fields["grid"]) == len(rows)
+        assert rec["violated_rows"] == sum(row["violated"] != "none" for row in rows)
+
+
 class TestConfig:
     def test_flags_beat_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -237,8 +237,9 @@ def test_the_guard_finds_a_read_of_the_violation_tolerance():
 
 # what each numpy importer needs it for: qcore, only ``amps``, ``entries``,
 # the 2x2 parse and a state input that is not two plain numbers (the state
-# norm is its fused dot in plain Python); weakval, the inner products' BLAS dots, whose bits fig2.csv
-# and the pinned weak values hold; experiment, the Philox draws. Each imports
+# norm is ``math.hypot``); weakval, the inner products' BLAS dots, the row norm
+# among them, whose bits fig2.csv and the pinned weak values hold;
+# experiment, the Philox draws. Each imports
 # it inside those routes, not at load, so mr-check and probabilities run
 # without it (tests/test_package.py::TestStartup); the guard finds an import
 # at any depth, so this set still names every module that can load numpy

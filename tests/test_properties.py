@@ -26,6 +26,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,19 +72,19 @@ from conftest import outcome
 from oracles import (
     check_projector_pair,
     density_matrix,
-    fused_sq_norm,
     k3,
     k_from_moments_table,
     mz_kernel_numpy,
+    mz_pre_amps,
     mz_probabilities_complex,
     mz_two_time_lg,
     mz_weak_values_state,
-    normalized_state,
     observable_operator_checked,
     precession_observables,
     projector_checked,
     propagate_unitary,
     quasi_matrix,
+    root_ratio_within,
     two_time_lg,
 )
 
@@ -346,8 +347,9 @@ DARK = 2**-0.5
 @example(MZConfig(beta=DARK, alpha=-DARK))
 def test_mz_weak_values_are_the_generic_weak_values_bit_for_bit(cfg):
     """The two port overlaps give the generic route's bits, down to the sign
-    of a zero, which ``==`` would not see."""
-    m2, pre, basis = path_observable().operator(), input_state(cfg), mz_basis()
+    of a zero, which ``==`` would not see, on the pre-selected state that
+    the kernel's BLAS norm forms (``mz_pre_amps``)."""
+    m2, pre, basis = path_observable().operator(), StateVector._from_flat(mz_pre_amps(cfg)), mz_basis()
     for fast, post in zip(mz_weak_values(cfg, allow_undefined=True), (basis.psi3, basis.psi4)):
         try:
             generic = weak_value(m2, pre, post)
@@ -750,7 +752,8 @@ amplitude_scale = st.one_of(st.sampled_from([1.0, 2.0**-1074, 2.0**-600, 2.0**60
 
 
 # a part of a state: any finite float (signed zeros and subnormals included),
-# or one within 2^+-440 to 2^+-520, across the edge of Dekker's exact range
+# or one within 2^+-440 to 2^+-520, across the edges where its square
+# overflows or leaves the normal range
 state_part = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -773,18 +776,22 @@ def near_unit_parts(draw) -> list[float]:
     return parts
 
 
-# two parts (0.135, 0.721) whose dot rounds differently fused, unfused, and
-# fused with its operands swapped; likewise the other two pairs
-FUSION_PROBES = ((0.135, 0.721), (0.486, 0.889), (0.711, 0.932))
-# whether the local BLAS ddot fuses its second product: StateVector's bits are
-# numpy's own only where it does
-BLAS_FUSES = all(float(np.vdot(p, p)) == fused_sq_norm(*p) for p in FUSION_PROBES)
+MIN, MAX = sys.float_info.min, sys.float_info.max
+# 0.6 and 0.8 of the smallest normal double, on the subnormal grid: their
+# norm rounds to MIN itself, and one step down it is subnormal
+AT_MIN = [MIN * 0.6, 0.0, 0.0, MIN * 0.8]
+BELOW_MIN = [math.nextafter(MIN * 0.6, 0.0), 0.0, 0.0, math.nextafter(MIN * 0.8, 0.0)]
 
 
-def test_the_probes_tell_the_three_dots_apart():
-    for a, b in FUSION_PROBES:
-        fused, unfused, swapped = fused_sq_norm(a, b), a * a + b * b, fused_sq_norm(b, a)
-        assert fused != unfused and fused != swapped
+def refused_by_norm(sq: Fraction) -> bool | None:
+    """Whether a state of exact squared norm ``sq`` is off 1 by more than
+    ``INPUT_TOL``, or None where its norm is within 4 ulp of that bound."""
+    tol, near = Fraction(INPUT_TOL), 4 * Fraction(math.ulp(1.0))
+    if not (1 - tol - near) ** 2 <= sq <= (1 + tol + near) ** 2:
+        return True
+    if (1 - tol + near) ** 2 <= sq <= (1 + tol - near) ** 2:
+        return False
+    return None
 
 
 @PROPS
@@ -793,19 +800,43 @@ def test_the_probes_tell_the_three_dots_apart():
 @example([0.135, 0.0, 0.721, 0.0], list, False)
 @example([-0.0, 0.6, 0.0, -0.8], np.array, True)
 @example([2.0**-450, 2.0**-451, 2.0**450, -2.0**449], tuple, True)
-def test_state_has_the_bits_of_the_fused_norm(parts, container, normalize):
-    """``StateVector`` keeps the bits of the numpy expressions divided by the
-    exact fused norm (``normalized_state``), or raises its message, on every
-    finite input; on a BLAS that fuses, that is also ``v / np.linalg.norm(v)``
-    wherever the squared norm needs no rescale."""
+@example([3.0, 0.0, 4.0, 0.0], list, True)
+@example(AT_MIN, list, False)
+@example(AT_MIN, tuple, True)
+@example(BELOW_MIN, list, False)
+@example(BELOW_MIN, np.array, True)
+@example([MAX, 0.0, 0.0, -0.0], list, False)
+@example([MAX, 0.0, 0.0, -0.0], tuple, True)
+@example([MAX, -MAX, 0.0, 5e-324], list, False)
+@example([MAX, -MAX, 0.0, 5e-324], np.array, True)
+def test_state_is_the_exact_normalisation_to_the_ulp(parts, container, normalize):
+    """``StateVector`` against an exact ``Fraction`` oracle that never skips,
+    on every finite input. With S the exact squared norm of the parts: the
+    norm a rejection reports is within 1 ulp of sqrt(S) (``math.hypot``'s
+    documented bound, checked by squares); each stored part is within 2 ulp
+    of part / sqrt(S), with the sign of the part, zeros included; and the
+    input is refused, with the one message, exactly when sqrt(S) is off 1 by
+    more than ``INPUT_TOL``, but within 4 ulp of that bound."""
     xr, xi, yr, yi = parts
     amps = container([complex(xr, xi), complex(yr, yi)])
     got = outcome(lambda: StateVector(amps, normalize=normalize))
-    assert got == outcome(lambda: normalized_state(amps, normalize))
-    sq = fused_sq_norm(xr, yr) + fused_sq_norm(xi, yi)
-    if BLAS_FUSES and got[0] == "accepted" and sys.float_info.min <= sq < math.inf:
-        v = np.array(amps, dtype=complex)
-        assert got == outcome(lambda: v / np.linalg.norm(v))
+    sq = sum(Fraction(part) ** 2 for part in parts)
+    if sq == 0:
+        assert got == ("ValueError", "cannot normalize the zero vector")
+        return
+    refused = refused_by_norm(sq)
+    if got[0] == "accepted":
+        assert normalize or refused is not True, parts
+        stored = [float.fromhex(h) for pair in got[1] for h in pair]
+        for x, part in zip(stored, parts):
+            assert math.copysign(1.0, x) == math.copysign(1.0, part), parts
+            assert root_ratio_within(x, part, sq, 2), (parts, x)
+    else:
+        norm = float(got[1].split()[2])
+        assert got == ("ValueError", f"state norm {norm!r} deviates from 1 by more than {INPUT_TOL}")
+        assert not normalize and refused is not False, parts
+        # sqrt(S) is 1 / sqrt(1 / S)
+        assert root_ratio_within(norm, 1.0, 1 / sq, 1), (parts, norm)
 
 
 @st.composite

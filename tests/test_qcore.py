@@ -42,6 +42,8 @@ class TestStateVector:
     def test_renormalize_flag(self):
         s = StateVector([1.0, 1.0], normalize=True)
         assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
+        # the norm 5 is exact, so each part is one correctly rounded quotient
+        assert outcome(lambda: StateVector([3, 4], normalize=True)) == outcome(lambda: (0.6, 0.8))
 
     @pytest.mark.parametrize("amps", [1.0, np.eye(2) / SQ2, [[1.0], [0.0]]])
     def test_rejects_input_that_is_not_a_vector(self, amps):
@@ -60,10 +62,10 @@ class TestStateVector:
         "amps, direction",
         [
             ([1e200, 1e200], [1.0, 1.0]),  # squared norm overflows to inf
-            ([1.7e308 + 1.7e308j, -1e308], [1.7 + 1.7j, -1.0]),  # so does |a_0|
+            ([1.7e308 + 1.7e308j, -1e308], [1.7 + 1.7j, -1.0]),  # so does the norm
             ([1e-170, 1e-170], [1.0, 1.0]),  # squared norm underflows to 0
-            ([3e-162, 1e-170j], [3e8, 1j]),  # squared norm is subnormal: precision lost
-            ([5e-324, 0.0], [1.0, 0.0]),  # the peak is subnormal, so 1/peak overflows
+            ([3e-162, 1e-170j], [3e8, 1j]),  # squared norm is subnormal
+            ([5e-324, 0.0], [1.0, 0.0]),  # the norm is subnormal, so it is rescaled
         ],
     )
     def test_normalize_rescales_extreme_magnitudes(self, amps, direction):
@@ -78,7 +80,9 @@ class TestStateVector:
         "amps, norm",
         [
             ([1e200, 0.0], "1e+200"),  # squared norm overflows to inf
-            ([1e-170, 1e-170], "1.4142135623730951e-170"),  # squared norm underflows to 0
+            # squared norm underflows to 0; the exact norm, 1.4142135623730950252...e-170,
+            # rounds to this double
+            ([1e-170, 1e-170], "1.414213562373095e-170"),
         ],
     )
     def test_rejection_reports_the_true_norm_of_extreme_magnitudes(self, amps, norm):
@@ -86,12 +90,6 @@ class TestStateVector:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"state norm {norm} deviates")):
                 StateVector(amps)
-
-    def test_norm_has_the_bits_of_linalg_norm(self, rng):
-        for _ in range(200):
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            v *= 10.0 ** rng.uniform(-100, 100)
-            assert np.array_equal(StateVector(v, normalize=True).amps, v / np.linalg.norm(v))
 
     def test_immutable(self):
         s = StateVector([1.0, 0.0])
