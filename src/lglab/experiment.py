@@ -14,12 +14,14 @@ pair, so each thread keeps one generator and resets it to (seed, counter 0)
 before every draw: that is exactly the stream of a freshly keyed generator,
 without the OS-entropy seeding its construction costs. Identical (spec, seed)
 pairs therefore give bit-identical counts regardless of host or thread count.
-The fixed inputs of a run are built once: the normalised probability vector
-once per (config, kind), and the child seeds once per master seed, each in a
-small bounded memo (``_MEMO_SIZE`` entries, least recently used out first).
-Child seeds are numpy's ``SeedSequence`` bits in plain Python, its hash
-multipliers tabulated at import. numpy is loaded only for the Philox draw and
-the probability vector, never at load, so a command that draws nothing loads none.
+The fixed inputs of a run are built once: one vector set per config (the
+normalised probability vectors of all three kinds, in one pass over the
+``interferometer`` closed forms, so no run builds a ``StateVector``), and the
+child seeds once per master seed, each in a small bounded memo
+(``_MEMO_SIZE`` entries, least recently used out first). Child seeds are
+numpy's ``SeedSequence`` bits in plain Python, its hash multipliers tabulated
+at import. numpy is loaded only for the Philox draw and the probability
+vectors, never at load, so a command that draws nothing loads none.
 Standard errors are plain multinomial sqrt(p(1-p)/N); zero-count outcomes get
 the rule-of-three upper bound 3/N instead, noted in the estimate metadata.
 Results store only the counts or moments; estimates, errors, metadata and K
@@ -34,14 +36,8 @@ import operator
 import threading
 from dataclasses import dataclass
 
-from .interferometer import (
-    MZConfig,
-    detection_probabilities,
-    input_state,
-    output_observable,
-    path_observable,
-)
-from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments, sequential_joint
+from .interferometer import MZConfig, _mz_sequential, detection_probabilities
+from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments
 
 KINDS = ("interference", "path", "sequential")
 
@@ -49,8 +45,9 @@ KINDS = ("interference", "path", "sequential")
 SEQ_OUTCOMES = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 _SEQ_LABELS = {(m2, m3): f"m2={m2:+d},m3={m3:+d}" for m2, m3 in SEQ_OUTCOMES}
 
-# entries per memo: a criterion-9 block reuses one config's three vectors and
-# one master seed's children, so a few dozen cover any interleaving of blocks
+# entries per memo: one config's vector set (all three kinds) or one master
+# seed's children per entry; a criterion-9 block reuses one of each, so a few
+# dozen cover any interleaving of blocks
 _MEMO_SIZE = 64
 
 
@@ -167,36 +164,44 @@ def outcome_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
     if kind == "path":
         return {"psi1": cfg.alpha**2, "psi2": cfg.beta**2}
     if kind == "sequential":
-        joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
-        return {label: joint[m] for m, label in _SEQ_LABELS.items()}
+        return dict(zip(_SEQ_LABELS.values(), _mz_sequential(cfg)))
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _sampling_vector(cfg: MZConfig, kind: str) -> tuple:
-    """The outcome labels and the read-only normalised probability vector
-    (an ndarray) of one run kind.
+def _sampling_vectors(cfg: MZConfig) -> dict[str, tuple]:
+    """Each run kind's outcome labels and read-only normalised probability
+    vector (an ndarray), all three views of one read-only array built in one pass.
 
     Configs that compare equal share an entry: their (beta, alpha, phi) differ
     at most in the sign of a zero, which no probability depends on.
     """
     import numpy as np
 
-    probs = outcome_probabilities(cfg, kind)
-    # normalised against 1e-16 drift in the tail entry, with the bits of
+    # each normalised against 1e-16 drift in the tail entry, with the bits of
     # ``pvec / pvec.sum()``: numpy sums fewer than eight entries left to right
-    # (builtin sum compensates since Python 3.12), and divides as Python does
-    total = 0.0
-    for p in probs.values():
-        total += p
-    pvec = np.array([p / total for p in probs.values()])
-    pvec.setflags(write=False)
-    return tuple(probs), pvec
+    # (builtin sum compensates since Python 3.12), and divides as Python does.
+    # Plain loops: a comprehension is a function call before Python 3.12
+    tables, flat = {}, []
+    for kind in KINDS:
+        probs = tables[kind] = outcome_probabilities(cfg, kind)
+        total = 0.0
+        for p in probs.values():
+            total += p
+        for p in probs.values():
+            flat.append(p / total)
+    pvecs = np.array(flat)
+    pvecs.setflags(write=False)
+    vectors, start = {}, 0
+    for kind, probs in tables.items():
+        vectors[kind] = tuple(probs), pvecs[start:start + len(probs)]
+        start += len(probs)
+    return vectors
 
 
 def run(spec: RunSpec) -> SampleEstimate:
     """Sample one run: the counts, from which the estimates and errors are read."""
-    labels, pvec = _sampling_vector(spec.cfg, spec.kind)
+    labels, pvec = _sampling_vectors(spec.cfg)[spec.kind]
     counts = _keyed(spec.seed).multinomial(spec.shots, pvec)
     return SampleEstimate(spec, dict(zip(labels, counts.tolist())))
 

@@ -12,7 +12,11 @@ closed form and :func:`_mz_k` the two-time K31..K34 of ``lgi``, both in plain
 beta sweep read them, and a caller of one pays nothing for the other. At
 beta*sin(phi) = 0 the p kernel squares the real amplitude without the complex
 modulus, with the same bits: hypot(x, +-0) = |x| (C99 Annex F), and the
-square is libm ``pow`` on both paths.
+square is libm ``pow`` on both paths. The third closed form,
+:func:`_mz_sequential`, is the joint p(m2, m3) of a path measurement then port
+detection, which the Monte Carlo ``sequential`` run draws from: the
+operations of ``lgi.sequential_joint`` on :func:`input_state`, with its bits,
+and no state built.
 ``tests/oracles.py`` keeps the element-by-element unitary product as its
 oracle. The module loads no numpy: the fixed basis is built from its exact
 flat entries and the two observables from that basis in plain Python, so a
@@ -68,6 +72,26 @@ def _mz_k(alpha: float, beta: float, c: float) -> tuple[float, float, float, flo
         2.0 * beta * (beta + alpha * c),
         2.0 * alpha * (alpha + beta * c),
     )
+
+
+def _mz_sequential(cfg: MZConfig) -> tuple[float, float, float, float]:
+    """p(m2, m3) of a path measurement then port detection, in the order
+    (+1, +1), (+1, -1), (-1, +1), (-1, -1), with the bits of
+    ``lgi.sequential_joint(input_state(cfg), path_observable(), output_observable())``.
+
+    These are that route's operations in real arithmetic. n is the norm
+    ``StateVector`` takes (a config's norm is within rounding of 1, so never
+    rescaled), each kept amplitude is multiplied by h, the 00 entry of both
+    output projectors, and each port's squared modulus of the collapsed state
+    is the same, so p is twice it. The terms that route adds are zeros, and
+    no ``x + 0`` moves a bit of a nonzero x.
+    """
+    a, b = _pre_amps(cfg)
+    n = math.hypot(a, 0.0, b.real, b.imag)
+    s = _HH * (a / n)
+    yr, yi = _HH * (b.real / n), _HH * (b.imag / n)
+    plus, minus = 2.0 * (s * s), 2.0 * (yr * yr + yi * yi)
+    return plus, plus, minus, minus
 
 
 @dataclass(frozen=True)
@@ -136,6 +160,9 @@ _BASIS = MZBasis(
 )
 _PATH = DichotomicObservable(projector_onto(_BASIS.psi1), projector_onto(_BASIS.psi2))
 _OUTPUT = DichotomicObservable(projector_onto(_BASIS.psi4), projector_onto(_BASIS.psi3))
+# the 00 entry of both output projectors, 0.5000000000000001, that
+# _mz_sequential multiplies by
+_HH = _H * _H
 
 
 def mz_basis() -> MZBasis:

@@ -112,7 +112,10 @@ def sequential_joint(
 ) -> dict[tuple[int, int], float]:
     """Joint outcome distribution of Mi then Mj under the two-step projective rule.
 
-    p(mi, mj) = || P_{mj} P_{mi} |state> ||^2, in plain 2x2 arithmetic.
+    p(mi, mj) = || P_{mj} P_{mi} |state> ||^2, in plain 2x2 arithmetic. This
+    is the generic route, for any state and observables; the interferometer's
+    sequential run reads ``interferometer._mz_sequential``, which this route
+    on ``input_state`` checks bit for bit in the tests.
     """
     x, y = state._flat
     joint = {}

@@ -17,11 +17,13 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds nineteen hand-made mutants on the current source: two K signs,
-the rule-of-three error, the clip of p at 1, the p kernel's zero-phase branch
-taken on the wrong side of its test, five boundaries, a report that reads its
-verdict past a NaN K, interferometer records that drop ``phi``, sweep CSV
-lines that print a defined row's weak values to 16 digits, an MZ
+The list holds twenty hand-made mutants on the current source: two K signs,
+the rule-of-three error, the clip of p at 1, a sequential closed form whose
+p(-1, .) drops the imaginary part of the amplitude (only a nonzero phase makes
+that part nonzero), the p kernel's zero-phase branch taken on the wrong side
+of its test, five boundaries, a report that reads its verdict past a NaN K,
+interferometer records that drop ``phi``, sweep CSV lines that print a
+defined row's weak values to 16 digits, an MZ
 quasiprobability table whose M3 residuals compare each marginal with the
 other port, a weak-value overlap kernel whose squared norm drops the
 imaginary parts (only the bit-for-bit weak-value properties at a nonzero
@@ -92,6 +94,12 @@ MUTANTS = (
         "src/lglab/interferometer.py",
         "return min(q3 / 2.0, 1.0), min(q4 / 2.0, 1.0)",
         "return q3 / 2.0, min(q4 / 2.0, 1.0)",
+    ),
+    Mutant(
+        "_mz_sequential: p(-1, .) without the square of the imaginary amplitude",
+        "src/lglab/interferometer.py",
+        "2.0 * (yr * yr + yi * yi)",
+        "2.0 * (yr * yr)",
     ),
     Mutant(
         "_mz_probabilities: the zero-phase branch taken where beta*sin(phi) is nonzero",

@@ -20,7 +20,10 @@ bit for bit, the complex modulus of p on every input
 (:func:`mz_probabilities_complex`) that ``_mz_probabilities`` skips where
 beta*sin(phi) is zero, the freshly keyed Philox
 generator per run (:func:`philox_counts`) that ``experiment.run``'s reused,
-rekeyed one must match count for count, and the checked numpy constructions
+rekeyed one must match count for count, drawn from the run probabilities with
+the sequential kind's from the generic state route (:func:`run_probabilities`,
+the route ``interferometer._mz_sequential`` must match bit for bit), and the
+checked numpy constructions
 of a projector and of an observable's M (:func:`projector_checked`,
 :func:`observable_operator_checked`) and the sign-table K formula
 (:func:`k_from_moments_table`) that the unchecked flat-entry routes and the
@@ -134,13 +137,25 @@ def mz_probabilities_complex(alpha: float, beta: float, c: float, s: float) -> t
     )
 
 
+def run_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
+    """``outcome_probabilities(cfg, kind)``, but the sequential kind's from the
+    generic state route, ``sequential_joint`` on ``input_state(cfg)``: the
+    route that ``interferometer._mz_sequential`` must match bit for bit."""
+    if kind != "sequential":
+        return outcome_probabilities(cfg, kind)
+    joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
+    return {f"m2={m2:+d},m3={m3:+d}": p for (m2, m3), p in joint.items()}
+
+
 def philox_counts(spec: RunSpec) -> dict[str, int]:
-    """The counts of ``run(spec)`` from a new ``Generator(Philox(key=seed))``.
+    """The counts of ``run(spec)`` from a new ``Generator(Philox(key=seed))``,
+    drawn from :func:`run_probabilities`.
 
     ``experiment.run`` keeps one generator per thread and resets it to
-    (seed, counter 0) instead; its counts must be these, draw for draw.
+    (seed, counter 0) instead, and reads the sequential kind's closed form;
+    its counts must be these, draw for draw.
     """
-    probs = outcome_probabilities(spec.cfg, spec.kind)
+    probs = run_probabilities(spec.cfg, spec.kind)
     pvec = sampling_vector_numpy(probs)
     counts = np.random.Generator(np.random.Philox(key=int(spec.seed))).multinomial(spec.shots, pvec)
     return dict(zip(probs, counts.tolist()))
@@ -148,7 +163,7 @@ def philox_counts(spec: RunSpec) -> dict[str, int]:
 
 def sampling_vector_numpy(probs: dict[str, float]) -> np.ndarray:
     """The run's normalised probability vector as numpy forms it, ``pvec /
-    pvec.sum()``: the expression ``experiment._sampling_vector`` replaced with a
+    pvec.sum()``: the expression ``experiment._sampling_vectors`` replaced with a
     Python sum and division that must give its bits."""
     pvec = np.array(list(probs.values()))
     return pvec / pvec.sum()

@@ -607,8 +607,8 @@ class TestQuasiprobPass:
 
 
 class TestNoStateBuilt:
-    """No interferometer record, sweep or closed-form command builds a
-    StateVector: with its constructor patched to raise, each exits 0 with the
+    """No MZ command builds a StateVector: with its constructor patched to
+    raise (and the Monte Carlo vectors unmemoised), each exits 0 with the
     stdout (and sweep file bytes) it gives unpatched."""
 
     @pytest.mark.parametrize(
@@ -624,11 +624,14 @@ class TestNoStateBuilt:
             ("mr-check", "--e2", "0.5", "--e3", "-0.5", "--e23", "0.25"),
             ("simulate", "--beta", "0.123", "--shots", "1000", "--seed", "3", "--kind", "interference"),
             ("simulate", "--beta", "0.123", "--shots", "1000", "--seed", "3", "--kind", "path"),
+            ("simulate", "--beta", "0.123", "--shots", "1000", "--seed", "3", "--kind", "sequential"),
+            ("nsit", "--beta", "0.123", "--phi", "0.4", "--shots", "1000", "--seed", "3"),
         ],
         ids=" ".join,
     )
     def test_record_is_the_unpatched_one(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
+        lglab.experiment._sampling_vectors.cache_clear()
 
         def record():
             code, out, err = run_cli(capsys, *argv)

@@ -23,9 +23,9 @@ from lglab import (
     run,
 )
 from lglab import experiment
-from lglab.experiment import KINDS, _child_seeds, _sampling_vector
+from lglab.experiment import KINDS, _child_seeds, _sampling_vectors
 
-from oracles import philox_counts, sampling_vector_numpy
+from oracles import philox_counts, run_probabilities, sampling_vector_numpy
 
 SQ3 = np.sqrt(3.0)
 
@@ -254,7 +254,7 @@ def seed_sequence(seed: int, n: int) -> list[int]:
 
 
 class TestMemos:
-    """``run`` reads each (config, kind) vector, and ``empirical_lg`` and
+    """``run`` reads each config's three vectors, and ``empirical_lg`` and
     ``empirical_nsit`` each master seed's child seeds, from a bounded memo; a
     cold and a warm memo give the same counts and seeds."""
 
@@ -262,7 +262,7 @@ class TestMemos:
     @given(run_spec)
     def test_counts_are_those_of_a_fresh_generator_cold_and_warm(self, spec):
         want = philox_counts(spec)
-        _sampling_vector.cache_clear()
+        _sampling_vectors.cache_clear()
         assert run(spec).counts == want
         assert run(spec).counts == want
 
@@ -282,10 +282,10 @@ class TestMemos:
     @pytest.mark.parametrize("kind", KINDS)
     def test_equal_configs_share_the_vector_bits(self, a, b, kind):
         assert a == b and hash(a) == hash(b)
-        _sampling_vector.cache_clear()
-        labels_a, vec_a = _sampling_vector(a, kind)
-        _sampling_vector.cache_clear()
-        labels_b, vec_b = _sampling_vector(b, kind)
+        _sampling_vectors.cache_clear()
+        labels_a, vec_a = _sampling_vectors(a)[kind]
+        _sampling_vectors.cache_clear()
+        labels_b, vec_b = _sampling_vectors(b)[kind]
         assert labels_a == labels_b
         assert vec_a.tobytes() == vec_b.tobytes()
         assert not vec_a.flags.writeable
@@ -294,7 +294,8 @@ class TestMemos:
     def test_vector_is_the_numpy_normalisation_bit_for_bit(self):
         """The Python left-to-right sum and division give ``pvec / pvec.sum()``
         in IEEE bytes, over 2007 beta (the ends, both zeros and the dark ports
-        included) at phi = 0 and at a drawn phase, for every kind."""
+        included) at phi = 0 and at a drawn phase, for every kind, the
+        sequential one against the vector of the generic state route."""
         rng = random.Random(29)
         betas = [-1.0 + k / 1000 for k in range(2001)] + [-0.0, 0.0, 2**-0.5, -(2**-0.5), 1.0,
                                                            math.nextafter(1.0, 0.0)]
@@ -302,12 +303,22 @@ class TestMemos:
         for beta in betas:
             for phi in (0.0, rng.uniform(-7.0, 7.0)):
                 cfg = MZConfig(beta=beta, phi=phi)
+                vectors = _sampling_vectors.__wrapped__(cfg)
                 for kind in KINDS:
-                    _, vec = _sampling_vector.__wrapped__(cfg, kind)
-                    want = sampling_vector_numpy(outcome_probabilities(cfg, kind))
+                    _, vec = vectors[kind]
+                    want = sampling_vector_numpy(run_probabilities(cfg, kind))
                     assert vec.tobytes() == want.tobytes(), (beta, phi, kind)
                     checked += 1
         assert checked == 2007 * 2 * 3
+
+    def test_a_configs_vectors_are_contiguous_views_of_one_read_only_array(self):
+        vectors = _sampling_vectors.__wrapped__(MZConfig(beta=0.3, phi=0.7))
+        assert tuple(vectors) == KINDS
+        base = vectors["interference"][1].base
+        assert base is not None and not base.flags.writeable
+        for _, vec in vectors.values():
+            assert vec.base is base and vec.flags.c_contiguous and not vec.flags.writeable
+        assert b"".join(vec.tobytes() for _, vec in vectors.values()) == base.tobytes()
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(st.integers(min_value=0, max_value=2**64 - 1))

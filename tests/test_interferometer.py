@@ -13,6 +13,7 @@ from lglab import (
     path_observable,
     projector_onto,
 )
+from lglab.interferometer import _HH
 
 from oracles import born_probability, bs_unitary, phase_unitary, propagate_unitary, unitary
 
@@ -86,6 +87,12 @@ class TestFixedObjects:
         got = getattr(mz_basis(), name)._flat
         assert all(type(z) is complex for z in got)
         assert bits(got) == bits(StateVector(amps)._flat)
+
+    def test_sequential_factor_is_the_output_projectors_00_entry(self):
+        obs = output_observable()
+        for proj in (obs.plus_proj, obs.minus_proj):
+            assert proj._flat[0] == complex(_HH, 0.0)
+        assert _HH.hex() == (0.5000000000000001).hex()
 
 
 class TestInputState:

@@ -6,7 +6,8 @@ port vectors of the interferometer weak values over the whole (beta, phi)
 domain, including configurations within rounding of saturation, the one
 violation rule down to K at its tolerance, the scalar MZ kernel against the
 numpy expressions it replaced, its zero-phase branch against the complex
-modulus it skips, the beta sweep against the per-point
+modulus it skips, the sequential closed form against the generic state route
+of the joint, the beta sweep against the per-point
 routes, and the interferometer quasiprobability table against K/4 of the
 closed form, all bit for bit. The qubit core against its matrix oracles: the
 moment-expansion quasiprobability against the projector-product trace on pure
@@ -59,10 +60,11 @@ from lglab import (
     precession_k3,
     projector_onto,
     quasi,
+    sequential_joint,
     sweep_beta,
     weak_value,
 )
-from lglab.interferometer import _mz_k, _mz_probabilities
+from lglab.interferometer import _mz_k, _mz_probabilities, _mz_sequential
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, VIOLATION_TOL, _close
 from lglab.quasiprob import _as_density
@@ -484,6 +486,50 @@ def test_zero_phase_branch_is_the_complex_modulus_bit_for_bit(points, seed):
     )
     for args in [*points, *uniform]:
         assert kernel_outcome(_mz_probabilities, *args) == kernel_outcome(mz_probabilities_complex, *args), args
+
+
+def seq_config(beta: float, phi: float, alpha_sign: float | None) -> MZConfig:
+    """The config at (beta, phi), alpha omitted (None) or +-sqrt(1 - beta^2)."""
+    if alpha_sign is None:
+        return MZConfig(beta=beta, phi=phi)
+    return MZConfig(beta=beta, alpha=alpha_sign * math.sqrt(1.0 - beta * beta), phi=phi)
+
+
+# the sequential closed form's edge table: beta at both zeros, both ends and
+# one ulp inside each, the dark ports, the smallest subnormals and 1e-300; phi
+# at both zeros, +-pi, pi/2, +-1e300, the smallest subnormal and 1e6
+SEQ_EDGE_BETAS = (0.0, -0.0, 1.0, -1.0, DARK, -DARK, math.nextafter(1.0, 0.0),
+                  math.nextafter(-1.0, 0.0), 5e-324, -5e-324, 1e-300)
+SEQ_EDGE_PHIS = (0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e300, -1e300, 5e-324, 1e6)
+
+
+def seq_edges(alpha_sign: float | None) -> list[tuple]:
+    return [(beta, phi, alpha_sign) for beta in SEQ_EDGE_BETAS for phi in SEQ_EDGE_PHIS]
+
+
+@PROPS
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(beta_near_saturation, beta_off_exceptional).filter(lambda b: abs(b) <= 1.0),
+            st.one_of(phi_st, st.floats(allow_nan=False, allow_infinity=False)),
+            st.sampled_from([None, 1.0, -1.0]),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example(seq_edges(None))
+@example(seq_edges(1.0))
+@example(seq_edges(-1.0))
+def test_mz_sequential_is_the_state_route_bit_for_bit(points):
+    """The sequential closed form gives the IEEE bytes of ``sequential_joint``
+    on ``input_state``, at beta near +-1, 0 and the dark ports, at any finite
+    phase, with alpha omitted or explicit of either sign."""
+    for point in points:
+        cfg = seq_config(*point)
+        joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
+        assert bits(_mz_sequential(cfg)) == bits(joint.values()), point
 
 
 _ROW_FIELDS = [f.name for f in dataclasses.fields(SweepRow)]
