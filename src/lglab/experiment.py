@@ -1,27 +1,25 @@
 """Finite-shot Monte Carlo emulation of the interferometer experiments.
 
 Three run kinds are modeled, each a multinomial draw from exact quantum
-probabilities:
+probabilities: ``interference`` detects at the output ports {psi3, psi4};
+``path`` is a projective which-path measurement, outcomes {psi1, psi2};
+``sequential`` is a path measurement then port detection, four joint outcomes
+(m2, m3) from the two-step projective rule.
 
-* ``interference`` -- detect at the output ports {psi3, psi4};
-* ``path`` -- projective which-path measurement, outcomes {psi1, psi2};
-* ``sequential`` -- path measurement followed by port detection, four joint
-  outcomes (m2, m3) from the two-step projective rule.
-
-Randomness comes from numpy's Philox (4x64) counter-based bit generator keyed
-directly by the run seed. Philox's whole stream is fixed by its (key, counter)
-pair, so each thread keeps one generator and resets it to (seed, counter 0)
-before every draw: that is exactly the stream of a freshly keyed generator,
-without the OS-entropy seeding its construction costs. Identical (spec, seed)
-pairs therefore give bit-identical counts regardless of host or thread count.
-The fixed inputs of a run are built once: one vector set per config (the
-normalised probability vectors of all three kinds, in one pass over the
-``interferometer`` closed forms, so no run builds a ``StateVector``), and the
-child seeds once per master seed, each in a small bounded memo
-(``_MEMO_SIZE`` entries, least recently used out first). Child seeds are
-numpy's ``SeedSequence`` bits in plain Python, its hash multipliers tabulated
-at import. numpy is loaded only for the Philox draw and the probability
-vectors, never at load, so a command that draws nothing loads none.
+Randomness comes from numpy's Philox (4x64) counter-based generator keyed
+directly by the run seed. Its stream is fixed by (key, counter), so each thread
+keeps one generator and resets it to (seed, counter 0) before every draw: the
+stream of a freshly keyed generator, without the OS-entropy seeding its
+construction costs, so a (spec, seed) pair gives the same counts on any host
+and thread count. Bounded memos (``_MEMO_SIZE`` entries, least recently used
+out first) hold a run's fixed inputs: per config, the normalised probability
+vectors of all three kinds, from one pass over the ``interferometer`` closed
+forms (no ``StateVector``); per master seed, the child seeds (numpy's
+``SeedSequence`` bits in plain Python, hash multipliers tabulated at import).
+``run`` is the public single-run route; each estimator checks its inputs once,
+through ``run`` on its sequential child, and draws the others from the memo
+through the same draw, ``_counts``. numpy loads only for the draw and the
+vectors, never at import, so a command that draws nothing loads none.
 Standard errors are plain multinomial sqrt(p(1-p)/N); zero-count outcomes get
 the rule-of-three upper bound 3/N instead, noted in the estimate metadata.
 Results store only the counts or moments; estimates, errors, metadata and K
@@ -199,11 +197,15 @@ def _sampling_vectors(cfg: MZConfig) -> dict[str, tuple]:
     return vectors
 
 
+def _counts(pvec, shots: int, seed: int) -> list[int]:
+    """One run's counts, in the label order of ``pvec``, a ``_sampling_vectors`` vector."""
+    return _keyed(seed).multinomial(shots, pvec).tolist()
+
+
 def run(spec: RunSpec) -> SampleEstimate:
     """Sample one run: the counts, from which the estimates and errors are read."""
     labels, pvec = _sampling_vectors(spec.cfg)[spec.kind]
-    counts = _keyed(spec.seed).multinomial(spec.shots, pvec)
-    return SampleEstimate(spec, dict(zip(labels, counts.tolist())))
+    return SampleEstimate(spec, dict(zip(labels, _counts(pvec, spec.shots, spec.seed))))
 
 
 _M32 = 0xFFFFFFFF
@@ -292,17 +294,17 @@ def empirical_lg(cfg: MZConfig, shots: int, seed: int) -> EmpiricalLGReport:
     """Estimate K31..K34 from three independent simulated runs.
 
     <M3> comes from an interference run (psi4 is the +1 outcome), <M2> from a
-    path run, and <M2 M3> from a sequential run; per-K errors are the three
-    moment errors combined in quadrature.
+    path run, and <M2 M3> from a sequential run, the one through ``run`` (so the
+    one input check); per-K errors are the three moment errors in quadrature.
     """
     s_int, s_path, s_seq = _child_seeds(seed)
-    interference = run(RunSpec(cfg=cfg, shots=shots, seed=s_int, kind="interference"))
-    shots = interference.total  # the checked int
-    path = run(RunSpec(cfg=cfg, shots=shots, seed=s_path, kind="path"))
     sequential = run(RunSpec(cfg=cfg, shots=shots, seed=s_seq, kind="sequential"))
-
-    m3 = interference.estimate("psi4") - interference.estimate("psi3")
-    m2 = path.estimate("psi1") - path.estimate("psi2")
+    shots = sequential.total  # the checked int
+    vectors = _sampling_vectors(cfg)
+    n3, n4 = _counts(vectors["interference"][1], shots, s_int)
+    n1, n2 = _counts(vectors["path"][1], shots, s_path)
+    m3 = n4 / shots - n3 / shots
+    m2 = n1 / shots - n2 / shots
     # a left fold, as builtin sum was until Python 3.12 began to compensate:
     # the same bits on every supported version
     corr = 0.0
@@ -317,16 +319,14 @@ def empirical_nsit(cfg: MZConfig, shots: int, seed: int) -> tuple[float, float]:
     The true value is alpha*beta*cos(phi) (the sequential side is exactly 1/2); a
     nonzero gap is the operational-non-invasiveness failure of an actual
     projective intervention. The interference run takes the first child seed
-    and the sequential run the second, the one ``run_seeds`` labels ``path``,
-    so the gap replays from those two entries of the same master seed.
+    and the sequential run, through ``run`` as in ``empirical_lg``, the second,
+    the one ``run_seeds`` labels ``path``: the gap replays from those two.
     """
     s_int, s_seq = _child_seeds(seed)[:2]
-    interference = run(RunSpec(cfg=cfg, shots=shots, seed=s_int, kind="interference"))
-    shots = interference.total  # the checked int
     sequential = run(RunSpec(cfg=cfg, shots=shots, seed=s_seq, kind="sequential"))
-    p3_int = interference.estimate("psi3")
+    shots = sequential.total  # the checked int
+    p3_int = _counts(_sampling_vectors(cfg)["interference"][1], shots, s_int)[0] / shots
     # psi3 is the m3 = -1 outcome
-    p3_seq = (sequential.estimate(_SEQ_LABELS[(+1, -1)])
-              + sequential.estimate(_SEQ_LABELS[(-1, -1)]))
+    p3_seq = sequential.estimate("m2=+1,m3=-1") + sequential.estimate("m2=-1,m3=-1")
     se = math.sqrt(p3_int * (1.0 - p3_int) / shots + p3_seq * (1.0 - p3_seq) / shots)
     return p3_int - p3_seq, se

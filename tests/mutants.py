@@ -17,7 +17,7 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds twenty hand-made mutants on the current source: two K signs,
+The list holds twenty-one hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, a sequential closed form whose
 p(-1, .) drops the imaginary part of the amplitude (only a nonzero phase makes
 that part nonzero), the p kernel's zero-phase branch taken on the wrong side
@@ -31,11 +31,12 @@ phase see it: the weak value is a ratio of overlaps, so only p(f) moves), and
 an ``MZConfig`` that lets the OverflowError of an alpha past about 1.34e154
 escape, a ``StateVector`` that keeps the subnormal or infinite norm of its
 input after rescaling the parts, child seeds whose output words skip the
-final xorshift of numpy's ``SeedSequence``, and an integer check whose fast
-path lets a bool through as a shot count. Three of the boundaries are the
-one violation rule, ``qcore._violates``: the predicate itself, and the two
-readers that once spelt the rule out, each made to count K = -VIOLATION_TOL
-as a violation. Two more boundaries are equivalent survivors. One is
+final xorshift of numpy's ``SeedSequence``, an integer check whose fast
+path lets a bool through as a shot count, and an NSIT estimator that draws its
+interference run, which goes round ``run``, at its sequential run's seed.
+Three of the boundaries are the one violation rule, ``qcore._violates``: the
+predicate itself, and the two readers that once spelt the rule out, each made
+to count K = -VIOLATION_TOL as a violation. Two more boundaries are equivalent survivors. One is
 ``weakval._ratio`` with ``<`` for ``<=`` on ``OVERLAP_TOL``: no input the
 suite can build gives |overlap|^2 of exactly 1e-15. The other is
 ``StateVector``'s range check with ``<`` for ``<=`` at the smallest normal
@@ -179,6 +180,12 @@ MUTANTS = (
         "src/lglab/experiment.py",
         "if type(value) is int:",
         "if type(value) in (int, bool):",
+    ),
+    Mutant(
+        "empirical_nsit: the interference child drawn at the sequential child's seed",
+        "src/lglab/experiment.py",
+        '_counts(_sampling_vectors(cfg)["interference"][1], shots, s_int)',
+        '_counts(_sampling_vectors(cfg)["interference"][1], shots, s_seq)',
     ),
     Mutant(
         "StateVector: a norm of exactly the smallest normal double is rescaled (<= to <)",

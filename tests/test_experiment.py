@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, the reused per-thread generator against a
 fresh one per run, the memoised probability vectors and child seeds (numpy's
-``SeedSequence`` bits), exact zeros, convergence to closed forms."""
+``SeedSequence`` bits), exact zeros, convergence to closed forms, and a canary
+table of numpy's Philox multinomial stream that every seeded pin rests on."""
 
 import dataclasses
 import math
@@ -502,9 +503,38 @@ def same_bits(got, want) -> bool:
     return float(got).hex() == float(want).hex()
 
 
+class TestNumpyStreamCanary:
+    """numpy's Philox stream and ``Generator.multinomial``, pinned apart from the
+    model. numpy draws a multinomial as a chain of binomials, entry j at the
+    ratio p_j / (the p left), by inversion when n * min(ratio, 1 - ratio) <= 30
+    and by BTPE above; a ratio of exactly 0.5 sits on the edge of its
+    ``p <= 0.5`` test. NEP 19 does not promise ``Generator`` streams across
+    numpy feature releases; this table was drawn with numpy 2.4.6."""
+
+    # (Philox key, shots, probability vector) -> counts
+    TABLE = (
+        (0, 20, (0.3, 0.7), [2, 18]),  # inversion, n * p = 6
+        (1, 10**6, (0.3, 0.7), [299552, 700448]),  # BTPE
+        (2**63, 60, (0.5, 0.5), [36, 24]),  # ratio 0.5 at n * p = 30: inversion
+        # ratios 1/4, 1/3 and 1/2: BTPE
+        (2**64 - 1, 10**6, (0.25, 0.25, 0.25, 0.25), [249615, 249975, 249973, 250437]),
+        (12345, 10**6, (0.9, 0.1), [899946, 100054]),  # p > 0.5: BTPE on 1 - p
+        (7, 100, (0.95, 0.05), [92, 8]),  # p > 0.5: inversion on 1 - p
+    )
+
+    @pytest.mark.parametrize("key, shots, pvec, want", TABLE)
+    def test_counts_are_the_committed_table(self, key, shots, pvec, want):
+        got = experiment._keyed(key).multinomial(shots, np.array(pvec)).tolist()
+        assert got == want, (
+            f"numpy {np.__version__} draws {got} where the table has {want}: every seeded "
+            "pin (TestPinnedReadings, the pinned simulate and nsit records of test_cli.py) "
+            "rests on this stream, so those move with it")
+
+
 class TestPinnedReadings:
     """Every reading of a few seeded runs, as recorded before the readings
-    became properties of the stored counts and moments."""
+    became properties of the stored counts and moments. They rest on numpy's
+    stream; ``TestNumpyStreamCanary`` says when that is what moved."""
 
     def test_empirical_lg(self):
         lg = empirical_lg(MZConfig(beta=0.5), 1000, 7)

@@ -15,7 +15,8 @@ states, density matrices and the interferometer, the determinant rule of a
 positive semidefinite density matrix against eigvalsh, and the two projector
 checks against the five they replaced. The unchecked flat-entry projector and
 observable operator, and the written-out K formula, against the checked and
-tabulated constructions they replaced, bit for bit.
+tabulated constructions they replaced, bit for bit. The Monte Carlo
+estimators against their child runs replayed through ``run``, bit for bit.
 
 Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
@@ -41,10 +42,12 @@ from lglab import (
     MZConfig,
     Operator,
     OrthogonalPostSelection,
+    RunSpec,
     StateVector,
     SweepRow,
     detection_probabilities,
     empirical_lg,
+    empirical_nsit,
     feasibility_oracle,
     input_state,
     k_from_moments,
@@ -60,10 +63,12 @@ from lglab import (
     precession_k3,
     projector_onto,
     quasi,
+    run,
     sequential_joint,
     sweep_beta,
     weak_value,
 )
+from lglab.experiment import SEQ_OUTCOMES
 from lglab.interferometer import _mz_k, _mz_probabilities, _mz_sequential
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, VIOLATION_TOL, _close
@@ -173,6 +178,40 @@ def test_two_time_lg_equals_quasi_route(t0, p0, t2, p2, t3, p3):
 def test_empirical_lg_reads_k_from_moments(beta, shots, seed):
     est = empirical_lg(MZConfig(beta=beta), shots, seed)
     assert est.report.values() == k_from_moments(est.m2_est, est.m3_est, est.corr_est)
+
+
+# one shot to 10^6, the smallest counts always in play, and one numpy integer
+replay_shots = st.one_of(st.sampled_from([1, 2, 3, 10**6, np.int64(1000)]),
+                         st.integers(min_value=1, max_value=10**6))
+
+
+@PROPS
+@given(beta_st, phi_st, replay_shots, st.integers(min_value=0, max_value=2**64 - 1))
+def test_estimators_are_their_replayed_runs_bit_for_bit(beta, phi, shots, seed):
+    """``empirical_lg``'s moments and ``empirical_nsit``'s gap and error, rebuilt
+    from public ``run`` calls at the ``run_seeds`` entries of the master seed:
+    each kind at its own seed for the LG moments; for the gap, the interference
+    run and the sequential run at the seed labelled ``path``."""
+    cfg = MZConfig(beta=beta, phi=phi)
+    lg = empirical_lg(cfg, shots, seed)
+    seeds = lg.run_seeds
+
+    def counts(kind, child):
+        return run(RunSpec(cfg, shots, child, kind)).counts
+
+    n = int(shots)
+    inter, path, seq = (counts(kind, seeds[kind]) for kind in ("interference", "path", "sequential"))
+    corr = 0.0
+    for m2, m3 in SEQ_OUTCOMES:
+        corr += m2 * m3 * (seq[f"m2={m2:+d},m3={m3:+d}"] / n)
+    want = (path["psi1"] / n - path["psi2"] / n, inter["psi4"] / n - inter["psi3"] / n, corr)
+    assert bits((lg.m2_est, lg.m3_est, lg.corr_est)) == bits(want)
+
+    seq = counts("sequential", seeds["path"])
+    p3_int = inter["psi3"] / n
+    p3_seq = seq["m2=+1,m3=-1"] / n + seq["m2=-1,m3=-1"] / n
+    se = math.sqrt(p3_int * (1.0 - p3_int) / n + p3_seq * (1.0 - p3_seq) / n)
+    assert bits(empirical_nsit(cfg, shots, seed)) == bits((p3_int - p3_seq, se))
 
 
 def test_fixed_objects_built_once_and_immutable():
