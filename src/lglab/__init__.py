@@ -14,6 +14,9 @@ Loading the layers loads no numpy either: ``qcore``, ``weakval`` and
 ``experiment`` import it inside the routes that use it (parsing array-like
 input, the BLAS dots, the Philox draws), so the closed forms, the moment
 checks and every object built from flat entries run without it.
+Nor do they generate code: the records are ``__slots__`` classes. The one
+dataclass left, ``SampleEstimate``, stays one because the benchmark's tests
+call ``dataclasses.replace`` on it.
 """
 
 import importlib

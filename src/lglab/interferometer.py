@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .qcore import (
     INPUT_TOL,
     DichotomicObservable,
     StateVector,
+    _Record,
     projector_onto,
 )
 
@@ -94,8 +94,7 @@ def _mz_sequential(cfg: MZConfig) -> tuple[float, float, float, float]:
     return plus, plus, minus, minus
 
 
-@dataclass(frozen=True)
-class MZConfig:
+class MZConfig(_Record):
     """Interferometer configuration.
 
     ``alpha`` may be omitted, in which case it is fixed to +sqrt(1 - beta^2).
@@ -104,14 +103,11 @@ class MZConfig:
     three fields are stored as Python floats.
     """
 
-    beta: float
-    alpha: float | None = None
-    phi: float = 0.0
+    __slots__ = ("beta", "alpha", "phi")
 
-    def __post_init__(self):
+    def __init__(self, beta: float, alpha: float | None = None, phi: float = 0.0):
         # math, not numpy: both square roots are correctly rounded, so alpha
         # has the same bits either way
-        beta, alpha, phi = self.beta, self.alpha, self.phi
         if not math.isfinite(beta) or abs(beta) > 1.0:
             raise ValueError(f"beta must lie in [-1, 1], got {beta}")
         explicit = alpha is not None
@@ -136,14 +132,16 @@ class MZConfig:
         object.__setattr__(self, "phi", float(phi))
 
 
-@dataclass(frozen=True, slots=True)
-class MZBasis:
+class MZBasis(_Record):
     """Input-path basis (psi1, psi2) and output-port basis (psi3, psi4)."""
 
-    psi1: StateVector
-    psi2: StateVector
-    psi3: StateVector
-    psi4: StateVector
+    __slots__ = ("psi1", "psi2", "psi3", "psi4")
+
+    def __init__(self, psi1: StateVector, psi2: StateVector, psi3: StateVector, psi4: StateVector):
+        object.__setattr__(self, "psi1", psi1)
+        object.__setattr__(self, "psi2", psi2)
+        object.__setattr__(self, "psi3", psi3)
+        object.__setattr__(self, "psi4", psi4)
 
 
 # the basis and the two measured observables are fixed; they are built once,

@@ -39,10 +39,10 @@ The MZ forms above are computed once, by ``interferometer._mz_k``, for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .interferometer import MZConfig, _default_alpha, _mz_k, _mz_probabilities
-from .qcore import DichotomicObservable, StateVector, _violates
+from .qcore import DichotomicObservable, StateVector, _Record, _violates
 from .weakval import _mz_weak_value_columns
 
 # sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
@@ -83,14 +83,16 @@ def _named_nan(ks) -> tuple:
     return ks
 
 
-@dataclass(frozen=True)
-class TwoTimeLGReport:
+class TwoTimeLGReport(_Record):
     """K31..K34; the violation verdict is read off them."""
 
-    k31: float
-    k32: float
-    k33: float
-    k34: float
+    __slots__ = ("k31", "k32", "k33", "k34")
+
+    def __init__(self, k31: float, k32: float, k33: float, k34: float):
+        object.__setattr__(self, "k31", k31)
+        object.__setattr__(self, "k32", k32)
+        object.__setattr__(self, "k33", k33)
+        object.__setattr__(self, "k34", k34)
 
     def values(self) -> dict[int, float]:
         return {31: self.k31, 32: self.k32, 33: self.k33, 34: self.k34}
@@ -148,20 +150,29 @@ def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:
     return TwoTimeLGReport.from_values(*_mz_k(cfg.alpha, cfg.beta, math.cos(cfg.phi)))
 
 
-# not frozen: the sweep builds a row per point, and a frozen __init__ costs ten times as much
-@dataclass(slots=True)
 class SweepRow:
-    beta: float
-    alpha: float
-    k31: float
-    k32: float
-    k33: float
-    k34: float
-    w3: float | None
-    w4: float | None
-    p3: float
-    p4: float
-    violated_index: int | None
+    """One row of :func:`sweep_beta`. Mutable, as plain slot stores are the
+    cheapest ``__init__`` for a row per point: it borrows ``_Record``'s
+    equality, repr and pickling, not its ``__setattr__``, which would slow
+    every store."""
+
+    __slots__ = ("beta", "alpha", "k31", "k32", "k33", "k34", "w3", "w4", "p3", "p4", "violated_index")
+    _fields = operator.attrgetter(*__slots__)
+    __eq__, __repr__, __reduce__, __hash__ = _Record.__eq__, _Record.__repr__, _Record.__reduce__, None
+
+    def __init__(self, beta: float, alpha: float, k31: float, k32: float, k33: float, k34: float,
+                 w3: float | None, w4: float | None, p3: float, p4: float, violated_index: int | None):
+        self.beta = beta
+        self.alpha = alpha
+        self.k31 = k31
+        self.k32 = k32
+        self.k33 = k33
+        self.k34 = k34
+        self.w3 = w3
+        self.w4 = w4
+        self.p3 = p3
+        self.p4 = p4
+        self.violated_index = violated_index
 
 
 def sweep_beta(grid) -> list[SweepRow]:

@@ -21,8 +21,8 @@ within [-1, 1] with no tolerance or clip), and no route checks it again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .qcore import _Record
 from .quasiprob import QuasiprobTable, _q_from_moments
 
 OUTCOMES = (+1, -1)
@@ -33,19 +33,18 @@ _VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
 _VERTEX_ROWS = tuple((1.0, float(m2), float(m3), float(m2 * m3)) for m2, m3 in _VERTICES)
 
 
-@dataclass(frozen=True)
-class CorrelationTriple:
+class CorrelationTriple(_Record):
     """(<M2>, <M3>, <M2 M3>), each constrained to [-1, 1]."""
 
-    e2: float
-    e3: float
-    e23: float
+    __slots__ = ("e2", "e3", "e23")
 
-    def __post_init__(self):
-        for name in ("e2", "e3", "e23"):
-            value = getattr(self, name)
+    def __init__(self, e2: float, e3: float, e23: float):
+        for name, value in (("e2", e2), ("e3", e3), ("e23", e23)):
             if not math.isfinite(value) or abs(value) > 1.0:
                 raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "e3", e3)
+        object.__setattr__(self, "e23", e23)
 
 
 def macrorealist_feasible(t: CorrelationTriple) -> QuasiprobTable:

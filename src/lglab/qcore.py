@@ -14,6 +14,10 @@ no second check, and a fixed object whose exact entries are known is built by
 construction and pure, so the whole module is safe for concurrent use without
 synchronization.
 
+The objects here are ``_Frozen``, and every layer's records are ``_Record``s:
+``__slots__`` classes with written-out ``__init__``s, so loading the layers
+generates no code (``experiment.SampleEstimate`` is the one dataclass left).
+
 A state is parsed and normalised in plain Python. A list or tuple of two
 numbers, or a numeric ndarray of two entries through ``tolist()``, is read by
 ``complex()``; numpy is imported only to read any other state input, as
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 
 STRUCT_TOL = 1e-12
@@ -47,6 +52,55 @@ VIOLATION_TOL = 1e-12
 def _violates(k: float) -> bool:
     """The one violation rule: the Leggett-Garg K is below -VIOLATION_TOL."""
     return k < -VIOLATION_TOL
+
+
+def _rebuilt(cls, values: tuple):
+    """The ``cls`` object with these slot values, set one by one: ``__init__``
+    does not run again, so a copy or an unpickled object has its original's bits."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class _Frozen:
+    """Immutable after ``__init__``, which sets each slot with ``object.__setattr__``:
+    setting or deleting an attribute raises AttributeError. ``copy`` and
+    ``pickle`` rebuild an object from its slot values through :func:`_rebuilt`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+class _Record(_Frozen):
+    """An immutable value over its ``__slots__``, in place of a frozen dataclass:
+    equality, hash and a repr in the dataclass format all read the fields
+    through one per-class ``operator.attrgetter``, at C speed."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _close(a, b, tol: float = STRUCT_TOL) -> bool:
@@ -130,7 +184,7 @@ def _check_hermitian(flat) -> None:
         raise ValueError("operator is not hermitian: M != M^dagger")
 
 
-class StateVector:
+class StateVector(_Frozen):
     """Normalized qubit state: a finite, nonzero vector of two amplitudes.
 
     By default inputs whose norm deviates from 1 by more than ``INPUT_TOL``
@@ -195,14 +249,11 @@ class StateVector:
         a.setflags(write=False)
         return a
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
-
     def __repr__(self):
         return f"StateVector({list(self._flat)!r})"
 
 
-class Operator:
+class Operator(_Frozen):
     """Hermitian 2x2 matrix: finite and M = M^dagger to ``STRUCT_TOL``.
 
     The conditions are checked once, at construction, on the flat entries
@@ -239,9 +290,6 @@ class Operator:
         m.setflags(write=False)
         return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
-
     def __repr__(self):
         a, b, c, d = self._flat
         return f"Operator({[[a, b], [c, d]]!r})"
@@ -253,7 +301,7 @@ def projector_onto(s: StateVector) -> Operator:
     return Operator._from_flat(_ket_bra(s))
 
 
-class DichotomicObservable:
+class DichotomicObservable(_Frozen):
     """Hermitian observable with spectrum {+1, -1}, stored as a projector pair.
 
     Each projector is an :class:`Operator`, so Hermitian by construction; the
@@ -280,9 +328,6 @@ class DichotomicObservable:
         object.__setattr__(self, "plus_proj", plus_proj)
         object.__setattr__(self, "minus_proj", minus_proj)
         object.__setattr__(self, "_operator", Operator._from_flat(m))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DichotomicObservable is immutable")
 
     def projector(self, outcome: int) -> Operator:
         if outcome == +1:

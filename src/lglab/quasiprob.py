@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .interferometer import MZConfig, _mz_k, _mz_probabilities
 from .lgi import _K_SIGNS, TwoTimeLGReport, k_from_moments
@@ -37,6 +36,7 @@ from .qcore import (
     INPUT_TOL,
     DichotomicObservable,
     StateVector,
+    _Record,
     _adjoint,
     _close,
     _flat_2x2,
@@ -50,13 +50,16 @@ from .qcore import (
 _S31, _S32, _S33, _S34 = (_K_SIGNS[i] for i in (31, 32, 33, 34))
 
 
-@dataclass(frozen=True)
-class QuasiprobTable:
+class QuasiprobTable(_Record):
     """Four q(mi, mj) values and the worst marginal-vs-Born discrepancies of Mi
-    and of Mj (zero for moment-built tables); every diagnostic is read off them."""
+    and of Mj (zero for moment-built tables); every diagnostic is read off them.
+    Unhashable, as its entries are a dict."""
 
-    q: dict[tuple[int, int], float]
-    nsit_residuals: tuple[float, float] = (0.0, 0.0)
+    __slots__ = ("q", "nsit_residuals")
+
+    def __init__(self, q: dict[tuple[int, int], float], nsit_residuals: tuple[float, float] = (0.0, 0.0)):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "nsit_residuals", nsit_residuals)
 
     def entry(self, mi: int, mj: int) -> float:
         return self.q[(mi, mj)]

@@ -32,10 +32,9 @@ load.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .interferometer import MZConfig, _pre_amps, mz_basis
-from .qcore import Operator, StateVector, _violates
+from .qcore import Operator, StateVector, _Record, _violates
 
 # threshold on |<pre|post>|^2 below which the weak value is undefined
 OVERLAP_TOL = 1e-15
@@ -84,12 +83,14 @@ class OrthogonalPostSelection(ValueError):
     """Post-selection probability is zero: the weak value is undefined."""
 
 
-@dataclass(frozen=True)
-class WeakValueResult:
+class WeakValueResult(_Record):
     """A weak value and its post-selection probability; the anomaly flag is read off them."""
 
-    value: complex
-    postselect_prob: float
+    __slots__ = ("value", "postselect_prob")
+
+    def __init__(self, value: complex, postselect_prob: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "postselect_prob", postselect_prob)
 
     @property
     def anomalous_real(self) -> bool:

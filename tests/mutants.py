@@ -17,7 +17,7 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds twenty-one hand-made mutants on the current source: two K signs,
+The list holds twenty-two hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, a sequential closed form whose
 p(-1, .) drops the imaginary part of the amplitude (only a nonzero phase makes
 that part nonzero), the p kernel's zero-phase branch taken on the wrong side
@@ -32,8 +32,10 @@ an ``MZConfig`` that lets the OverflowError of an alpha past about 1.34e154
 escape, a ``StateVector`` that keeps the subnormal or infinite norm of its
 input after rescaling the parts, child seeds whose output words skip the
 final xorshift of numpy's ``SeedSequence``, an integer check whose fast
-path lets a bool through as a shot count, and an NSIT estimator that draws its
-interference run, which goes round ``run``, at its sequential run's seed.
+path lets a bool through as a shot count, an NSIT estimator that draws its
+interference run, which goes round ``run``, at its sequential run's seed, and
+a record equality that compares only the first field, so that two configs
+that differ only in ``phi`` compare equal.
 Three of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
 to count K = -VIOLATION_TOL as a violation. Two more boundaries are equivalent survivors. One is
@@ -186,6 +188,12 @@ MUTANTS = (
         "src/lglab/experiment.py",
         '_counts(_sampling_vectors(cfg)["interference"][1], shots, s_int)',
         '_counts(_sampling_vectors(cfg)["interference"][1], shots, s_seq)',
+    ),
+    Mutant(
+        "_Record.__eq__: only the first field compared",
+        "src/lglab/qcore.py",
+        "return self._fields(self) == other._fields(other)",
+        "return self._fields(self)[0] == other._fields(other)[0]",
     ),
     Mutant(
         "StateVector: a norm of exactly the smallest normal double is rescaled (<= to <)",

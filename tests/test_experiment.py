@@ -25,6 +25,7 @@ from lglab import (
 )
 from lglab import experiment
 from lglab.experiment import KINDS, _child_seeds, _sampling_vectors
+from lglab.qcore import _Record
 
 from oracles import philox_counts, run_probabilities, sampling_vector_numpy
 
@@ -33,7 +34,10 @@ SQ3 = np.sqrt(3.0)
 
 def typed_bits(value):
     """``value`` with each number as its exact type and bits (floats by
-    ``float.hex``, so signed zeros count), through dataclasses, dicts and sequences."""
+    ``float.hex``, so signed zeros count), through records (``_Record`` slots,
+    or the fields of the one dataclass), dicts and sequences."""
+    if isinstance(value, _Record):
+        return type(value), typed_bits({name: getattr(value, name) for name in value.__slots__})
     if dataclasses.is_dataclass(value):
         return type(value), typed_bits({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     if isinstance(value, dict):
@@ -593,7 +597,7 @@ class TestPinnedReadings:
         for k, c in counts.items():
             assert same_bits(est.estimates[k], c / 1000) and same_bits(est.estimate(k), c / 1000)
             assert same_bits(est.stderr[k], stderr[k]), k
-        meta = {"rng": "numpy Philox(4x64)", "seed": 7, "kind": kind}
+        meta = {"rng": "numpy Philox(4x64)", "numpy": np.__version__, "seed": 7, "kind": kind}
         if zero:
             meta.update(zero_count_stderr_rule="rule-of-three upper bound 3/N", zero_count_outcomes=zero)
         assert list(est.metadata.items()) == list(meta.items())

@@ -292,3 +292,45 @@ def test_the_guard_finds_a_numpy_import(source):
 def test_the_guard_passes_a_module_without_numpy():
     source = "import math\nfrom .qcore import _flat_2x2\nimport numpyish\n'import numpy'\nimport_module(name)\n"
     assert not imports_numpy(ast.parse(source))
+
+
+def dataclass_uses(tree: ast.Module) -> tuple[bool, set[str]]:
+    """Whether the module imports ``dataclasses`` (at any depth, as ``import``
+    or ``from ... import``), and the classes it decorates with anything named
+    ``dataclass``, called or not, bare or as an attribute."""
+    imports, decorated = False, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports |= any(alias.name.partition(".")[0] == "dataclasses" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imports |= node.level == 0 and node.module == "dataclasses"
+        elif isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name == "dataclass":
+                    decorated.add(node.name)
+    return imports, decorated
+
+
+def test_only_sample_estimate_is_a_dataclass():
+    """Records are ``qcore._Record`` slots classes, so loading the layers
+    generates no code. ``SampleEstimate`` stays a dataclass because
+    ``bench/test_bench.py`` calls ``dataclasses.replace`` on one."""
+    uses = {path.stem: dataclass_uses(ast.parse(path.read_text())) for path in SOURCES}
+    assert {stem for stem, (imports, _) in uses.items() if imports} == {"experiment"}
+    assert {(stem, cls) for stem, (_, classes) in uses.items() for cls in classes} == {
+        ("experiment", "SampleEstimate")}
+
+
+def test_the_guard_finds_a_dataclass():
+    source = (
+        "import dataclasses\n"
+        "@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "def f():\n    from dataclasses import dataclass\n"
+        "    @dataclass\n    class B:\n        y: int\n    return B\n"
+        "@functools.cache\nclass C:\n    pass\n"
+    )
+    assert dataclass_uses(ast.parse(source)) == (True, {"A", "B"})
+    assert dataclass_uses(ast.parse("from .qcore import dataclass_like\n'import dataclasses'\n")) == (False, set())
+    assert dataclass_uses(ast.parse("from dataclasses import replace\n"))[0]

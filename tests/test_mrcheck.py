@@ -97,7 +97,7 @@ class TestMacrorealistFeasible:
             raise AssertionError("the triple was checked again")
 
         # the one check is CorrelationTriple's, on math.isfinite and the bound 1
-        monkeypatch.setattr(CorrelationTriple, "__post_init__", refused)
+        monkeypatch.setattr(CorrelationTriple, "__init__", refused)
         monkeypatch.setattr(mrcheck, "math", SimpleNamespace(isfinite=refused))
         for t, q in zip(triples, want):
             got = macrorealist_feasible(t).q

@@ -22,7 +22,6 @@ Hypothesis runs derandomized with a bounded example count, so every run of
 the suite checks the same inputs.
 """
 
-import dataclasses
 import math
 import struct
 import subprocess
@@ -571,7 +570,7 @@ def test_mz_sequential_is_the_state_route_bit_for_bit(points):
         assert bits(_mz_sequential(cfg)) == bits(joint.values()), point
 
 
-_ROW_FIELDS = [f.name for f in dataclasses.fields(SweepRow)]
+_ROW_FIELDS = list(SweepRow.__slots__)
 
 
 def per_point_weak_values(cfg: MZConfig) -> tuple:
