@@ -126,10 +126,6 @@ def _row_cells(row, weak_cell) -> tuple:
     )
 
 
-def _row_record(row) -> dict:
-    return dict(zip(_SWEEP_FIELDS, _row_cells(row, float)))
-
-
 def _write_sweep(path: str, fmt: str, rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
@@ -146,7 +142,8 @@ def _write_sweep(path: str, fmt: str, rows) -> None:
                     for r in rows
                 )
             else:
-                json.dump([_rounded(_row_record(r)) for r in rows], fh, indent=1)
+                json.dump([_rounded(dict(zip(_SWEEP_FIELDS, _row_cells(r, float)))) for r in rows],
+                          fh, indent=1)
                 fh.write("\n")
     except OSError as exc:
         raise CliError(f"cannot write output file {path!r}: {exc}") from exc

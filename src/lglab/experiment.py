@@ -12,8 +12,8 @@ keeps one generator and resets it to (seed, counter 0) before every draw: the
 stream of a freshly keyed generator, without the OS-entropy seeding its
 construction costs, so a (spec, seed) pair gives the same counts on any host
 and thread count. Bounded memos (``_MEMO_SIZE`` entries, least recently used
-out first) hold a run's fixed inputs: per config, the normalised probability
-vectors of all three kinds, from one pass over the ``interferometer`` closed
+out first) hold a run's fixed inputs: per config, one read-only probability
+array per kind, normalised, from one pass over the ``interferometer`` closed
 forms (no ``StateVector``); per master seed, the child seeds (numpy's
 ``SeedSequence`` bits in plain Python, hash multipliers tabulated at import).
 ``run`` is the public single-run route; each estimator checks its inputs once,
@@ -174,7 +174,7 @@ def outcome_probabilities(cfg: MZConfig, kind: str) -> dict[str, float]:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _sampling_vectors(cfg: MZConfig) -> dict[str, tuple]:
     """Each run kind's outcome labels and read-only normalised probability
-    vector (an ndarray), all three views of one read-only array built in one pass.
+    vector (an ndarray of its own), all three from one pass.
 
     Configs that compare equal share an entry: their (beta, alpha, phi) differ
     at most in the sign of a zero, which no probability depends on.
@@ -185,20 +185,18 @@ def _sampling_vectors(cfg: MZConfig) -> dict[str, tuple]:
     # ``pvec / pvec.sum()``: numpy sums fewer than eight entries left to right
     # (builtin sum compensates since Python 3.12), and divides as Python does.
     # Plain loops: a comprehension is a function call before Python 3.12
-    tables, flat = {}, []
+    vectors = {}
     for kind in KINDS:
-        probs = tables[kind] = outcome_probabilities(cfg, kind)
+        probs = outcome_probabilities(cfg, kind)
         total = 0.0
         for p in probs.values():
             total += p
+        flat = []
         for p in probs.values():
             flat.append(p / total)
-    pvecs = np.array(flat)
-    pvecs.setflags(write=False)
-    vectors, start = {}, 0
-    for kind, probs in tables.items():
-        vectors[kind] = tuple(probs), pvecs[start:start + len(probs)]
-        start += len(probs)
+        pvec = np.array(flat)
+        pvec.setflags(write=False)
+        vectors[kind] = tuple(probs), pvec
     return vectors
 
 

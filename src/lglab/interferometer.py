@@ -33,6 +33,7 @@ from .qcore import (
     DichotomicObservable,
     StateVector,
     _Record,
+    _from_flat,
     projector_onto,
 )
 
@@ -151,10 +152,10 @@ class MZBasis(_Record):
 # imaginary part is +0.0 (tests/test_interferometer.py checks the bits)
 _H = math.sqrt(0.5)
 _BASIS = MZBasis(
-    StateVector._from_flat((1 + 0j, 0j)),
-    StateVector._from_flat((0j, 1 + 0j)),
-    StateVector._from_flat((complex(_H, 0.0), complex(_H, 0.0))),
-    StateVector._from_flat((complex(_H, 0.0), complex(-_H, 0.0))),
+    _from_flat(StateVector, (1 + 0j, 0j)),
+    _from_flat(StateVector, (0j, 1 + 0j)),
+    _from_flat(StateVector, (complex(_H, 0.0), complex(_H, 0.0))),
+    _from_flat(StateVector, (complex(_H, 0.0), complex(-_H, 0.0))),
 )
 _PATH = DichotomicObservable(projector_onto(_BASIS.psi1), projector_onto(_BASIS.psi2))
 _OUTPUT = DichotomicObservable(projector_onto(_BASIS.psi4), projector_onto(_BASIS.psi3))

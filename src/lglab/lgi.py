@@ -189,6 +189,9 @@ def sweep_beta(grid) -> list[SweepRow]:
     any other grid, or a beta outside [-1, 1] or NaN, is a ValueError.
     """
     try:
+        # a string iterates as characters, each of which float() might read
+        if isinstance(grid, (str, bytes, bytearray)):
+            raise TypeError
         betas = [float(beta) for beta in grid]
     except (TypeError, ValueError):
         raise ValueError("beta grid must be a one-dimensional sequence of numbers") from None

@@ -4,15 +4,15 @@ Every state has two amplitudes and every operator is 2x2 (any other shape is
 a ValueError naming it); their checks are plain Python arithmetic on the flat
 entries, the one form an object stores (``_flat``, a tuple of Python complex
 numbers; ``amps`` and ``entries`` build a read-only ndarray of it on access).
-One helper, ``_flat_2x2``, parses the 2x2 input of an operator or a density
-matrix. Validation runs once, where an object enters: ``StateVector`` and
+``_numpy_parse`` reads the 2x2 input of an operator or a density matrix.
+Validation runs once, where an object enters: ``StateVector`` and
 ``Operator`` check what the caller gives them, and ``DichotomicObservable``
 checks its projector pair and M. A projector |s><s| of a validated state is
 exactly Hermitian, so ``projector_onto`` builds it from its flat entries with
 no second check, and a fixed object whose exact entries are known is built by
-``_from_flat`` with none. Everything is double precision, immutable after
-construction and pure, so the whole module is safe for concurrent use without
-synchronization.
+``_from_flat``, one for both classes, with none. Everything is double
+precision, immutable after construction and pure, so the whole module is
+safe for concurrent use without synchronization.
 
 The objects here are ``_Frozen``, and every layer's records are ``_Record``s:
 ``__slots__`` classes with written-out ``__init__``s, so loading the layers
@@ -22,10 +22,10 @@ A state is parsed and normalised in plain Python. A list or tuple of two
 numbers, or a numeric ndarray of two entries through ``tolist()``, is read by
 ``complex()``; numpy is imported only to read any other state input, as
 ``np.asarray(..., dtype=complex)`` always has, and so to name the shape of a
-rejected one, to parse the 2x2 input of ``_flat_2x2``, and by ``amps`` and
-``entries``, which build an array. A state's norm is ``math.hypot`` of its
-four real parts, a scaled norm within 1 ulp of the exact one that CPython
-computes itself, with no BLAS. Loading the module loads no numpy.
+rejected one, to parse a 2x2 input, and by ``amps`` and ``entries``, which
+build an array. A state's norm is ``math.hypot`` of its four real parts, a
+scaled norm within 1 ulp of the exact one that CPython computes itself, with
+no BLAS. Loading the module loads no numpy.
 
 Three tolerances are used throughout:
 
@@ -169,10 +169,12 @@ def _numpy_parse(data, shape: tuple, rule: str) -> tuple:
     return tuple(a.ravel().tolist())
 
 
-def _flat_2x2(entries, rule: str) -> tuple:
-    """The flat entries (00, 01, 10, 11) of an array-like 2x2 matrix, as Python
-    complex numbers; any other shape is a ValueError, ``rule`` and the shape."""
-    return _numpy_parse(entries, (2, 2), rule)
+def _from_flat(cls, flat: tuple):
+    """The ``cls`` object (a StateVector or an Operator) with these flat entries,
+    which the caller guarantees finite and of unit norm or Hermitian: no check runs."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "_flat", flat)
+    return obj
 
 
 def _check_hermitian(flat) -> None:
@@ -232,14 +234,6 @@ class StateVector(_Frozen):
             )
         object.__setattr__(self, "_flat", (complex(xr / norm, xi / norm), complex(yr / norm, yi / norm)))
 
-    @classmethod
-    def _from_flat(cls, flat: tuple) -> StateVector:
-        """The StateVector with these two amplitudes, Python complex numbers
-        that the caller guarantees finite and of unit norm: no check runs."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "_flat", flat)
-        return s
-
     @property
     def amps(self):
         """The two amplitudes, as a new read-only ndarray built from ``_flat``."""
@@ -261,7 +255,7 @@ class Operator(_Frozen):
     them again. Those entries are all it keeps, as a tuple of Python complex
     numbers, ``_flat``; nothing of the caller's array is kept. Operators that
     this module derives from objects it has already validated are built by
-    :meth:`_from_flat`, straight from their flat entries: a projector needs no
+    :func:`_from_flat`, straight from their flat entries: a projector needs no
     check, and an observable's M is checked by :class:`DichotomicObservable`
     on those entries.
     """
@@ -269,17 +263,9 @@ class Operator(_Frozen):
     __slots__ = ("_flat",)
 
     def __init__(self, entries):
-        flat = _flat_2x2(entries, "operator must be a 2x2 matrix")
+        flat = _numpy_parse(entries, (2, 2), "operator must be a 2x2 matrix")
         _check_hermitian(flat)
         object.__setattr__(self, "_flat", flat)
-
-    @classmethod
-    def _from_flat(cls, flat: tuple) -> Operator:
-        """The Operator with these flat entries, which the caller guarantees
-        finite and Hermitian: no check runs."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "_flat", flat)
-        return op
 
     @property
     def entries(self):
@@ -298,7 +284,7 @@ class Operator(_Frozen):
 def projector_onto(s: StateVector) -> Operator:
     """Rank-1 projector |s><s|, from :func:`_ket_bra`: finite and exactly
     Hermitian by construction, so it is not checked again."""
-    return Operator._from_flat(_ket_bra(s))
+    return _from_flat(Operator, _ket_bra(s))
 
 
 class DichotomicObservable(_Frozen):
@@ -327,7 +313,7 @@ class DichotomicObservable(_Frozen):
         _check_hermitian(m)
         object.__setattr__(self, "plus_proj", plus_proj)
         object.__setattr__(self, "minus_proj", minus_proj)
-        object.__setattr__(self, "_operator", Operator._from_flat(m))
+        object.__setattr__(self, "_operator", _from_flat(Operator, m))
 
     def projector(self, outcome: int) -> Operator:
         if outcome == +1:

@@ -39,9 +39,9 @@ from .qcore import (
     _Record,
     _adjoint,
     _close,
-    _flat_2x2,
     _ket_bra,
     _matmul,
+    _numpy_parse,
     _violates,
 )
 
@@ -108,7 +108,7 @@ def _as_density(state) -> tuple:
     """
     if isinstance(state, StateVector):
         return _ket_bra(state)
-    flat = _flat_2x2(state, "density matrix must be 2x2")
+    flat = _numpy_parse(state, (2, 2), "density matrix must be 2x2")
     if not all(map(cmath.isfinite, flat)):
         raise ValueError("density matrix entries must be finite")
     if not _close(flat, _adjoint(flat), INPUT_TOL):

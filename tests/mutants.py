@@ -17,11 +17,11 @@ exactly once (the list no longer matches the source). A surviving mutant costs
 one full suite run, about a minute, so this runs as its own CI step, not with
 the tests.
 
-The list holds twenty-two hand-made mutants on the current source: two K signs,
+The list holds twenty-three hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, a sequential closed form whose
 p(-1, .) drops the imaginary part of the amplitude (only a nonzero phase makes
 that part nonzero), the p kernel's zero-phase branch taken on the wrong side
-of its test, five boundaries, a report that reads its verdict past a NaN K,
+of its test, six boundaries, a report that reads its verdict past a NaN K,
 interferometer records that drop ``phi``, sweep CSV lines that print a
 defined row's weak values to 16 digits, an MZ
 quasiprobability table whose M3 residuals compare each marginal with the
@@ -38,12 +38,17 @@ a record equality that compares only the first field, so that two configs
 that differ only in ``phi`` compare equal.
 Three of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
-to count K = -VIOLATION_TOL as a violation. Two more boundaries are equivalent survivors. One is
+to count K = -VIOLATION_TOL as a violation. Three more boundaries are equivalent survivors. One is
 ``weakval._ratio`` with ``<`` for ``<=`` on ``OVERLAP_TOL``: no input the
-suite can build gives |overlap|^2 of exactly 1e-15. The other is
+suite can build gives |overlap|^2 of exactly 1e-15. Another is
 ``StateVector``'s range check with ``<`` for ``<=`` at the smallest normal
 double: the rescale there is by a power of two, which ``math.hypot``
-scales out exactly, so no bit moves.
+scales out exactly, so no bit moves. The third is
+``QuasiprobTable.negativity`` with ``<=`` for ``<``: a zero entry, of
+either sign, adds a zero that leaves the sum's bytes as they were (all
+38416 four-entry tables over +-0, +-subnormal, +-smallest normal, +-0.1,
++-1, +-largest double and +-inf agree), and ``_checked`` names a NaN before
+the sum.
 """
 
 from __future__ import annotations
@@ -209,6 +214,14 @@ MUTANTS = (
         "if prob <= OVERLAP_TOL:",
         "if prob < OVERLAP_TOL:",
         equivalent="no input gives |overlap|^2 of exactly 1e-15",
+    ),
+    Mutant(
+        "QuasiprobTable.negativity: a zero entry counts as negative (< to <=)",
+        "src/lglab/quasiprob.py",
+        "return float(sum(-v for v in self._checked() if v < 0.0))",
+        "return float(sum(-v for v in self._checked() if v <= 0.0))",
+        equivalent="a +-0.0 term leaves the sum's bytes unchanged, and _checked names"
+        " a NaN before the sum",
     ),
 )
 

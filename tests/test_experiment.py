@@ -316,14 +316,15 @@ class TestMemos:
                     checked += 1
         assert checked == 2007 * 2 * 3
 
-    def test_a_configs_vectors_are_contiguous_views_of_one_read_only_array(self):
-        vectors = _sampling_vectors.__wrapped__(MZConfig(beta=0.3, phi=0.7))
+    def test_a_configs_vectors_are_one_read_only_contiguous_array_per_kind(self):
+        cfg = MZConfig(beta=0.3, phi=0.7)
+        vectors = _sampling_vectors.__wrapped__(cfg)
         assert tuple(vectors) == KINDS
-        base = vectors["interference"][1].base
-        assert base is not None and not base.flags.writeable
-        for _, vec in vectors.values():
-            assert vec.base is base and vec.flags.c_contiguous and not vec.flags.writeable
-        assert b"".join(vec.tobytes() for _, vec in vectors.values()) == base.tobytes()
+        for kind, (labels, vec) in vectors.items():
+            assert vec.base is None and vec.flags.c_contiguous and not vec.flags.writeable
+            probs = outcome_probabilities(cfg, kind)
+            assert labels == tuple(probs)
+            assert vec.tobytes() == sampling_vector_numpy(probs).tobytes()
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(st.integers(min_value=0, max_value=2**64 - 1))

@@ -286,7 +286,9 @@ class TestSweep:
             sweep_beta([1.5])
 
     @pytest.mark.parametrize(
-        "grid", [np.zeros((2, 2)), [[0.1, 0.2]], 0.5], ids=["2d-ndarray", "nested-list", "bare-float"]
+        "grid",
+        [np.zeros((2, 2)), [[0.1, 0.2]], 0.5, "01", b"1", bytearray(b"1")],
+        ids=["2d-ndarray", "nested-list", "bare-float", "str", "bytes", "bytearray"],
     )
     def test_rejects_a_grid_that_is_not_a_sequence_of_numbers(self, grid):
         with pytest.raises(ValueError, match="beta grid"):

@@ -70,7 +70,7 @@ from lglab import (
 from lglab.experiment import SEQ_OUTCOMES
 from lglab.interferometer import _mz_k, _mz_probabilities, _mz_sequential
 from lglab.lgi import _K_SIGNS
-from lglab.qcore import INPUT_TOL, STRUCT_TOL, VIOLATION_TOL, _close
+from lglab.qcore import INPUT_TOL, STRUCT_TOL, VIOLATION_TOL, _close, _from_flat
 from lglab.quasiprob import _as_density
 from lglab.weakval import _mz_weak_value_columns
 
@@ -389,7 +389,7 @@ def test_mz_weak_values_are_the_generic_weak_values_bit_for_bit(cfg):
     """The two port overlaps give the generic route's bits, down to the sign
     of a zero, which ``==`` would not see, on the pre-selected state that
     the kernel's BLAS norm forms (``mz_pre_amps``)."""
-    m2, pre, basis = path_observable().operator(), StateVector._from_flat(mz_pre_amps(cfg)), mz_basis()
+    m2, pre, basis = path_observable().operator(), _from_flat(StateVector, mz_pre_amps(cfg)), mz_basis()
     for fast, post in zip(mz_weak_values(cfg, allow_undefined=True), (basis.psi3, basis.psi4)):
         try:
             generic = weak_value(m2, pre, post)
