@@ -109,14 +109,18 @@ class MZConfig(_Record):
     def __init__(self, beta: float, alpha: float | None = None, phi: float = 0.0):
         # math, not numpy: both square roots are correctly rounded, so alpha
         # has the same bits either way
-        if not math.isfinite(beta) or abs(beta) > 1.0:
-            raise ValueError(f"beta must lie in [-1, 1], got {beta}")
-        explicit = alpha is not None
-        if not explicit:
-            alpha = _default_alpha(beta)
-        for name, v in (("alpha", alpha), ("phi", phi)):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        name = "beta"
+        try:
+            if not math.isfinite(beta) or abs(beta) > 1.0:
+                raise ValueError(f"beta must lie in [-1, 1], got {beta}")
+            explicit = alpha is not None
+            if not explicit:
+                alpha = _default_alpha(beta)
+            for name, v in (("alpha", alpha), ("phi", phi)):
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
+        except OverflowError:  # an int past the double range, which isfinite cannot convert
+            raise ValueError(f"{name} must be finite, got a number past the double range") from None
         try:
             sq = alpha**2 + beta**2
         except OverflowError:  # |alpha| past about 1.34e154

@@ -185,16 +185,21 @@ def sweep_beta(grid) -> list[SweepRow]:
     for bit. Undefined weak values (vanishing port overlap) are reported as
     None. Rows are emitted in grid order.
 
-    ``grid`` is a one-dimensional sequence of reals, read as Python floats;
-    any other grid, or a beta outside [-1, 1] or NaN, is a ValueError.
+    ``grid`` is a one-dimensional sequence of reals, read by ``array("d")``;
+    any other grid (strings and bytes among them), or a beta outside [-1, 1]
+    or NaN, is a ValueError.
     """
+    from array import array  # a shared library: loaded on the first sweep, not by every command
+
     try:
-        # a string iterates as characters, each of which float() might read
-        if isinstance(grid, (str, bytes, bytearray)):
+        # array("d") refuses str items, but would read bytes as raw doubles and a byte memoryview as ints
+        if isinstance(grid, (bytes, bytearray)) or isinstance(grid, memoryview) and grid.itemsize == 1:
             raise TypeError
-        betas = [float(beta) for beta in grid]
-    except (TypeError, ValueError):
+        betas = array("d", grid).tolist()
+    except (TypeError, ValueError, NotImplementedError):  # memoryview: neither 1-d nor native
         raise ValueError("beta grid must be a one-dimensional sequence of numbers") from None
+    except OverflowError:
+        raise ValueError("beta must lie in [-1, 1], got a number past the double range") from None
     bad = next((beta for beta in betas if not abs(beta) <= 1.0), None)
     if bad is not None:
         raise ValueError(f"beta must lie in [-1, 1], got {bad}")

@@ -13,7 +13,7 @@ violates ``qcore._violates``. Every route returns that joint, a
 
 The vertex system is fixed: its rows are orthogonal with squared norm 4, so
 its inverse is exactly the transposed system over 4, which the oracle applies
-in plain Python from one tuple of vertex rows built at import. A triple is validated
+in plain Python from one map of vertex to row built at import. A triple is validated
 once, by :class:`CorrelationTriple`, against the one range rule (finite, and
 within [-1, 1] with no tolerance or clip), and no route checks it again.
 """
@@ -23,14 +23,11 @@ from __future__ import annotations
 import math
 
 from .qcore import _Record
-from .quasiprob import QuasiprobTable, _q_from_moments
+from .lgi import k_from_moments
+from .quasiprob import QuasiprobTable, _q_table
 
-OUTCOMES = (+1, -1)
-
-# the fixed vertices (m2, m3) and their rows (1, m2, m3, m2*m3): the columns
-# of the vertex system V, so V^T / 4, its exact inverse, is these rows over 4
-_VERTICES = [(m2, m3) for m2 in OUTCOMES for m3 in OUTCOMES]
-_VERTEX_ROWS = tuple((1.0, float(m2), float(m3), float(m2 * m3)) for m2, m3 in _VERTICES)
+# each fixed vertex (m2, m3) to its row (1, m2, m3, m2*m3), a column of the vertex system V
+_VERTEX_ROWS = {(m2, m3): (1.0, float(m2), float(m3), float(m2 * m3)) for m2 in (+1, -1) for m3 in (+1, -1)}
 
 
 class CorrelationTriple(_Record):
@@ -39,9 +36,12 @@ class CorrelationTriple(_Record):
     __slots__ = ("e2", "e3", "e23")
 
     def __init__(self, e2: float, e3: float, e23: float):
-        for name, value in (("e2", e2), ("e3", e3), ("e23", e23)):
-            if not math.isfinite(value) or abs(value) > 1.0:
-                raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+        try:
+            for name, value in (("e2", e2), ("e3", e3), ("e23", e23)):
+                if not math.isfinite(value) or abs(value) > 1.0:
+                    raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+        except OverflowError:  # an int past the double range, which isfinite cannot convert
+            raise ValueError(f"{name} must lie in [-1, 1], got a number past the double range") from None
         object.__setattr__(self, "e2", e2)
         object.__setattr__(self, "e3", e3)
         object.__setattr__(self, "e23", e23)
@@ -50,7 +50,7 @@ class CorrelationTriple(_Record):
 def macrorealist_feasible(t: CorrelationTriple) -> QuasiprobTable:
     """The unique moment-matching joint (moment expansion), as the verdict's
     witness, of the triple as :class:`CorrelationTriple` checked it."""
-    return QuasiprobTable(_q_from_moments(t.e2, t.e3, t.e23))
+    return QuasiprobTable(_q_table(k_from_moments(t.e2, t.e3, t.e23)))
 
 
 def feasibility_oracle(t: CorrelationTriple) -> QuasiprobTable:
@@ -65,6 +65,6 @@ def feasibility_oracle(t: CorrelationTriple) -> QuasiprobTable:
     """
     e2, e3, e23 = t.e2, t.e3, t.e23
     # each row written out: a sum() over a generator is slower than numpy's dot
-    rows = zip(_VERTICES, _VERTEX_ROWS)
-    return QuasiprobTable({v: (a + b * e2 + c * e3 + d * e23) / 4 for v, (a, b, c, d) in rows})
+    return QuasiprobTable({v: (a + b * e2 + c * e3 + d * e23) / 4
+                           for v, (a, b, c, d) in _VERTEX_ROWS.items()})
 

@@ -17,12 +17,12 @@ shift's closed form |alpha*beta*cos(phi)|, the magnitude of
 :func:`signed_signaling_gap`, and builds no state. A
 :class:`QuasiprobTable` stores the entries and NSIT residuals; its negativity,
 margin and feasibility are read off them.
-``_q_from_moments`` is the one table formula: ``quasi`` applies it to the
-moments of a state, and ``mrcheck.macrorealist_feasible`` to a checked moment
-triple. :func:`mz_quasi`, the interferometer's table, needs no moments: it is
-K/4 of the closed form ``interferometer._mz_k`` under the same keys, built with
-no state, and its residuals compare its marginals with the closed-form path
-and port probabilities.
+``_q_table`` is the one K/4 table display: ``quasi`` reads it on the
+``k_from_moments`` of a state, ``mrcheck.macrorealist_feasible`` on those of a
+checked triple, and :func:`mz_quasi`, with no state built, on the closed form
+``interferometer._mz_k``. ``_with_residuals`` is the one NSIT pass: ``quasi``
+gives it the Born traces, ``mz_quasi`` the closed-form path and port
+probabilities.
 """
 
 from __future__ import annotations
@@ -126,11 +126,17 @@ def _trace(m, rho) -> float:
     return (m[0] * rho[0] + m[1] * rho[2] + m[2] * rho[1] + m[3] * rho[3]).real
 
 
-def _q_from_moments(e_i: float, e_j: float, e_ij: float) -> dict[tuple[int, int], float]:
-    """q(mi, mj) = K/4 of :func:`k_from_moments`: the one table formula, keyed
-    by the sign pairs of ``_K_SIGNS`` in K31..K34 order."""
-    ks = k_from_moments(e_i, e_j, e_ij)
+def _q_table(ks: dict[int, float]) -> dict[tuple[int, int], float]:
+    """q = K/4 of a K31..K34 dict as :func:`k_from_moments` returns it, keyed by ``_K_SIGNS``."""
     return {_S31: ks[31] / 4.0, _S32: ks[32] / 4.0, _S33: ks[33] / 4.0, _S34: ks[34] / 4.0}
+
+
+def _with_residuals(q, i_plus: float, i_minus: float, j_plus: float, j_minus: float) -> QuasiprobTable:
+    """The table of ``q`` with its NSIT residuals: the larger |marginal - p| over
+    the outcomes of Mi, of probabilities ``i_plus`` and ``i_minus``, then of Mj."""
+    pp, pm, mp, mm = q[(+1, +1)], q[(+1, -1)], q[(-1, +1)], q[(-1, -1)]
+    return QuasiprobTable(q, (max(abs(pp + pm - i_plus), abs(mp + mm - i_minus)),
+                              max(abs(pp + mp - j_plus), abs(pm + mm - j_minus))))
 
 
 def quasi(
@@ -142,13 +148,9 @@ def quasi(
     outcomes."""
     rho = _as_density(rho_state)
     mi, mj = Mi.operator()._flat, Mj.operator()._flat
-    q = _q_from_moments(_trace(mi, rho), _trace(mj, rho), _trace(_matmul(mi, mj), rho))
-    pp, pm, mp, mm = q[(+1, +1)], q[(+1, -1)], q[(-1, +1)], q[(-1, -1)]
-    res_i = max(abs(pp + pm - _trace(Mi.plus_proj._flat, rho)),
-                abs(mp + mm - _trace(Mi.minus_proj._flat, rho)))
-    res_j = max(abs(pp + mp - _trace(Mj.plus_proj._flat, rho)),
-                abs(pm + mm - _trace(Mj.minus_proj._flat, rho)))
-    return QuasiprobTable(q, (res_i, res_j))
+    q = _q_table(k_from_moments(_trace(mi, rho), _trace(mj, rho), _trace(_matmul(mi, mj), rho)))
+    return _with_residuals(q, _trace(Mi.plus_proj._flat, rho), _trace(Mi.minus_proj._flat, rho),
+                           _trace(Mj.plus_proj._flat, rho), _trace(Mj.minus_proj._flat, rho))
 
 
 def nsit_check(
@@ -180,13 +182,9 @@ def mz_quasi(cfg: MZConfig) -> QuasiprobTable:
     p4 (psi4 is the +1 outcome) and q(., -1) against p3.
     """
     alpha, beta, c = cfg.alpha, cfg.beta, math.cos(cfg.phi)
-    k31, k32, k33, k34 = _mz_k(alpha, beta, c)
-    q = {_S31: k31 / 4.0, _S32: k32 / 4.0, _S33: k33 / 4.0, _S34: k34 / 4.0}
-    pp, pm, mp, mm = q[(+1, +1)], q[(+1, -1)], q[(-1, +1)], q[(-1, -1)]
+    q = _q_table(dict(zip(_K_SIGNS, _mz_k(alpha, beta, c))))
     p3, p4 = _mz_probabilities(alpha, beta, c, math.sin(cfg.phi))
-    res_m2 = max(abs(pp + pm - alpha**2), abs(mp + mm - beta**2))
-    res_m3 = max(abs(pp + mp - p4), abs(pm + mm - p3))
-    return QuasiprobTable(q, (res_m2, res_m3))
+    return _with_residuals(q, alpha**2, beta**2, p4, p3)
 
 
 def signed_signaling_gap(cfg: MZConfig) -> float:

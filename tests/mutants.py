@@ -2,8 +2,8 @@
 
 Each mutant replaces one exact piece of source text, found exactly once, in a
 temporary copy of the project (``src``, ``tests`` and ``pyproject.toml``) and
-runs ``python -m pytest -x tests`` there. The mutant is killed when that run
-fails, or runs past the timeout. The unmutated copy is run first and must
+runs ``python -m pytest -x tests`` there, all but ``tests/test_mutants.py``.
+The mutant is killed when that run fails, or runs past the timeout. The unmutated copy is run first and must
 pass, so that no kill is a failure the suite has anyway.
 
 Run it from anywhere, with the test extra installed:
@@ -13,9 +13,10 @@ Run it from anywhere, with the test extra installed:
 It prints one line per mutant and a kill count. The exit code is 0 when every
 mutant is killed except the listed equivalent survivors, 1 when another one
 survives, and 2 when the unmutated copy fails or a mutant's text is not found
-exactly once (the list no longer matches the source). A surviving mutant costs
-one full suite run, about a minute, so this runs as its own CI step, not with
-the tests.
+exactly once (the list no longer matches the source). That last check,
+``stale_anchors``, runs before any suite run, and ``tests/test_mutants.py``
+runs it with the tests. A surviving mutant costs one full suite run, about a
+minute, so the mutants run as their own CI step, not with the tests.
 
 The list holds twenty-three hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, a sequential closed form whose
@@ -155,8 +156,8 @@ MUTANTS = (
     Mutant(
         "mz_quasi: the M3 residuals read q(., +1) against p3 and q(., -1) against p4",
         "src/lglab/quasiprob.py",
-        "res_m3 = max(abs(pp + mp - p4), abs(pm + mm - p3))",
-        "res_m3 = max(abs(pp + mp - p3), abs(pm + mm - p4))",
+        "return _with_residuals(q, alpha**2, beta**2, p4, p3)",
+        "return _with_residuals(q, alpha**2, beta**2, p3, p4)",
     ),
     Mutant(
         "_mz_overlaps: the squared norm without the imaginary-part dot",
@@ -167,8 +168,8 @@ MUTANTS = (
     Mutant(
         "MZConfig: the OverflowError of alpha**2 left uncaught",
         "src/lglab/interferometer.py",
-        "except OverflowError:",
-        "except ZeroDivisionError:",
+        "except OverflowError:  # |alpha| past about 1.34e154",
+        "except ZeroDivisionError:  # |alpha| past about 1.34e154",
     ),
     Mutant(
         "StateVector: the norm left unscaled after the parts are rescaled",
@@ -233,6 +234,19 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
+def stale_anchors(mutants, root: Path) -> list[str]:
+    """What no longer matches the source under ``root``: each mutant whose
+    ``old`` text does not occur exactly once in its file, or equals ``new``."""
+    problems = []
+    for mutant in mutants:
+        count = (root / mutant.path).read_text().count(mutant.old)
+        if count != 1:
+            problems.append(f"{mutant.name!r}: {mutant.path}: {mutant.old!r} occurs {count} times")
+        if mutant.old == mutant.new:
+            problems.append(f"{mutant.name!r}: its new text is its old text")
+    return problems
+
+
 def _mutate(dest: Path, mutant: Mutant) -> None:
     path = dest / mutant.path
     text = path.read_text()
@@ -242,9 +256,15 @@ def _mutate(dest: Path, mutant: Mutant) -> None:
 
 
 def _suite_fails(dest: Path) -> bool:
-    """Whether ``pytest -x tests`` fails (or times out) in the copy at ``dest``."""
+    """Whether ``pytest -x tests`` fails (or times out) in the copy at ``dest``.
+
+    ``tests/test_mutants.py`` is left out: its anchor check fails on every
+    mutated copy by construction, since the mutant has replaced its anchor,
+    so it would kill every mutant without testing the program.
+    """
     env = {**os.environ, "PYTHONPATH": str(dest / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--ignore=tests/test_mutants.py", "tests"]
     try:
         run = subprocess.run(cmd, cwd=dest, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -263,6 +283,11 @@ def _run(mutant: Mutant | None) -> bool:
 
 
 def main() -> int:
+    stale = stale_anchors(MUTANTS, ROOT)
+    for problem in stale:
+        print(f"stale mutant {problem}", file=sys.stderr)
+    if stale:
+        return 2
     start = time.perf_counter()
     if _run(None):
         print("the unmutated copy fails its tests: no mutant can be scored", file=sys.stderr)

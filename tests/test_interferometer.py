@@ -39,6 +39,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="beta must lie in"):
             MZConfig(beta=1 + 1e-10, alpha=0.0)
 
+    @pytest.mark.parametrize("field", ["beta", "alpha", "phi"])
+    def test_an_int_past_the_double_range_is_named(self, field):
+        # math.isfinite cannot convert it to a double, and raises OverflowError
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got a number past the double range$"):
+            MZConfig(**{"beta": 0.6, field: 10**400})
+
     def test_explicit_pair_is_put_on_the_unit_circle(self):
         # accepted within INPUT_TOL, then divided by sqrt(alpha^2 + beta^2)
         cfg = MZConfig(beta=0.0, alpha=1 + 4e-10)

@@ -1,6 +1,7 @@
 """Leggett-Garg evaluators: sequential correlators, K3, two-time forms, sweep."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -287,12 +288,18 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "grid",
-        [np.zeros((2, 2)), [[0.1, 0.2]], 0.5, "01", b"1", bytearray(b"1")],
-        ids=["2d-ndarray", "nested-list", "bare-float", "str", "bytes", "bytearray"],
+        [np.zeros((2, 2)), [[0.1, 0.2]], 0.5, "01", b"1", bytearray(b"1"), memoryview(b"\x01\x00"),
+         memoryview(b"1"), ["0.5", "-0.25"], np.array(["0.5"]), memoryview(np.zeros((2, 2)))],
+        ids=["2d-ndarray", "nested-list", "bare-float", "str", "bytes", "bytearray", "bytes-memoryview",
+             "digit-memoryview", "str-elements", "str-ndarray", "2d-memoryview"],
     )
     def test_rejects_a_grid_that_is_not_a_sequence_of_numbers(self, grid):
         with pytest.raises(ValueError, match="beta grid"):
             sweep_beta(grid)
+
+    def test_rejects_an_int_past_the_double_range(self):
+        with pytest.raises(ValueError, match=r"^beta must lie in \[-1, 1\], got a number past the double"):
+            sweep_beta([0.5, 10**400])
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match=r"beta must lie in \[-1, 1\], got nan"):
@@ -302,6 +309,11 @@ class TestSweep:
         # a float's repr round-trips its bits, the sign of a zero included
         betas = [-1.0, -0.0, 0.0, 0.3, 2**-0.5, 1.0]
         first, *others = (repr(sweep_beta(grid)) for grid in (betas, tuple(betas), np.array(betas)))
+        assert others == [first, first]
+
+    def test_a_float_memoryview_and_a_generator_give_the_bits_of_a_list(self):
+        betas = [-1.0, -0.0, 0.0, 0.3, 2**-0.5, 1.0]
+        first, *others = (repr(sweep_beta(grid)) for grid in (betas, memoryview(array("d", betas)), iter(betas)))
         assert others == [first, first]
 
     def test_grid_violation_pattern(self):

@@ -58,6 +58,15 @@ class TestCorrelationTriple:
         with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got {bad}$"):
             CorrelationTriple(*moments)
 
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_an_int_past_the_double_range_is_named(self, index):
+        # math.isfinite cannot convert it to a double, and raises OverflowError
+        moments = [0.0, 0.0, 0.0]
+        moments[index] = 10**400
+        name = ("e2", "e3", "e23")[index]
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got a number past the double range$"):
+            CorrelationTriple(*moments)
+
 
 class TestMacrorealistFeasible:
     def test_uniform_center(self):
@@ -88,10 +97,11 @@ class TestMacrorealistFeasible:
         """The moment route reads the triple CorrelationTriple checked, with
         the bits of the one table formula, and does not check it again."""
         from lglab import mrcheck, quasiprob
+        from lglab.lgi import k_from_moments
 
         triples = [CorrelationTriple(*rng.uniform(-1, 1, 3).tolist()) for _ in range(1000)]
         triples += [CorrelationTriple(-0.0, 1.0, -1.0), CorrelationTriple(0.0, -0.0, 1)]
-        want = [quasiprob._q_from_moments(t.e2, t.e3, t.e23) for t in triples]
+        want = [quasiprob._q_table(k_from_moments(t.e2, t.e3, t.e23)) for t in triples]
 
         def refused(*args, **kwargs):
             raise AssertionError("the triple was checked again")
@@ -128,13 +138,13 @@ class TestFeasibilityOracle:
             assert a.margin == pytest.approx(b.margin, abs=1e-12)
 
     def test_vertex_system_is_built_once(self, rng, monkeypatch):
-        """The vertex rows are a constant tuple: over 4 they are exactly the
-        inverse of the vertex system V, what LAPACK's inverse gives, and the
-        oracle stays within 4.5e-16 of a per-call solve."""
+        """The vertex rows are a constant map of each vertex to its row: over 4
+        they are exactly the inverse of the vertex system V, what LAPACK's
+        inverse gives, and the oracle stays within 4.5e-16 of a per-call solve."""
         from lglab import mrcheck
 
-        rows = mrcheck._VERTEX_ROWS
-        assert isinstance(rows, tuple)
+        assert all(row == (1, m2, m3, m2 * m3) for (m2, m3), row in mrcheck._VERTEX_ROWS.items())
+        rows = tuple(mrcheck._VERTEX_ROWS.values())
         system = np.array(rows).T
         assert (np.array(rows) / 4).tobytes() == np.linalg.inv(system).tobytes()
         assert system.tolist() == [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]

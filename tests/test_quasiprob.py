@@ -126,20 +126,16 @@ class TestQuasi:
 class TestAccuracy:
     def test_grid_entries_within_4e_16_of_exact(self):
         """At phi = 0 the exact table of the double inputs (alpha, beta) is K/4
-        with K31 = 2 beta (beta - alpha) and so on; every moment-route entry on
-        the 1001-point grid lies within 4e-16 of its 50-digit value (the
-        projector-product trace of ``oracles.quasi_matrix`` reaches 5.4e-16)."""
-        mpmath = pytest.importorskip("mpmath")
+        with K31 = 2 beta (beta - alpha) and so on (``oracles.exact_mz_q``);
+        every moment-route entry on the 1001-point grid lies within 4e-16 of
+        it (the projector-product trace of ``oracles.quasi_matrix`` reaches 5.4e-16)."""
         m2, m3 = path_observable(), output_observable()
         worst = 0.0
-        with mpmath.workdps(50):
-            for beta in np.linspace(-1.0, 1.0, 1001):
-                cfg = MZConfig(beta=float(beta))
-                a, b = mpmath.mpf(cfg.alpha), mpmath.mpf(cfg.beta)
-                exact = {(-1, +1): b * (b - a), (+1, +1): a * (a - b),
-                         (-1, -1): b * (b + a), (+1, -1): a * (a + b)}
-                table = quasi(input_state(cfg), m2, m3)
-                worst = max(worst, *(float(abs(table.q[k] - v / 2)) for k, v in exact.items()))
+        for beta in np.linspace(-1.0, 1.0, 1001):
+            cfg = MZConfig(beta=float(beta))
+            table = quasi(input_state(cfg), m2, m3)
+            exact = exact_mz_q(cfg.alpha, cfg.beta)
+            worst = max(worst, *(float(abs(Fraction(table.q[k]) - v)) for k, v in exact.items()))
         assert worst <= 4e-16
 
 
