@@ -16,7 +16,10 @@ square is libm ``pow`` on both paths. The third closed form,
 :func:`_mz_sequential`, is the joint p(m2, m3) of a path measurement then port
 detection, which the Monte Carlo ``sequential`` run draws from: the
 operations of ``lgi.sequential_joint`` on :func:`input_state`, with its bits,
-and no state built.
+and no state built. Both read :func:`_unit_parts`, the one home of the
+division by the norm that ``StateVector`` takes: :func:`input_state` builds
+its state from those parts with no second check, since a config that
+``MZConfig`` accepted always passes ``StateVector``'s.
 ``tests/oracles.py`` keeps the element-by-element unitary product as its
 oracle. The module loads no numpy: the fixed basis is built from its exact
 flat entries and the two observables from that basis in plain Python, so a
@@ -80,17 +83,15 @@ def _mz_sequential(cfg: MZConfig) -> tuple[float, float, float, float]:
     (+1, +1), (+1, -1), (-1, +1), (-1, -1), with the bits of
     ``lgi.sequential_joint(input_state(cfg), path_observable(), output_observable())``.
 
-    These are that route's operations in real arithmetic. n is the norm
-    ``StateVector`` takes (a config's norm is within rounding of 1, so never
-    rescaled), each kept amplitude is multiplied by h, the 00 entry of both
-    output projectors, and each port's squared modulus of the collapsed state
-    is the same, so p is twice it. The terms that route adds are zeros, and
-    no ``x + 0`` moves a bit of a nonzero x.
+    These are that route's operations in real arithmetic on the parts of
+    :func:`_unit_parts`: each kept amplitude is multiplied by h, the 00
+    entry of both output projectors, and each port's squared modulus of the
+    collapsed state is the same, so p is twice it. The terms that route adds
+    are zeros, and no ``x + 0`` moves a bit of a nonzero x.
     """
-    a, b = _pre_amps(cfg)
-    n = math.hypot(a, 0.0, b.real, b.imag)
-    s = _HH * (a / n)
-    yr, yi = _HH * (b.real / n), _HH * (b.imag / n)
+    xr, yr, yi = _unit_parts(cfg)
+    s = _HH * xr
+    yr, yi = _HH * yr, _HH * yi
     plus, minus = 2.0 * (s * s), 2.0 * (yr * yr + yi * yi)
     return plus, plus, minus, minus
 
@@ -109,7 +110,7 @@ class MZConfig(_Record):
     def __init__(self, beta: float, alpha: float | None = None, phi: float = 0.0):
         # math, not numpy: both square roots are correctly rounded, so alpha
         # has the same bits either way
-        name = "beta"
+        name, v = "beta", beta
         try:
             if not math.isfinite(beta) or abs(beta) > 1.0:
                 raise ValueError(f"beta must lie in [-1, 1], got {beta}")
@@ -121,6 +122,8 @@ class MZConfig(_Record):
                     raise ValueError(f"{name} must be finite, got {v}")
         except OverflowError:  # an int past the double range, which isfinite cannot convert
             raise ValueError(f"{name} must be finite, got a number past the double range") from None
+        except TypeError:  # not a real number: a str, a complex, None
+            raise ValueError(f"{name} must be a real number, got {v!r}") from None
         try:
             sq = alpha**2 + beta**2
         except OverflowError:  # |alpha| past about 1.34e154
@@ -177,14 +180,27 @@ def _pre_amps(cfg: MZConfig) -> tuple[float, complex]:
     return cfg.alpha, cmath.exp(1.0j * cfg.phi) * cfg.beta
 
 
+def _unit_parts(cfg: MZConfig) -> tuple[float, float, float]:
+    """(Re x, Re y, Im y) of the amplitudes x, y of :func:`_pre_amps` as
+    ``StateVector`` stores them: each part divided by n, ``math.hypot`` of the
+    four (Im x is +0.0, and stays so). A config's n is within rounding of 1,
+    so ``StateVector`` would neither rescale the parts nor refuse the norm."""
+    a, b = _pre_amps(cfg)
+    n = math.hypot(a, 0.0, b.real, b.imag)
+    return a / n, b.real / n, b.imag / n
+
+
 def input_state(cfg: MZConfig) -> StateVector:
     """Pre-selected state alpha*psi1 + e^{i phi} beta*psi2: the phase shifter folded in.
 
     U = diag(1, e^{i phi}) acts between M2 and M3 and commutes with M2, so every
     two-time quantity of (M2, U^dagger M3 U) on (alpha, beta) equals that of
     (M2, M3) on this state, exactly; at phi = 0 it is (alpha, beta) bit for bit.
+    The state has the bits of ``StateVector(_pre_amps(cfg))``, built from the
+    config ``MZConfig`` checked (:func:`_unit_parts`), with no input parsed again.
     """
-    return StateVector(_pre_amps(cfg))
+    xr, yr, yi = _unit_parts(cfg)
+    return _from_flat(StateVector, (complex(xr, 0.0), complex(yr, yi)))
 
 
 def detection_probabilities(cfg: MZConfig) -> tuple[float, float]:

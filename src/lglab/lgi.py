@@ -29,6 +29,10 @@ One predicate, ``qcore._violates``, decides every verdict on a K, read as K, as
 A report names a NaN K (``_named_nan``) before reading its verdict; a sweep row's
 K come from a checked beta and are read unchecked.
 
+:func:`sequential_correlation` adds its four terms as a left fold, in
+``sequential_joint``'s order: builtin ``sum`` has compensated float sums since
+Python 3.12, so it would give other bits on other interpreters.
+
 Naming note: the four sign patterns (m2, m3) = (-,+), (+,+), (-,-), (+,-) are
 canonically labeled K31..K34 in listing order.
 
@@ -77,9 +81,11 @@ def _lowest_violation(ks, exact: bool = False) -> int | None:
 def _named_nan(ks) -> tuple:
     """K31..K34 unchanged, or a ValueError naming the first NaN: ``sorted`` does not
     order NaN, so a verdict read past one would depend on where it sits."""
-    for i, k in zip(_K_SIGNS, ks):
-        if k != k:
-            raise ValueError(f"K{i} is nan")
+    k31, k32, k33, k34 = ks
+    if k31 != k31 or k32 != k32 or k33 != k33 or k34 != k34:
+        for i, k in zip(_K_SIGNS, ks):
+            if k != k:
+                raise ValueError(f"K{i} is nan")
     return ks
 
 
@@ -135,8 +141,11 @@ def sequential_correlation(
     state: StateVector, Mi: DichotomicObservable, Mj: DichotomicObservable
 ) -> float:
     """<Mi Mj> = sum over mi, mj of mi*mj*p(mi, mj) with the Lueders update."""
-    joint = sequential_joint(state, Mi, Mj)
-    return float(sum(mi * mj * p for (mi, mj), p in joint.items()))
+    # a left fold, as builtin sum was until Python 3.12 began to compensate:
+    # the same bits on every supported version. The terms come in the joint's
+    # order, (+1, +1), (+1, -1), (-1, +1), (-1, -1), and x - p is x + (-1 * p)
+    pp, pm, mp, mm = sequential_joint(state, Mi, Mj).values()
+    return 0.0 + pp - pm - mp + mm
 
 
 def mz_lg_closed_form(cfg: MZConfig) -> TwoTimeLGReport:

@@ -42,6 +42,8 @@ class CorrelationTriple(_Record):
                     raise ValueError(f"{name} must lie in [-1, 1], got {value}")
         except OverflowError:  # an int past the double range, which isfinite cannot convert
             raise ValueError(f"{name} must lie in [-1, 1], got a number past the double range") from None
+        except TypeError:  # not a real number: a str, a complex, None
+            raise ValueError(f"{name} must be a real number, got {value!r}") from None
         object.__setattr__(self, "e2", e2)
         object.__setattr__(self, "e3", e3)
         object.__setattr__(self, "e23", e23)

@@ -64,14 +64,22 @@ class QuasiprobTable(_Record):
     def entry(self, mi: int, mj: int) -> float:
         return self.q[(mi, mj)]
 
+    # total, moments and negativity are left folds over the entries, as builtin
+    # sum was until Python 3.12 began to compensate: the same bits on every
+    # supported version
     def total(self) -> float:
-        return float(sum(self.q.values()))
+        t = 0.0
+        for p in self.q.values():
+            t += p
+        return float(t)
 
     def moments(self) -> tuple[float, float, float]:
         """(<Mi>, <Mj>, <Mi Mj>) read off the table."""
-        ei = sum(mi * p for (mi, _), p in self.q.items())
-        ej = sum(mj * p for (_, mj), p in self.q.items())
-        eij = sum(mi * mj * p for (mi, mj), p in self.q.items())
+        ei = ej = eij = 0.0
+        for (mi, mj), p in self.q.items():
+            ei += mi * p
+            ej += mj * p
+            eij += mi * mj * p
         return float(ei), float(ej), float(eij)
 
     def _checked(self):
@@ -85,7 +93,11 @@ class QuasiprobTable(_Record):
     @property
     def negativity(self) -> float:
         """Total negative mass: the sum of |negative entries|."""
-        return float(sum(-v for v in self._checked() if v < 0.0))
+        neg = 0.0
+        for v in self._checked():
+            if v < 0.0:
+                neg -= v
+        return float(neg)
 
     @property
     def margin(self) -> float:
@@ -167,8 +179,8 @@ def lg_from_quasi(table: QuasiprobTable) -> TwoTimeLGReport:
     psi4 port is the +1 outcome: K31 = 4q(-1,+1), K32 = 4q(+1,+1),
     K33 = 4q(-1,-1), K34 = 4q(+1,-1).
     """
-    ks = (4.0 * table.entry(s2, s3) for s2, s3 in _K_SIGNS.values())
-    return TwoTimeLGReport.from_values(*ks)
+    q = table.q
+    return TwoTimeLGReport.from_values(4.0 * q[_S31], 4.0 * q[_S32], 4.0 * q[_S33], 4.0 * q[_S34])
 
 
 def mz_quasi(cfg: MZConfig) -> QuasiprobTable:

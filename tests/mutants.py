@@ -18,8 +18,11 @@ exactly once (the list no longer matches the source). That last check,
 runs it with the tests. A surviving mutant costs one full suite run, about a
 minute, so the mutants run as their own CI step, not with the tests.
 
-The list holds twenty-three hand-made mutants on the current source: two K signs,
-the rule-of-three error, the clip of p at 1, a sequential closed form whose
+The list holds twenty-four hand-made mutants on the current source: two K signs,
+the rule-of-three error, the clip of p at 1, an interferometer input whose
+norm drops the imaginary part of e^{i phi} beta (at a nonzero phase the
+state is off unit norm, and the state route and the sequential closed form
+move alike, so no comparison of those two sees it), a sequential closed form whose
 p(-1, .) drops the imaginary part of the amplitude (only a nonzero phase makes
 that part nonzero), the p kernel's zero-phase branch taken on the wrong side
 of its test, six boundaries, a report that reads its verdict past a NaN K,
@@ -46,10 +49,10 @@ suite can build gives |overlap|^2 of exactly 1e-15. Another is
 double: the rescale there is by a power of two, which ``math.hypot``
 scales out exactly, so no bit moves. The third is
 ``QuasiprobTable.negativity`` with ``<=`` for ``<``: a zero entry, of
-either sign, adds a zero that leaves the sum's bytes as they were (all
-38416 four-entry tables over +-0, +-subnormal, +-smallest normal, +-0.1,
-+-1, +-largest double and +-inf agree), and ``_checked`` names a NaN before
-the sum.
+either sign, takes a zero off the fold and leaves its bytes as they were
+(all 38416 four-entry tables over +-0, +-subnormal, +-smallest normal,
++-0.1, +-1, +-largest double and +-inf agree), and ``_checked`` names a NaN
+before the fold.
 """
 
 from __future__ import annotations
@@ -103,6 +106,12 @@ MUTANTS = (
         "src/lglab/interferometer.py",
         "return min(q3 / 2.0, 1.0), min(q4 / 2.0, 1.0)",
         "return q3 / 2.0, min(q4 / 2.0, 1.0)",
+    ),
+    Mutant(
+        "_unit_parts: the norm without the imaginary part of e^{i phi} beta",
+        "src/lglab/interferometer.py",
+        "n = math.hypot(a, 0.0, b.real, b.imag)",
+        "n = math.hypot(a, 0.0, b.real)",
     ),
     Mutant(
         "_mz_sequential: p(-1, .) without the square of the imaginary amplitude",
@@ -219,10 +228,10 @@ MUTANTS = (
     Mutant(
         "QuasiprobTable.negativity: a zero entry counts as negative (< to <=)",
         "src/lglab/quasiprob.py",
-        "return float(sum(-v for v in self._checked() if v < 0.0))",
-        "return float(sum(-v for v in self._checked() if v <= 0.0))",
-        equivalent="a +-0.0 term leaves the sum's bytes unchanged, and _checked names"
-        " a NaN before the sum",
+        "            if v < 0.0:\n                neg -= v",
+        "            if v <= 0.0:\n                neg -= v",
+        equivalent="a +-0.0 term leaves the fold's bytes unchanged, and _checked names"
+        " a NaN before the fold",
     ),
 )
 

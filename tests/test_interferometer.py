@@ -45,6 +45,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got a number past the double range$"):
             MZConfig(**{"beta": 0.6, field: 10**400})
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"beta": "0.5"}, "beta"),
+            ({"beta": 0.5j}, "beta"),
+            ({"beta": None}, "beta"),
+            ({"beta": 0.6, "alpha": "0.8"}, "alpha"),
+            ({"beta": 0.6, "phi": "1"}, "phi"),
+        ],
+    )
+    def test_a_value_that_is_not_a_real_number_is_named(self, kwargs, field):
+        # math.isfinite raises TypeError on it
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {kwargs[field]!r}$"):
+            MZConfig(**kwargs)
+
     def test_explicit_pair_is_put_on_the_unit_circle(self):
         # accepted within INPUT_TOL, then divided by sqrt(alpha^2 + beta^2)
         cfg = MZConfig(beta=0.0, alpha=1 + 4e-10)

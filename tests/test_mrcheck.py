@@ -67,6 +67,13 @@ class TestCorrelationTriple:
         with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got a number past the double range$"):
             CorrelationTriple(*moments)
 
+    @pytest.mark.parametrize("moments, name", [(("0.5", 0, 0), "e2"), ((0, 0.5j, 0), "e3"), ((0, 0, None), "e23")])
+    def test_a_value_that_is_not_a_real_number_is_named(self, moments, name):
+        # math.isfinite raises TypeError on it
+        bad = moments[("e2", "e3", "e23").index(name)]
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {bad!r}$"):
+            CorrelationTriple(*moments)
+
 
 class TestMacrorealistFeasible:
     def test_uniform_center(self):

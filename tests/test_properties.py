@@ -68,7 +68,7 @@ from lglab import (
     weak_value,
 )
 from lglab.experiment import SEQ_OUTCOMES
-from lglab.interferometer import _mz_k, _mz_probabilities, _mz_sequential
+from lglab.interferometer import _mz_k, _mz_probabilities, _mz_sequential, _pre_amps
 from lglab.lgi import _K_SIGNS
 from lglab.qcore import INPUT_TOL, STRUCT_TOL, VIOLATION_TOL, _close, _from_flat
 from lglab.quasiprob import _as_density
@@ -568,6 +568,42 @@ def test_mz_sequential_is_the_state_route_bit_for_bit(points):
         cfg = seq_config(*point)
         joint = sequential_joint(input_state(cfg), path_observable(), output_observable())
         assert bits(_mz_sequential(cfg)) == bits(joint.values()), point
+
+
+@PROPS
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(beta_st, beta_near_saturation).filter(lambda b: abs(b) <= 1.0),
+            st.one_of(phi_st, st.sampled_from([1e300, -1e300]), st.floats(allow_nan=False, allow_infinity=False)),
+            st.sampled_from([None, 1.0, -1.0]),
+            stretch_st,
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example([(*point, 0.0) for point in seq_edges(None)])
+@example([(*point, stretch) for sign in (1.0, -1.0) for point in seq_edges(sign) for stretch in (0.0, 4e-10, -4e-10)])
+def test_input_state_is_the_validated_state_bit_for_bit(points):
+    """``input_state`` builds its state from the checked config, with no
+    ``StateVector`` call: it holds the IEEE bits that ``StateVector`` gives
+    the same amplitudes, at beta near +-1, 0 and the dark ports, at phi = 0,
+    pi and far past any period, with alpha omitted or explicit of either sign
+    and off the unit circle by up to the INPUT_TOL that ``MZConfig`` allows."""
+
+    def parts(flat):
+        return [(z.real.hex(), z.imag.hex()) for z in flat]
+
+    for beta, phi, alpha_sign, stretch in points:
+        if alpha_sign is None:
+            cfg = MZConfig(beta=beta, phi=phi)
+        else:
+            alpha = alpha_sign * math.sqrt(1.0 - beta * beta) * (1.0 + stretch)
+            cfg = MZConfig(beta=beta, alpha=alpha, phi=phi)
+        got = input_state(cfg)._flat
+        assert all(type(z) is complex for z in got)
+        assert parts(got) == parts(StateVector(_pre_amps(cfg))._flat), (beta, phi, alpha_sign, stretch)
 
 
 _ROW_FIELDS = list(SweepRow.__slots__)

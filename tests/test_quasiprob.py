@@ -25,9 +25,13 @@ from lglab import (
     projector_onto,
     quasi,
     sequential_correlation,
+    sequential_joint,
     signaling_gap_projective,
 )
-from lglab.lgi import _K_SIGNS
+from lglab.lgi import _K_SIGNS, TwoTimeLGReport
+from lglab.quasiprob import QuasiprobTable
+
+import portable_bits
 
 from conftest import random_dichotomic, random_state
 from oracles import born_probability, exact_mz_q, precession_observables, projective_gap, ulps
@@ -219,6 +223,46 @@ class TestCorrelationEquivalence:
             cq = quasi(state, mi, mj).moments()[2]
             assert cq == pytest.approx(sequential_correlation(state, mi, mj), abs=1e-12)
 
+    def test_sequential_correlation_is_the_ordered_left_fold(self, rng):
+        for _ in range(1000):
+            state, mi, mj = random_state(rng), random_dichotomic(rng), random_dichotomic(rng)
+            p = sequential_joint(state, mi, mj)
+            fold = 0.0 + p[(+1, +1)] - p[(+1, -1)] - p[(-1, +1)] + p[(-1, -1)]
+            assert sequential_correlation(state, mi, mj).hex() == fold.hex()
+
+
+def table_of(entries) -> QuasiprobTable:
+    """The table of q(+1, +1), q(+1, -1), q(-1, +1), q(-1, -1), in that order."""
+    return QuasiprobTable(dict(zip(((+1, +1), (+1, -1), (-1, +1), (-1, -1)), entries)))
+
+
+class TestVersionStableSums:
+    """``total``, ``moments`` and ``negativity`` are left folds over the
+    entries: builtin ``sum`` is compensated since Python 3.12, and on these
+    tables the two disagree (``math.fsum`` stands for a compensated sum)."""
+
+    def test_total_is_a_left_fold(self):
+        table = table_of((1e16, 1.0, -1e16, 1.0))
+        assert math.fsum(table.q.values()) == 2.0
+        assert table.total() == 1.0
+
+    def test_moments_are_left_folds(self):
+        table = table_of((1e16, 1.0, 1e16, -1.0))
+        # <Mi> adds 1e16, 1, -1e16, 1 and <Mi Mj> adds 1e16, -1, -1e16, -1
+        assert (math.fsum((1e16, 1.0, -1e16, 1.0)), math.fsum((1e16, -1.0, -1e16, -1.0))) == (2.0, -2.0)
+        assert table.moments() == (1.0, 2e16, -1.0)
+        # <Mj> of the total's table adds those of <Mi Mj> here
+        assert table_of((1e16, 1.0, -1e16, 1.0)).moments()[1] == -1.0
+
+    def test_negativity_is_a_left_fold(self):
+        table = table_of((-1e16, -1.0, -1.0, 1e16))
+        assert math.fsum((1e16, 1.0, 1.0)) == 1e16 + 2.0
+        assert table.negativity == 1e16
+
+    def test_portable_bits_digest_is_the_recorded_one(self):
+        # the standard-library check that CI runs alone on other Pythons
+        assert portable_bits.digest() == portable_bits.RECORDED
+
 
 def reading(e_i, e_j, e_ij):
     """The macrorealist reading of three moments read off a table, each clipped
@@ -289,6 +333,16 @@ class TestLGFromQuasi:
         assert (report.k31, report.k32, report.k33, report.k34) == pytest.approx(
             (0.0, 2.0, 0.0, 2.0), abs=1e-12
         )
+
+    @PROPS
+    @given(st.tuples(*(st.floats(min_value=-1.0, max_value=1.0),) * 3), st.integers(0, 2**32 - 1))
+    def test_reads_the_table_as_the_entry_generator_did(self, moments, seed):
+        rng = np.random.default_rng(seed)
+        for table in (macrorealist_feasible(CorrelationTriple(*moments)),
+                      quasi(random_state(rng), random_dichotomic(rng), random_dichotomic(rng))):
+            old = TwoTimeLGReport.from_values(*(4.0 * table.entry(s2, s3) for s2, s3 in _K_SIGNS.values()))
+            new = lg_from_quasi(table)
+            assert [k.hex() for k in new.values().values()] == [k.hex() for k in old.values().values()]
 
     @pytest.mark.parametrize("beta", np.linspace(-1.0, 1.0, 101))
     def test_matches_closed_form_on_grid(self, beta):
