@@ -16,14 +16,14 @@ square is libm ``pow`` on both paths. The third closed form,
 :func:`_mz_sequential`, is the joint p(m2, m3) of a path measurement then port
 detection, which the Monte Carlo ``sequential`` run draws from: the
 operations of ``lgi.sequential_joint`` on :func:`input_state`, with its bits,
-and no state built. Both read :func:`_unit_parts`, the one home of the
-division by the norm that ``StateVector`` takes: :func:`input_state` builds
-its state from those parts with no second check, since a config that
-``MZConfig`` accepted always passes ``StateVector``'s.
-``tests/oracles.py`` keeps the element-by-element unitary product as its
-oracle. The module loads no numpy: the fixed basis is built from its exact
-flat entries and the two observables from that basis in plain Python, so a
-command that needs only the closed forms (``probabilities``) never imports it.
+and no state built. Both read :func:`_unit_parts`, the one home of the division by
+the norm that ``StateVector`` takes: :func:`input_state` builds its state from
+those parts with no second check, since a config that ``MZConfig`` accepted always
+passes ``StateVector``'s; ``MZConfig`` reads each field by ``qcore._real``, the
+one real-number rule. ``tests/oracles.py`` keeps the element-by-element unitary
+product as its oracle. The module loads no numpy: the fixed basis is built from
+its exact flat entries and the two observables from that basis in plain Python, so
+a command that needs only the closed forms (``probabilities``) never imports it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .qcore import (
     StateVector,
     _Record,
     _from_flat,
+    _real,
     projector_onto,
 )
 
@@ -101,29 +102,23 @@ class MZConfig(_Record):
 
     ``alpha`` may be omitted, in which case it is fixed to +sqrt(1 - beta^2).
     An explicit pair within ``INPUT_TOL`` of alpha^2 + beta^2 = 1 is divided
-    by sqrt(alpha^2 + beta^2), so every route sees one unit-norm state. All
-    three fields are stored as Python floats.
+    by sqrt(alpha^2 + beta^2), so every route sees one unit-norm state. Each
+    field is read by the one real-number rule, ``qcore._real``, and stored as a float.
     """
 
     __slots__ = ("beta", "alpha", "phi")
 
     def __init__(self, beta: float, alpha: float | None = None, phi: float = 0.0):
-        # math, not numpy: both square roots are correctly rounded, so alpha
-        # has the same bits either way
-        name, v = "beta", beta
-        try:
-            if not math.isfinite(beta) or abs(beta) > 1.0:
-                raise ValueError(f"beta must lie in [-1, 1], got {beta}")
-            explicit = alpha is not None
-            if not explicit:
-                alpha = _default_alpha(beta)
-            for name, v in (("alpha", alpha), ("phi", phi)):
-                if not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v}")
-        except OverflowError:  # an int past the double range, which isfinite cannot convert
-            raise ValueError(f"{name} must be finite, got a number past the double range") from None
-        except TypeError:  # not a real number: a str, a complex, None
-            raise ValueError(f"{name} must be a real number, got {v!r}") from None
+        # math, not numpy: both square roots are correctly rounded, so alpha has numpy's bits
+        beta = beta if type(beta) is float else _real("beta", beta)
+        if not abs(beta) <= 1.0:
+            raise ValueError(f"beta must lie in [-1, 1], got {beta}")
+        explicit = alpha is not None
+        alpha = _default_alpha(beta) if not explicit else alpha if type(alpha) is float else _real("alpha", alpha)
+        phi = phi if type(phi) is float else _real("phi", phi)
+        for name, v in (("alpha", alpha), ("phi", phi)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         try:
             sq = alpha**2 + beta**2
         except OverflowError:  # |alpha| past about 1.34e154
@@ -133,11 +128,9 @@ class MZConfig(_Record):
         if explicit:
             norm = math.sqrt(sq)
             alpha, beta = alpha / norm, beta / norm
-        # plain floats with the bits given, so that a config built from numpy
-        # scalars or 0-d arrays hashes too (``experiment`` memoises on it)
-        object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "phi", float(phi))
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "phi", phi)
 
 
 class MZBasis(_Record):

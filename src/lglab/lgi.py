@@ -46,7 +46,7 @@ import math
 import operator
 
 from .interferometer import MZConfig, _default_alpha, _mz_k, _mz_probabilities
-from .qcore import DichotomicObservable, StateVector, _Record, _violates
+from .qcore import DichotomicObservable, StateVector, _Record, _real, _violates
 from .weakval import _mz_weak_value_columns
 
 # sign patterns (s2, s3) multiplying <M2> and <M3>; <M2 M3> carries s2*s3.
@@ -194,21 +194,19 @@ def sweep_beta(grid) -> list[SweepRow]:
     for bit. Undefined weak values (vanishing port overlap) are reported as
     None. Rows are emitted in grid order.
 
-    ``grid`` is a one-dimensional sequence of reals, read by ``array("d")``;
-    any other grid (strings and bytes among them), or a beta outside [-1, 1]
-    or NaN, is a ValueError.
+    ``grid`` is a one-dimensional sequence of reals, each read by the one
+    real-number rule, ``qcore._real``; any other grid (strings and bytes among
+    them), or a beta that rule refuses, outside [-1, 1] or NaN, is a ValueError.
     """
-    from array import array  # a shared library: loaded on the first sweep, not by every command
-
     try:
-        # array("d") refuses str items, but would read bytes as raw doubles and a byte memoryview as ints
-        if isinstance(grid, (bytes, bytearray)) or isinstance(grid, memoryview) and grid.itemsize == 1:
+        # refused whole: bytes iterate as ints, a str as strs, a 2-D array as rows
+        if (isinstance(grid, (str, bytes, bytearray)) or getattr(grid, "ndim", 1) != 1
+                or isinstance(grid, memoryview) and grid.itemsize == 1):
             raise TypeError
-        betas = array("d", grid).tolist()
-    except (TypeError, ValueError, NotImplementedError):  # memoryview: neither 1-d nor native
+        items = iter(grid)
+    except (TypeError, NotImplementedError):  # also not iterable, or a memoryview format Python cannot read
         raise ValueError("beta grid must be a one-dimensional sequence of numbers") from None
-    except OverflowError:
-        raise ValueError("beta must lie in [-1, 1], got a number past the double range") from None
+    betas = [b if type(b) is float else _real("beta grid element", b) for b in items]
     bad = next((beta for beta in betas if not abs(beta) <= 1.0), None)
     if bad is not None:
         raise ValueError(f"beta must lie in [-1, 1], got {bad}")

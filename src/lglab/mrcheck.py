@@ -14,15 +14,13 @@ violates ``qcore._violates``. Every route returns that joint, a
 The vertex system is fixed: its rows are orthogonal with squared norm 4, so
 its inverse is exactly the transposed system over 4, which the oracle applies
 in plain Python from one map of vertex to row built at import. A triple is validated
-once, by :class:`CorrelationTriple`, against the one range rule (finite, and
-within [-1, 1] with no tolerance or clip), and no route checks it again.
+once, by :class:`CorrelationTriple` (each moment read by ``qcore._real``, the one
+real-number rule, and within [-1, 1] with no tolerance or clip); no route checks it again.
 """
 
 from __future__ import annotations
 
-import math
-
-from .qcore import _Record
+from .qcore import _Record, _real
 from .lgi import k_from_moments
 from .quasiprob import QuasiprobTable, _q_table
 
@@ -31,22 +29,16 @@ _VERTEX_ROWS = {(m2, m3): (1.0, float(m2), float(m3), float(m2 * m3)) for m2 in 
 
 
 class CorrelationTriple(_Record):
-    """(<M2>, <M3>, <M2 M3>), each constrained to [-1, 1]."""
+    """(<M2>, <M3>, <M2 M3>), each stored as a float in [-1, 1]."""
 
     __slots__ = ("e2", "e3", "e23")
 
     def __init__(self, e2: float, e3: float, e23: float):
-        try:
-            for name, value in (("e2", e2), ("e3", e3), ("e23", e23)):
-                if not math.isfinite(value) or abs(value) > 1.0:
-                    raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-        except OverflowError:  # an int past the double range, which isfinite cannot convert
-            raise ValueError(f"{name} must lie in [-1, 1], got a number past the double range") from None
-        except TypeError:  # not a real number: a str, a complex, None
-            raise ValueError(f"{name} must be a real number, got {value!r}") from None
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "e3", e3)
-        object.__setattr__(self, "e23", e23)
+        for name, value in (("e2", e2), ("e3", e3), ("e23", e23)):
+            value = value if type(value) is float else _real(name, value)
+            if not abs(value) <= 1.0:
+                raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+            object.__setattr__(self, name, value)
 
 
 def macrorealist_feasible(t: CorrelationTriple) -> QuasiprobTable:

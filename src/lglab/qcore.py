@@ -14,6 +14,11 @@ no second check, and a fixed object whose exact entries are known is built by
 precision, immutable after construction and pure, so the whole module is
 safe for concurrent use without synchronization.
 
+``_real`` is the one real-number rule, for a record field or a sweep grid's
+element: a float as it is, any other ``numbers.Real`` but a bool, or a 0-d real
+ndarray, through ``float()``; anything else, or a number past the double range,
+is a ValueError naming the field. ``numbers`` is imported past the float case.
+
 The objects here are ``_Frozen``, and every layer's records are ``_Record``s:
 ``__slots__`` classes with written-out ``__init__``s, so loading the layers
 generates no code (``experiment.SampleEstimate`` is the one dataclass left).
@@ -156,6 +161,23 @@ def _listed(data):
             and data.dtype.kind in "iufc"):
         return data.tolist()
     return data
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, by the one real-number rule (module docstring)."""
+    if type(value) is float:
+        return value
+    import numbers
+
+    np = sys.modules.get("numpy")
+    if np is not None and type(value) is np.ndarray and value.shape == () and value.dtype.kind in "iuf":
+        value = value.item()
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or a Fraction past the double range
+        raise ValueError(f"{name} must be finite, got a number past the double range") from None
 
 
 def _numpy_parse(data, shape: tuple, rule: str) -> tuple:

@@ -18,7 +18,7 @@ exactly once (the list no longer matches the source). That last check,
 runs it with the tests. A surviving mutant costs one full suite run, about a
 minute, so the mutants run as their own CI step, not with the tests.
 
-The list holds twenty-four hand-made mutants on the current source: two K signs,
+The list holds twenty-six hand-made mutants on the current source: two K signs,
 the rule-of-three error, the clip of p at 1, an interferometer input whose
 norm drops the imaginary part of e^{i phi} beta (at a nonzero phase the
 state is off unit norm, and the state route and the sequential closed form
@@ -39,7 +39,8 @@ final xorshift of numpy's ``SeedSequence``, an integer check whose fast
 path lets a bool through as a shot count, an NSIT estimator that draws its
 interference run, which goes round ``run``, at its sequential run's seed, and
 a record equality that compares only the first field, so that two configs
-that differ only in ``phi`` compare equal.
+that differ only in ``phi`` compare equal, and a real-number rule
+(``qcore._real``) that accepts a complex or lets a bool through.
 Three of the boundaries are the one violation rule, ``qcore._violates``: the
 predicate itself, and the two readers that once spelt the rule out, each made
 to count K = -VIOLATION_TOL as a violation. Three more boundaries are equivalent survivors. One is
@@ -209,6 +210,18 @@ MUTANTS = (
         "src/lglab/qcore.py",
         "return self._fields(self) == other._fields(other)",
         "return self._fields(self)[0] == other._fields(other)[0]",
+    ),
+    Mutant(
+        "_real: a complex accepted (numbers.Real widened to numbers.Complex)",
+        "src/lglab/qcore.py",
+        "isinstance(value, numbers.Real)",
+        "isinstance(value, numbers.Complex)",
+    ),
+    Mutant(
+        "_real: a bool let through as 0.0 or 1.0",
+        "src/lglab/qcore.py",
+        "if isinstance(value, bool) or not isinstance(value, numbers.Real):",
+        "if not isinstance(value, numbers.Real):",
     ),
     Mutant(
         "StateVector: a norm of exactly the smallest normal double is rescaled (<= to <)",

@@ -1,5 +1,8 @@
 """Mach-Zehnder input state, detection probabilities, measurement observables and the unitary oracle."""
 
+import warnings
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -41,7 +44,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ["beta", "alpha", "phi"])
     def test_an_int_past_the_double_range_is_named(self, field):
-        # math.isfinite cannot convert it to a double, and raises OverflowError
+        # float() cannot convert it to a double; qcore._real names the field, as for every field
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got a number past the double range$"):
             MZConfig(**{"beta": 0.6, field: 10**400})
 
@@ -56,9 +59,31 @@ class TestConfig:
         ],
     )
     def test_a_value_that_is_not_a_real_number_is_named(self, kwargs, field):
-        # math.isfinite raises TypeError on it
+        # qcore._real refuses it
         with pytest.raises(ValueError, match=rf"^{field} must be a real number, got {kwargs[field]!r}$"):
             MZConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"beta": 0.6, "alpha": Decimal("0.8")}, "alpha"),
+            ({"beta": np.complex128(0.5j)}, "beta"),
+            ({"beta": 0.6, "phi": np.complex128(1j)}, "phi"),
+            ({"beta": True}, "beta"),
+        ],
+        ids=["decimal-alpha", "numpy-complex-beta", "numpy-complex-phi", "bool-beta"],
+    )
+    def test_a_value_outside_the_real_number_rule_is_named(self, kwargs, field):
+        # a Decimal alpha used to escape as a TypeError from alpha**2 + beta**2, a numpy
+        # complex to be read as its real part, and True to be read as beta = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
+                MZConfig(**kwargs)
+
+    def test_a_numpy_scalar_beta_gives_the_config_of_its_float(self):
+        # the default alpha is computed in double precision, not in the scalar's own
+        assert MZConfig(beta=np.float32(0.1)) == MZConfig(beta=float(np.float32(0.1)))
 
     def test_explicit_pair_is_put_on_the_unit_circle(self):
         # accepted within INPUT_TOL, then divided by sqrt(alpha^2 + beta^2)

@@ -2,6 +2,7 @@
 
 import math
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     precession_observables,
     sequential_joint_numpy,
     two_time_lg,
+    ulps,
 )
 
 SQ3 = np.sqrt(3.0)
@@ -298,7 +300,7 @@ class TestSweep:
             sweep_beta(grid)
 
     def test_rejects_an_int_past_the_double_range(self):
-        with pytest.raises(ValueError, match=r"^beta must lie in \[-1, 1\], got a number past the double"):
+        with pytest.raises(ValueError, match=r"^beta grid element must be finite, got a number past the double range$"):
             sweep_beta([0.5, 10**400])
 
     def test_rejects_nan(self):
@@ -366,6 +368,27 @@ class TestSweep:
                     assert abs(got - want) <= 2 * eps
                 for got, want in ((row.w3, (a - b) / (a + b)), (row.w4, (a + b) / (a - b))):
                     assert got is None or abs(got - want) <= 256 * eps * abs(want)
+
+    def test_fig2_rows_within_whole_ulps_of_their_exact_values(self):
+        """Every row ``reproduce-fig2`` writes, against the exact rational
+        value at the row's own double alpha and beta: each K within 2 ulp of
+        2 beta (beta -+ alpha) and 2 alpha (alpha -+ beta), each p within 2 ulp of
+        (alpha +- beta)^2 / 2, and each defined w within 97 ulp of
+        (alpha -+ beta) / (alpha +- beta). The worst measured were 1.40, 1.90
+        and 96.4 ulp, w next to the dark ports. alpha lies within 8 eps alpha
+        of sqrt(1 - beta^2), decided by comparing exact squares. Standard
+        library only, so it never skips."""
+        lo, hi = 1 - Fraction(8, 2**52), 1 + Fraction(8, 2**52)
+        for row in _sweep_rows({"grid": 1001, "min": -1.0, "max": 1.0}):
+            a, b = Fraction(row.alpha), Fraction(row.beta)
+            assert (lo * a) ** 2 <= 1 - b * b <= (hi * a) ** 2, row.beta
+            exact_k = (2 * b * (b - a), 2 * a * (a - b), 2 * b * (b + a), 2 * a * (a + b))
+            for got, want in zip((row.k31, row.k32, row.k33, row.k34), exact_k):
+                assert ulps(got, want) <= 2.0, row.beta
+            for got, want in ((row.p3, (a + b) ** 2 / 2), (row.p4, (a - b) ** 2 / 2)):
+                assert ulps(got, want) <= 2.0, row.beta
+            for got, num, den in ((row.w3, a - b, a + b), (row.w4, a + b, a - b)):
+                assert got is None or ulps(got, num / den) <= 97.0, row.beta
 
     def test_builds_one_state_and_no_fixed_object_per_point(self, monkeypatch):
         """Regression guard: the observables and port vectors are built once, at

@@ -3,7 +3,6 @@
 import json
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,19 +59,26 @@ class TestCorrelationTriple:
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_an_int_past_the_double_range_is_named(self, index):
-        # math.isfinite cannot convert it to a double, and raises OverflowError
+        # float() cannot convert it to a double; qcore._real names the field, as for every field
         moments = [0.0, 0.0, 0.0]
         moments[index] = 10**400
         name = ("e2", "e3", "e23")[index]
-        with pytest.raises(ValueError, match=rf"^{name} must lie in \[-1, 1\], got a number past the double range$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got a number past the double range$"):
             CorrelationTriple(*moments)
 
     @pytest.mark.parametrize("moments, name", [(("0.5", 0, 0), "e2"), ((0, 0.5j, 0), "e3"), ((0, 0, None), "e23")])
     def test_a_value_that_is_not_a_real_number_is_named(self, moments, name):
-        # math.isfinite raises TypeError on it
+        # qcore._real refuses it
         bad = moments[("e2", "e3", "e23").index(name)]
         with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {bad!r}$"):
             CorrelationTriple(*moments)
+
+
+    def test_a_numpy_scalar_is_stored_as_a_float(self):
+        # a float32 moment used to reach the table as it was, so the verdict was single precision
+        t = CorrelationTriple(np.float32(0.1), np.int64(0), 0)
+        assert t == CorrelationTriple(float(np.float32(0.1)), 0.0, 0.0)
+        assert {type(v) for v in macrorealist_feasible(t).q.values()} == {float}
 
 
 class TestMacrorealistFeasible:
@@ -113,9 +119,9 @@ class TestMacrorealistFeasible:
         def refused(*args, **kwargs):
             raise AssertionError("the triple was checked again")
 
-        # the one check is CorrelationTriple's, on math.isfinite and the bound 1
+        # the one check is CorrelationTriple's, on qcore._real and the bound 1
         monkeypatch.setattr(CorrelationTriple, "__init__", refused)
-        monkeypatch.setattr(mrcheck, "math", SimpleNamespace(isfinite=refused))
+        monkeypatch.setattr(mrcheck, "_real", refused)
         for t, q in zip(triples, want):
             got = macrorealist_feasible(t).q
             assert list(got) == list(q)

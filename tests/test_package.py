@@ -45,7 +45,8 @@ DELETED = ("inner_product", "expectation_decomposition", "FeasibilityVerdict", "
            "_check_dims", "mr_reading", "_check_moments")
 
 # reports, as JSON on the last stdout line, the exit code of ``python -m lglab.cli
-# ARGS`` run in this interpreter and the numpy and lglab modules it left loaded
+# ARGS`` run in this interpreter and the numpy, numbers and lglab modules it left
+# loaded: a command that hands the library only floats loads neither numpy nor numbers
 RUN_CLI = """
 import json, runpy, sys
 sys.argv[0] = "lglab"
@@ -54,7 +55,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "modules": sorted(
-    m for m in sys.modules if m in ("numpy", "lglab") or m.startswith("lglab."))}))
+    m for m in sys.modules if m in ("numpy", "numbers", "lglab") or m.startswith("lglab."))}))
 """
 
 
@@ -157,8 +158,8 @@ print("ok")
     )
     def test_closed_form_commands_load_every_layer_and_no_numpy(self, args, code):
         """The moment check, the port probabilities and the quasiprobability
-        table load the seven layers and run without numpy, a validation error
-        included."""
+        table load the seven layers and run without numpy or ``numbers`` (the
+        real-number rule's float fast path), a validation error included."""
         proc = python("-c", RUN_CLI, *args)
         rec = last_json(proc)
         assert rec["code"] == code, proc.stderr

@@ -27,6 +27,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -1022,3 +1023,64 @@ def test_k_from_moments_is_the_sign_table_bit_for_bit(e2, e3, e23):
         return [(idx, type(k), k.hex()) for idx, k in ks.items()]
 
     assert bits(k_from_moments(e2, e3, e23)) == bits(k_from_moments_table(e2, e3, e23))
+
+
+# a value a real-number field may be given, with the float the one rule
+# (``qcore._real``) stores for it, REFUSED, or PAST for a number past the double
+# range: the Python numeric tower and what lies outside it, and numpy's
+# scalars and 0-d arrays. A bool is an int, and numpy's complex scalar a
+# complex with a ``__float__``; both are refused
+REFUSED, PAST = "refused", "past"
+
+
+def _double(x) -> float | str:
+    try:
+        return float(x)
+    except OverflowError:
+        return PAST
+
+
+field_value = st.one_of(
+    st.floats().map(lambda x: (x, x)),
+    st.one_of(st.integers(), st.sampled_from([2**1024, -(10**400), 2**1024 - 2**970, 2**1024 - 2**971]))
+    .map(lambda n: (n, _double(n))),
+    st.fractions().map(lambda f: (f, _double(f))),
+    st.one_of(st.decimals(), st.complex_numbers(), st.booleans(), st.text(), st.none()).map(lambda v: (v, REFUSED)),
+    st.floats(width=32).map(lambda x: (np.float32(x), x)),
+    st.floats().map(lambda x: (np.float64(x), x)),
+    st.floats().map(lambda x: (np.array(x), x)),
+    st.integers(-(2**63), 2**63 - 1).flatmap(lambda n: st.sampled_from([(np.int64(n), float(n)), (np.array(n), float(n))])),
+    st.complex_numbers().flatmap(lambda z: st.sampled_from([np.complex128(z), np.array(z)])).map(lambda v: (v, REFUSED)),
+    st.booleans().flatmap(lambda b: st.sampled_from([np.bool_(b), np.array(b)])).map(lambda v: (v, REFUSED)),
+    st.floats().map(lambda x: (np.array([x]), REFUSED)),
+)
+
+
+@PROPS
+@given(field_value)
+@example((np.complex128(0.5j), REFUSED))
+@example((True, REFUSED))
+@example((Fraction(1, 3), 1 / 3))
+def test_every_real_field_reads_its_value_by_the_one_rule(case):
+    """``MZConfig``'s beta, a ``sweep_beta`` grid element and
+    ``CorrelationTriple``'s e2 store the same float for a value, or raise the
+    same ValueError naming the field: refused, past the double range or out of
+    [-1, 1]. Never a TypeError, and never a numpy ComplexWarning."""
+    v, want = case
+    boundaries = {
+        "beta": lambda: [MZConfig(beta=v).beta],
+        "beta grid element": lambda: [sweep_beta([v])[0].beta],
+        "e2": lambda: [CorrelationTriple(v, 0.0, 0.0).e2],
+    }
+    for name, read in boundaries.items():
+        if want == REFUSED:
+            expected = "ValueError", f"{name} must be a real number, got {v!r}"
+        elif want == PAST:
+            expected = "ValueError", f"{name} must be finite, got a number past the double range"
+        elif not abs(want) <= 1.0:  # the range message names beta for a grid element too
+            expected = "ValueError", f"{name.split()[0]} must lie in [-1, 1], got {want}"
+        else:
+            expected = "accepted", [(want.hex(), "0x0.0p+0")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(read) == expected, name

@@ -195,12 +195,13 @@ def test_stored_types_are_the_old_ones():
     assert [type(v) for v in (cfg.beta, cfg.alpha, cfg.phi)] == [float, float, float]
     spec = RunSpec(cfg, np.int64(1000), np.uint64(7), "path")
     assert type(spec.shots) is int and type(spec.seed) is int
-    assert CorrelationTriple(0.5, 0.0, 1).e23 == 1 and type(CorrelationTriple(0.5, 0.0, 1).e23) is int
+    triple = CorrelationTriple(np.float32(0.5), np.int64(0), 1)
+    assert [type(v) for v in (triple.e2, triple.e3, triple.e23)] == [float, float, float]
 
 
 def test_repr_text():
     assert repr(MZConfig(0.6, phi=0.5)) == "MZConfig(beta=0.6, alpha=0.8, phi=0.5)"
-    assert repr(CorrelationTriple(0.5, -0.0, 1)) == "CorrelationTriple(e2=0.5, e3=-0.0, e23=1)"
+    assert repr(CorrelationTriple(0.5, -0.0, 1)) == "CorrelationTriple(e2=0.5, e3=-0.0, e23=1.0)"
 
 
 def test_signed_zero_configs_share_a_memo_entry():
